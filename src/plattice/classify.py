@@ -2,10 +2,11 @@
 
 Candidate parameter pairs (n, h) are those allowed by the index bound; for
 each, the quotient of the normalizer of the level n*h group by that group
-is enumerated, its subgroups are screened against four conditions (width
-one at infinity, exponent-two quotient, and two index bounds), and every
-survivor is mapped back to a symbolic descriptor.  The prose case analysis
-becomes assertions in the test suite, not control flow here.
+is enumerated, its exponent-two subgroups (the only ones that can pass)
+are screened against four conditions (width one at infinity, exponent-two
+quotient, and two index bounds), and every survivor is mapped back to a
+symbolic descriptor.  The prose case analysis becomes assertions in the
+test suite, not control flow here.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def check_conditions(
     exponent_two = all(q.mult[i][i] == 0 for i in sub)
     modular_part = sum(1 for i in sub if q.reps[i].pdet() == 1)
     total = gamma0_index(cand.level)
-    assert total % modular_part == 0 and len(sub) % modular_part == 0
+    if total % modular_part or len(sub) % modular_part:
+        raise AssertionError("modular part of order %d does not divide the indices" % modular_part)
     index_in_modular = total // modular_part
     index_over_modular = len(sub) // modular_part
     index_ok = index_in_modular <= index_bound and total <= ratio_bound * len(sub)
@@ -212,14 +214,6 @@ def elementary_two_subgroups(q: FiniteQuotient) -> set[frozenset[int]]:
     return subs
 
 
-def _search_space(q: FiniteQuotient) -> set[frozenset[int]]:
-    # full subgroup lattice at the sizes the case analysis meets; only the
-    # exponent-two part (all that can pass) for the few larger quotients
-    if q.order <= 24:
-        return q.all_subgroups()
-    return elementary_two_subgroups(q)
-
-
 @dataclass(frozen=True)
 class Hit:
     candidate: Candidate
@@ -236,7 +230,7 @@ def classify_hits(
     hits = []
     for n, h in candidate_levels(index_bound):
         q = normalizer_quotient(n * h)
-        for sub in sorted(_search_space(q), key=lambda s: (len(s), sorted(s))):
+        for sub in sorted(elementary_two_subgroups(q), key=lambda s: (len(s), sorted(s))):
             cand = Candidate(n, h, q, sub)
             report = check_conditions(cand, index_bound, ratio_bound, relax_width)
             if report.passed:

@@ -99,5 +99,6 @@ def cusps_of_gamma0(n: int) -> CuspReport:
     orbits = translation_orbits(hypercircle(L1, n).members, Fraction(1))
     cusps = tuple((orbit, Fraction(len(orbit))) for orbit in orbits)
     report = CuspReport(GroupDescriptor.gamma0(n), cusps, Fraction(1))
-    assert report.total_width == gamma0_index(n)
+    if report.total_width != gamma0_index(n):
+        raise AssertionError("cusp widths of level %d do not sum to the index" % n)
     return report

@@ -139,10 +139,6 @@ def dilation(m) -> ProjectiveMatrix:
 # Text serialization ---------------------------------------------------------
 
 
-def format_matrix(m: ProjectiveMatrix) -> str:
-    return str(m)
-
-
 def parse_rational(token: str) -> Fraction:
     try:
         return Fraction(token.strip())

@@ -6,15 +6,16 @@ exactly when doubling keeps it an exact divisor.  A catalog attaches to
 each vertex a Frame shape (a formal product of integer parts encoding a
 conjugacy class of the automorphism group of the Leech lattice); the
 quotient of eta functions it determines is an exact integer Laurent
-series with a simple pole in q, and a floating-point checker (the only
-floating point in the package) verifies its invariance under the doubled
-group numerically.
+series with a simple pole in q, computed by the Euler transform of its
+product formula, and a floating-point checker (the only floating point in
+the package) verifies its invariance under the doubled group numerically.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,7 +132,8 @@ FRAME_SHAPES: tuple[FrameShape, ...] = tuple(
 )
 
 for _fs in FRAME_SHAPES:
-    assert _fs.degree == 24, _fs
+    if _fs.degree != 24:
+        raise AssertionError("catalog shape %s has degree %d" % (_fs, _fs.degree))
 
 _SHAPE_BY_GROUP = dict(zip(NODE_GROUPS, FRAME_SHAPES))
 
@@ -168,42 +170,6 @@ class IntegerPowerSeries:
             raise ValueError("coefficient of q^%d is beyond the truncation" % exponent)
         return self.coeffs[i]
 
-    def __mul__(self, other: "IntegerPowerSeries") -> "IntegerPowerSeries":
-        length = min(len(self.coeffs), len(other.coeffs))
-        out = [0] * length
-        for i, a in enumerate(self.coeffs[:length]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: length - i]):
-                out[i + j] += a * b
-        return IntegerPowerSeries(self.leading + other.leading, tuple(out))
-
-    def inverse(self) -> "IntegerPowerSeries":
-        lead = self.coeffs[0]
-        if lead not in (1, -1):
-            raise ValueError("only unit series invert exactly")
-        n = len(self.coeffs)
-        out = [0] * n
-        out[0] = lead
-        for k in range(1, n):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -lead * acc
-        return IntegerPowerSeries(-self.leading, tuple(out))
-
-    def power(self, e: int) -> "IntegerPowerSeries":
-        if e < 0:
-            return self.inverse().power(-e)
-        result = IntegerPowerSeries(0, (1,) + (0,) * (len(self.coeffs) - 1))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __str__(self) -> str:
         chunks = []
         for i, c in enumerate(self.coeffs):
@@ -223,47 +189,40 @@ class IntegerPowerSeries:
         return " ".join(chunks) if chunks else "0"
 
 
-def euler_factor_series(step: int, order: int) -> IntegerPowerSeries:
-    """The product of (1 - q**(step*m)) over m >= 1, truncated at ``order``.
-
-    Expanded by the pentagonal-number recursion, so the series is sparse
-    and exact.
-    """
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    m = 1
-    while True:
-        p1 = step * m * (3 * m - 1) // 2
-        p2 = step * m * (3 * m + 1) // 2
-        if p1 > order and p2 > order:
-            break
-        sign = -1 if m % 2 else 1
-        if p1 <= order:
-            coeffs[p1] = sign
-        if p2 <= order:
-            coeffs[p2] = sign
-        m += 1
-    return IntegerPowerSeries(0, tuple(coeffs))
-
-
 def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
     """Exact q-expansion of the eta quotient attached to a Frame shape.
 
     The quotient multiplies eta at each part against eta at twice the
     part, so the fractional exponents cancel into the integer -deg/24;
-    a shape whose exponent does not cancel is rejected.
+    a shape whose exponent does not cancel is rejected.  What is left is
+    a product of powers (1 - q^d)^c_d, expanded by the Euler transform:
+    with b_k the sum of d*c_d over the divisors d of k, the coefficients
+    satisfy m*f_m = -(b_1 f_(m-1) + ... + b_m f_0), an exact division.
     """
     if order < 1:
         raise ValueError("order must be positive")
     if fs.degree % 24:
         raise ValueError("fractional leading exponent for %s" % fs.display)
     leading = -fs.degree // 24
-    width = order - leading + 1
-    unit = IntegerPowerSeries(0, (1,) + (0,) * (width - 1))
+    top = order - leading
+    if top < 0:
+        raise ValueError("order %d is below the leading exponent %d" % (order, leading))
+    c = [0] * (top + 1)
     for a, alpha in fs.parts:
-        unit = unit * euler_factor_series(a, width - 1).power(alpha)
-        unit = unit * euler_factor_series(2 * a, width - 1).power(-alpha)
-    return IntegerPowerSeries(leading, unit.coeffs)
+        for d in range(a, top + 1, a):
+            c[d] += alpha
+        for d in range(2 * a, top + 1, 2 * a):
+            c[d] -= alpha
+    b = [0] * (top + 1)
+    for d in range(1, top + 1):
+        if c[d]:
+            for k in range(d, top + 1, d):
+                b[k] += d * c[d]
+    f = [1]
+    for m in range(1, top + 1):
+        # f holds f_0 .. f_(m-1), so reversed(f) pairs f_(m-k) with b_k
+        f.append(-sum(map(operator.mul, b[1 : m + 1], reversed(f))) // m)
+    return IntegerPowerSeries(leading, tuple(f))
 
 
 # numeric invariance (the only floating point in the package) -------------------

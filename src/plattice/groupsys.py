@@ -7,7 +7,7 @@ an optional index-h kernel subgroup cut out by a character.  Membership is
 decided entry-wise on the primitive representative after conjugating by the
 diagonal matrix with ratio h, so everything stays in integer arithmetic.
 
-Finite quotients by a normal congruence subgroup are materialized as coset
+Finite quotients by a normal plain level group are materialized as coset
 representative lists with an exact multiplication table and, when a lattice
 set is supplied, the permutation action on it.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .exact import (
     IDENTITY,
@@ -196,8 +196,8 @@ def _action_perm(g: ProjectiveMatrix, points: tuple[LatticeName, ...]):
     return tuple(out)
 
 
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
+def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+    lengths = []
     seen = [False] * len(perm)
     for i in range(len(perm)):
         if seen[i]:
@@ -208,24 +208,16 @@ def _perm_order(perm: tuple[int, ...]) -> int:
             seen[j] = True
             j = perm[j]
             length += 1
-        order = order * length // gcd(order, length)
-    return order
+        lengths.append(length)
+    return lengths
+
+
+def _perm_order(perm: tuple[int, ...]) -> int:
+    return lcm(*_cycle_lengths(perm))
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        sign ^= (length - 1) & 1
-    return sign
+    return sum(length - 1 for length in _cycle_lengths(perm)) & 1
 
 
 def _kernel_condition(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
@@ -276,7 +268,8 @@ def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
         v = (u * e - 1) // (n // e)
         rep = ProjectiveMatrix.from_entries(e, v, n, u * e)
     a, b, c, d = rep.entries()
-    assert rep.pdet() == e and a % e == 0 and d % e == 0 and c % n == 0
+    if rep.pdet() != e or a % e or d % e or c % n:
+        raise AssertionError("%s is not in the label-%d coset over level %d" % (rep, e, n))
     return rep
 
 
@@ -327,7 +320,8 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
             if nxt not in transversal:
                 transversal[nxt] = transversal[cur] * g
                 frontier.append(nxt)
-    assert len(transversal) == gamma0_index(n)
+    if len(transversal) != gamma0_index(n):
+        raise AssertionError("coset transversal of level %d has the wrong size" % n)
     out = []
     seen = set()
     for point, rep in transversal.items():
@@ -337,7 +331,8 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
                 seen.add(elem)
                 out.append(elem)
     desc = GroupDescriptor.gamma0(n)
-    assert all(member(x, desc) for x in out)
+    if not all(member(x, desc) for x in out):
+        raise AssertionError("a Schreier generator left the level-%d group" % n)
     return tuple(out)
 
 
@@ -355,22 +350,17 @@ class FiniteQuotient:
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     actions: tuple[tuple[int, ...], ...]
-    _keys: dict = field(repr=False, default_factory=dict, compare=False)
+    _keys: dict = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.reps)
 
     def coset_of(self, g: ProjectiveMatrix) -> int:
-        if self._keys:
-            key = _coset_key(g, self.small.n)
-            if key not in self._keys:
-                raise ValueError("element is not in any enumerated coset")
-            return self._keys[key]
-        for i, rep in enumerate(self.reps):
-            if member(g * rep.inv(), self.small):
-                return i
-        raise ValueError("element is not in any enumerated coset")
+        key = _coset_key(g, self.small.n)
+        if key not in self._keys:
+            raise ValueError("element is not in any enumerated coset")
+        return self._keys[key]
 
     def element_order(self, i: int) -> int:
         order, j = 1, i
@@ -398,14 +388,8 @@ class FiniteQuotient:
                         frontier.append(k)
         return frozenset(out)
 
-    def normal_closure(self, seed) -> frozenset[int]:
-        conj = set(seed)
-        for s in seed:
-            for g in range(self.order):
-                conj.add(self.mult[self.mult[self.inverse[g]][s]][g])
-        return self.closure(conj)
-
     def all_subgroups(self) -> set[frozenset[int]]:
+        """Every subgroup; the reference the exponent-two search is tested against."""
         cyclics = {frozenset(self._cyclic(i)) for i in range(self.order)}
         trivial = frozenset([0])
         subs = {trivial}
@@ -428,19 +412,12 @@ class FiniteQuotient:
             j = self.mult[j][i]
         return out
 
-    def action_of(self, i: int) -> tuple[int, ...]:
-        return self.actions[i]
-
     def image_order(self) -> int:
         return len(set(self.actions))
 
 
 def _coset_key(g: ProjectiveMatrix, n: int):
     return (reduce_matrix(g), act(lattice(n), g))
-
-
-def _plain_gamma0(desc: GroupDescriptor) -> bool:
-    return desc.h == 1 and not desc.plus and desc.character is None
 
 
 def finite_quotient(
@@ -452,50 +429,41 @@ def finite_quotient(
 ) -> FiniteQuotient:
     """Cosets of ``small`` in ``big`` by breadth-first closure.
 
-    ``small`` must be normal in ``big`` with finite index (caller's
-    responsibility) and must fix every name in ``lattice_set``; the latter
-    is verified.  Coset identity is decided by an exact invariant pair when
-    ``small`` is a plain level group, else by membership of quotients.
+    ``small`` must be a plain level group, normal in ``big`` with finite
+    index (caller's responsibility), and must fix every name in
+    ``lattice_set``; the latter is verified.  Coset identity is decided by
+    an exact invariant pair: the reduced matrix and the image of the
+    level-n lattice.
     """
+    if small.h != 1 or small.plus or small.character is not None:
+        raise ValueError("quotients are taken by a plain level group, not %s" % small.display)
     lattice_set = tuple(lattice_set)
     if generators is None:
         generators = quotient_generators(big)
-    plain = _plain_gamma0(small)
-    if plain and lattice_set:
+    if lattice_set:
         for gen in schreier_generators(small.n):
             for x in lattice_set:
                 if act(x, gen) != x:
                     raise ValueError("small group moves %s; bad lattice set" % (x,))
     reps = [IDENTITY]
-    keys: dict = {}
-    if plain:
-        keys[_coset_key(IDENTITY, small.n)] = 0
-
-    def locate(g: ProjectiveMatrix):
-        if plain:
-            return keys.get(_coset_key(g, small.n))
-        for i, rep in enumerate(reps):
-            if member(g * rep.inv(), small):
-                return i
-        return None
-
+    keys = {_coset_key(IDENTITY, small.n): 0}
     frontier = [IDENTITY]
     while frontier:
         cur = frontier.pop(0)
         for gen in generators:
             nxt = cur * gen
-            if locate(nxt) is None:
+            key = _coset_key(nxt, small.n)
+            if key not in keys:
                 if len(reps) >= max_elements:
                     raise ValueError("quotient not finite within bound %d" % max_elements)
-                if plain:
-                    keys[_coset_key(nxt, small.n)] = len(reps)
+                keys[key] = len(reps)
                 reps.append(nxt)
                 frontier.append(nxt)
     order = len(reps)
     mult = [[0] * order for _ in range(order)]
     for i in range(order):
         for j in range(order):
-            k = locate(reps[i] * reps[j])
+            k = keys.get(_coset_key(reps[i] * reps[j], small.n))
             if k is None:
                 raise ValueError("quotient is not closed under multiplication")
             mult[i][j] = k
@@ -547,7 +515,11 @@ def _kernel_coset_generators(h: int, n: int, labels: frozenset) -> tuple[Project
         rep for rep in q.reps if not rep.is_identity() and _kernel_condition(rep, kernel)
     )
     # the kernel has index h among the character-graded part
-    assert (len(out) + 1) * h == q.order, (h, n, labels, len(out), q.order)
+    if (len(out) + 1) * h != q.order:
+        raise AssertionError(
+            "kernel of (%d, %d, %s) has %d cosets in a quotient of order %d"
+            % (h, n, sorted(labels), len(out) + 1, q.order)
+        )
     return out
 
 

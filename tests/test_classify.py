@@ -10,6 +10,7 @@ from plattice.classify import (
     classify,
     classify_hits,
     descriptor_catalog,
+    elementary_two_subgroups,
     name_subgroup,
 )
 from plattice.exact import lower_translation, translation
@@ -55,6 +56,23 @@ class TestCaseDiagramIndices:
         assert normalizer_quotient(4).order == 6
         assert normalizer_quotient(9).order == 12
         assert normalizer_quotient(16).order == 24
+
+
+class TestSubgroupSearch:
+    def test_exponent_two_search_matches_full_lattice(self):
+        # only exponent-two subgroups can pass, so the sweep searches those
+        # alone; the full lattice is the reference at every small quotient
+        checked = 0
+        for n, h in candidate_levels():
+            q = normalizer_quotient(n * h)
+            if q.order > 32:
+                continue
+            reference = {
+                sub for sub in q.all_subgroups() if all(q.mult[i][i] == 0 for i in sub)
+            }
+            assert elementary_two_subgroups(q) == reference, (n, h)
+            checked += 1
+        assert checked == 15
 
 
 class TestConditions:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from plattice.diagram import NODE_GROUPS, node_vertex_data
@@ -5,13 +7,11 @@ from plattice.exact import S, T, ProjectiveMatrix
 from plattice.frames import (
     FRAME_SHAPES,
     FrameShape,
-    IntegerPowerSeries,
     double_coset_label,
     double_group,
     eta_quotient_series,
     eta_quotient_value,
     eta_value,
-    euler_factor_series,
     frame_shape,
     frame_shape_invariants,
     invariant_under,
@@ -23,27 +23,31 @@ from plattice.cusps import width_at_infinity
 DOUBLED_DISPLAYS = ["2", "4+", "6+6", "8+", "10+10", "12+", "6|3", "8|2+", "4"]
 
 
+def mul(p, q, order):
+    """Product of two power series truncated at q^order."""
+    out = [0] * (order + 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q[: order + 1 - i]):
+                out[i + j] += a * b
+    return out
+
+
+def euler(step, order):
+    """The product of (1 - q^(step*m)) over m >= 1, by direct multiplication."""
+    p = [1] + [0] * order
+    m = 1
+    while step * m <= order:
+        factor = [0] * (order + 1)
+        factor[0] = 1
+        factor[step * m] = -1
+        p = mul(p, factor, order)
+        m += 1
+    return p
+
+
 def oracle_quotient(fs, order):
     """Independent brute-force expansion by direct polynomial products."""
-
-    def mul(p, q):
-        out = [0] * (order + 1)
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q[: order + 1 - i]):
-                    out[i + j] += a * b
-        return out
-
-    def euler(step):
-        p = [1] + [0] * order
-        m = 1
-        while step * m <= order:
-            factor = [0] * (order + 1)
-            factor[0] = 1
-            factor[step * m] = -1
-            p = mul(p, factor)
-            m += 1
-        return p
 
     def inv(p):
         out = [0] * (order + 1)
@@ -54,15 +58,24 @@ def oracle_quotient(fs, order):
 
     acc = [1] + [0] * order
     for a, alpha in fs.parts:
-        up, down = euler(a), euler(2 * a)
+        up, down = euler(a, order), euler(2 * a, order)
         for _ in range(abs(alpha)):
             if alpha > 0:
-                acc = mul(acc, up)
-                acc = mul(acc, inv(down))
+                acc = mul(acc, up, order)
+                acc = mul(acc, inv(down), order)
             else:
-                acc = mul(acc, inv(up))
-                acc = mul(acc, down)
+                acc = mul(acc, inv(up), order)
+                acc = mul(acc, down, order)
     return acc
+
+
+def random_shape(rng):
+    """A degree-24 shape with a negative exponent and a part above 2."""
+    while True:
+        bases = sorted(rng.sample(range(1, 13), rng.randint(2, 4)))
+        fs = FrameShape(tuple((a, rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])) for a in bases))
+        if fs.degree == 24 and min(alpha for _, alpha in fs.parts) < 0 and fs.max_part > 2:
+            return fs
 
 
 class TestDoubling:
@@ -167,22 +180,35 @@ class TestSeries:
             assert series.coeffs[0] == 1
             assert all(isinstance(c, int) for c in series.coeffs)
 
+    def test_matches_independent_oracle_beyond_fifty(self):
+        fs = random_shape(random.Random(2008))
+        series = eta_quotient_series(fs, 120)
+        leading = -fs.degree // 24
+        assert series.leading == leading
+        assert list(series.coeffs) == oracle_quotient(fs, 120 - leading)
+
     def test_quotient_times_denominator_is_numerator(self):
-        for fs in FRAME_SHAPES:
-            order = 30
-            series = eta_quotient_series(fs, order)
-            width = len(series.coeffs)
-            num = IntegerPowerSeries(0, (1,) + (0,) * (width - 1))
-            den = IntegerPowerSeries(0, (1,) + (0,) * (width - 1))
+        # every factor goes to the side where its exponent is positive, so
+        # the check needs products only, no series inverse
+        for fs in FRAME_SHAPES + (random_shape(random.Random(24)),):
+            series = eta_quotient_series(fs, 30)
+            order = len(series.coeffs) - 1
+            num = [1] + [0] * order
+            den = [1] + [0] * order
             for a, alpha in fs.parts:
-                num = num * euler_factor_series(a, width - 1).power(alpha)
-                den = den * euler_factor_series(2 * a, width - 1).power(alpha)
-            left = IntegerPowerSeries(series.leading, series.coeffs) * den
-            assert left.coeffs == (IntegerPowerSeries(-1, num.coeffs)).coeffs
+                top, bottom = (a, 2 * a) if alpha > 0 else (2 * a, a)
+                for _ in range(abs(alpha)):
+                    num = mul(num, euler(top, order), order)
+                    den = mul(den, euler(bottom, order), order)
+            assert mul(list(series.coeffs), den, order) == num
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ValueError, match="fractional"):
             eta_quotient_series(FrameShape.parse("1^1"), 10)
+
+    def test_order_below_leading_exponent_rejected(self):
+        with pytest.raises(ValueError, match="below the leading exponent"):
+            eta_quotient_series(FrameShape.parse("1^-48"), 1)
 
     def test_coefficient_accessor(self):
         series = eta_quotient_series(FRAME_SHAPES[0], 5)

@@ -244,6 +244,13 @@ class TestFiniteQuotient:
                 max_elements=2,
             )
 
+    @pytest.mark.parametrize(
+        "small", [GroupDescriptor(2, 4), GroupDescriptor.gamma0_plus(2), KERNEL_33]
+    )
+    def test_small_must_be_plain_level_group(self, small):
+        with pytest.raises(ValueError, match="plain level group"):
+            finite_quotient(GroupDescriptor.gamma0_plus(2), small)
+
     def test_subgroup_enumeration_dihedral(self):
         q = normalizer_quotient(8)
         subs = q.all_subgroups()
