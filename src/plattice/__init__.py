@@ -1,11 +1,11 @@
 """Exact projective-lattice calculus for arithmetic subgroups.
 
-Computes with names for projective lattices (exact rational arithmetic
-throughout), the groups between congruence subgroups and their
-normalizers, cusps and widths, the classification of the nine groups
-labeling the extended E8 diagram, the reconstruction of that diagram from
-group invariants, and the level-doubled groups with their Frame shapes
-and eta-quotient series.
+Computes with names for projective lattices (exact integer arithmetic,
+rationals only at the parse and print edges), the groups between
+congruence subgroups and their normalizers, cusps and widths, the
+classification of the nine groups labeling the extended E8 diagram, the
+reconstruction of that diagram from group invariants, and the
+level-doubled groups with their Frame shapes and eta-quotient series.
 """
 
 from .exact import ProjectiveMatrix, pdet, primitive_rep

@@ -19,9 +19,9 @@ from .groupsys import (
     SUPPORTED_KERNELS,
     FiniteQuotient,
     GroupDescriptor,
+    _member_cosets,
     divisors,
     exact_divisors,
-    member,
     normalizer_quotient,
 )
 from .tree import gamma0_index
@@ -182,8 +182,7 @@ def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int]) -> GroupDescripto
             continue
         if _index_over_modular_part(desc) != target_over:
             continue
-        accepted = frozenset(i for i, rep in enumerate(q.reps) if member(rep, desc))
-        if accepted == subgroup:
+        if _member_cosets(q, desc) == subgroup:
             matches.append(desc)
     if len(matches) != 1:
         raise ValueError(

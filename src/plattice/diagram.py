@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from .classify import name_subgroup
 from .groupsys import (
-    FiniteQuotient,
     GroupDescriptor,
+    _member_cosets,
     congruence_level,
     divisors,
     group_generators,
@@ -55,10 +55,6 @@ def envelope_level(desc: GroupDescriptor, bound: int = ENVELOPE_SEARCH_BOUND) ->
         if all(member(g, envelope) for g in gens):
             return n
     raise ValueError("no envelope level below %d for %s" % (bound, desc))
-
-
-def _member_cosets(q: FiniteQuotient, desc: GroupDescriptor) -> frozenset[int]:
-    return frozenset(i for i, rep in enumerate(q.reps) if member(rep, desc))
 
 
 @lru_cache(maxsize=None)

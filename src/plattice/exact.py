@@ -1,28 +1,21 @@
-"""Exact 2x2 matrix arithmetic over the rationals, up to positive scaling.
+"""Exact 2x2 matrix arithmetic up to positive scaling.
 
-Everything in this module is integer/Fraction arithmetic; there is no
-floating point anywhere.  A ``ProjectiveMatrix`` is a nonzero rational 2x2
-matrix with positive determinant, considered up to scaling by nonzero
-rationals.  It is stored as its unique primitive integral representative
-(content 1, first nonzero entry positive), which makes equality and hashing
-structural.
+There is no floating point anywhere in this module.  A ``ProjectiveMatrix``
+is a nonzero 2x2 matrix with positive determinant, considered up to scaling
+by nonzero rationals.  It is stored as its unique primitive integral
+representative (content 1, first nonzero entry positive), which makes
+equality and hashing structural.  Products and inverses are integer
+arithmetic through the one normaliser ``ProjectiveMatrix.from_ints``;
+``fractions.Fraction`` appears only where rational input is read:
+``primitive_rep`` clears its denominators, and the text parsers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
-
-Rational = Fraction
-
-_ZERO_MSG = "zero matrix has no primitive representative"
-
-
-def _as_fraction_entries(entries: Iterable) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    a, b, c, d = (Fraction(x) for x in entries)
-    return a, b, c, d
 
 
 def primitive_rep(entries: Iterable) -> tuple[int, int, int, int]:
@@ -32,15 +25,12 @@ def primitive_rep(entries: Iterable) -> tuple[int, int, int, int]:
     integral with content 1 (gcd of absolute entries equal to 1).  This is
     total on nonzero matrices, including those with zero entries.
     """
-    a, b, c, d = _as_fraction_entries(entries)
+    a, b, c, d = (Fraction(x) for x in entries)
     if a == b == c == d == 0:
-        raise ValueError(_ZERO_MSG)
-    lcm = 1
-    for x in (a, b, c, d):
-        q = x.denominator
-        lcm = lcm // gcd(lcm, q) * q
-    ia, ib, ic,id_ = (int(x * lcm) for x in (a, b, c, d))
-    content = gcd(gcd(abs(ia), abs(ib)), gcd(abs(ic), abs(id_)))
+        raise ValueError("zero matrix has no primitive representative")
+    den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    ia, ib, ic, id_ = (int(x * den) for x in (a, b, c, d))
+    content = gcd(ia, ib, ic, id_)
     return (ia // content, ib // content, ic // content, id_ // content)
 
 
@@ -61,22 +51,22 @@ class ProjectiveMatrix:
     d: int
 
     @classmethod
-    def from_entries(cls, a, b, c, d) -> "ProjectiveMatrix":
-        ia, ib, ic, id_ = primitive_rep((a, b, c, d))
-        for x in (ia, ib, ic, id_):
-            if x != 0:
-                if x < 0:
-                    ia, ib, ic, id_ = -ia, -ib, -ic, -id_
-                break
-        m = cls(ia, ib, ic, id_)
-        if m.pdet() <= 0:
-            raise ValueError("matrix does not have positive determinant: %r" % ((a, b, c, d),))
-        return m
+    def from_ints(cls, a: int, b: int, c: int, d: int) -> "ProjectiveMatrix":
+        """The class of an integer matrix: content divided out, sign fixed."""
+        if a * d - b * c <= 0:
+            raise ValueError(
+                "matrix does not have positive determinant: [[%d,%d],[%d,%d]]" % (a, b, c, d)
+            )
+        # a positive determinant rules out a == b == 0, so a or b leads
+        content = gcd(a, b, c, d)
+        if a < 0 or (a == 0 and b < 0):
+            content = -content
+        return cls(a // content, b // content, c // content, d // content)
 
     @classmethod
-    def from_rows(cls, rows) -> "ProjectiveMatrix":
-        (a, b), (c, d) = rows
-        return cls.from_entries(a, b, c, d)
+    def from_entries(cls, a, b, c, d) -> "ProjectiveMatrix":
+        """The class of a rational matrix, through ``primitive_rep``."""
+        return cls.from_ints(*primitive_rep((a, b, c, d)))
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -88,14 +78,14 @@ class ProjectiveMatrix:
     def __mul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
         a, b, c, d = self.entries()
         e, f, g, h = other.entries()
-        return ProjectiveMatrix.from_entries(
+        return ProjectiveMatrix.from_ints(
             a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         )
 
     def inv(self) -> "ProjectiveMatrix":
         # adjugate; projectively this is the inverse since det > 0
         a, b, c, d = self.entries()
-        return ProjectiveMatrix.from_entries(d, -b, -c, a)
+        return ProjectiveMatrix.from_ints(d, -b, -c, a)
 
     def is_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
@@ -107,25 +97,25 @@ class ProjectiveMatrix:
 def pdet(m) -> int:
     """Projective determinant of a matrix given in any accepted form."""
     if not isinstance(m, ProjectiveMatrix):
-        m = ProjectiveMatrix.from_entries(*_as_fraction_entries(m))
+        m = ProjectiveMatrix.from_entries(*m)
     return m.pdet()
 
 
 # Standard elements ----------------------------------------------------------
 
-IDENTITY = ProjectiveMatrix.from_entries(1, 0, 0, 1)
-S = ProjectiveMatrix.from_entries(0, -1, 1, 0)
-T = ProjectiveMatrix.from_entries(1, 1, 0, 1)
+IDENTITY = ProjectiveMatrix.from_ints(1, 0, 0, 1)
+S = ProjectiveMatrix.from_ints(0, -1, 1, 0)
+T = ProjectiveMatrix.from_ints(1, 1, 0, 1)
 
 
 def translation(amount) -> ProjectiveMatrix:
     """Upper-triangular unipotent [[1, A], [0, 1]] for rational A."""
-    return ProjectiveMatrix.from_entries(1, Fraction(amount), 0, 1)
+    return ProjectiveMatrix.from_entries(1, amount, 0, 1)
 
 
 def lower_translation(amount) -> ProjectiveMatrix:
     """Lower-triangular unipotent [[1, 0], [n, 1]]."""
-    return ProjectiveMatrix.from_entries(1, 0, Fraction(amount), 1)
+    return ProjectiveMatrix.from_entries(1, 0, amount, 1)
 
 
 def dilation(m) -> ProjectiveMatrix:

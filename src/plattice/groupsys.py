@@ -164,7 +164,7 @@ class GroupDescriptor:
 def _conjugate_by_scale(g: ProjectiveMatrix, h: int) -> ProjectiveMatrix:
     # h * (g_h g g_h^-1) stays integral
     a, b, c, d = g.entries()
-    return ProjectiveMatrix.from_entries(h * a, h * h * b, c, h * d)
+    return ProjectiveMatrix.from_ints(h * a, h * h * b, c, h * d)
 
 
 @lru_cache(maxsize=None)
@@ -248,6 +248,11 @@ def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
     return True
 
 
+def _member_cosets(q: FiniteQuotient, desc: GroupDescriptor) -> frozenset[int]:
+    """Indices of the quotient's representatives that lie in the described group."""
+    return frozenset(i for i, rep in enumerate(q.reps) if member(rep, desc))
+
+
 # Atkin-Lehner cosets and the normalizer --------------------------------------
 
 
@@ -262,11 +267,11 @@ def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
     if e == 1:
         return IDENTITY
     if e == n:
-        rep = ProjectiveMatrix.from_entries(0, -1, n, 0)
+        rep = ProjectiveMatrix.from_ints(0, -1, n, 0)
     else:
         u = pow(e, -1, n // e)
         v = (u * e - 1) // (n // e)
-        rep = ProjectiveMatrix.from_entries(e, v, n, u * e)
+        rep = ProjectiveMatrix.from_ints(e, v, n, u * e)
     a, b, c, d = rep.entries()
     if rep.pdet() != e or a % e or d % e or c % n:
         raise AssertionError("%s is not in the label-%d coset over level %d" % (rep, e, n))
@@ -363,11 +368,7 @@ class FiniteQuotient:
         return self._keys[key]
 
     def element_order(self, i: int) -> int:
-        order, j = 1, i
-        while j != 0:
-            j = self.mult[j][i]
-            order += 1
-        return order
+        return len(self._cyclic(i))
 
     def order_profile(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -417,7 +418,7 @@ class FiniteQuotient:
 
 
 def _coset_key(g: ProjectiveMatrix, n: int):
-    return (reduce_matrix(g), act(lattice(n), g))
+    return (reduce_matrix(g), act(LatticeName(n, 0, 1), g))
 
 
 def finite_quotient(
@@ -467,12 +468,7 @@ def finite_quotient(
             if k is None:
                 raise ValueError("quotient is not closed under multiplication")
             mult[i][j] = k
-    inverse = [0] * order
-    for i in range(order):
-        for j in range(order):
-            if mult[i][j] == 0:
-                inverse[i] = j
-                break
+    inverse = [row.index(0) for row in mult]
     actions = []
     for rep in reps:
         perm = _action_perm(rep, lattice_set) if lattice_set else ()

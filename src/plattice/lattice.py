@@ -3,38 +3,59 @@
 A projective lattice commensurable with the distinguished one corresponds to
 a unique upper-triangular coset representative [[M, b], [0, 1]] with M a
 positive rational and b a rational in [0, 1); the pair (M, b) is the
-lattice's name.  This module implements the reduction of an arbitrary
-positive-determinant rational matrix to its name, the right group action on
-names, hyperdistance, and the dual (reverse) naming by lower-triangular
-representatives.
+lattice's name.  A name is stored as the primitive integral form
+[[a, s], [0, d]] of that representative, so M = a/d and b = s/d.  This
+module implements the reduction of an arbitrary positive-determinant matrix
+to its name, the right group action on names, hyperdistance, and the dual
+(reverse) naming by lower-triangular representatives.  Reduction, action
+and hyperdistance are integer arithmetic; ``fractions.Fraction`` appears
+only where a name is built from, read as, or printed as the pair (M, b),
+and in the reverse names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 
-from .exact import ProjectiveMatrix
+from .exact import ProjectiveMatrix, primitive_rep
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class LatticeName:
-    """The canonical pair (M, b): M > 0 rational, 0 <= b < 1 rational."""
+    """The name (M, b) = (a/d, s/d) as its Hermite triple (a, s, d).
 
-    m: Fraction
-    b: Fraction
+    [[a, s], [0, d]] is the primitive integral form of [[M, b], [0, 1]]:
+    a, d > 0, 0 <= s < d and gcd(a, s, d) == 1.  Names order by (M, b).
+    """
+
+    a: int
+    s: int
+    d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", Fraction(self.m))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.m <= 0:
-            raise ValueError("lattice name needs M > 0, got %s" % self.m)
-        if not (0 <= self.b < 1):
-            raise ValueError("lattice name needs 0 <= b < 1, got %s" % self.b)
+        a, s, d = self.a, self.s, self.d
+        if not (a > 0 and 0 <= s < d) or gcd(a, s, d) != 1:
+            raise ValueError("(%s, %s, %s) is not a primitive Hermite triple" % (a, s, d))
+
+    @property
+    def m(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.s, self.d)
+
+    def __lt__(self, other: "LatticeName") -> bool:
+        if not isinstance(other, LatticeName):
+            return NotImplemented
+        return (self.a * other.d, self.s * other.d) < (other.a * self.d, other.s * self.d)
 
     def matrix(self) -> ProjectiveMatrix:
-        return ProjectiveMatrix.from_entries(self.m, self.b, 0, 1)
+        return ProjectiveMatrix.from_ints(self.a, self.s, 0, self.d)
 
     def __str__(self) -> str:
         return "%s,%s" % (self.m, self.b)
@@ -44,7 +65,7 @@ class LatticeName:
         parts = text.strip().split(",")
         if len(parts) != 2:
             raise ValueError("bad lattice name %r (expected M,b)" % text)
-        return cls(Fraction(parts[0]), Fraction(parts[1]))
+        return lattice(parts[0], parts[1])
 
 
 @dataclass(frozen=True, order=True)
@@ -66,48 +87,39 @@ class ReverseName:
         return ProjectiveMatrix.from_entries(1, 0, self.b, self.m)
 
 
-L1 = LatticeName(Fraction(1), Fraction(0))
+L1 = LatticeName(1, 0, 1)
 
 
 def lattice(m, b=0) -> LatticeName:
-    return LatticeName(Fraction(m), Fraction(b))
+    """The name of rational M > 0 and 0 <= b < 1."""
+    m, b = Fraction(m), Fraction(b)
+    if m <= 0:
+        raise ValueError("lattice name needs M > 0, got %s" % m)
+    if not (0 <= b < 1):
+        raise ValueError("lattice name needs 0 <= b < 1, got %s" % b)
+    a, s, _, d = primitive_rep((m, b, 0, 1))
+    return LatticeName(a, s, d)
 
 
 def reduce_matrix(g: ProjectiveMatrix) -> LatticeName:
     """Reduce a coset of the modular group to its canonical name.
 
     Kills the lower-left entry with a determinant-one integral row
-    operation built from an extended gcd, scales the result to make the
-    lower-right entry one, and translates the upper-right entry into
-    [0, 1).
+    operation built from a modular inverse and translates the upper-right
+    entry into [0, d).  Unimodular row operations keep the content at one,
+    so the result is already primitive.
     """
     a, b, c, d = g.entries()
+    # d ends positive with no sign fix: the stored a is positive when c == 0,
+    # and otherwise the new lower-right entry s*b + t*d is pdet/g0
     if c != 0:
         # (s, t) coprime with s*a + t*c == 0; complete to det-1 [[m,n],[s,t]]
-        g0 = gcd(abs(a), abs(c))
+        g0 = gcd(a, c)
         s, t = -c // g0, a // g0
-        m, n = _bezout(t, -s)
-        a, b, c, d = m * a + n * c, m * b + n * d, 0, s * b + t * d
-    mm = Fraction(a, d)
-    bb = Fraction(b, d)
-    return LatticeName(mm, bb - bb.__floor__())
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """Integers (m, n) with m*x + n*y == gcd == 1; x, y assumed coprime."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    elif old_r != 1:
-        raise ValueError("arguments %d, %d are not coprime" % (x, y))
-    return old_s, old_t
+        m = pow(t, -1, abs(s))
+        n = (m * t - 1) // s
+        a, b, d = m * a + n * c, m * b + n * d, s * b + t * d
+    return LatticeName(a, b % d, d)
 
 
 def act(name: LatticeName, g: ProjectiveMatrix) -> LatticeName:
@@ -136,7 +148,7 @@ def reverse_name(name: LatticeName) -> ReverseName:
 def name_of(rev: ReverseName) -> LatticeName:
     """Inverse of :func:`reverse_name`."""
     if rev.b == 0:
-        return LatticeName(1 / rev.m, Fraction(0))
+        return lattice(1 / rev.m)
     fp, g = rev.b.numerator, rev.b.denominator
     f = pow(fp, -1, g)
-    return LatticeName(1 / (g * g * rev.m), Fraction(f, g))
+    return lattice(1 / (g * g * rev.m), Fraction(f, g))

@@ -10,7 +10,6 @@ evaluates the multiplicative index formula that counts a hypercircle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .exact import ProjectiveMatrix
@@ -70,7 +69,7 @@ class HyperCircle:
 
 def _hypercircle_at_l1(n: int) -> list[LatticeName]:
     # cosets at hyperdistance n <-> upper Hermite forms [[a, b], [0, d]]
-    # with a*d == n, 0 <= b < d, gcd(a, b, d) == 1; name is (a/d, b/d)
+    # with a*d == n, 0 <= b < d, gcd(a, b, d) == 1: the names' own triples
     out = []
     for d in range(1, n + 1):
         if n % d:
@@ -79,7 +78,7 @@ def _hypercircle_at_l1(n: int) -> list[LatticeName]:
         g0 = gcd(a, d)
         for b in range(d):
             if gcd(g0, b) == 1:
-                out.append(LatticeName(Fraction(a, d), Fraction(b, d)))
+                out.append(LatticeName(a, b, d))
     out.sort()
     return out
 
@@ -119,8 +118,8 @@ def padic_projection(name: LatticeName, p: int) -> LatticeName:
         k += 1
     q = p**k
     rows = [(a, b), (c, d), (q, 0), (0, q)]
-    basis = _row_hnf(rows)
-    proj = reduce_matrix(ProjectiveMatrix.from_rows(basis))
+    (x, y), (_, z) = _row_hnf(rows)
+    proj = reduce_matrix(ProjectiveMatrix.from_ints(x, y, 0, z))
     dist_from_l1 = hyperdistance(L1, proj)
     while dist_from_l1 % p == 0:
         dist_from_l1 //= p

@@ -59,6 +59,12 @@ class TestErrors:
         code, _, err = run(capsys, "reduce", "[[1,x],[0,1]]")
         assert code == 1 and "x" in err
 
+    def test_determinant_error_prints_matrix_literal(self, capsys):
+        code, _, err = run(capsys, "reduce", "[[1,0],[0,-1]]")
+        assert code == 1
+        assert "Fraction(" not in err
+        assert err.strip() == "error: matrix does not have positive determinant: [[1,0],[0,-1]]"
+
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run(capsys, "not-a-command")
         assert code == 2

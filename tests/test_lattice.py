@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, dilation, translation
 from plattice.lattice import (
@@ -203,13 +206,62 @@ class TestReverseNamesOnPrimePowerCircles:
 class TestNameValidation:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            LatticeName(Fraction(-1), Fraction(0))
+            lattice(Fraction(-1), Fraction(0))
 
     def test_rejects_bad_b(self):
         with pytest.raises(ValueError):
-            LatticeName(Fraction(1), Fraction(3, 2))
+            lattice(Fraction(1), Fraction(3, 2))
+
+    @pytest.mark.parametrize("triple", [(0, 0, 1), (1, 1, 1), (1, -1, 2), (2, 0, 2), (1, 0, 0)])
+    def test_rejects_non_hermite_triple(self, triple):
+        with pytest.raises(ValueError):
+            LatticeName(*triple)
 
     def test_parse_and_str(self):
         name = lattice(Fraction(1, 9), Fraction(2, 9))
         assert LatticeName.parse(str(name)) == name
         assert str(name) == "1/9,2/9"
+
+
+# fixed examples (derandomize) and no example database keep the suite
+# deterministic from run to run
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+positive_rationals = st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4))
+unit_rationals = st.integers(1, 10**4).flatmap(
+    lambda q: st.builds(Fraction, st.integers(0, q - 1), st.just(q))
+)
+modular_elements = st.lists(st.sampled_from([S, T, T.inv()]), max_size=30).map(
+    lambda word: reduce(mul, word, IDENTITY)
+)
+
+
+class TestIntegerNameProperties:
+    @PROPERTY
+    @given(positive_rationals, unit_rationals)
+    def test_pair_reads_back(self, m, b):
+        name = lattice(m, b)
+        assert name.m == m and name.b == b
+
+    @PROPERTY
+    @given(st.lists(st.tuples(positive_rationals, unit_rationals), max_size=20))
+    def test_names_sort_by_pair(self, pairs):
+        assert sorted(lattice(m, b) for m, b in pairs) == [lattice(m, b) for m, b in sorted(pairs)]
+
+    @PROPERTY
+    @given(positive_rationals, unit_rationals)
+    def test_parse_inverts_str(self, m, b):
+        name = lattice(m, b)
+        assert LatticeName.parse(str(name)) == name
+
+    @PROPERTY
+    @given(positive_rationals, unit_rationals)
+    def test_reduce_recovers_name(self, m, b):
+        name = lattice(m, b)
+        assert reduce_matrix(name.matrix()) == name
+
+    @PROPERTY
+    @given(positive_rationals, unit_rationals, modular_elements)
+    def test_reduce_ignores_modular_left_factor(self, m, b, u):
+        name = lattice(m, b)
+        assert reduce_matrix(u * name.matrix()) == name
