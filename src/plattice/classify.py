@@ -89,16 +89,6 @@ class Candidate:
                     raise ValueError("subgroup is not multiplicatively closed")
 
 
-def width_cosets(q: FiniteQuotient) -> list[int]:
-    """Quotient cosets of the fractional shears that break width one."""
-    from fractions import Fraction
-
-    from .exact import translation
-
-    h = q.big.h
-    return [q.coset_of(translation(Fraction(k, h))) for k in range(1, h)]
-
-
 def check_conditions(
     cand: Candidate,
     index_bound: int = INDEX_BOUND,
@@ -107,7 +97,7 @@ def check_conditions(
 ) -> ConditionReport:
     """The four screening conditions; arithmeticity holds by construction."""
     q, sub = cand.quotient, cand.subgroup
-    width_one = relax_width or all(c not in sub for c in width_cosets(q))
+    width_one = relax_width or all(c not in sub for c in q.width_cosets)
     exponent_two = all(q.mult[i][i] == 0 for i in sub)
     modular_part = sum(1 for i in sub if q.reps[i].pdet() == 1)
     total = gamma0_index(cand.level)

@@ -1,7 +1,7 @@
 """Command-line surface: deterministic text, JSON, and DOT output.
 
 Exit codes: 0 on success, 1 on a domain error (bad mathematical input),
-2 on a usage error.
+2 on a usage error, 3 on an internal error (a failed consistency check).
 """
 
 from __future__ import annotations
@@ -264,6 +264,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        # a failed internal consistency check, not a problem with the input
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
     return 0
 
 

@@ -9,14 +9,17 @@ diagonal matrix with ratio h, so everything stays in integer arithmetic.
 
 Finite quotients by a normal plain level group are materialized as coset
 representative lists with an exact multiplication table and, when a lattice
-set is supplied, the permutation action on it.
+set is supplied, the permutation action on it.  Matrix products are taken
+only while the cosets are enumerated breadth-first; the table and the
+actions are then composed from the generators' permutations along the
+enumeration tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .exact import (
@@ -196,6 +199,11 @@ def _action_perm(g: ProjectiveMatrix, points: tuple[LatticeName, ...]):
     return tuple(out)
 
 
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # apply p, then q
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     lengths = []
     seen = [False] * len(perm)
@@ -367,6 +375,12 @@ class FiniteQuotient:
             raise ValueError("element is not in any enumerated coset")
         return self._keys[key]
 
+    @cached_property
+    def width_cosets(self) -> tuple[int, ...]:
+        """Cosets of the shears [[1, k/h], [0, 1]], 0 < k < h, which break width one."""
+        h = self.big.h
+        return tuple(self.coset_of(ProjectiveMatrix.from_ints(h, k, 0, h)) for k in range(1, h))
+
     def element_order(self, i: int) -> int:
         return len(self._cyclic(i))
 
@@ -434,7 +448,18 @@ def finite_quotient(
     index (caller's responsibility), and must fix every name in
     ``lattice_set``; the latter is verified.  Coset identity is decided by
     an exact invariant pair: the reduced matrix and the image of the
-    level-n lattice.
+    level-n lattice, which together identify the right coset of ``g``.
+
+    The breadth-first walk records how each generator permutes the cosets
+    under right multiplication, and the generator and earlier
+    representative each new representative is the product of.  Since
+    ``reps[j] == reps[p] * generators[g]``, column ``j`` of the
+    multiplication table is column ``p`` sent through generator ``g``'s
+    permutation, and the action of ``reps[j]`` on the lattice set is that
+    of ``reps[p]`` followed by that of the generator: the table and the
+    actions are composed along the walk's tree, with no matrix arithmetic
+    after the walk.  Every row and column of the table must then be a
+    permutation of the cosets, which fails when ``small`` is not normal.
     """
     if small.h != 1 or small.plus or small.character is not None:
         raise ValueError("quotients are taken by a plain level group, not %s" % small.display)
@@ -446,42 +471,50 @@ def finite_quotient(
             for x in lattice_set:
                 if act(x, gen) != x:
                     raise ValueError("small group moves %s; bad lattice set" % (x,))
+    gen_actions = []
+    for gen in generators:
+        perm = _action_perm(gen, lattice_set)
+        if perm is None:
+            raise ValueError("generator %s does not stabilize the lattice set" % (gen,))
+        gen_actions.append(perm)
     reps = [IDENTITY]
     keys = {_coset_key(IDENTITY, small.n): 0}
-    frontier = [IDENTITY]
-    while frontier:
-        cur = frontier.pop(0)
-        for gen in generators:
+    parents = [None]
+    # right[g][i] is the coset of reps[i] * generators[g]
+    right = [[] for _ in generators]
+    head = 0
+    while head < len(reps):
+        cur = reps[head]
+        for g, gen in enumerate(generators):
             nxt = cur * gen
             key = _coset_key(nxt, small.n)
-            if key not in keys:
+            k = keys.get(key)
+            if k is None:
                 if len(reps) >= max_elements:
                     raise ValueError("quotient not finite within bound %d" % max_elements)
-                keys[key] = len(reps)
+                k = keys[key] = len(reps)
                 reps.append(nxt)
-                frontier.append(nxt)
+                parents.append((head, g))
+            right[g].append(k)
+        head += 1
     order = len(reps)
-    mult = [[0] * order for _ in range(order)]
-    for i in range(order):
-        for j in range(order):
-            k = keys.get(_coset_key(reps[i] * reps[j], small.n))
-            if k is None:
-                raise ValueError("quotient is not closed under multiplication")
-            mult[i][j] = k
-    inverse = [row.index(0) for row in mult]
-    actions = []
-    for rep in reps:
-        perm = _action_perm(rep, lattice_set) if lattice_set else ()
-        if perm is None:
-            raise ValueError("representative %s does not stabilize the lattice set" % (rep,))
-        actions.append(perm)
+    columns = [tuple(range(order))]
+    actions = [tuple(range(len(lattice_set)))]
+    for p, g in parents[1:]:
+        columns.append(tuple(map(right[g].__getitem__, columns[p])))
+        actions.append(_compose(actions[p], gen_actions[g]))
+    mult = tuple(zip(*columns))
+    # entries all lie in range(order), so a line without repeats is a permutation
+    if any(len(set(line)) != order for lines in (columns, mult) for line in lines):
+        raise ValueError("quotient is not closed under multiplication")
+    inverse = tuple(row.index(0) for row in mult)
     return FiniteQuotient(
         big,
         small,
         lattice_set,
         tuple(reps),
-        tuple(tuple(row) for row in mult),
-        tuple(inverse),
+        mult,
+        inverse,
         tuple(actions),
         keys,
     )
@@ -548,11 +581,6 @@ class Character:
             if _perm_order(_compose(_power(self._x_perm, j), perm)) <= 2:
                 return j
         raise AssertionError("permutation is not in the order-12 image")
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q
-    return tuple(q[p[i]] for i in range(len(p)))
 
 
 def _power(p: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from plattice import cli
 from plattice.cli import main
 from plattice.groupsys import GroupDescriptor
 
@@ -72,6 +73,15 @@ class TestErrors:
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "project", "1,0", "6")
         assert code == 1 and "not prime" in err
+
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        def broken(args):
+            raise AssertionError("cusp widths of level 8 do not sum to the index")
+
+        monkeypatch.setattr(cli, "cmd_index", broken)
+        code, out, err = run(capsys, "index", "8")
+        assert code == 3 and out == ""
+        assert err == "internal error: cusp widths of level 8 do not sum to the index\n"
 
 
 class TestJsonRoundTrips:

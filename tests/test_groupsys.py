@@ -6,8 +6,11 @@ import pytest
 
 from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, lower_translation, translation
 from plattice.lattice import L1, act, lattice
+from plattice import groupsys
 from plattice.groupsys import (
     Character,
+    _action_perm,
+    _coset_key,
     GroupDescriptor,
     al_coset_representative,
     character_lambda,
@@ -250,6 +253,51 @@ class TestFiniteQuotient:
     def test_small_must_be_plain_level_group(self, small):
         with pytest.raises(ValueError, match="plain level group"):
             finite_quotient(GroupDescriptor.gamma0_plus(2), small)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_normal_small_group_rejected(self, n):
+        # the level-n group is not normal in the modular group, so some row
+        # of the composed table repeats a coset
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            finite_quotient(G1, GroupDescriptor.gamma0(n), generators=[S, T])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: normalizer_quotient(36),
+            lambda: normalizer_quotient(64),
+            lambda: character_lambda(8).quotient,
+            lambda: character_lambda(9).quotient,
+        ],
+        ids=["level36", "level64", "lambda8", "lambda9"],
+    )
+    def test_composed_table_and_actions_match_direct_products(self, build):
+        q = build()
+        direct = tuple(
+            tuple(q._keys[_coset_key(a * b, q.small.n)] for b in q.reps) for a in q.reps
+        )
+        assert q.mult == direct
+        assert q.actions == tuple(_action_perm(rep, q.lattice_set) for rep in q.reps)
+
+    def test_table_takes_one_coset_key_per_walk_step(self, monkeypatch):
+        calls = []
+
+        def counting_key(g, n):
+            calls.append(n)
+            return _coset_key(g, n)
+
+        monkeypatch.setattr(groupsys, "_coset_key", counting_key)
+        q = finite_quotient(normalizer_of_gamma0(64), GroupDescriptor.gamma0(64))
+        assert q.order == 96
+        assert len(calls) == 1 + q.order * len(quotient_generators(q.big))
+
+    def test_width_cosets_are_the_fractional_shears(self):
+        q = normalizer_quotient(64)
+        assert q.big.h == 8
+        expected = tuple(q.coset_of(translation(Fraction(k, 8))) for k in range(1, 8))
+        assert q.width_cosets == expected
+        assert len(set(expected)) == 7 and 0 not in expected
+        assert normalizer_quotient(5).width_cosets == ()
 
     def test_subgroup_enumeration_dihedral(self):
         q = normalizer_quotient(8)

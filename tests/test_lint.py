@@ -25,7 +25,12 @@ def test_no_bare_asserts_in_package():
 INTEGER_ONLY = {
     "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints"),
     "lattice.py": ("reduce_matrix", "act", "hyperdistance"),
-    "groupsys.py": ("_coset_key", "_conjugate_by_scale"),
+    "groupsys.py": (
+        "_coset_key",
+        "_conjugate_by_scale",
+        "finite_quotient",
+        "FiniteQuotient.width_cosets",
+    ),
 }
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}
 
