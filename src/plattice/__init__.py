@@ -6,85 +6,79 @@ congruence subgroups and their normalizers, cusps and widths, the
 classification of the nine groups labeling the extended E8 diagram, the
 reconstruction of that diagram from group invariants, and the
 level-doubled groups with their Frame shapes and eta-quotient series.
+
+The exports load on first access (PEP 562): ``import plattice`` imports
+no submodule, and reading ``plattice.X`` imports the module that defines
+``X`` the first time.  ``plattice.classify`` is always the function, also
+after the submodule ``plattice.classify`` has been imported.
 """
 
-from .exact import ProjectiveMatrix, pdet, primitive_rep
-from .lattice import LatticeName, ReverseName, act, hyperdistance, reduce_matrix
-from .tree import HyperCircle, Thread, gamma0_index, hypercircle, is_cell, padic_projection, thread
-from .groupsys import (
-    Character,
-    FiniteQuotient,
-    GroupDescriptor,
-    al_coset_representative,
-    character_lambda,
-    congruence_level,
-    finite_quotient,
-    member,
-    normalizer_of_gamma0,
-    schreier_generators,
-)
-from .cusps import CuspReport, cusp_count, cusps_of_gamma0, width_at_infinity
-from .classify import Candidate, candidate_levels, check_conditions, classify
-from .diagram import LabeledGraph, NODE_GROUPS, VertexData, build_graph, emit_dot, vertex_data
-from .frames import (
-    FRAME_SHAPES,
-    FrameShape,
-    IntegerPowerSeries,
-    double_group,
-    eta_quotient_series,
-    frame_shape,
-    frame_shape_invariants,
-    numeric_invariance_check,
-)
+import sys
+import types
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Candidate",
-    "Character",
-    "CuspReport",
-    "FRAME_SHAPES",
-    "FiniteQuotient",
-    "FrameShape",
-    "GroupDescriptor",
-    "HyperCircle",
-    "IntegerPowerSeries",
-    "LabeledGraph",
-    "LatticeName",
-    "NODE_GROUPS",
-    "ProjectiveMatrix",
-    "ReverseName",
-    "Thread",
-    "VertexData",
-    "act",
-    "al_coset_representative",
-    "build_graph",
-    "candidate_levels",
-    "character_lambda",
-    "check_conditions",
-    "classify",
-    "congruence_level",
-    "cusp_count",
-    "cusps_of_gamma0",
-    "double_group",
-    "emit_dot",
-    "eta_quotient_series",
-    "finite_quotient",
-    "frame_shape",
-    "frame_shape_invariants",
-    "gamma0_index",
-    "hypercircle",
-    "hyperdistance",
-    "is_cell",
-    "member",
-    "normalizer_of_gamma0",
-    "numeric_invariance_check",
-    "padic_projection",
-    "pdet",
-    "primitive_rep",
-    "reduce_matrix",
-    "schreier_generators",
-    "thread",
-    "vertex_data",
-    "width_at_infinity",
-]
+# home module -> the names it exports through the package
+_HOMES = {
+    "exact": ("ProjectiveMatrix", "pdet", "primitive_rep"),
+    "lattice": ("LatticeName", "ReverseName", "act", "hyperdistance", "reduce_matrix"),
+    "tree": ("HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"),
+    "groupsys": (
+        "Character",
+        "FiniteQuotient",
+        "GroupDescriptor",
+        "NODE_GROUPS",
+        "al_coset_representative",
+        "character_lambda",
+        "congruence_level",
+        "finite_quotient",
+        "member",
+        "normalizer_of_gamma0",
+        "schreier_generators",
+    ),
+    "cusps": ("CuspReport", "cusp_count", "cusps_of_gamma0", "width_at_infinity"),
+    "classify": ("Candidate", "candidate_levels", "check_conditions", "classify"),
+    "diagram": ("LabeledGraph", "VertexData", "build_graph", "emit_dot", "vertex_data"),
+    "frames": (
+        "FRAME_SHAPES",
+        "FrameShape",
+        "IntegerPowerSeries",
+        "double_group",
+        "eta_quotient_series",
+        "frame_shape",
+        "frame_shape_invariants",
+        "numeric_invariance_check",
+    ),
+}
+_EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    home = _EXPORTS.get(name)
+    if home is not None:
+        value = getattr(import_module("." + home, __name__), name)
+    elif name in _HOMES:
+        value = import_module("." + name, __name__)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # importing a submodule binds it on the package; an export of the
+        # same name (the function ``classify``) keeps the name instead
+        if name in _EXPORTS and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -1,5 +1,8 @@
 """Command-line surface: deterministic text, JSON, and DOT output.
 
+Each command imports the layers it uses when it runs, so a cold process
+loads only those modules (the README lists them per command).
+
 Exit codes: 0 on success, 1 on a domain error (bad mathematical input),
 2 on a usage error, 3 on an internal error (a failed consistency check).
 """
@@ -7,41 +10,39 @@ Exit codes: 0 on success, 1 on a domain error (bad mathematical input),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .classify import INDEX_BOUND, RATIO_BOUND, classify_hits
-from .cusps import cusps_of_gamma0, width_at_infinity
-from .diagram import NODE_GROUPS, build_graph, emit_dot, node_vertex_data
-from .exact import parse_matrix
-from .frames import (
-    FrameShape,
-    double_group,
-    eta_quotient_series,
-    frame_shape,
-    numeric_invariance_check,
-)
-from .groupsys import GroupDescriptor, congruence_level, member
-from .lattice import LatticeName, hyperdistance, reduce_matrix
-from .tree import gamma0_index, hypercircle, hypercircle_dot, is_cell, padic_projection, thread
+
+def _print_json(payload):
+    import json
+
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _emit(args, payload_text, payload_json):
     if getattr(args, "as_json", False) or args.format == "json":
-        print(json.dumps(payload_json, indent=2, sort_keys=True))
+        _print_json(payload_json)
     else:
         print(payload_text)
 
 
 def cmd_reduce(args):
+    from .exact import parse_matrix
+    from .lattice import reduce_matrix
+
     print(reduce_matrix(parse_matrix(args.matrix)))
 
 
 def cmd_hyperdistance(args):
+    from .lattice import LatticeName, hyperdistance
+
     print(hyperdistance(LatticeName.parse(args.left), LatticeName.parse(args.right)))
 
 
 def cmd_hypercircle(args):
+    from .lattice import LatticeName
+    from .tree import hypercircle, hypercircle_dot
+
     circle = hypercircle(LatticeName.parse(args.center), args.radius)
     if args.format == "dot":
         print(hypercircle_dot(circle), end="")
@@ -54,6 +55,9 @@ def cmd_hypercircle(args):
 
 
 def cmd_thread(args):
+    from .lattice import LatticeName
+    from .tree import thread
+
     t = thread(LatticeName.parse(args.left), LatticeName.parse(args.right))
     _emit(
         args,
@@ -63,20 +67,30 @@ def cmd_thread(args):
 
 
 def cmd_cell(args):
+    from .lattice import LatticeName
+    from .tree import is_cell
+
     names = [LatticeName.parse(x) for x in args.names]
     result = is_cell(names)
     _emit(args, "true" if result else "false", {"cell": result})
 
 
 def cmd_project(args):
+    from .lattice import LatticeName
+    from .tree import padic_projection
+
     print(padic_projection(LatticeName.parse(args.name), args.prime))
 
 
 def cmd_index(args):
+    from .tree import gamma0_index
+
     print(gamma0_index(args.level))
 
 
 def cmd_cusps(args):
+    from .cusps import cusps_of_gamma0
+
     report = cusps_of_gamma0(args.level)
     lines = ["representative\twidth"]
     for orbit, width in report.cusps:
@@ -86,10 +100,16 @@ def cmd_cusps(args):
 
 
 def cmd_groups(args):
+    from .groupsys import GroupDescriptor, member
+
     desc = GroupDescriptor.parse(args.name)
     if args.member:
+        from .exact import parse_matrix
+
         print("true" if member(parse_matrix(args.member), desc) else "false")
         return
+    from .cusps import width_at_infinity
+
     info = desc.to_json()
     info["width_at_infinity"] = str(width_at_infinity(desc))
     info["intersection_level"] = desc.intersection_level()
@@ -98,11 +118,17 @@ def cmd_groups(args):
 
 
 def cmd_level(args):
+    from .groupsys import GroupDescriptor, congruence_level
+
     print(congruence_level(GroupDescriptor.parse(args.name), args.max_n))
 
 
 def cmd_classify(args):
-    hits = classify_hits(args.index_bound, args.ratio_bound, args.relax_width)
+    from .classify import INDEX_BOUND, RATIO_BOUND, classify_hits
+
+    index_bound = INDEX_BOUND if args.index_bound is None else args.index_bound
+    ratio_bound = RATIO_BOUND if args.ratio_bound is None else args.ratio_bound
+    hits = classify_hits(index_bound, ratio_bound, args.relax_width)
     found = sorted({h.descriptor for h in hits})
     if args.as_json or args.format == "json":
         payload = []
@@ -115,7 +141,7 @@ def cmd_classify(args):
                     "conditions": sightings[0].report.to_json(),
                 }
             )
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return
     for desc in found:
         sightings = [h for h in hits if h.descriptor == desc]
@@ -136,13 +162,15 @@ def cmd_classify(args):
 
 
 def cmd_diagram(args):
+    from .diagram import build_graph, emit_dot, node_vertex_data
+
     data = node_vertex_data()
     graph = build_graph(data)
     if args.format == "dot":
         print(emit_dot(graph), end="")
         return
     if args.as_json or args.format == "json":
-        print(json.dumps(graph.to_json(), indent=2, sort_keys=True))
+        _print_json(graph.to_json())
         return
     print("group\tscale\tlevel0\tvalency\tfaithful")
     for v in data:
@@ -155,6 +183,9 @@ def cmd_diagram(args):
 
 
 def cmd_super(args):
+    from .frames import double_group, eta_quotient_series, frame_shape, numeric_invariance_check
+    from .groupsys import NODE_GROUPS
+
     rows = []
     for desc in NODE_GROUPS:
         doubled = double_group(desc)
@@ -168,13 +199,16 @@ def cmd_super(args):
             row["invariant"] = numeric_invariance_check(shape, doubled, tol=args.tol)
         rows.append(row)
     if args.as_json or args.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        _print_json(rows)
         return
     for row in rows:
         print("\t".join(str(row[k]) for k in row))
 
 
 def cmd_eta(args):
+    from .frames import FrameShape, eta_quotient_series, frame_shape
+    from .groupsys import GroupDescriptor
+
     try:
         desc = GroupDescriptor.parse(args.shape)
         shape = frame_shape(desc)
@@ -235,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", cmd_classify, help="search for the nine vertex groups")
     p.add_argument("--relax-width", action="store_true")
-    p.add_argument("--index-bound", type=int, default=INDEX_BOUND)
-    p.add_argument("--ratio-bound", type=int, default=RATIO_BOUND)
+    # None means the defaults of plattice.classify, read when the command runs
+    p.add_argument("--index-bound", type=int, default=None)
+    p.add_argument("--ratio-bound", type=int, default=None)
 
     add("diagram", cmd_diagram, help="vertex invariants and the unique graph")
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .classify import name_subgroup
 from .groupsys import (
+    NODE_GROUPS,
     GroupDescriptor,
     _member_cosets,
     congruence_level,
@@ -26,19 +27,6 @@ from .groupsys import (
     schreier_generators,
 )
 from .lattice import L1, act, lattice
-
-# the nine vertex groups, in the order the invariant tables list them
-NODE_GROUPS: tuple[GroupDescriptor, ...] = (
-    GroupDescriptor.gamma0(1),
-    GroupDescriptor.gamma0_plus(2),
-    GroupDescriptor.gamma0_plus(3),
-    GroupDescriptor.gamma0_plus(4),
-    GroupDescriptor.gamma0_plus(5),
-    GroupDescriptor.gamma0_plus(6),
-    GroupDescriptor.kernel(3, 3),
-    GroupDescriptor.kernel(2, 4, {2}),
-    GroupDescriptor.gamma0(2),
-)
 
 ENVELOPE_SEARCH_BOUND = 64
 

@@ -19,9 +19,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import NODE_GROUPS, envelope_level, scale_factor
 from .exact import ProjectiveMatrix
-from .groupsys import GroupDescriptor, group_generators
+from .groupsys import NODE_GROUPS, GroupDescriptor, group_generators
 
 # group doubling ---------------------------------------------------------------
 
@@ -44,6 +43,9 @@ def double_coset_label(e: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def double_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The level-doubled group attached to a vertex group."""
+    # diagram, and with it classify, loads only when a group is doubled
+    from .diagram import envelope_level, scale_factor
+
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
     a = scale_factor(desc)

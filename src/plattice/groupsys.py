@@ -161,6 +161,20 @@ class GroupDescriptor:
         return cls(data["h"], data["n"], frozenset(data["plus"]), data["character"])
 
 
+# the nine vertex groups, in the order the invariant tables list them
+NODE_GROUPS: tuple[GroupDescriptor, ...] = (
+    GroupDescriptor.gamma0(1),
+    GroupDescriptor.gamma0_plus(2),
+    GroupDescriptor.gamma0_plus(3),
+    GroupDescriptor.gamma0_plus(4),
+    GroupDescriptor.gamma0_plus(5),
+    GroupDescriptor.gamma0_plus(6),
+    GroupDescriptor.kernel(3, 3),
+    GroupDescriptor.kernel(2, 4, {2}),
+    GroupDescriptor.gamma0(2),
+)
+
+
 # membership -----------------------------------------------------------------
 
 
@@ -382,9 +396,16 @@ class FiniteQuotient:
         return tuple(self.coset_of(ProjectiveMatrix.from_ints(h, k, 0, h)) for k in range(1, h))
 
     def element_order(self, i: int) -> int:
+        """Order of coset ``i``; ``order_profile`` is built from it."""
         return len(self._cyclic(i))
 
     def order_profile(self) -> dict[int, int]:
+        """Element order -> number of cosets of that order.
+
+        With ``image_order`` this is how the acceptance suite
+        (``tests/test_acceptance.py``) recognises the quotient structures
+        of the paper: A4 at level 9, the dihedral group of order 8 at level 8.
+        """
         out: dict[int, int] = {}
         for i in range(self.order):
             o = self.element_order(i)
@@ -428,6 +449,7 @@ class FiniteQuotient:
         return out
 
     def image_order(self) -> int:
+        """Order of the image in the permutations of the lattice set (see ``order_profile``)."""
         return len(set(self.actions))
 
 

@@ -16,10 +16,19 @@ from .exact import ProjectiveMatrix
 from .lattice import L1, LatticeName, act, hyperdistance, reduce_matrix
 
 
+# Input budgets, checked before any work starts: trial division up to
+# FACTORIZE_BOUND takes a few seconds at worst (a prime near the bound), and
+# a hypercircle of HYPERCIRCLE_BOUND members under half a minute.
+FACTORIZE_BOUND = 10**15
+HYPERCIRCLE_BOUND = 10**6
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at the scales used here."""
+    """Prime factorization by trial division, for 1 <= n <= FACTORIZE_BOUND."""
     if n < 1:
         raise ValueError("cannot factorize %d" % n)
+    if n > FACTORIZE_BOUND:
+        raise ValueError("cannot factorize %d: above the budget of 10**15" % n)
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
@@ -88,9 +97,16 @@ def hypercircle(center: LatticeName, radius: int) -> HyperCircle:
 
     Enumerated at the distinguished lattice and translated by the group
     action, which preserves hyperdistance; members come out sorted by name.
+    More than HYPERCIRCLE_BOUND members is a ValueError, raised before any
+    member is enumerated.
     """
     if radius < 1:
         raise ValueError("hyperradius must be >= 1, got %d" % radius)
+    size = gamma0_index(radius)
+    if size > HYPERCIRCLE_BOUND:
+        raise ValueError(
+            "hypercircle of radius %d has %d members: above the budget of 10**6" % (radius, size)
+        )
     base = _hypercircle_at_l1(radius)
     if center == L1:
         members = base

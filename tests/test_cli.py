@@ -6,6 +6,8 @@ from plattice import cli
 from plattice.cli import main
 from plattice.groupsys import GroupDescriptor
 
+from .test_api import fresh_python
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -172,3 +174,24 @@ class TestSuper:
         code, out, _ = run(capsys, "super", "--check-invariance", "--tol", "1e-6")
         assert code == 0
         assert out.count("True") == 9
+
+
+class TestInputBudgets:
+    # Each of these hung (or ran for minutes) before the input budgets; run
+    # them in a fresh process with a timeout so a regression fails, not hangs.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["index", "1000000000000000003"], "cannot factorize 1000000000000000003"),
+            (["cusps", "1000000000000000003"], "cannot factorize 1000000000000000003"),
+            (["project", "1,0", "1000000000000000003"], "cannot factorize 1000000000000000003"),
+            (["hypercircle", "1,0", "1000000"], "hypercircle of radius 1000000 has 1800000 members"),
+            (["cusps", "1000000"], "hypercircle of radius 1000000 has 1800000 members"),
+        ],
+        ids=["index-huge", "cusps-huge", "project-huge", "hypercircle-wide", "cusps-wide"],
+    )
+    def test_over_budget_input_exits_one(self, argv, message):
+        proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: " + message)
+        assert "budget" in proc.stderr

@@ -1,5 +1,10 @@
 import ast
+import json
 from pathlib import Path
+
+import pytest
+
+from .test_api import fresh_python
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "plattice"
 
@@ -67,3 +72,90 @@ def test_integer_path_builds_no_rationals():
                 for name in sorted(used & RATIONAL_NAMES)
             ]
     assert offenders == []
+
+
+# A cold command loads only the layers it uses: the package and the CLI
+# import plattice modules lazily, inside the code that needs them.
+LAZY_IMPORTERS = ("__init__.py", "cli.py")
+
+
+def _module_scope_imports(node):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _module_scope_imports(child)
+
+
+def _imports_plattice(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "plattice"
+    return any(alias.name.split(".")[0] == "plattice" for alias in node.names)
+
+
+def test_package_and_cli_import_no_layer_at_module_scope():
+    offenders = []
+    for filename in LAZY_IMPORTERS:
+        path = SRC / filename
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            "%s:%d" % (filename, node.lineno)
+            for node in _module_scope_imports(tree)
+            if _imports_plattice(node)
+        ]
+    assert offenders == []
+
+
+# Run in a fresh interpreter: main(argv) with stdout discarded, then print
+# the plattice submodules that were loaded.
+LOADED_SCRIPT = r"""
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import plattice
+else:
+    from plattice.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit("exit code %d" % code)
+print(json.dumps(sorted(m[len("plattice."):] for m in sys.modules if m.startswith("plattice."))))
+"""
+
+SEARCH_LAYERS = {"groupsys", "cusps", "classify", "diagram", "frames"}
+
+
+def _loaded_layers(argv) -> set:
+    proc = fresh_python("-c", LOADED_SCRIPT, json.dumps(argv))
+    return set(json.loads(proc.stdout))
+
+
+def test_import_plattice_loads_no_submodule():
+    assert _loaded_layers(None) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "8"],
+        ["reduce", "[[0,-1],[4,0]]"],
+        ["hyperdistance", "1,0", "2,0"],
+        ["hypercircle", "3,0", "3", "--json"],
+        ["thread", "1,0", "6,0"],
+        ["cell", "1,0", "2,0", "3,0", "6,0"],
+        ["project", "6,0", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_calculus_commands_load_no_group_layer(argv):
+    loaded = _loaded_layers(argv)
+    assert "cli" in loaded
+    assert loaded & SEARCH_LAYERS == set()
+
+
+@pytest.mark.parametrize("shape", ["3|3", "2^6 6^6 / 1^6 3^6"])
+def test_eta_loads_no_classification(shape):
+    loaded = _loaded_layers(["eta", shape, "--order", "20"])
+    assert "frames" in loaded
+    assert loaded & {"classify", "diagram"} == set()

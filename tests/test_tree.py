@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from plattice import tree
 from plattice.exact import T, lower_translation
 from plattice.lattice import L1, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import (
@@ -188,3 +189,32 @@ class TestTriangleInequality:
 def test_factorize_small():
     assert factorize(1) == {}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
+
+
+class TestInputBudgets:
+    def test_factorize_up_to_the_bound(self):
+        assert tree.FACTORIZE_BOUND == 10**15
+        assert factorize(10**15) == {2: 15, 5: 15}
+
+    def test_factorize_refuses_above_the_bound(self):
+        with pytest.raises(ValueError, match="budget"):
+            factorize(10**15 + 1)
+
+    def test_hypercircle_refuses_above_the_bound(self):
+        with pytest.raises(ValueError, match="1800000 members"):
+            hypercircle(L1, 10**6)
+
+    def test_hypercircle_bound_is_on_the_member_count(self, monkeypatch):
+        # 9 and 10 have 12 and 18 members
+        monkeypatch.setattr(tree, "HYPERCIRCLE_BOUND", 12)
+        assert len(hypercircle(lattice(3), 9)) == 12
+        with pytest.raises(ValueError, match="budget"):
+            hypercircle(lattice(3), 10)
+
+    def test_hypercircle_checks_before_enumerating(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("enumerated radius %d" % n)
+
+        monkeypatch.setattr(tree, "_hypercircle_at_l1", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            hypercircle(L1, 2 * 10**6)
