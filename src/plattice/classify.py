@@ -20,11 +20,11 @@ from .groupsys import (
     FiniteQuotient,
     GroupDescriptor,
     _member_cosets,
-    divisors,
     exact_divisors,
     normalizer_quotient,
+    unclosed_label_product,
 )
-from .tree import gamma0_index
+from .tree import divisors, gamma0_index
 
 INDEX_BOUND = 12
 RATIO_BOUND = 3
@@ -116,10 +116,7 @@ def _closed_label_sets(pool: list[int]) -> list[frozenset[int]]:
     out = []
     for r in range(len(pool) + 1):
         for combo in combinations(pool, r):
-            closed = all(
-                e * f // gcd(e, f) ** 2 in set(combo) | {1} for e in combo for f in combo
-            )
-            if closed:
+            if unclosed_label_product(combo) is None:
                 out.append(frozenset(combo))
     return out
 

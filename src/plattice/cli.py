@@ -3,13 +3,15 @@
 Each command imports the layers it uses when it runs, so a cold process
 loads only those modules (the README lists them per command).
 
-Exit codes: 0 on success, 1 on a domain error (bad mathematical input),
-2 on a usage error, 3 on an internal error (a failed consistency check).
+Exit codes: 0 on success, 1 on a domain error (bad mathematical input) or
+when the reader of stdout goes away (a broken pipe, reported silently), 2
+on a usage error, 3 on an internal error (a failed consistency check).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("level", cmd_level, help="congruence level of a group")
     p.add_argument("name")
-    p.add_argument("--max-n", type=int, default=None, help="search bound override")
+    p.add_argument("--max-n", type=int, default=None, help="a bound the level must divide")
 
     p = add("classify", cmd_classify, help="search for the nine vertex groups")
     p.add_argument("--relax-width", action="store_true")
@@ -296,6 +298,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:
+        # the reader went away (``plattice diagram | head -2``); the exit
+        # flush of what is still buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exact import translation
 from .groupsys import GroupDescriptor, member
-from .lattice import L1, LatticeName, act
+from .lattice import L1, LatticeName
 from .tree import gamma0_index, hypercircle
 
 
@@ -63,21 +64,28 @@ def width_at_infinity(desc: GroupDescriptor) -> Fraction:
     raise AssertionError("no translation found in %s" % desc)
 
 
-def translation_orbits(points, amount: Fraction) -> list[tuple[LatticeName, ...]]:
-    """Orbits of the shear by ``amount`` on a finite lattice set."""
-    shear = translation(amount)
-    remaining = sorted(points)
+def translation_orbits(points, amount) -> list[tuple[LatticeName, ...]]:
+    """Orbits of the shear by a rational ``amount`` on a finite lattice set.
+
+    The shear by k/h moves the Hermite triple (a, s, d) to the name of
+    [[a, s], [0, d]] * [[h, k], [0, h]]: (a*h, a*k + s*h, d*h) over its
+    gcd, the middle entry taken mod the last.
+    """
+    k, h = amount.numerator, amount.denominator
+    seen = set()
     orbits = []
-    while remaining:
-        start = remaining[0]
-        orbit = [start]
-        cur = act(start, shear)
-        while cur != start:
+    for start in sorted(points):
+        if start in seen:
+            continue
+        orbit = []
+        cur = start
+        while not orbit or cur != start:
             orbit.append(cur)
-            cur = act(cur, shear)
+            a, s, d = cur.a * h, cur.a * k + cur.s * h, cur.d * h
+            g = gcd(a, s, d)
+            cur = LatticeName(a // g, s // g % (d // g), d // g)
+        seen.update(orbit)
         orbits.append(tuple(orbit))
-        taken = set(orbit)
-        remaining = [x for x in remaining if x not in taken]
     return orbits
 
 

@@ -19,26 +19,28 @@ from .groupsys import (
     GroupDescriptor,
     _member_cosets,
     congruence_level,
-    divisors,
     group_generators,
     member,
     normalizer_of_gamma0,
     normalizer_quotient,
-    schreier_generators,
 )
 from .lattice import L1, act, lattice
+from .tree import divisors
 
 ENVELOPE_SEARCH_BOUND = 64
 
 
 @lru_cache(maxsize=None)
 def envelope_level(desc: GroupDescriptor, bound: int = ENVELOPE_SEARCH_BOUND) -> int:
-    """Least N whose level group the group contains and normalizes."""
+    """Least N up to ``bound`` whose level group the group contains and normalizes.
+
+    The group contains the level-N group exactly when its modular-group
+    intersection does, that is when K = ``intersection_level()`` divides N;
+    so only the multiples of K are tried, against the normalizer of each.
+    """
     gens = group_generators(desc)
-    for n in range(1, bound + 1):
-        inside = all(member(g, desc) for g in schreier_generators(n))
-        if not inside:
-            continue
+    k = desc.intersection_level()
+    for n in range(k, bound + 1, k):
         envelope = normalizer_of_gamma0(n)
         if all(member(g, envelope) for g in gens):
             return n

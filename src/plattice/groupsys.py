@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from math import gcd, lcm
 
 from .exact import (
@@ -32,7 +32,7 @@ from .exact import (
     translation,
 )
 from .lattice import LatticeName, act, lattice, reduce_matrix
-from .tree import factorize, gamma0_index, hypercircle, thread
+from .tree import divisors, gamma0_index, hypercircle, thread
 
 # (h, n) pairs for which the canonical index-h kernel is implemented; the
 # two doubled pairs are the images of the first two under level doubling.
@@ -41,16 +41,24 @@ SUPPORTED_KERNELS = frozenset({(3, 3), (2, 4), (3, 6), (2, 8)})
 QUOTIENT_ELEMENT_BOUND = 10000
 
 
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def exact_divisors(n: int) -> list[int]:
-    """Divisors e of n with gcd(e, n/e) == 1."""
-    return [e for e in divisors(n) if gcd(e, n // e) == 1]
+    """Divisors e of n with gcd(e, n/e) == 1; none for n < 1."""
+    return [e for e in divisors(n) if gcd(e, n // e) == 1] if n >= 1 else []
 
 
-@dataclass(frozen=True, order=True)
+def unclosed_label_product(labels) -> tuple[int, int, int] | None:
+    """The first (e, f, e*f/gcd(e, f)**2) with the product neither 1 nor a
+    label; adjoined cosets multiply by that rule, so None means a group."""
+    for e in labels:
+        for f in labels:
+            prod = e * f // gcd(e, f) ** 2
+            if prod != 1 and prod not in labels:
+                return e, f, prod
+    return None
+
+
+@total_ordering
+@dataclass(frozen=True)
 class GroupDescriptor:
     """Symbolic name for a group between a congruence group and its normalizer."""
 
@@ -68,16 +76,9 @@ class GroupDescriptor:
             raise ValueError(
                 "labels %s are not exact divisors of %d" % (sorted(self.plus), self.n // self.h)
             )
-        # adjoined cosets multiply by (e, f) -> ef/gcd^2, so the label set
-        # must be closed or the descriptor would not denote a group
-        for e in self.plus:
-            for f in self.plus:
-                prod = e * f // gcd(e, f) ** 2
-                if prod != 1 and prod not in self.plus:
-                    raise ValueError(
-                        "label set %s is not closed: %d*%d gives %d"
-                        % (sorted(self.plus), e, f, prod)
-                    )
+        gap = unclosed_label_product(self.plus)
+        if gap is not None:
+            raise ValueError("label set %s is not closed: %d*%d gives %d" % (sorted(self.plus), *gap))
         if self.character is not None:
             if self.character != self.h:
                 raise ValueError("only the index-h kernel is supported")
@@ -159,6 +160,15 @@ class GroupDescriptor:
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
         return cls(data["h"], data["n"], frozenset(data["plus"]), data["character"])
+
+    def _key(self) -> tuple:
+        # a total order: the field order compares label sets as subsets
+        return (self.h, self.n, len(self.plus), sorted(self.plus), self.character or 0)
+
+    def __lt__(self, other: "GroupDescriptor") -> bool:
+        if not isinstance(other, GroupDescriptor):
+            return NotImplemented
+        return self._key() < other._key()
 
 
 # the nine vertex groups, in the order the invariant tables list them
@@ -633,56 +643,18 @@ def character_lambda(case: int) -> Character:
 # congruence level -------------------------------------------------------------
 
 
-def psl2_order(m: int) -> int:
-    """Order of the modular group reduced mod m."""
-    if m == 1:
-        return 1
-    out = m**3
-    for p in factorize(m):
-        out = out // (p * p) * (p * p - 1)
-    return out if m == 2 else out // 2
-
-
-def _psl2_key(a, b, c, d, m):
-    first = (a % m, b % m, c % m, d % m)
-    second = ((-a) % m, (-b) % m, (-c) % m, (-d) % m)
-    return min(first, second)
-
-
-def _image_subgroup_order(generators, m: int) -> int:
-    if m == 1:
-        return 1
-    elems = {_psl2_key(1, 0, 0, 1, m)}
-    frontier = list(elems)
-    gens = [g.entries() for g in generators]
-    while frontier:
-        a, b, c, d = frontier.pop()
-        for e, f, g2, h2 in gens:
-            key = _psl2_key(a * e + b * g2, a * f + b * h2, c * e + d * g2, c * f + d * h2, m)
-            if key not in elems:
-                elems.add(key)
-                frontier.append(key)
-    return len(elems)
-
-
-def contains_principal_congruence(k: int, m: int) -> bool:
-    """Whether the level-m principal congruence group sits inside level-k one."""
-    gens = schreier_generators(k)
-    image = _image_subgroup_order(gens, m)
-    return psl2_order(m) == image * gamma0_index(k)
-
-
 def congruence_level(desc: GroupDescriptor, bound: int | None = None) -> int:
     """Least M with the principal congruence group of level M inside the group.
 
-    Containment only depends on the modular-group intersection, a plain
-    level group; candidates run over divisors of a bound defaulting to
-    four times n*h, which covers every group in scope.
+    Containment depends only on the modular-group intersection, the level-K
+    group with K = ``intersection_level()``, and the level-M principal
+    group lies in it exactly when K | M.  So the answer is K whenever K
+    divides ``bound`` (default four times n*h, which K always divides);
+    otherwise no divisor of ``bound`` qualifies, a ValueError.
     """
     k = desc.intersection_level()
     if bound is None:
         bound = 4 * desc.n * desc.h
-    for m in divisors(bound):
-        if contains_principal_congruence(k, m):
-            return m
-    raise ValueError("no congruence level found below %d for %s" % (bound, desc))
+    if bound <= 0 or bound % k:
+        raise ValueError("no congruence level found below %d for %s" % (bound, desc))
+    return k

@@ -3,8 +3,9 @@
 Lattices at p-power hyperdistance from the distinguished lattice form a
 (p+1)-regular tree with edges at hyperdistance p.  This module enumerates
 hypercircles (spheres of given hyperradius), computes the projection of an
-arbitrary lattice onto each p-adic tree, tests the cell property, and
-evaluates the multiplicative index formula that counts a hypercircle.
+arbitrary lattice onto each p-adic tree and the thread between two
+lattices, both as lattice sums in closed form, tests the cell property,
+and evaluates the multiplicative index formula that counts a hypercircle.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n in increasing order, from its factorization."""
+    out = [1]
+    for p, a in factorize(n).items():
+        out = [d * p**k for d in out for k in range(a + 1)]
+    return sorted(out)
 
 
 def is_prime(p: int) -> bool:
@@ -80,9 +89,7 @@ def _hypercircle_at_l1(n: int) -> list[LatticeName]:
     # cosets at hyperdistance n <-> upper Hermite forms [[a, b], [0, d]]
     # with a*d == n, 0 <= b < d, gcd(a, b, d) == 1: the names' own triples
     out = []
-    for d in range(1, n + 1):
-        if n % d:
-            continue
+    for d in divisors(n):
         a = n // d
         g0 = gcd(a, d)
         for b in range(d):
@@ -119,31 +126,32 @@ def hypercircle(center: LatticeName, radius: int) -> HyperCircle:
 def padic_projection(name: LatticeName, p: int) -> LatticeName:
     """The unique tree representative of a lattice's p-adic class.
 
-    Computed from the primitive sublattice behind the name: adding p^k
-    times the ambient lattice (k the p-valuation of the hyperdistance from
-    L1) keeps the p-localization and trivializes every other one.  The two
-    defining properties are re-checked before returning.
+    The member of ``thread(L1, name)`` at hyperdistance p^k from L1, k the
+    p-valuation of delta(L1, name): it keeps the p-localization and
+    trivializes every other one.  The two defining properties are
+    re-checked before returning.
     """
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
-    a, b, c, d = name.matrix().entries()
-    k = 0
-    det = a * d - b * c
-    while det % p == 0:
-        det //= p
-        k += 1
-    q = p**k
-    rows = [(a, b), (c, d), (q, 0), (0, q)]
-    (x, y), (_, z) = _row_hnf(rows)
-    proj = reduce_matrix(ProjectiveMatrix.from_ints(x, y, 0, z))
-    dist_from_l1 = hyperdistance(L1, proj)
-    while dist_from_l1 % p == 0:
-        dist_from_l1 //= p
-    if dist_from_l1 != 1:
+    n = hyperdistance(L1, name)
+    q = gcd(n, p ** n.bit_length())  # the p-part of n: p**bit_length > n
+    proj = _lattice_sum(name, q)
+    if hyperdistance(L1, proj) != q:
         raise AssertionError("projection of %s left the %d-adic tree" % (name, p))
     if hyperdistance(proj, name) % p == 0:
         raise AssertionError("projection of %s is not %d-adically equivalent" % (name, p))
     return proj
+
+
+def _lattice_sum(name: LatticeName, e: int) -> LatticeName:
+    """The sum of the lattice behind ``name`` and e times L1.
+
+    The name's rows span a sublattice of L1 with cyclic quotient of order
+    N = delta(L1, name); for e | N the sum has index e in L1, so it is the
+    lattice between the two at hyperdistance e from L1.
+    """
+    (x, y), (_, z) = _row_hnf([(name.a, name.s), (0, name.d), (e, 0), (0, e)])
+    return reduce_matrix(ProjectiveMatrix.from_ints(x, y, 0, z))
 
 
 def _row_hnf(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -190,18 +198,21 @@ class Thread:
 def thread(left: LatticeName, right: LatticeName) -> Thread:
     """All L with delta(left, L) * delta(L, right) == delta(left, right).
 
-    Found by searching the hypercircles around ``left`` of every divisor
-    radius and filtering by the defining equation.
+    Translated so that ``left`` is L1, ``right`` becomes a lattice ``far``
+    in L1 with cyclic quotient of order N = delta(left, right); the thread
+    holds one lattice per divisor e of N, the sum ``far + e*L1`` translated
+    back, each re-checked against the equation with delta(left, L) == e.
     """
+    g = left.matrix()
+    far = act(right, g.inv())
     total = hyperdistance(left, right)
     members = []
-    for d in range(1, total + 1):
-        if total % d:
-            continue
-        for cand in hypercircle(left, d):
-            if hyperdistance(cand, right) == total // d:
-                members.append(cand)
-    return Thread(left, right, tuple(sorted(set(members))))
+    for e in divisors(total):
+        x = act(_lattice_sum(far, e), g)
+        if hyperdistance(left, x) != e or hyperdistance(x, right) != total // e:
+            raise AssertionError("%s is not between %s and %s" % (x, left, right))
+        members.append(x)
+    return Thread(left, right, tuple(sorted(members)))
 
 
 def is_cell(names) -> bool:

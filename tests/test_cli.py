@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +9,7 @@ from plattice import cli
 from plattice.cli import main
 from plattice.groupsys import GroupDescriptor
 
-from .test_api import fresh_python
+from .test_api import SRC_ROOT, fresh_python
 
 
 def run(capsys, *argv):
@@ -195,3 +198,55 @@ class TestInputBudgets:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: " + message)
         assert "budget" in proc.stderr
+
+    # These ran past their timeouts while levels, threads and divisors were
+    # found by searches and linear scans instead of closed forms.
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["level", "1", "--max-n", "1000000000000"], ["1"]),
+            (["level", "100000000000"], ["100000000000"]),
+            (["thread", "1,0", "1099511627776,0"], ["%d,0" % 2**k for k in range(41)]),
+        ],
+        ids=["level-max-n", "level-huge", "thread-2^40"],
+    )
+    def test_large_input_answers(self, argv, lines):
+        proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == lines
+
+    def test_large_group_name_answers(self):
+        proc = fresh_python("-m", "plattice.cli", "groups", "100000000000", timeout=30, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "intersection_level: 100000000000" in proc.stdout.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv, number",
+        [
+            (["thread", "1,0", "10000000000000000,0"], "10000000000000000"),
+            (["groups", "1000000000000000003"], "1000000000000000003"),
+        ],
+        ids=["thread-huge", "groups-huge"],
+    )
+    def test_over_the_factorize_budget(self, argv, number):
+        proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: cannot factorize %s: above the budget of 10**15\n" % number
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_reader_exits_quietly(self, unbuffered):
+        # the read end is closed before the command prints, as when
+        # ``plattice diagram | head -2`` has already exited
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plattice.cli", "diagram"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+        assert (proc.returncode, err) == (1, b"")

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from plattice.cusps import cusp_count, cusps_of_gamma0, translation_orbits, width_at_infinity
+from plattice.exact import translation
 from plattice.groupsys import GroupDescriptor
-from plattice.lattice import L1, lattice
+from plattice.lattice import L1, act, lattice
 from plattice.tree import gamma0_index, hypercircle
 
 
@@ -75,6 +76,24 @@ class TestCuspCount:
         assert cusp_count(GroupDescriptor.gamma0(1), hypercircle(L1, 6).members) == 4
 
 
+def matrix_orbits(points, amount: Fraction) -> list[tuple]:
+    """Shear orbits by the matrix action, as found before the closed form."""
+    shear = translation(amount)
+    remaining = sorted(points)
+    orbits = []
+    while remaining:
+        start = remaining[0]
+        orbit = [start]
+        cur = act(start, shear)
+        while cur != start:
+            orbit.append(cur)
+            cur = act(cur, shear)
+        orbits.append(tuple(orbit))
+        taken = set(orbit)
+        remaining = [x for x in remaining if x not in taken]
+    return orbits
+
+
 class TestOrbits:
     def test_orbit_partition(self):
         points = hypercircle(L1, 12).members
@@ -86,3 +105,13 @@ class TestOrbits:
         data = cusps_of_gamma0(6).to_json()
         assert data["group"]["display"] == "6"
         assert len(data["cusps"]) == 4
+
+    @pytest.mark.parametrize(
+        "amount", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(3)], ids=str
+    )
+    def test_closed_form_matches_matrix_action(self, amount):
+        for n in range(1, 201):
+            points = hypercircle(L1, n).members
+            assert translation_orbits(points, amount) == matrix_orbits(points, amount)
+        points = hypercircle(lattice(Fraction(2, 3), Fraction(1, 5)), 12).members
+        assert translation_orbits(points, amount) == matrix_orbits(points, amount)

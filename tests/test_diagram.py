@@ -15,8 +15,16 @@ from plattice.diagram import (
     scale_factor,
     vertex_data,
 )
-from plattice.groupsys import GroupDescriptor, member
+from plattice.groupsys import (
+    GroupDescriptor,
+    group_generators,
+    member,
+    normalizer_of_gamma0,
+    schreier_generators,
+)
 from plattice.lattice import L1, act, lattice
+
+from .test_groupsys import CATALOG_48, outcome
 
 E8_EDGES = {
     ("1", "2+"),
@@ -28,6 +36,18 @@ E8_EDGES = {
     ("4|2+", "6+"),
     ("2", "4|2+"),
 }
+
+
+def searched_envelope_level(desc: GroupDescriptor, bound: int = 64) -> int:
+    """The envelope search before the closed form: test every level up to
+    the bound for containment by its Schreier generators, then normality."""
+    gens = group_generators(desc)
+    for n in range(1, bound + 1):
+        if not all(member(g, desc) for g in schreier_generators(n)):
+            continue
+        if all(member(g, normalizer_of_gamma0(n)) for g in gens):
+            return n
+    raise ValueError("no envelope level below %d for %s" % (bound, desc))
 
 
 class TestEnvelopeLevel:
@@ -42,6 +62,21 @@ class TestEnvelopeLevel:
 
     def test_all_nine(self):
         assert [envelope_level(d) for d in NODE_GROUPS] == [1, 2, 3, 4, 5, 6, 9, 8, 2]
+
+    def test_containment_is_divisibility_of_the_intersection_level(self):
+        # the Schreier-generator scan the search used: the group contains
+        # the level-n group exactly when its intersection level divides n
+        for desc in CATALOG_48:
+            k = desc.intersection_level()
+            for n in range(1, 49):
+                assert all(member(g, desc) for g in schreier_generators(n)) == (n % k == 0)
+
+    def test_closed_form_matches_search(self):
+        for desc in CATALOG_48:
+            assert outcome(envelope_level, desc) == outcome(searched_envelope_level, desc)
+        assert outcome(envelope_level, GroupDescriptor.gamma0(7), 6) == (
+            "ValueError: no envelope level below 6 for 7"
+        )
 
 
 class TestScaleFactor:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -16,7 +17,6 @@ from plattice.groupsys import (
     character_lambda,
     congruence_level,
     conjugated_al_representative,
-    contains_principal_congruence,
     exact_divisors,
     finite_quotient,
     group_generators,
@@ -25,14 +25,82 @@ from plattice.groupsys import (
     normalizer_quotient,
     quotient_generators,
     schreier_generators,
+    unclosed_label_product,
 )
-from plattice.tree import gamma0_index, hypercircle
+from plattice.classify import descriptor_catalog
+from plattice.tree import factorize, gamma0_index, hypercircle
 from .test_exact import rand_psl2z
 
 G1 = GroupDescriptor.gamma0(1)
 FULL_24 = GroupDescriptor(2, 4, frozenset({2}))
 KERNEL_24 = GroupDescriptor.kernel(2, 4, {2})
 KERNEL_33 = GroupDescriptor.kernel(3, 3)
+
+# every descriptor of a group containing a level group of level at most 48
+CATALOG_48 = sorted({d for level in range(1, 49) for d in descriptor_catalog(level)})
+
+
+# The image search in PSL2(Z/m) that decided congruence levels before the
+# closed form; kept here as the oracle the closed form is tested against.
+
+
+def psl2_order(m: int) -> int:
+    """Order of the modular group reduced mod m."""
+    if m == 1:
+        return 1
+    out = m**3
+    for p in factorize(m):
+        out = out // (p * p) * (p * p - 1)
+    return out if m == 2 else out // 2
+
+
+def _psl2_key(a, b, c, d, m):
+    first = (a % m, b % m, c % m, d % m)
+    second = ((-a) % m, (-b) % m, (-c) % m, (-d) % m)
+    return min(first, second)
+
+
+def _image_subgroup_order(generators, m: int) -> int:
+    if m == 1:
+        return 1
+    elems = {_psl2_key(1, 0, 0, 1, m)}
+    frontier = list(elems)
+    gens = [g.entries() for g in generators]
+    while frontier:
+        a, b, c, d = frontier.pop()
+        for e, f, g2, h2 in gens:
+            key = _psl2_key(a * e + b * g2, a * f + b * h2, c * e + d * g2, c * f + d * h2, m)
+            if key not in elems:
+                elems.add(key)
+                frontier.append(key)
+    return len(elems)
+
+
+@lru_cache(maxsize=None)
+def contains_principal_congruence(k: int, m: int) -> bool:
+    """Whether the level-m principal congruence group sits inside level-k one."""
+    gens = schreier_generators(k)
+    image = _image_subgroup_order(gens, m)
+    return psl2_order(m) == image * gamma0_index(k)
+
+
+def searched_congruence_level(desc: GroupDescriptor, bound=None) -> int:
+    """The least divisor M of the bound passing the image search."""
+    k = desc.intersection_level()
+    if bound is None:
+        bound = 4 * desc.n * desc.h
+    for m in range(1, bound + 1):
+        if bound % m == 0 and contains_principal_congruence(k, m):
+            return m
+    raise ValueError("no congruence level found below %d for %s" % (bound, desc))
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the class and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
 
 
 class TestDescriptor:
@@ -66,6 +134,36 @@ class TestDescriptor:
     def test_json_round_trip(self):
         for desc in [G1, FULL_24, KERNEL_24, GroupDescriptor.gamma0_plus(6)]:
             assert GroupDescriptor.from_json(desc.to_json()) == desc
+
+    def test_sort_is_total(self):
+        # the kernel sorts after the full group (None against int raised
+        # TypeError), and label sets that are not subsets sort by their labels
+        assert sorted([KERNEL_24, FULL_24]) == [FULL_24, KERNEL_24]
+        six2, six3 = GroupDescriptor(1, 6, {2}), GroupDescriptor(1, 6, {3})
+        assert sorted([six3, six2]) == sorted([six2, six3]) == [six2, six3]
+        assert six2 < six3 and not six3 < six2 and six3 > six2
+
+    def test_sort_agrees_with_field_order_where_that_decides(self):
+        # the order of the fields (h, n, plus, character), with frozensets
+        # compared as subsets, wherever it decides a pair
+        decided = 0
+        for a in CATALOG_48[::3]:
+            for b in CATALOG_48[::3]:
+                try:
+                    before = (a.h, a.n, a.plus, a.character) < (b.h, b.n, b.plus, b.character)
+                except TypeError:
+                    continue
+                if before:
+                    decided += 1
+                    assert a < b and not b < a
+        assert decided > 5000
+
+    def test_label_closure_rule(self):
+        assert unclosed_label_product((2, 3)) == (2, 3, 6)
+        assert unclosed_label_product((2, 3, 6)) is None
+        assert unclosed_label_product(()) is None
+        with pytest.raises(ValueError, match=r"label set \[2, 3\] is not closed: 2\*3 gives 6"):
+            GroupDescriptor(1, 6, {2, 3})
 
 
 class TestMember:
@@ -383,6 +481,28 @@ class TestCongruenceLevel:
     def test_gamma0_levels(self):
         for n in (2, 3, 4, 5, 6):
             assert congruence_level(GroupDescriptor.gamma0(n)) == n
+
+    def test_closed_form_matches_image_search(self):
+        for desc in CATALOG_48:
+            k = desc.intersection_level()
+            assert congruence_level(desc) == searched_congruence_level(desc) == k
+            if k > 1:
+                # every divisor of this bound is a proper divisor of k
+                bound = k // min(factorize(k))
+                expected = "ValueError: no congruence level found below %d for %s" % (bound, desc)
+                assert outcome(congruence_level, desc, bound) == expected
+                assert outcome(searched_congruence_level, desc, bound) == expected
+
+    @pytest.mark.parametrize("bound", [0, -5, 25, 36, 10**12])
+    def test_bound_is_a_multiple_of_the_level(self, bound):
+        for desc in (G1, KERNEL_33, GroupDescriptor.gamma0_plus(6)):
+            found = outcome(congruence_level, desc, bound)
+            if bound > 0 and bound % desc.intersection_level() == 0:
+                assert found == desc.intersection_level()
+            else:
+                assert found == "ValueError: no congruence level found below %d for %s" % (bound, desc)
+            if bound <= 36:
+                assert found == outcome(searched_congruence_level, desc, bound)
 
 
 class TestGroupGenerators:

@@ -30,12 +30,15 @@ def test_no_bare_asserts_in_package():
 INTEGER_ONLY = {
     "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints"),
     "lattice.py": ("reduce_matrix", "act", "hyperdistance"),
+    "tree.py": ("divisors", "thread"),
     "groupsys.py": (
         "_coset_key",
         "_conjugate_by_scale",
         "finite_quotient",
         "FiniteQuotient.width_cosets",
+        "congruence_level",
     ),
+    "cusps.py": ("translation_orbits",),
 }
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}
 

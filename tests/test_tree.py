@@ -6,8 +6,9 @@ import pytest
 
 from plattice import tree
 from plattice.exact import T, lower_translation
-from plattice.lattice import L1, act, hyperdistance, lattice, reduce_matrix
+from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import (
+    divisors,
     factorize,
     gamma0_index,
     hypercircle,
@@ -117,6 +118,20 @@ class TestTreeShape:
             assert degree[node] == p + 1
 
 
+def searched_thread(left, right) -> tuple:
+    """The thread as found before the closed form: the members of every
+    divisor-radius hypercircle about ``left`` that satisfy its equation."""
+    total = hyperdistance(left, right)
+    members = []
+    for d in range(1, total + 1):
+        if total % d:
+            continue
+        for cand in hypercircle(left, d):
+            if hyperdistance(cand, right) == total // d:
+                members.append(cand)
+    return tuple(sorted(set(members)))
+
+
 class TestThread:
     def test_point(self):
         assert list(thread(L1, L1)) == [L1]
@@ -132,6 +147,30 @@ class TestThread:
         total = hyperdistance(L1, lattice(12))
         for m in t:
             assert hyperdistance(L1, m) * hyperdistance(m, lattice(12)) == total
+
+    def test_lattice_sums_match_hypercircle_search(self):
+        rng = random.Random(79)
+        for i in range(120):
+            left = L1 if i % 4 == 0 else reduce_matrix(rand_pgl2q(rng))
+            n = rng.randint(1, 60) if i % 2 else rng.randint(1, 2000)
+            d = rng.choice(divisors(n))
+            while True:
+                s = rng.randrange(d)
+                if gcd(n // d, s, d) == 1:
+                    break
+            right = act(LatticeName(n // d, s, d), left.matrix())
+            assert hyperdistance(left, right) == n
+            found = thread(left, right)
+            assert found.members == searched_thread(left, right)
+            assert len(found) == len(divisors(n))
+
+    def test_power_of_two_distance(self):
+        t = thread(L1, lattice(2**40))
+        assert t.members == tuple(lattice(2**k) for k in range(41))
+
+    def test_distance_above_the_factorize_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            thread(L1, lattice(10**16))
 
 
 class TestCell:
@@ -189,6 +228,14 @@ class TestTriangleInequality:
 def test_factorize_small():
     assert factorize(1) == {}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
+
+
+def test_divisors_match_the_linear_scan():
+    for n in range(1, 3001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert divisors(10**15) == sorted(2**i * 5**j for i in range(16) for j in range(16))
+    with pytest.raises(ValueError, match="budget"):
+        divisors(10**15 + 1)
 
 
 class TestInputBudgets:
