@@ -11,18 +11,18 @@ test suite, not control flow here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import gcd
 
 from .groupsys import (
-    SUPPORTED_KERNELS,
     FiniteQuotient,
     GroupDescriptor,
     _member_cosets,
     exact_divisors,
     normalizer_quotient,
     unclosed_label_product,
+    unsupported_kernel,
 )
 from .tree import divisors, gamma0_index
 
@@ -46,46 +46,34 @@ def candidate_levels(index_bound: int = INDEX_BOUND) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    width_one: bool
-    exponent_two: bool
-    index_ok: bool
-    index_in_modular: int
-    index_over_modular: int
+_REPORT_FIELDS = "width_one exponent_two index_ok index_in_modular index_over_modular"
+
+
+class ConditionReport(namedtuple("ConditionReport", _REPORT_FIELDS)):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.width_one and self.exponent_two and self.index_ok
 
     def to_json(self) -> dict:
-        return {
-            "width_one": self.width_one,
-            "exponent_two": self.exponent_two,
-            "index_ok": self.index_ok,
-            "index_in_modular": self.index_in_modular,
-            "index_over_modular": self.index_over_modular,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Candidate:
-    n: int
-    h: int
-    quotient: FiniteQuotient
-    subgroup: frozenset[int]
+class Candidate(namedtuple("Candidate", "n h quotient subgroup")):
+    __slots__ = ()
 
     @property
     def level(self) -> int:
         return self.n * self.h
 
-    def __post_init__(self):
-        mult = self.quotient.mult
-        for i in self.subgroup:
-            if self.quotient.inverse[i] not in self.subgroup:
+    def __init__(self, n: int, h: int, quotient: FiniteQuotient, subgroup: frozenset[int]):
+        mult = quotient.mult
+        for i in subgroup:
+            if quotient.inverse[i] not in subgroup:
                 raise ValueError("subgroup is not inverse-closed")
-            for j in self.subgroup:
-                if mult[i][j] not in self.subgroup:
+            for j in subgroup:
+                if mult[i][j] not in subgroup:
                     raise ValueError("subgroup is not multiplicatively closed")
 
 
@@ -129,7 +117,7 @@ def descriptor_catalog(level: int) -> list[GroupDescriptor]:
             label_pool = sorted(set(exact_divisors(n2 // h2)) - {1})
             for labels in _closed_label_sets(label_pool):
                 out.append(GroupDescriptor(h2, n2, labels))
-                if (h2, n2) in SUPPORTED_KERNELS and level % (n2 * h2) == 0:
+                if unsupported_kernel(h2, n2, labels) is None and level % (n2 * h2) == 0:
                     out.append(GroupDescriptor(h2, n2, labels, h2))
     return out
 
@@ -200,11 +188,8 @@ def elementary_two_subgroups(q: FiniteQuotient) -> set[frozenset[int]]:
     return subs
 
 
-@dataclass(frozen=True)
-class Hit:
-    candidate: Candidate
-    report: ConditionReport
-    descriptor: GroupDescriptor
+# a screened candidate that passed, with the descriptor naming its subgroup
+Hit = namedtuple("Hit", "candidate report descriptor")
 
 
 def classify_hits(

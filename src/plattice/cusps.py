@@ -9,7 +9,7 @@ no projective-line arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -19,11 +19,8 @@ from .lattice import L1, LatticeName
 from .tree import gamma0_index, hypercircle
 
 
-@dataclass(frozen=True)
-class CuspReport:
-    group: GroupDescriptor
-    cusps: tuple[tuple[tuple[LatticeName, ...], Fraction], ...]
-    width_at_infinity: Fraction
+class CuspReport(namedtuple("CuspReport", "group cusps width_at_infinity")):
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -61,7 +58,7 @@ def width_at_infinity(desc: GroupDescriptor) -> Fraction:
     for k in range(1, h * desc.n + 1):
         if member(translation(Fraction(k, h)), desc):
             return Fraction(k, h)
-    raise AssertionError("no translation found in %s" % desc)
+    raise AssertionError("no translation found in %s" % desc.display)
 
 
 def translation_orbits(points, amount) -> list[tuple[LatticeName, ...]]:

@@ -10,7 +10,7 @@ the extended E8 diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .classify import name_subgroup
@@ -61,7 +61,7 @@ def scale_factor(desc: GroupDescriptor) -> int:
         met = scaled & mine
         if len(scaled) == len(met) * a:
             return a
-    raise AssertionError("no scale factor found for %s" % desc)
+    raise AssertionError("no scale factor found for %s" % desc.display)
 
 
 @lru_cache(maxsize=None)
@@ -74,41 +74,23 @@ def core_group(desc: GroupDescriptor) -> GroupDescriptor:
     return name_subgroup(q, met)
 
 
-@dataclass(frozen=True)
-class VertexData:
-    group: GroupDescriptor
-    envelope: int
-    scale: int
-    core: GroupDescriptor
-    level: int
-    normalized_level: int
-    valency: int
-    faithful: bool
+class VertexData(
+    namedtuple("VertexData", "group envelope scale core level normalized_level valency faithful")
+):
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "envelope": self.envelope,
-            "scale": self.scale,
-            "core": self.core.to_json(),
-            "level": self.level,
-            "normalized_level": self.normalized_level,
-            "valency": self.valency,
-            "faithful": self.faithful,
-        }
+        out = self._asdict()
+        out["group"] = self.group.to_json()
+        out["core"] = self.core.to_json()
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "VertexData":
-        return cls(
-            group=GroupDescriptor.from_json(data["group"]),
-            envelope=data["envelope"],
-            scale=data["scale"],
-            core=GroupDescriptor.from_json(data["core"]),
-            level=data["level"],
-            normalized_level=data["normalized_level"],
-            valency=data["valency"],
-            faithful=data["faithful"],
-        )
+        fields = {name: data[name] for name in cls._fields}
+        fields["group"] = GroupDescriptor.from_json(data["group"])
+        fields["core"] = GroupDescriptor.from_json(data["core"])
+        return cls(**fields)
 
 
 PAIR_BASE = frozenset({L1, lattice(2)})
@@ -125,7 +107,7 @@ def pair_orbit_size(desc: GroupDescriptor, bound: int = 64) -> int:
             nxt = frozenset(act(x, g) for x in cur)
             if nxt not in seen:
                 if len(seen) >= bound:
-                    raise AssertionError("pair orbit exceeded bound for %s" % desc)
+                    raise AssertionError("pair orbit exceeded bound for %s" % desc.display)
                 seen.add(nxt)
                 frontier.append(nxt)
     return len(seen)
@@ -155,29 +137,18 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
     ratio = len(mine) // len(core_set)
     m = ratio.bit_length() - 1
     if 2**m != ratio:
-        raise AssertionError("quotient by the core is not a two-group for %s" % desc)
+        raise AssertionError("quotient by the core is not a two-group for %s" % desc.display)
     for i in mine:
         if q.mult[i][i] not in core_set:
-            raise AssertionError("core quotient has exponent above two for %s" % desc)
-    return VertexData(
-        group=desc,
-        envelope=n,
-        scale=a,
-        core=core,
-        level=level,
-        normalized_level=level // a,
-        valency=m + 1,
-        faithful=is_faithful(desc),
-    )
+            raise AssertionError("core quotient has exponent above two for %s" % desc.display)
+    return VertexData(desc, n, a, core, level, level // a, m + 1, is_faithful(desc))
 
 
 # graph reconstruction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    vertices: tuple[VertexData, ...]
-    edges: frozenset[tuple[int, int]]
+class LabeledGraph(namedtuple("LabeledGraph", "vertices edges")):
+    __slots__ = ()
 
     def neighbors(self, i: int) -> list[int]:
         out = []
@@ -231,10 +202,6 @@ def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple
         need = degrees[i] - len(adjacency[i])
         if need < 0:
             return
-        if need == 0:
-            if 2 * weights[i] == sum(weights[j] for j in adjacency[i]):
-                place(i + 1)
-            return
         candidates = [
             j
             for j in range(i + 1, count)
@@ -242,8 +209,8 @@ def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple
             and not (enforce_faithful and faithful[i] and faithful[j])
         ]
 
-        def choose(picked: list[int], start: int) -> None:
-            if len(picked) == need:
+        def choose(picked: int, start: int) -> None:
+            if picked == need:
                 if 2 * weights[i] != sum(weights[j] for j in adjacency[i]):
                     return
                 place(i + 1)
@@ -255,12 +222,12 @@ def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple
                 edges.append((i, j))
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-                choose(picked + [j], idx + 1)
+                choose(picked + 1, idx + 1)
                 edges.pop()
                 adjacency[i].pop()
                 adjacency[j].pop()
 
-        choose([], 0)
+        choose(0, 0)
 
     place(0)
     return solutions

@@ -3,16 +3,16 @@
 There is no floating point anywhere in this module.  A ``ProjectiveMatrix``
 is a nonzero 2x2 matrix with positive determinant, considered up to scaling
 by nonzero rationals.  It is stored as its unique primitive integral
-representative (content 1, first nonzero entry positive), which makes
-equality and hashing structural.  Products and inverses are integer
-arithmetic through the one normaliser ``ProjectiveMatrix.from_ints``;
+representative (content 1, first nonzero entry positive), a named tuple
+(a, b, c, d) that is compared and hashed as a tuple.  Products and inverses
+are integer arithmetic through the one normaliser ``from_ints``;
 ``fractions.Fraction`` appears only where rational input is read:
 ``primitive_rep`` clears its denominators, and the text parsers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
@@ -34,8 +34,7 @@ def primitive_rep(entries: Iterable) -> tuple[int, int, int, int]:
     return (ia // content, ib // content, ic // content, id_ // content)
 
 
-@dataclass(frozen=True)
-class ProjectiveMatrix:
+class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
     """A rational 2x2 matrix with positive determinant, up to scaling.
 
     The stored tuple ``(a, b, c, d)`` is the primitive integral
@@ -45,10 +44,7 @@ class ProjectiveMatrix:
     input.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     @classmethod
     def from_ints(cls, a: int, b: int, c: int, d: int) -> "ProjectiveMatrix":
@@ -69,7 +65,7 @@ class ProjectiveMatrix:
         return cls.from_ints(*primitive_rep((a, b, c, d)))
 
     def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return self
 
     def pdet(self) -> int:
         """The rational projective determinant (a positive integer)."""
@@ -88,7 +84,7 @@ class ProjectiveMatrix:
         return ProjectiveMatrix.from_ints(d, -b, -c, a)
 
     def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
+        return self == (1, 0, 0, 1)
 
     def __str__(self) -> str:
         return "[[%d,%d],[%d,%d]]" % self.entries()

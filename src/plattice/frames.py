@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exact import ProjectiveMatrix
@@ -60,15 +60,14 @@ def double_group(desc: GroupDescriptor) -> GroupDescriptor:
 # Frame shapes -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrameShape:
+class FrameShape(namedtuple("FrameShape", "parts")):
     """Formal product of integer parts with nonzero integer exponents."""
 
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[tuple[int, int], ...]):
         last = 0
-        for a, alpha in self.parts:
+        for a, alpha in parts:
             if a <= last or alpha == 0:
                 raise ValueError("parts must have increasing bases and nonzero exponents")
             last = a
@@ -149,16 +148,14 @@ def frame_shape(desc: GroupDescriptor) -> FrameShape:
 # exact Laurent series ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegerPowerSeries:
+class IntegerPowerSeries(namedtuple("IntegerPowerSeries", "leading coeffs")):
     """Laurent series with exact integer coefficients, truncated at ``order``.
 
     ``coeffs[i]`` is the coefficient of q**(leading + i); ``order`` is the
     largest exponent the series is valid to.
     """
 
-    leading: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:

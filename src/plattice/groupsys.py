@@ -1,11 +1,12 @@
 """Symbolic arithmetic-group descriptors and exact membership tests.
 
-A descriptor covers the groups needed here: the Hecke-type base group with
-parameters (h, n) (h = 1 gives the classical level-n congruence group),
-optional adjoined Atkin-Lehner cosets labeled by exact divisors of n/h, and
-an optional index-h kernel subgroup cut out by a character.  Membership is
-decided entry-wise on the primitive representative after conjugating by the
-diagonal matrix with ratio h, so everything stays in integer arithmetic.
+A descriptor, the named tuple (h, n, plus, character), covers the groups
+needed here: the Hecke-type base group with parameters (h, n) (h = 1 gives
+the classical level-n congruence group), adjoined Atkin-Lehner cosets
+labeled by the exact divisors of n/h in ``plus``, and an optional index-h
+kernel subgroup cut out by a character.  Membership is decided entry-wise
+on the primitive representative after conjugating by the diagonal matrix
+with ratio h, so everything stays in integer arithmetic.
 
 Finite quotients by a normal plain level group are materialized as coset
 representative lists with an exact multiplication table and, when a lattice
@@ -17,9 +18,9 @@ enumeration tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, total_ordering
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .exact import (
@@ -57,35 +58,40 @@ def unclosed_label_product(labels) -> tuple[int, int, int] | None:
     return None
 
 
-@total_ordering
-@dataclass(frozen=True)
-class GroupDescriptor:
+def unsupported_kernel(h: int, n: int, labels) -> str | None:
+    """Why the index-h kernel with these labels is not implemented; None if it is."""
+    if (h, n) not in SUPPORTED_KERNELS:
+        return "kernel subgroup not implemented for (h, n) = (%d, %d)" % (h, n)
+    if h == 3 and labels:
+        # the order-3 character is read off the four lattices around L_3,
+        # which the Atkin-Lehner coset of the (3, 6) family moves
+        labels = sorted(labels)
+        return "kernel subgroup not implemented for (h, n) = (3, %d) with labels %s" % (n, labels)
+    return None
+
+
+class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
     """Symbolic name for a group between a congruence group and its normalizer."""
 
-    h: int
-    n: int
-    plus: frozenset[int] = frozenset()
-    character: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "plus", frozenset(self.plus))
-        if self.h < 1 or self.n < 1 or self.n % self.h:
-            raise ValueError("descriptor needs h | n, got h=%d n=%d" % (self.h, self.n))
-        ok = set(exact_divisors(self.n // self.h)) - {1}
-        if not self.plus <= ok:
-            raise ValueError(
-                "labels %s are not exact divisors of %d" % (sorted(self.plus), self.n // self.h)
-            )
-        gap = unclosed_label_product(self.plus)
+    def __new__(cls, h: int, n: int, plus=frozenset(), character: int | None = None):
+        plus = frozenset(plus)
+        if h < 1 or n < 1 or n % h:
+            raise ValueError("descriptor needs h | n, got h=%d n=%d" % (h, n))
+        ok = set(exact_divisors(n // h)) - {1}
+        if not plus <= ok:
+            raise ValueError("labels %s are not exact divisors of %d" % (sorted(plus), n // h))
+        gap = unclosed_label_product(plus)
         if gap is not None:
-            raise ValueError("label set %s is not closed: %d*%d gives %d" % (sorted(self.plus), *gap))
-        if self.character is not None:
-            if self.character != self.h:
+            raise ValueError("label set %s is not closed: %d*%d gives %d" % (sorted(plus), *gap))
+        if character is not None:
+            if character != h:
                 raise ValueError("only the index-h kernel is supported")
-            if (self.h, self.n) not in SUPPORTED_KERNELS:
-                raise ValueError(
-                    "kernel subgroup not implemented for (h, n) = (%d, %d)" % (self.h, self.n)
-                )
+            reason = unsupported_kernel(h, n, plus)
+            if reason is not None:
+                raise ValueError(reason)
+        return super().__new__(cls, h, n, plus, character)
 
     # constructors ---------------------------------------------------------
 
@@ -149,26 +155,33 @@ class GroupDescriptor:
         return self.n * self.h if self.character else self.n
 
     def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "n": self.n,
-            "plus": sorted(self.plus),
-            "character": self.character,
-            "display": self.display,
-        }
+        out = self._asdict()
+        out["plus"] = sorted(self.plus)
+        out["display"] = self.display
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
-        return cls(data["h"], data["n"], frozenset(data["plus"]), data["character"])
+        return cls(*(data[name] for name in cls._fields))
 
     def _key(self) -> tuple:
         # a total order: the field order compares label sets as subsets
         return (self.h, self.n, len(self.plus), sorted(self.plus), self.character or 0)
 
+    # a tuple's own comparisons would use the field order, so all four are here
     def __lt__(self, other: "GroupDescriptor") -> bool:
         if not isinstance(other, GroupDescriptor):
             return NotImplemented
         return self._key() < other._key()
+
+    def __gt__(self, other: "GroupDescriptor") -> bool:
+        return other < self if isinstance(other, GroupDescriptor) else NotImplemented
+
+    def __le__(self, other: "GroupDescriptor") -> bool:
+        return not other < self if isinstance(other, GroupDescriptor) else NotImplemented
+
+    def __ge__(self, other: "GroupDescriptor") -> bool:
+        return not self < other if isinstance(other, GroupDescriptor) else NotImplemented
 
 
 # the nine vertex groups, in the order the invariant tables list them
@@ -376,18 +389,18 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
 # finite quotients -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiniteQuotient:
     """A finite group of coset representatives with exact multiplication."""
 
-    big: GroupDescriptor
-    small: GroupDescriptor
-    lattice_set: tuple[LatticeName, ...]
-    reps: tuple[ProjectiveMatrix, ...]
-    mult: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    actions: tuple[tuple[int, ...], ...]
-    _keys: dict = field(repr=False, compare=False)
+    def __init__(self, big, small, lattice_set, reps, mult, inverse, actions, keys):
+        self.big: GroupDescriptor = big
+        self.small: GroupDescriptor = small
+        self.lattice_set: tuple[LatticeName, ...] = lattice_set
+        self.reps: tuple[ProjectiveMatrix, ...] = reps
+        self.mult: tuple[tuple[int, ...], ...] = mult
+        self.inverse: tuple[int, ...] = inverse
+        self.actions: tuple[tuple[int, ...], ...] = actions
+        self._keys: dict = keys
 
     @property
     def order(self) -> int:
@@ -593,13 +606,13 @@ def normalizer_quotient(n: int) -> FiniteQuotient:
 # characters -------------------------------------------------------------------
 
 
-@dataclass
 class Character:
     """The order-h character whose kernel is the canonical index-h subgroup."""
 
-    quotient: FiniteQuotient
-    order: int
-    _x_perm: tuple[int, ...]
+    def __init__(self, quotient: FiniteQuotient, order: int, x_perm: tuple[int, ...]):
+        self.quotient = quotient
+        self.order = order
+        self._x_perm = x_perm
 
     def value(self, g: ProjectiveMatrix) -> int:
         perm = _action_perm(g, self.quotient.lattice_set)

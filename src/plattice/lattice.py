@@ -3,8 +3,9 @@
 A projective lattice commensurable with the distinguished one corresponds to
 a unique upper-triangular coset representative [[M, b], [0, 1]] with M a
 positive rational and b a rational in [0, 1); the pair (M, b) is the
-lattice's name.  A name is stored as the primitive integral form
-[[a, s], [0, d]] of that representative, so M = a/d and b = s/d.  This
+lattice's name.  A name is stored as the named tuple (a, s, d) of the
+primitive integral form [[a, s], [0, d]] of that representative, so
+M = a/d and b = s/d; it hashes as that tuple but orders by (M, b).  This
 module implements the reduction of an arbitrary positive-determinant matrix
 to its name, the right group action on names, hyperdistance, and the dual
 (reverse) naming by lower-triangular representatives.  Reduction, action
@@ -15,29 +16,23 @@ and in the reverse names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd
 
 from .exact import ProjectiveMatrix, primitive_rep
 
 
-@total_ordering
-@dataclass(frozen=True)
-class LatticeName:
+class LatticeName(namedtuple("LatticeName", "a s d")):
     """The name (M, b) = (a/d, s/d) as its Hermite triple (a, s, d).
 
     [[a, s], [0, d]] is the primitive integral form of [[M, b], [0, 1]]:
     a, d > 0, 0 <= s < d and gcd(a, s, d) == 1.  Names order by (M, b).
     """
 
-    a: int
-    s: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, s, d = self.a, self.s, self.d
+    def __init__(self, a, s, d):
         if not (a > 0 and 0 <= s < d) or gcd(a, s, d) != 1:
             raise ValueError("(%s, %s, %s) is not a primitive Hermite triple" % (a, s, d))
 
@@ -49,10 +44,20 @@ class LatticeName:
     def b(self) -> Fraction:
         return Fraction(self.s, self.d)
 
+    # a tuple's own comparisons would order by (a, s, d), so all four are here
     def __lt__(self, other: "LatticeName") -> bool:
         if not isinstance(other, LatticeName):
             return NotImplemented
         return (self.a * other.d, self.s * other.d) < (other.a * self.d, other.s * self.d)
+
+    def __gt__(self, other: "LatticeName") -> bool:
+        return other < self if isinstance(other, LatticeName) else NotImplemented
+
+    def __le__(self, other: "LatticeName") -> bool:
+        return not other < self if isinstance(other, LatticeName) else NotImplemented
+
+    def __ge__(self, other: "LatticeName") -> bool:
+        return not self < other if isinstance(other, LatticeName) else NotImplemented
 
     def matrix(self) -> ProjectiveMatrix:
         return ProjectiveMatrix.from_ints(self.a, self.s, 0, self.d)
@@ -68,20 +73,18 @@ class LatticeName:
         return lattice(parts[0], parts[1])
 
 
-@dataclass(frozen=True, order=True)
-class ReverseName:
+class ReverseName(namedtuple("ReverseName", "b m")):
     """The dual pair (b, M), naming by lower-triangular [[1, 0], [b, M]]."""
 
-    b: Fraction
-    m: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "m", Fraction(self.m))
-        if self.m <= 0:
-            raise ValueError("reverse name needs M > 0, got %s" % self.m)
-        if not (0 <= self.b < 1):
-            raise ValueError("reverse name needs 0 <= b < 1, got %s" % self.b)
+    def __new__(cls, b, m):
+        b, m = Fraction(b), Fraction(m)
+        if m <= 0:
+            raise ValueError("reverse name needs M > 0, got %s" % m)
+        if not (0 <= b < 1):
+            raise ValueError("reverse name needs 0 <= b < 1, got %s" % b)
+        return super().__new__(cls, b, m)
 
     def matrix(self) -> ProjectiveMatrix:
         return ProjectiveMatrix.from_entries(1, 0, self.b, self.m)

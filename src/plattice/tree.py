@@ -10,7 +10,6 @@ and evaluates the multiplicative index formula that counts a hypercircle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .exact import ProjectiveMatrix
@@ -69,20 +68,19 @@ def gamma0_index(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class HyperCircle:
-    center: LatticeName
-    radius: int
-    members: tuple[LatticeName, ...]
+    __slots__ = ("center", "radius", "members")
+
+    def __init__(self, center: LatticeName, radius: int, members: tuple[LatticeName, ...]):
+        self.center = center
+        self.radius = radius
+        self.members = members
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    def __contains__(self, name: LatticeName) -> bool:
-        return name in self.members
 
 
 def _hypercircle_at_l1(n: int) -> list[LatticeName]:
@@ -148,45 +146,25 @@ def _lattice_sum(name: LatticeName, e: int) -> LatticeName:
 
     The name's rows span a sublattice of L1 with cyclic quotient of order
     N = delta(L1, name); for e | N the sum has index e in L1, so it is the
-    lattice between the two at hyperdistance e from L1.
+    lattice between the two at hyperdistance e from L1.  With x = gcd(a, e)
+    and u the inverse of a/x mod e/x, the sum is spanned by the rows
+    (x, u*s) and (0, z) with z = gcd(d, e, e*s/x).
     """
-    (x, y), (_, z) = _row_hnf([(name.a, name.s), (0, name.d), (e, 0), (0, e)])
-    return reduce_matrix(ProjectiveMatrix.from_ints(x, y, 0, z))
+    a, s, d = name
+    x = gcd(a, e)
+    u = pow(a // x, -1, e // x)
+    return reduce_matrix(ProjectiveMatrix.from_ints(x, u * s, 0, gcd(d, e, e * s // x)))
 
 
-def _row_hnf(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Basis of the integer row span of a stack of 2-vectors."""
-    rows = [list(r) for r in rows if r != (0, 0)]
-    # clear the first column down to one pivot by gcd steps
-    while sum(1 for r in rows if r[0] != 0) > 1:
-        rows.sort(key=lambda r: (r[0] == 0, abs(r[0])))
-        pivot = rows[0]
-        for r in rows[1:]:
-            if r[0] != 0:
-                q = r[0] // pivot[0]
-                r[0] -= q * pivot[0]
-                r[1] -= q * pivot[1]
-        rows = [r for r in rows if r != [0, 0]]
-    rows.sort(key=lambda r: (r[0] == 0, abs(r[0])))
-    pivot = rows[0]
-    if pivot[0] < 0:
-        pivot = [-pivot[0], -pivot[1]]
-    rest = [r[1] for r in rows[1:]]
-    g = 0
-    for x in rest:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("row span has rank < 2")
-    return (tuple(pivot), (0, g))
-
-
-@dataclass(frozen=True)
 class Thread:
     """Lattices sitting multiplicatively between two endpoints."""
 
-    left: LatticeName
-    right: LatticeName
-    members: tuple[LatticeName, ...]
+    __slots__ = ("left", "right", "members")
+
+    def __init__(self, left: LatticeName, right: LatticeName, members: tuple[LatticeName, ...]):
+        self.left = left
+        self.right = right
+        self.members = members
 
     def __len__(self) -> int:
         return len(self.members)

@@ -75,6 +75,11 @@ class TestErrors:
         code, _, _ = run(capsys, "not-a-command")
         assert code == 2
 
+    def test_labelled_order_three_kernel_exits_one(self, capsys):
+        code, out, err = run(capsys, "groups", "6|3+")
+        assert (code, out) == (1, "")
+        assert err == "error: bad group name '6|3+'\n"
+
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "project", "1,0", "6")
         assert code == 1 and "not prime" in err

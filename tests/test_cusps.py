@@ -1,8 +1,15 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from plattice.cusps import cusp_count, cusps_of_gamma0, translation_orbits, width_at_infinity
+from plattice.cusps import (
+    CuspReport,
+    cusp_count,
+    cusps_of_gamma0,
+    translation_orbits,
+    width_at_infinity,
+)
 from plattice.exact import translation
 from plattice.groupsys import GroupDescriptor
 from plattice.lattice import L1, act, lattice
@@ -105,6 +112,11 @@ class TestOrbits:
         data = cusps_of_gamma0(6).to_json()
         assert data["group"]["display"] == "6"
         assert len(data["cusps"]) == 4
+
+    def test_json_round_trip(self):
+        for n in range(1, 61):
+            report = cusps_of_gamma0(n)
+            assert CuspReport.from_json(json.loads(json.dumps(report.to_json()))) == report
 
     @pytest.mark.parametrize(
         "amount", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(3)], ids=str

@@ -1,9 +1,12 @@
+import json
 import time
 
 import pytest
 
 from plattice.diagram import (
     NODE_GROUPS,
+    LabeledGraph,
+    VertexData,
     build_graph,
     core_group,
     emit_dot,
@@ -149,6 +152,13 @@ class TestVertexData:
     def test_faithful_subset(self):
         faithful = {v.group.display for v in node_vertex_data() if v.faithful}
         assert faithful == {"2+", "4+", "6+", "2"}
+
+    def test_json_round_trips(self):
+        # through JSON text, as the diagram command prints it
+        graph = build_graph(node_vertex_data())
+        assert LabeledGraph.from_json(json.loads(json.dumps(graph.to_json()))) == graph
+        for v in graph.vertices:
+            assert VertexData.from_json(json.loads(json.dumps(v.to_json()))) == v
 
     def test_valency_sum(self):
         assert sum(v.valency for v in node_vertex_data()) == 16

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,7 @@ from plattice.groupsys import (
 from plattice.classify import descriptor_catalog
 from plattice.tree import factorize, gamma0_index, hypercircle
 from .test_exact import rand_psl2z
+from .test_lattice import assert_comparisons_follow_sort
 
 G1 = GroupDescriptor.gamma0(1)
 FULL_24 = GroupDescriptor(2, 4, frozenset({2}))
@@ -135,6 +137,10 @@ class TestDescriptor:
         for desc in [G1, FULL_24, KERNEL_24, GroupDescriptor.gamma0_plus(6)]:
             assert GroupDescriptor.from_json(desc.to_json()) == desc
 
+    def test_json_round_trip_over_the_catalog(self):
+        for desc in CATALOG_48:
+            assert GroupDescriptor.from_json(json.loads(json.dumps(desc.to_json()))) == desc
+
     def test_sort_is_total(self):
         # the kernel sorts after the full group (None against int raised
         # TypeError), and label sets that are not subsets sort by their labels
@@ -157,6 +163,24 @@ class TestDescriptor:
                     decided += 1
                     assert a < b and not b < a
         assert decided > 5000
+
+    def test_comparisons_follow_sort(self):
+        catalog = list(CATALOG_48)
+        random.Random(48).shuffle(catalog)
+        assert_comparisons_follow_sort(catalog)
+
+    def test_labelled_order_three_kernel_is_refused(self):
+        # the Atkin-Lehner coset of 6|3+ swaps L_3 and L_6, so it leaves the
+        # lattice set the order-3 character is read off
+        message = r"kernel subgroup not implemented for \(h, n\) = \(3, 6\) with labels \[2\]"
+        with pytest.raises(ValueError, match=message):
+            GroupDescriptor.kernel(3, 6, {2})
+        with pytest.raises(ValueError, match=r"bad group name '6\|3\+'"):
+            GroupDescriptor.parse("6|3+")
+        assert GroupDescriptor.kernel(3, 6).display == "6|3"
+        kernels = [d for level in (18, 36) for d in descriptor_catalog(level) if d.character]
+        assert GroupDescriptor.kernel(3, 6) in kernels
+        assert all(d.plus == frozenset() for d in kernels if d.h == 3)
 
     def test_label_closure_rule(self):
         assert unclosed_label_product((2, 3)) == (2, 3, 6)

@@ -18,7 +18,22 @@ from plattice.lattice import (
     reduce_matrix,
     reverse_name,
 )
+from plattice.tree import hypercircle
 from .test_exact import rand_pgl2q, rand_psl2z
+
+
+def assert_comparisons_follow_sort(items):
+    """<, <=, >, >=, min and max agree with the order ``sorted`` puts the
+    distinct ``items`` in: a tuple subclass that defines only __lt__ keeps
+    the tuple's lexicographic <=, > and >=."""
+    ordered = sorted(items)
+    rank = {x: i for i, x in enumerate(ordered)}
+    assert len(rank) == len(items)
+    for x in items:
+        for y in items:
+            i, j = rank[x], rank[y]
+            assert (x < y, x <= y, x > y, x >= y) == (i < j, i <= j, i > j, i >= j), (x, y)
+    assert min(items) == ordered[0] and max(items) == ordered[-1]
 
 
 class TestReduce:
@@ -234,6 +249,15 @@ unit_rationals = st.integers(1, 10**4).flatmap(
 modular_elements = st.lists(st.sampled_from([S, T, T.inv()]), max_size=30).map(
     lambda word: reduce(mul, word, IDENTITY)
 )
+
+
+def test_name_comparisons_order_by_pair():
+    rng = random.Random(31)
+    names = list({reduce_matrix(rand_pgl2q(rng)) for _ in range(200)} | set(hypercircle(L1, 12)))
+    rng.shuffle(names)
+    assert_comparisons_follow_sort(names)
+    # the order is (M, b), which the triples' own order does not follow
+    assert lattice(Fraction(1, 2)) < L1 and (1, 0, 2) > (1, 0, 1)
 
 
 class TestIntegerNameProperties:

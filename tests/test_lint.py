@@ -30,7 +30,7 @@ def test_no_bare_asserts_in_package():
 INTEGER_ONLY = {
     "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints"),
     "lattice.py": ("reduce_matrix", "act", "hyperdistance"),
-    "tree.py": ("divisors", "thread"),
+    "tree.py": ("divisors", "thread", "_lattice_sum"),
     "groupsys.py": (
         "_coset_key",
         "_conjugate_by_scale",
@@ -77,6 +77,23 @@ def test_integer_path_builds_no_rationals():
     assert offenders == []
 
 
+def test_no_module_imports_dataclasses():
+    # records are named tuples: importing dataclasses (and inspect with it)
+    # cost every cold command about 15 ms
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
+
+
 # A cold command loads only the layers it uses: the package and the CLI
 # import plattice modules lazily, inside the code that needs them.
 LAZY_IMPORTERS = ("__init__.py", "cli.py")
@@ -111,7 +128,7 @@ def test_package_and_cli_import_no_layer_at_module_scope():
 
 
 # Run in a fresh interpreter: main(argv) with stdout discarded, then print
-# the plattice submodules that were loaded.
+# the modules that were loaded.
 LOADED_SCRIPT = r"""
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -123,15 +140,19 @@ else:
         code = main(argv)
     if code != 0:
         raise SystemExit("exit code %d" % code)
-print(json.dumps(sorted(m[len("plattice."):] for m in sys.modules if m.startswith("plattice."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 SEARCH_LAYERS = {"groupsys", "cusps", "classify", "diagram", "frames"}
 
 
-def _loaded_layers(argv) -> set:
+def _loaded_modules(argv) -> set:
     proc = fresh_python("-c", LOADED_SCRIPT, json.dumps(argv))
     return set(json.loads(proc.stdout))
+
+
+def _loaded_layers(argv) -> set:
+    return {m[len("plattice."):] for m in _loaded_modules(argv) if m.startswith("plattice.")}
 
 
 def test_import_plattice_loads_no_submodule():
@@ -162,3 +183,12 @@ def test_eta_loads_no_classification(shape):
     loaded = _loaded_layers(["eta", shape, "--order", "20"])
     assert "frames" in loaded
     assert loaded & {"classify", "diagram"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["index", "8"], ["classify"], ["super", "--check-invariance"]],
+    ids=lambda argv: argv[0],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    assert _loaded_modules(argv) & {"dataclasses", "inspect"} == set()

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from plattice import tree
-from plattice.exact import T, lower_translation
+from plattice.exact import T, ProjectiveMatrix, lower_translation
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import (
     divisors,
@@ -130,6 +130,45 @@ def searched_thread(left, right) -> tuple:
             if hyperdistance(cand, right) == total // d:
                 members.append(cand)
     return tuple(sorted(set(members)))
+
+
+def row_hnf(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Basis of the integer row span of a stack of 2-vectors: the row
+    reduction lattice sums were taken by before the closed form."""
+    rows = [list(r) for r in rows if r != (0, 0)]
+    # clear the first column down to one pivot by gcd steps
+    while sum(1 for r in rows if r[0] != 0) > 1:
+        rows.sort(key=lambda r: (r[0] == 0, abs(r[0])))
+        pivot = rows[0]
+        for r in rows[1:]:
+            if r[0] != 0:
+                q = r[0] // pivot[0]
+                r[0] -= q * pivot[0]
+                r[1] -= q * pivot[1]
+        rows = [r for r in rows if r != [0, 0]]
+    rows.sort(key=lambda r: (r[0] == 0, abs(r[0])))
+    pivot = rows[0]
+    if pivot[0] < 0:
+        pivot = [-pivot[0], -pivot[1]]
+    rest = [r[1] for r in rows[1:]]
+    g = 0
+    for x in rest:
+        g = gcd(g, abs(x))
+    if g == 0:
+        raise ValueError("row span has rank < 2")
+    return (tuple(pivot), (0, g))
+
+
+def test_lattice_sum_closed_form_matches_row_reduction():
+    # every name (a, s, d) with a*d <= 300 (the hypercircle of radius a*d
+    # about L1) against every e dividing a*d: 504,867 pairs
+    for n in range(1, 301):
+        names = hypercircle(L1, n).members
+        for e in divisors(n):
+            for name in names:
+                (x, y), (_, z) = row_hnf([(name.a, name.s), (0, name.d), (e, 0), (0, e)])
+                expected = reduce_matrix(ProjectiveMatrix.from_ints(x, y, 0, z))
+                assert tree._lattice_sum(name, e) == expected, (name, e)
 
 
 class TestThread:
