@@ -1,12 +1,14 @@
 """The finite search that recovers the nine diagram-labeling groups.
 
-Candidate parameter pairs (n, h) are those allowed by the index bound; for
-each, the quotient of the normalizer of the level n*h group by that group
-is enumerated, its exponent-two subgroups (the only ones that can pass)
-are screened against four conditions (width one at infinity, exponent-two
-quotient, and two index bounds), and every survivor is mapped back to a
-symbolic descriptor.  The prose case analysis becomes assertions in the
-test suite, not control flow here.
+Candidate parameter pairs (n, h) are those allowed by the index bound.  A
+level n*h whose quotient orders, known in closed form, leave no room for a
+passing subgroup is skipped; at every other level the quotient of the
+normalizer of the level group by that group is enumerated, its exponent-two
+subgroups (the only ones that can pass) are screened against four
+conditions (width one at infinity, exponent-two quotient, and two index
+bounds), and every survivor is mapped back to a symbolic descriptor.  The
+prose case analysis becomes assertions in the test suite, not control flow
+here.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .groupsys import (
     _member_cosets,
     exact_divisors,
     normalizer_quotient,
+    normalizer_quotient_orders,
     unclosed_label_product,
     unsupported_kernel,
 )
@@ -29,13 +32,21 @@ from .tree import divisors, gamma0_index
 INDEX_BOUND = 12
 RATIO_BOUND = 3
 
+# The sweep's cost grows linearly with the index bound through the candidate
+# list (about 10 s at the budget on a 2-vCPU host), so larger bounds are
+# refused before any work starts.
+INDEX_BOUND_BUDGET = 10**5
+
 
 def candidate_levels(index_bound: int = INDEX_BOUND) -> list[tuple[int, int]]:
     """All (n, h) with the level-n index within bound and h admissible.
 
     h must divide gcd(n, 24) with neither 4h nor 9h dividing n (otherwise
-    h would not be the maximal square divisor bound for n*h).
+    h would not be the maximal square divisor bound for n*h).  An index
+    bound above INDEX_BOUND_BUDGET is a ValueError.
     """
+    if index_bound > INDEX_BOUND_BUDGET:
+        raise ValueError("cannot sweep index bound %d: above the budget of 10**5" % index_bound)
     out = []
     for n in range(1, index_bound + 1):  # the index always exceeds n
         if gamma0_index(n) > index_bound:
@@ -170,6 +181,19 @@ def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int]) -> GroupDescripto
 # the sweep --------------------------------------------------------------------
 
 
+def may_pass(level: int, index_bound: int, ratio_bound: int) -> bool:
+    """Whether any subgroup of the level's quotient can meet both index bounds.
+
+    A passing subgroup has exponent two, so its order divides the two-part
+    of the quotient's order, and its modular part is at most the two-part
+    of the modular part's order: ``check_conditions`` rejects every
+    subgroup at a level where this is False.
+    """
+    order, modular = normalizer_quotient_orders(level)
+    total = gamma0_index(level)
+    return total <= ratio_bound * (order & -order) and total <= index_bound * (modular & -modular)
+
+
 def elementary_two_subgroups(q: FiniteQuotient) -> set[frozenset[int]]:
     """Subgroups in which every element squares to the identity."""
     involutions = [i for i in range(1, q.order) if q.mult[i][i] == 0]
@@ -200,6 +224,8 @@ def classify_hits(
     """Every (candidate, subgroup) pair passing the screening, with names."""
     hits = []
     for n, h in candidate_levels(index_bound):
+        if not may_pass(n * h, index_bound, ratio_bound):
+            continue
         q = normalizer_quotient(n * h)
         for sub in sorted(elementary_two_subgroups(q), key=lambda s: (len(s), sorted(s))):
             cand = Candidate(n, h, q, sub)

@@ -159,12 +159,6 @@ class LabeledGraph(namedtuple("LabeledGraph", "vertices edges")):
                 out.append(a)
         return sorted(out)
 
-    def edge_displays(self) -> set[tuple[str, str]]:
-        return {
-            tuple(sorted((self.vertices[a].group.display, self.vertices[b].group.display)))
-            for a, b in self.edges
-        }
-
     def to_json(self) -> dict:
         return {
             "vertices": [v.to_json() for v in self.vertices],

@@ -128,25 +128,17 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
     @classmethod
     def parse(cls, text: str) -> "GroupDescriptor":
         """Parse names like ``6``, ``6+``, ``6+6``, ``3|3``, ``8|2+``."""
-        s = text.strip()
-        labels: frozenset[int] | None
-        if "+" in s:
-            base, _, tail = s.partition("+")
-            labels = None if tail == "" else frozenset(int(x) for x in tail.split(","))
-        else:
-            base, labels = s, frozenset()
+        base, plus, tail = text.strip().partition("+")
+        kernel = "|" in base
+        # only the integer conversions; the constructor gives its own reasons
         try:
-            if "|" in base:
-                nn, hh = (int(x) for x in base.split("|"))
-                if labels is None:
-                    labels = frozenset(set(exact_divisors(nn // hh)) - {1})
-                return cls.kernel(hh, nn, labels)
-            nn = int(base)
+            nn, hh = (int(x) for x in base.split("|")) if kernel else (int(base), 1)
+            labels = frozenset(int(x) for x in tail.split(",")) if tail else frozenset()
         except ValueError as exc:
             raise ValueError("bad group name %r" % text) from exc
-        if labels is None:
-            return cls.gamma0_plus(nn)
-        return cls(1, nn, labels)
+        if plus and not tail:  # a bare "+" adjoins every label
+            labels = frozenset(exact_divisors(nn // hh if hh else 0)) - {1}
+        return cls.kernel(hh, nn, labels) if kernel else cls(1, nn, labels)
 
     # structure ------------------------------------------------------------
 
@@ -340,6 +332,21 @@ def normalizer_of_gamma0(n: int) -> GroupDescriptor:
     return GroupDescriptor(h, m, labels)
 
 
+def normalizer_quotient_orders(n: int) -> tuple[int, int]:
+    """Orders of the normalizer quotient at level n and of its modular part.
+
+    With h the normalizer's parameter and m = n/h**2, the base group of the
+    normalizer sits over the level-n group with index psi(n)/psi(m), and
+    each exact divisor of m labels one Atkin-Lehner coset.  The modular
+    part, the cosets of determinant one, is the image of the level-n/h
+    group (Atkin-Lehner 1970; Conway-Norton 1979).
+    """
+    h = normalizer_of_gamma0(n).h
+    m = n // (h * h)
+    total = gamma0_index(n)
+    return total // gamma0_index(m) * len(exact_divisors(m)), total // gamma0_index(n // h)
+
+
 def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
     """A finite generating set for the described group."""
     base = desc.n * desc.h if desc.h > 1 else desc.n
@@ -434,35 +441,6 @@ class FiniteQuotient:
             o = self.element_order(i)
             out[o] = out.get(o, 0) + 1
         return out
-
-    def closure(self, seed) -> frozenset[int]:
-        out = {0} | set(seed)
-        frontier = list(out)
-        while frontier:
-            i = frontier.pop()
-            for j in list(out):
-                for k in (self.mult[i][j], self.mult[j][i]):
-                    if k not in out:
-                        out.add(k)
-                        frontier.append(k)
-        return frozenset(out)
-
-    def all_subgroups(self) -> set[frozenset[int]]:
-        """Every subgroup; the reference the exponent-two search is tested against."""
-        cyclics = {frozenset(self._cyclic(i)) for i in range(self.order)}
-        trivial = frozenset([0])
-        subs = {trivial}
-        frontier = [trivial]
-        while frontier:
-            h = frontier.pop()
-            for c in cyclics:
-                if c <= h:
-                    continue
-                ext = self.closure(h | c)
-                if ext not in subs:
-                    subs.add(ext)
-                    frontier.append(ext)
-        return subs
 
     def _cyclic(self, i: int) -> list[int]:
         out, j = [0], i
@@ -600,7 +578,13 @@ def _kernel_coset_generators(h: int, n: int, labels: frozenset) -> tuple[Project
 @lru_cache(maxsize=None)
 def normalizer_quotient(n: int) -> FiniteQuotient:
     """The normalizer of the level-n group modulo that group."""
-    return finite_quotient(normalizer_of_gamma0(n), GroupDescriptor.gamma0(n))
+    q = finite_quotient(normalizer_of_gamma0(n), GroupDescriptor.gamma0(n))
+    expected = normalizer_quotient_orders(n)[0]
+    if q.order != expected:
+        raise AssertionError(
+            "normalizer quotient at level %d has %d cosets, not %d" % (n, q.order, expected)
+        )
+    return q
 
 
 # characters -------------------------------------------------------------------

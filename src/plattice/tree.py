@@ -217,21 +217,6 @@ def is_cell(names) -> bool:
     return True
 
 
-def tree_ball_edges(p: int, max_power: int) -> tuple[list[LatticeName], list[tuple[LatticeName, LatticeName]]]:
-    """Nodes within hyperdistance p**max_power of L1 and the edges among them."""
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    nodes = [L1]
-    for k in range(1, max_power + 1):
-        nodes.extend(hypercircle(L1, p**k))
-    edges = []
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1 :]:
-            if hyperdistance(x, y) == p:
-                edges.append((x, y))
-    return nodes, edges
-
-
 def hypercircle_dot(circle: HyperCircle) -> str:
     """DOT rendering: members of the circle, joined where prime-hyperdistant."""
     lines = ["graph hypercircle {", '  node [shape=box, fontname="monospace"];']

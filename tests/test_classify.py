@@ -1,20 +1,27 @@
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from plattice.classify import (
     Candidate,
+    Hit,
     candidate_levels,
     check_conditions,
     classify,
     classify_hits,
     descriptor_catalog,
     elementary_two_subgroups,
+    may_pass,
     name_subgroup,
 )
 from plattice.exact import lower_translation, translation
 from plattice.groupsys import GroupDescriptor, member, normalizer_quotient
+
+from .helpers import all_subgroups
+from .test_api import fresh_python
+from .test_groupsys import outcome
 
 E8_DISPLAYS = {"1", "2", "2+", "3+", "4+", "5+", "6+", "3|3", "4|2+"}
 
@@ -68,7 +75,7 @@ class TestSubgroupSearch:
             if q.order > 32:
                 continue
             reference = {
-                sub for sub in q.all_subgroups() if all(q.mult[i][i] == 0 for i in sub)
+                sub for sub in all_subgroups(q) if all(q.mult[i][i] == 0 for i in sub)
             }
             assert elementary_two_subgroups(q) == reference, (n, h)
             checked += 1
@@ -166,3 +173,72 @@ class TestNaming:
         q = normalizer_quotient(4)
         sub = frozenset([0])
         assert name_subgroup(q, sub) == GroupDescriptor.gamma0(4)
+
+
+# the pruned sweep against the sweep that builds every level ------------------
+
+
+@lru_cache(maxsize=None)
+def level_candidates(n: int, h: int) -> list:
+    q = normalizer_quotient(n * h)
+    subs = sorted(elementary_two_subgroups(q), key=lambda s: (len(s), sorted(s)))
+    return [Candidate(n, h, q, sub) for sub in subs]
+
+
+def unpruned_hits(index_bound: int, ratio_bound: int, relax_width: bool) -> list:
+    """The reference sweep: every candidate level is built and screened."""
+    hits = []
+    for n, h in candidate_levels(index_bound):
+        for cand in level_candidates(n, h):
+            report = check_conditions(cand, index_bound, ratio_bound, relax_width)
+            if report.passed:
+                hits.append(Hit(cand, report, name_subgroup(cand.quotient, cand.subgroup)))
+    return hits
+
+
+class TestPrune:
+    @pytest.mark.parametrize("relax_width", [False, True], ids=["strict", "relaxed"])
+    def test_pruned_sweep_matches_the_unpruned_one(self, relax_width):
+        # equal hit lists, or the same error (ratio bounds 6 and up meet the
+        # naming gap at level 9 or 8), over the whole grid
+        compared = 0
+        for index_bound in range(1, 61):
+            for ratio_bound in range(1, 13):
+                args = (index_bound, ratio_bound, relax_width)
+                assert outcome(classify_hits, *args) == outcome(unpruned_hits, *args), args
+                compared += 1
+        assert compared == 720
+
+    def test_pruned_levels_hold_no_passing_subgroup(self):
+        pruned = 0
+        for n, h in candidate_levels(60):
+            for index_bound, ratio_bound in [(60, 3), (60, 12), (24, 5), (12, 3)]:
+                if may_pass(n * h, index_bound, ratio_bound):
+                    continue
+                pruned += 1
+                for cand in level_candidates(n, h):
+                    report = check_conditions(cand, index_bound, ratio_bound, relax_width=True)
+                    assert not report.index_ok, (n, h, index_bound, ratio_bound)
+        assert pruned > 100
+
+    def test_levels_built_at_wide_bounds(self):
+        for bounds, built, levels in [((40, 5), 17, 44), ((400, 3), 15, 433), ((1000, 12), 67, 1058)]:
+            candidates = candidate_levels(bounds[0])
+            assert len(candidates) == levels
+            assert sum(may_pass(n * h, *bounds) for n, h in candidates) == built
+
+    def test_index_bound_one_thousand_completes(self):
+        # the unpruned sweep builds every one of the 1058 quotients here,
+        # which took about a minute and 800 MB
+        start = time.perf_counter()
+        proc = fresh_python("-m", "plattice.cli", "classify", "--index-bound", "1000", timeout=20)
+        assert time.perf_counter() - start < 20
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "total: 9"
+
+    def test_index_bound_above_the_budget_exits_one(self):
+        proc = fresh_python(
+            "-m", "plattice.cli", "classify", "--index-bound", "100001", timeout=30, check=False
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: cannot sweep index bound 100001: above the budget of 10**5\n"

@@ -78,7 +78,23 @@ class TestErrors:
     def test_labelled_order_three_kernel_exits_one(self, capsys):
         code, out, err = run(capsys, "groups", "6|3+")
         assert (code, out) == (1, "")
-        assert err == "error: bad group name '6|3+'\n"
+        assert err == "error: kernel subgroup not implemented for (h, n) = (3, 6) with labels [2]\n"
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("6+a", "bad group name '6+a'"),
+            ("6|x", "bad group name '6|x'"),
+            ("6|2", "kernel subgroup not implemented for (h, n) = (2, 6)"),
+            ("6|0", "descriptor needs h | n, got h=0 n=6"),
+            ("6|0+", "descriptor needs h | n, got h=0 n=6"),
+        ],
+    )
+    def test_group_name_errors_say_what_is_wrong(self, capsys, name, message):
+        # only a name that is not made of integers is a bad name; the
+        # constructor's own reasons reach the user
+        code, out, err = run(capsys, "groups", name)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
 
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "project", "1,0", "6")

@@ -27,6 +27,7 @@ from plattice.groupsys import (
 )
 from plattice.lattice import L1, act, lattice
 
+from .helpers import edge_displays
 from .test_groupsys import CATALOG_48, outcome
 
 E8_EDGES = {
@@ -200,7 +201,7 @@ class TestBuildGraph:
         graph = build_graph(data)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
-        assert graph.edge_displays() == E8_EDGES
+        assert edge_displays(graph) == E8_EDGES
         assert len(graph.edges) == 8
 
     def test_balance_holds_on_result(self):

@@ -24,12 +24,14 @@ from plattice.groupsys import (
     member,
     normalizer_of_gamma0,
     normalizer_quotient,
+    normalizer_quotient_orders,
     quotient_generators,
     schreier_generators,
     unclosed_label_product,
 )
 from plattice.classify import descriptor_catalog
 from plattice.tree import factorize, gamma0_index, hypercircle
+from .helpers import all_subgroups
 from .test_exact import rand_psl2z
 from .test_lattice import assert_comparisons_follow_sort
 
@@ -175,7 +177,7 @@ class TestDescriptor:
         message = r"kernel subgroup not implemented for \(h, n\) = \(3, 6\) with labels \[2\]"
         with pytest.raises(ValueError, match=message):
             GroupDescriptor.kernel(3, 6, {2})
-        with pytest.raises(ValueError, match=r"bad group name '6\|3\+'"):
+        with pytest.raises(ValueError, match=message):
             GroupDescriptor.parse("6|3+")
         assert GroupDescriptor.kernel(3, 6).display == "6|3"
         kernels = [d for level in (18, 36) for d in descriptor_catalog(level) if d.character]
@@ -423,7 +425,7 @@ class TestFiniteQuotient:
 
     def test_subgroup_enumeration_dihedral(self):
         q = normalizer_quotient(8)
-        subs = q.all_subgroups()
+        subs = all_subgroups(q)
         assert len(subs) == 10  # dihedral of order 8
 
     def test_normalizer_quotient_sizes(self):
@@ -434,6 +436,17 @@ class TestFiniteQuotient:
             h = q.big.h
             base = gamma0_index(n) // gamma0_index(n // (h * h))
             assert q.order == expected == base * 2 ** len(q.big.plus)
+
+    def test_closed_form_orders_match_the_built_quotients(self):
+        for n in range(1, 201):
+            q = normalizer_quotient(n)
+            modular = sum(1 for rep in q.reps if rep.pdet() == 1)
+            assert normalizer_quotient_orders(n) == (q.order, modular), n
+
+    def test_order_mismatch_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(groupsys, "normalizer_quotient_orders", lambda n: (7, 1))
+        with pytest.raises(AssertionError, match="level 8 has 8 cosets, not 7"):
+            normalizer_quotient.__wrapped__(8)
 
 
 class TestCharacter:

@@ -37,7 +37,9 @@ INTEGER_ONLY = {
         "finite_quotient",
         "FiniteQuotient.width_cosets",
         "congruence_level",
+        "normalizer_quotient_orders",
     ),
+    "classify.py": ("may_pass",),
     "cusps.py": ("translation_orbits",),
 }
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}

@@ -15,8 +15,8 @@ from plattice.tree import (
     is_cell,
     padic_projection,
     thread,
-    tree_ball_edges,
 )
+from .helpers import tree_ball_edges
 from .test_exact import rand_pgl2q
 
 
