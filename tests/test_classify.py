@@ -210,6 +210,8 @@ class TestPrune:
         assert compared == 720
 
     def test_pruned_levels_hold_no_passing_subgroup(self):
+        # the grid above stops at the naming error for ratio bounds of 6 and
+        # up, so the skipped levels behind it are checked here directly
         pruned = 0
         for n, h in candidate_levels(60):
             for index_bound, ratio_bound in [(60, 3), (60, 12), (24, 5), (12, 3)]:
@@ -222,6 +224,8 @@ class TestPrune:
         assert pruned > 100
 
     def test_levels_built_at_wide_bounds(self):
+        # a weaker skip (dropping a two-part) gives the same hits; only the
+        # count of levels built shows it
         for bounds, built, levels in [((40, 5), 17, 44), ((400, 3), 15, 433), ((1000, 12), 67, 1058)]:
             candidates = candidate_levels(bounds[0])
             assert len(candidates) == levels
@@ -229,7 +233,7 @@ class TestPrune:
 
     def test_index_bound_one_thousand_completes(self):
         # the unpruned sweep builds every one of the 1058 quotients here,
-        # which took about a minute and 800 MB
+        # which took about a minute and 800 MB on a 2-vCPU host
         start = time.perf_counter()
         proc = fresh_python("-m", "plattice.cli", "classify", "--index-bound", "1000", timeout=20)
         assert time.perf_counter() - start < 20
