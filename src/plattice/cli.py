@@ -208,13 +208,19 @@ def cmd_super(args):
 
 
 def cmd_eta(args):
+    import re
+
     from .frames import FrameShape, eta_quotient_series, frame_shape
     from .groupsys import GroupDescriptor
 
+    text = args.shape.strip()
     try:
-        desc = GroupDescriptor.parse(args.shape)
-        shape = frame_shape(desc)
+        shape = frame_shape(GroupDescriptor.parse(text))
     except ValueError:
+        # a bare number is also a Frame shape (24 is 24^1), but a group name
+        # with "|" or "+" is not, so the group's own error stands
+        if ("|" in text or "+" in text) and re.fullmatch(r"\d+(\|\d+)?(\+(\d+(,\d+)*)?)?", text):
+            raise
         shape = FrameShape.parse(args.shape)
     print(eta_quotient_series(shape, args.order))
 

@@ -86,12 +86,6 @@ def translation_orbits(points, amount) -> list[tuple[LatticeName, ...]]:
     return orbits
 
 
-def cusp_count(ambient: GroupDescriptor, orbit) -> int:
-    """Number of cusps of a point stabilizer, from one ambient lattice orbit."""
-    amount = width_at_infinity(ambient)
-    return len(translation_orbits(orbit, amount))
-
-
 def cusps_of_gamma0(n: int) -> CuspReport:
     """Cusps and widths of the level-n group, by unit-shear orbits.
 

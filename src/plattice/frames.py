@@ -113,10 +113,6 @@ class FrameShape(namedtuple("FrameShape", "parts")):
         return cls(parts)
 
 
-def frame_shape_invariants(fs: FrameShape) -> tuple[int, int, int]:
-    return (fs.degree, fs.max_part, fs.predicted_valency)
-
-
 FRAME_SHAPES: tuple[FrameShape, ...] = tuple(
     FrameShape.parse(text)
     for text in (

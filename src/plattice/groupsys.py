@@ -8,12 +8,11 @@ kernel subgroup cut out by a character.  Membership is decided entry-wise
 on the primitive representative after conjugating by the diagonal matrix
 with ratio h, so everything stays in integer arithmetic.
 
-Finite quotients by a normal plain level group are materialized as coset
-representative lists with an exact multiplication table and, when a lattice
-set is supplied, the permutation action on it.  Matrix products are taken
-only while the cosets are enumerated breadth-first; the table and the
-actions are then composed from the generators' permutations along the
-enumeration tree.
+Finite quotients of a group by the plain level group under its base level
+are materialized as coset representative lists with an exact
+multiplication table.  Matrix products are taken only while the cosets are
+enumerated breadth-first; the table is then composed from the generators'
+permutations along the enumeration tree.
 """
 
 from __future__ import annotations
@@ -228,11 +227,6 @@ def _action_perm(g: ProjectiveMatrix, points: tuple[LatticeName, ...]):
     return tuple(out)
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     lengths = []
     seen = [False] * len(perm)
@@ -399,14 +393,12 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
 class FiniteQuotient:
     """A finite group of coset representatives with exact multiplication."""
 
-    def __init__(self, big, small, lattice_set, reps, mult, inverse, actions, keys):
+    def __init__(self, big, small, reps, mult, inverse, keys):
         self.big: GroupDescriptor = big
         self.small: GroupDescriptor = small
-        self.lattice_set: tuple[LatticeName, ...] = lattice_set
         self.reps: tuple[ProjectiveMatrix, ...] = reps
         self.mult: tuple[tuple[int, ...], ...] = mult
         self.inverse: tuple[int, ...] = inverse
-        self.actions: tuple[tuple[int, ...], ...] = actions
         self._keys: dict = keys
 
     @property
@@ -425,81 +417,38 @@ class FiniteQuotient:
         h = self.big.h
         return tuple(self.coset_of(ProjectiveMatrix.from_ints(h, k, 0, h)) for k in range(1, h))
 
-    def element_order(self, i: int) -> int:
-        """Order of coset ``i``; ``order_profile`` is built from it."""
-        return len(self._cyclic(i))
-
-    def order_profile(self) -> dict[int, int]:
-        """Element order -> number of cosets of that order.
-
-        With ``image_order`` this is how the acceptance suite
-        (``tests/test_acceptance.py``) recognises the quotient structures
-        of the paper: A4 at level 9, the dihedral group of order 8 at level 8.
-        """
-        out: dict[int, int] = {}
-        for i in range(self.order):
-            o = self.element_order(i)
-            out[o] = out.get(o, 0) + 1
-        return out
-
-    def _cyclic(self, i: int) -> list[int]:
-        out, j = [0], i
-        while j != 0:
-            out.append(j)
-            j = self.mult[j][i]
-        return out
-
-    def image_order(self) -> int:
-        """Order of the image in the permutations of the lattice set (see ``order_profile``)."""
-        return len(set(self.actions))
-
 
 def _coset_key(g: ProjectiveMatrix, n: int):
     return (reduce_matrix(g), act(LatticeName(n, 0, 1), g))
 
 
-def finite_quotient(
-    big: GroupDescriptor,
-    small: GroupDescriptor,
-    lattice_set=(),
-    generators=None,
-    max_elements: int = QUOTIENT_ELEMENT_BOUND,
-) -> FiniteQuotient:
-    """Cosets of ``small`` in ``big`` by breadth-first closure.
+def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuotient:
+    """Cosets of the level group ``small`` in ``big`` by breadth-first closure.
 
-    ``small`` must be a plain level group, normal in ``big`` with finite
-    index (caller's responsibility), and must fix every name in
-    ``lattice_set``; the latter is verified.  Coset identity is decided by
-    an exact invariant pair: the reduced matrix and the image of the
-    level-n lattice, which together identify the right coset of ``g``.
+    ``small`` must be the plain level group of ``big``'s base level n*h,
+    because the walk's generators, ``quotient_generators(big)``, generate
+    ``big`` only modulo that group.  Coset identity is decided by an exact
+    invariant pair: the reduced matrix and the image of the level-n
+    lattice, which together identify the right coset of ``g``.
 
     The breadth-first walk records how each generator permutes the cosets
     under right multiplication, and the generator and earlier
     representative each new representative is the product of.  Since
     ``reps[j] == reps[p] * generators[g]``, column ``j`` of the
     multiplication table is column ``p`` sent through generator ``g``'s
-    permutation, and the action of ``reps[j]`` on the lattice set is that
-    of ``reps[p]`` followed by that of the generator: the table and the
-    actions are composed along the walk's tree, with no matrix arithmetic
-    after the walk.  Every row and column of the table must then be a
-    permutation of the cosets, which fails when ``small`` is not normal.
+    permutation: the table is composed along the walk's tree, with no
+    matrix arithmetic after the walk.  Every row and column of the table
+    must then be a permutation of the cosets, which fails when ``small`` is
+    not normal in ``big``.  A walk that passes ``QUOTIENT_ELEMENT_BOUND``
+    cosets stops with a ValueError.
     """
-    if small.h != 1 or small.plus or small.character is not None:
-        raise ValueError("quotients are taken by a plain level group, not %s" % small.display)
-    lattice_set = tuple(lattice_set)
-    if generators is None:
-        generators = quotient_generators(big)
-    if lattice_set:
-        for gen in schreier_generators(small.n):
-            for x in lattice_set:
-                if act(x, gen) != x:
-                    raise ValueError("small group moves %s; bad lattice set" % (x,))
-    gen_actions = []
-    for gen in generators:
-        perm = _action_perm(gen, lattice_set)
-        if perm is None:
-            raise ValueError("generator %s does not stabilize the lattice set" % (gen,))
-        gen_actions.append(perm)
+    base = GroupDescriptor.gamma0(big.n * big.h)
+    if small != base:
+        raise ValueError(
+            "quotients of %s are taken by the plain level group %s, not %s"
+            % (big.display, base.display, small.display)
+        )
+    generators = quotient_generators(big)
     reps = [IDENTITY]
     keys = {_coset_key(IDENTITY, small.n): 0}
     parents = [None]
@@ -513,8 +462,8 @@ def finite_quotient(
             key = _coset_key(nxt, small.n)
             k = keys.get(key)
             if k is None:
-                if len(reps) >= max_elements:
-                    raise ValueError("quotient not finite within bound %d" % max_elements)
+                if len(reps) >= QUOTIENT_ELEMENT_BOUND:
+                    raise ValueError("quotient not finite within bound %d" % QUOTIENT_ELEMENT_BOUND)
                 k = keys[key] = len(reps)
                 reps.append(nxt)
                 parents.append((head, g))
@@ -522,25 +471,14 @@ def finite_quotient(
         head += 1
     order = len(reps)
     columns = [tuple(range(order))]
-    actions = [tuple(range(len(lattice_set)))]
     for p, g in parents[1:]:
         columns.append(tuple(map(right[g].__getitem__, columns[p])))
-        actions.append(_compose(actions[p], gen_actions[g]))
     mult = tuple(zip(*columns))
     # entries all lie in range(order), so a line without repeats is a permutation
     if any(len(set(line)) != order for lines in (columns, mult) for line in lines):
         raise ValueError("quotient is not closed under multiplication")
     inverse = tuple(row.index(0) for row in mult)
-    return FiniteQuotient(
-        big,
-        small,
-        lattice_set,
-        tuple(reps),
-        mult,
-        inverse,
-        tuple(actions),
-        keys,
-    )
+    return FiniteQuotient(big, small, tuple(reps), mult, inverse, keys)
 
 
 def quotient_generators(big: GroupDescriptor) -> list[ProjectiveMatrix]:
@@ -585,56 +523,6 @@ def normalizer_quotient(n: int) -> FiniteQuotient:
             "normalizer quotient at level %d has %d cosets, not %d" % (n, q.order, expected)
         )
     return q
-
-
-# characters -------------------------------------------------------------------
-
-
-class Character:
-    """The order-h character whose kernel is the canonical index-h subgroup."""
-
-    def __init__(self, quotient: FiniteQuotient, order: int, x_perm: tuple[int, ...]):
-        self.quotient = quotient
-        self.order = order
-        self._x_perm = x_perm
-
-    def value(self, g: ProjectiveMatrix) -> int:
-        perm = _action_perm(g, self.quotient.lattice_set)
-        if perm is None:
-            raise ValueError("element does not act on the character's lattice set")
-        if self.order == 2:
-            return _perm_sign(perm)
-        # g lies in the coset (x^-j) * kernel exactly when x^j g acts with
-        # order <= 2; the generator x itself has value 2 under the character
-        for j in range(3):
-            if _perm_order(_compose(_power(self._x_perm, j), perm)) <= 2:
-                return j
-        raise AssertionError("permutation is not in the order-12 image")
-
-
-def _power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
-    out = tuple(range(len(p)))
-    for _ in range(k):
-        out = _compose(out, p)
-    return out
-
-
-def character_lambda(case: int) -> Character:
-    """The two instantiated characters, for overall levels 9 and 8."""
-    if case == 9:
-        big = GroupDescriptor(3, 3)
-        small = GroupDescriptor.gamma0(9)
-        points = _kernel_action_set(3, 3)
-        q = finite_quotient(big, small, points)
-        x_perm = _action_perm(translation(Fraction(1, 3)), points)
-        return Character(q, 3, x_perm)
-    if case == 8:
-        big = GroupDescriptor(2, 4, frozenset({2}))
-        small = GroupDescriptor.gamma0(8)
-        points = _kernel_action_set(2, 4)
-        q = finite_quotient(big, small, points)
-        return Character(q, 2, ())
-    raise ValueError("character construction defined only for N=9, N=8")
 
 
 # congruence level -------------------------------------------------------------

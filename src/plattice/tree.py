@@ -218,15 +218,16 @@ def is_cell(names) -> bool:
 
 
 def hypercircle_dot(circle: HyperCircle) -> str:
-    """DOT rendering: members of the circle, joined where prime-hyperdistant."""
+    """DOT rendering of the members of the circle, with no edges.
+
+    An edge would join two members at prime hyperdistance, and no two
+    members are.  The hyperdistance is the product of p**d_p over the
+    primes p, with d_p the distance between the two lattices in the p-adic
+    tree.  Both members lie at distance v_p(radius) from the centre in
+    that tree, and a tree is bipartite, so d_p is even: the hyperdistance
+    between two members of one hypercircle is a perfect square.
+    """
     lines = ["graph hypercircle {", '  node [shape=box, fontname="monospace"];']
-    index = {name: i for i, name in enumerate(circle.members)}
-    for name, i in index.items():
-        lines.append('  n%d [label="%s"];' % (i, name))
-    for i, x in enumerate(circle.members):
-        for y in circle.members[i + 1 :]:
-            d = hyperdistance(x, y)
-            if is_prime(d):
-                lines.append("  n%d -- n%d [label=\"%d\"];" % (index[x], index[y], d))
+    lines.extend('  n%d [label="%s"];' % (i, name) for i, name in enumerate(circle.members))
     lines.append("}")
     return "\n".join(lines) + "\n"

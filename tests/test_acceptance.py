@@ -31,7 +31,7 @@ from plattice.lattice import (
 )
 from plattice.tree import gamma0_index, hypercircle
 
-from .helpers import edge_displays
+from .helpers import edge_displays, order_profile, quotient_actions
 from .test_exact import rand_pgl2q, rand_psl2z
 from .test_frames import oracle_quotient
 
@@ -209,22 +209,22 @@ def test_10_cusp_widths():
 
 def test_11_quotient_structures():
     points9 = hypercircle(lattice(3), 3).members
-    q9 = finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9), points9)
+    q9 = finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9))
+    actions9 = quotient_actions(q9, points9)
     from plattice.groupsys import _perm_sign
 
-    alt4 = q9.order == 12 and q9.image_order() == 12
-    alt4 = alt4 and all(_perm_sign(p) == 0 for p in q9.actions)
-    alt4 = alt4 and q9.order_profile() == {1: 1, 2: 3, 3: 8}
+    alt4 = q9.order == 12 and None not in actions9 and len(set(actions9)) == 12
+    alt4 = alt4 and all(_perm_sign(p) == 0 for p in actions9)
+    alt4 = alt4 and order_profile(q9) == {1: 1, 2: 3, 3: 8}
 
     points8 = tuple(sorted(set(hypercircle(lattice(2), 2)) | set(hypercircle(lattice(4), 2))))
-    q8 = finite_quotient(
-        GroupDescriptor(2, 4, frozenset({2})), GroupDescriptor.gamma0(8), points8
-    )
-    dihedral = q8.order == 8 and q8.order_profile() == {1: 1, 2: 5, 4: 2}
+    q8 = finite_quotient(GroupDescriptor(2, 4, frozenset({2})), GroupDescriptor.gamma0(8))
+    dihedral = q8.order == 8 and None not in quotient_actions(q8, points8)
+    dihedral = dihedral and order_profile(q8) == {1: 1, 2: 5, 4: 2}
 
     points16 = hypercircle(lattice(4), 4).members
-    q16 = finite_quotient(GroupDescriptor(4, 4), GroupDescriptor.gamma0(16), points16)
-    sym4 = q16.order == 24
+    q16 = finite_quotient(GroupDescriptor(4, 4), GroupDescriptor.gamma0(16))
+    sym4 = q16.order == 24 and None not in quotient_actions(q16, points16)
 
     ok = alt4 and dihedral and sym4
     report(11, ok, "quotient orders 12 (alternating), 8 (dihedral), 24 verified")

@@ -18,19 +18,17 @@ HOMES = {
     "lattice": ["LatticeName", "ReverseName", "act", "hyperdistance", "reduce_matrix"],
     "tree": ["HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"],
     "groupsys": [
-        "Character",
         "FiniteQuotient",
         "GroupDescriptor",
         "NODE_GROUPS",
         "al_coset_representative",
-        "character_lambda",
         "congruence_level",
         "finite_quotient",
         "member",
         "normalizer_of_gamma0",
         "schreier_generators",
     ],
-    "cusps": ["CuspReport", "cusp_count", "cusps_of_gamma0", "width_at_infinity"],
+    "cusps": ["CuspReport", "cusps_of_gamma0", "width_at_infinity"],
     "classify": ["Candidate", "candidate_levels", "check_conditions", "classify"],
     "diagram": ["LabeledGraph", "VertexData", "build_graph", "emit_dot", "vertex_data"],
     "frames": [
@@ -40,7 +38,6 @@ HOMES = {
         "double_group",
         "eta_quotient_series",
         "frame_shape",
-        "frame_shape_invariants",
         "numeric_invariance_check",
     ],
 }

@@ -19,7 +19,7 @@ from plattice.classify import (
 from plattice.exact import lower_translation, translation
 from plattice.groupsys import GroupDescriptor, member, normalizer_quotient
 
-from .helpers import all_subgroups
+from .helpers import all_subgroups, cyclic, element_order
 from .test_api import fresh_python
 from .test_groupsys import outcome
 
@@ -97,14 +97,14 @@ class TestConditions:
 
     def test_cyclic_order_four_fails_exponent(self):
         q = normalizer_quotient(8)
-        gen = next(i for i in range(q.order) if q.element_order(i) == 4)
-        sub = frozenset(q._cyclic(gen))
+        gen = next(i for i in range(q.order) if element_order(q, i) == 4)
+        sub = frozenset(cyclic(q, gen))
         report = check_conditions(Candidate(4, 2, q, sub))
         assert not report.exponent_two
 
     def test_subgroup_validation(self):
         q = normalizer_quotient(8)
-        bad = next(i for i in range(q.order) if q.element_order(i) == 4)
+        bad = next(i for i in range(q.order) if element_order(q, i) == 4)
         with pytest.raises(ValueError):
             Candidate(4, 2, q, frozenset([0, bad]))
 

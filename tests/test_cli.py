@@ -7,7 +7,8 @@ import pytest
 
 from plattice import cli
 from plattice.cli import main
-from plattice.groupsys import GroupDescriptor
+from plattice.frames import frame_shape
+from plattice.groupsys import NODE_GROUPS, GroupDescriptor
 
 from .test_api import SRC_ROOT, fresh_python
 
@@ -96,6 +97,19 @@ class TestErrors:
         code, out, err = run(capsys, "groups", name)
         assert (code, out, err) == (1, "", "error: %s\n" % message)
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("6|2", "kernel subgroup not implemented for (h, n) = (2, 6)"),
+            ("7+", "7+ is not one of the nine vertex groups"),
+        ],
+    )
+    def test_eta_group_name_errors_say_what_is_wrong(self, capsys, name, message):
+        # a group name is not read as a Frame shape, whose parser would
+        # report the name as a bad integer
+        code, out, err = run(capsys, "eta", name)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "project", "1,0", "6")
         assert code == 1 and "not prime" in err
@@ -163,6 +177,16 @@ class TestDot:
         code, out, _ = run(capsys, "hypercircle", "1,0", "4", "--format", "dot")
         assert code == 0 and out.startswith("graph hypercircle")
 
+    def test_wide_hypercircle_dot_answers(self):
+        # the rendering once compared every pair of members for an edge
+        # that never exists; 3600 members took well over a minute
+        argv = ["hypercircle", "1,0", "2000", "--format", "dot"]
+        proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3 + 3600 and lines[-1] == "}"
+        assert not any(" -- " in line for line in lines)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -193,6 +217,17 @@ class TestSuper:
     def test_eta_by_group_name(self, capsys):
         code, out, _ = run(capsys, "eta", "1", "--order", "2")
         assert code == 0 and out.startswith("q^-1 - 24 + 276 q")
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [("24", "24^1"), ("1^+24", "1^24")]
+        + [(g.display, frame_shape(g).display) for g in NODE_GROUPS],
+    )
+    def test_eta_reads_vertex_names_and_frame_shapes(self, capsys, text, shape):
+        # a bare number that names no vertex group is a Frame shape
+        found = run(capsys, "eta", text, "--order", "6")
+        assert found == run(capsys, "eta", shape, "--order", "6")
+        assert found[0] == 0
 
     def test_check_invariance(self, capsys):
         code, out, _ = run(capsys, "super", "--check-invariance", "--tol", "1e-6")

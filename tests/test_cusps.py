@@ -5,7 +5,6 @@ import pytest
 
 from plattice.cusps import (
     CuspReport,
-    cusp_count,
     cusps_of_gamma0,
     translation_orbits,
     width_at_infinity,
@@ -14,6 +13,8 @@ from plattice.exact import translation
 from plattice.groupsys import GroupDescriptor
 from plattice.lattice import L1, act, lattice
 from plattice.tree import gamma0_index, hypercircle
+
+from .helpers import cusp_count
 
 
 class TestWidthAtInfinity:

@@ -13,7 +13,6 @@ from plattice.frames import (
     eta_quotient_value,
     eta_value,
     frame_shape,
-    frame_shape_invariants,
     invariant_under,
     numeric_invariance_check,
 )
@@ -139,9 +138,13 @@ class TestFrameShapes:
             assert FrameShape.parse(fs.display) == fs
 
     def test_invariants_examples(self):
-        assert frame_shape_invariants(FrameShape.parse("1^24")) == (24, 1, 1)
-        assert frame_shape_invariants(FrameShape.parse("2^6 6^6 / 1^6 3^6")) == (24, 6, 3)
-        assert frame_shape_invariants(FrameShape.parse("4^12 / 2^12")) == (24, 4, 2)
+        for text, expected in [
+            ("1^24", (24, 1, 1)),
+            ("2^6 6^6 / 1^6 3^6", (24, 6, 3)),
+            ("4^12 / 2^12", (24, 4, 2)),
+        ]:
+            fs = FrameShape.parse(text)
+            assert (fs.degree, fs.max_part, fs.predicted_valency) == expected
 
     def test_max_parts_equal_normalized_levels(self):
         data = node_vertex_data()

@@ -10,12 +10,12 @@ from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, lower_translation, 
 from plattice.lattice import L1, act, lattice
 from plattice import groupsys
 from plattice.groupsys import (
-    Character,
     _action_perm,
     _coset_key,
+    _kernel_action_set,
+    _perm_sign,
     GroupDescriptor,
     al_coset_representative,
-    character_lambda,
     congruence_level,
     conjugated_al_representative,
     exact_divisors,
@@ -31,7 +31,7 @@ from plattice.groupsys import (
 )
 from plattice.classify import descriptor_catalog
 from plattice.tree import factorize, gamma0_index, hypercircle
-from .helpers import all_subgroups
+from .helpers import all_subgroups, character_lambda, order_profile, quotient_actions
 from .test_exact import rand_psl2z
 from .test_lattice import assert_comparisons_follow_sort
 
@@ -330,30 +330,32 @@ class TestSchreier:
 
 class TestFiniteQuotient:
     def test_trivial_quotient(self):
-        q = finite_quotient(G1, G1, generators=[S, T])
+        # the modular group has no generators modulo itself
+        q = finite_quotient(G1, G1)
         assert q.order == 1
 
     def test_alt4_on_hypercircle(self):
         points = hypercircle(lattice(3), 3).members
-        q = finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9), points)
+        q = finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9))
+        actions = quotient_actions(q, points)
         assert q.order == 12
-        assert q.image_order() == 12
-        from plattice.groupsys import _perm_sign
-
-        assert all(_perm_sign(p) == 0 for p in q.actions)
-        assert q.order_profile() == {1: 1, 2: 3, 3: 8}
+        assert len(set(actions)) == 12
+        assert all(_perm_sign(p) == 0 for p in actions)
+        assert order_profile(q) == {1: 1, 2: 3, 3: 8}
 
     def test_dihedral_eight(self):
         points = tuple(sorted(set(hypercircle(lattice(2), 2)) | set(hypercircle(lattice(4), 2))))
-        q = finite_quotient(FULL_24, GroupDescriptor.gamma0(8), points)
+        q = finite_quotient(FULL_24, GroupDescriptor.gamma0(8))
         assert q.order == 8
-        assert q.order_profile() == {1: 1, 2: 5, 4: 2}
+        assert None not in quotient_actions(q, points)
+        assert order_profile(q) == {1: 1, 2: 5, 4: 2}
 
     def test_sym4_at_sixteen(self):
         points = hypercircle(lattice(4), 4).members
-        q = finite_quotient(GroupDescriptor(4, 4), GroupDescriptor.gamma0(16), points)
+        q = finite_quotient(GroupDescriptor(4, 4), GroupDescriptor.gamma0(16))
         assert q.order == 24
-        assert q.order_profile() == {1: 1, 2: 9, 3: 8, 4: 6}
+        assert None not in quotient_actions(q, points)
+        assert order_profile(q) == {1: 1, 2: 9, 3: 8, 4: 6}
 
     def test_group_axioms_on_table(self):
         q = normalizer_quotient(8)
@@ -362,46 +364,59 @@ class TestFiniteQuotient:
             assert q.mult[0][i] == i == q.mult[i][0]
             assert q.mult[i][q.inverse[i]] == 0
 
-    def test_bound_trips(self):
-        with pytest.raises(ValueError, match="quotient not finite"):
-            finite_quotient(
-                GroupDescriptor(3, 3),
-                GroupDescriptor.gamma0(9),
-                generators=[translation(Fraction(1, 3))],
-                max_elements=2,
-            )
+    def test_bound_trips(self, monkeypatch):
+        # the level-9 quotient has 12 cosets; the walk reads the bound when it runs
+        monkeypatch.setattr(groupsys, "QUOTIENT_ELEMENT_BOUND", 2)
+        with pytest.raises(ValueError, match="quotient not finite within bound 2"):
+            finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9))
 
     @pytest.mark.parametrize(
-        "small", [GroupDescriptor(2, 4), GroupDescriptor.gamma0_plus(2), KERNEL_33]
-    )
-    def test_small_must_be_plain_level_group(self, small):
-        with pytest.raises(ValueError, match="plain level group"):
-            finite_quotient(GroupDescriptor.gamma0_plus(2), small)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_non_normal_small_group_rejected(self, n):
-        # the level-n group is not normal in the modular group, so some row
-        # of the composed table repeats a coset
-        with pytest.raises(ValueError, match="not closed under multiplication"):
-            finite_quotient(G1, GroupDescriptor.gamma0(n), generators=[S, T])
-
-    @pytest.mark.parametrize(
-        "build",
+        "big, small",
         [
-            lambda: normalizer_quotient(36),
-            lambda: normalizer_quotient(64),
-            lambda: character_lambda(8).quotient,
-            lambda: character_lambda(9).quotient,
+            (GroupDescriptor.gamma0_plus(2), GroupDescriptor(2, 4)),
+            (GroupDescriptor.gamma0_plus(2), GroupDescriptor.gamma0_plus(2)),
+            (GroupDescriptor.gamma0_plus(2), KERNEL_33),
+            # plain level groups, but not the one under the base level: the
+            # generators would reach only part of the quotient
+            (G1, GroupDescriptor.gamma0(2)),
+            (GroupDescriptor.gamma0_plus(2), GroupDescriptor.gamma0(4)),
+        ],
+        ids=["small0", "small1", "small2", "level2-over-1", "level4-over-2+"],
+    )
+    def test_small_must_be_plain_level_group(self, big, small):
+        with pytest.raises(ValueError, match="plain level group"):
+            finite_quotient(big, small)
+
+    @pytest.mark.parametrize("h", [5, 7])
+    def test_non_normal_small_group_rejected(self, h):
+        # h does not divide 24, so the level-h*h group is not normal in the
+        # (h, h) group and some row of the composed table repeats a coset
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            finite_quotient(GroupDescriptor(h, h), GroupDescriptor.gamma0(h * h))
+
+    @pytest.mark.parametrize(
+        "build, points",
+        [
+            (lambda: normalizer_quotient(36), ()),
+            (lambda: normalizer_quotient(64), ()),
+            (lambda: character_lambda(8).quotient, _kernel_action_set(2, 4)),
+            (lambda: character_lambda(9).quotient, _kernel_action_set(3, 3)),
         ],
         ids=["level36", "level64", "lambda8", "lambda9"],
     )
-    def test_composed_table_and_actions_match_direct_products(self, build):
+    def test_composed_table_and_actions_match_direct_products(self, build, points):
         q = build()
         direct = tuple(
             tuple(q._keys[_coset_key(a * b, q.small.n)] for b in q.reps) for a in q.reps
         )
         assert q.mult == direct
-        assert q.actions == tuple(_action_perm(rep, q.lattice_set) for rep in q.reps)
+        # the level group fixes the points, so each product acts as the
+        # representative of its coset in the table
+        actions = quotient_actions(q, points)
+        assert None not in actions
+        for i, a in enumerate(q.reps):
+            for j, b in enumerate(q.reps):
+                assert _action_perm(a * b, points) == actions[q.mult[i][j]]
 
     def test_table_takes_one_coset_key_per_walk_step(self, monkeypatch):
         calls = []

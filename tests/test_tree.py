@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -65,6 +65,22 @@ class TestHypercircle:
         a = hypercircle(L1, 12).members
         b = hypercircle(L1, 12).members
         assert a == b == tuple(sorted(a))
+
+    @pytest.mark.parametrize(
+        "center",
+        [L1, lattice(2), lattice(Fraction(1, 3), Fraction(2, 3)), lattice(6, Fraction(1, 2))],
+        ids=str,
+    )
+    def test_members_are_a_square_hyperdistance_apart(self, center):
+        # both members sit v_p(radius) steps from the centre in each p-adic
+        # tree, which is bipartite; so no two are prime-hyperdistant, and the
+        # DOT rendering of a hypercircle has no edges
+        for radius in range(1, 61):
+            members = hypercircle(center, radius).members
+            for i, x in enumerate(members):
+                for y in members[i + 1 :]:
+                    d = hyperdistance(x, y)
+                    assert isqrt(d) ** 2 == d, (radius, str(x), str(y))
 
 
 class TestProjection:
