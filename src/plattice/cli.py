@@ -211,17 +211,23 @@ def cmd_eta(args):
     import re
 
     from .frames import FrameShape, eta_quotient_series, frame_shape
-    from .groupsys import GroupDescriptor
 
     text = args.shape.strip()
-    try:
-        shape = frame_shape(GroupDescriptor.parse(text))
-    except ValueError:
-        # a bare number is also a Frame shape (24 is 24^1), but a group name
-        # with "|" or "+" is not, so the group's own error stands
-        if ("|" in text or "+" in text) and re.fullmatch(r"\d+(\|\d+)?(\+(\d+(,\d+)*)?)?", text):
-            raise
+    if "^" in text or "/" in text:
+        # no group name survives its integer conversions with these in it,
+        # so the text is a Frame shape and groupsys need not load
         shape = FrameShape.parse(args.shape)
+    else:
+        from .groupsys import GroupDescriptor
+
+        try:
+            shape = frame_shape(GroupDescriptor.parse(text))
+        except ValueError:
+            # a bare number is also a Frame shape (24 is 24^1), but a group name
+            # with "|" or "+" is not, so the group's own error stands
+            if ("|" in text or "+" in text) and re.fullmatch(r"\d+(\|\d+)?(\+(\d+(,\d+)*)?)?", text):
+                raise
+            shape = FrameShape.parse(args.shape)
     print(eta_quotient_series(shape, args.order))
 
 

@@ -9,18 +9,27 @@ quotient of eta functions it determines is an exact integer Laurent
 series with a simple pole in q, computed by the Euler transform of its
 product formula, and a floating-point checker (the only floating point in
 the package) verifies its invariance under the doubled group numerically.
+
+The Euler transform runs in blocks of terms.  Each finished block reaches
+every later term through one big-integer product (Kronecker substitution)
+instead of one small product per pair of terms, and its slots are wide
+enough by construction, not by estimate, because every number in the
+product is known before it is formed.  Each coefficient is an exact
+division whose remainder is checked, so a wrongly decoded slot ends in an
+internal error, not a wrong series, unless its error is a multiple of
+the term's index.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from .exact import ProjectiveMatrix
-from .groupsys import NODE_GROUPS, GroupDescriptor, group_generators
+# groupsys, and exact, lattice and tree with it, loads only inside the
+# functions that take a group, so a Frame shape given as text loads none of
+# them; the annotations that name their types are never evaluated
 
 # group doubling ---------------------------------------------------------------
 
@@ -45,6 +54,7 @@ def double_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The level-doubled group attached to a vertex group."""
     # diagram, and with it classify, loads only when a group is doubled
     from .diagram import envelope_level, scale_factor
+    from .groupsys import NODE_GROUPS, GroupDescriptor
 
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
@@ -132,16 +142,25 @@ for _fs in FRAME_SHAPES:
     if _fs.degree != 24:
         raise AssertionError("catalog shape %s has degree %d" % (_fs, _fs.degree))
 
-_SHAPE_BY_GROUP = dict(zip(NODE_GROUPS, FRAME_SHAPES))
-
 
 def frame_shape(desc: GroupDescriptor) -> FrameShape:
-    if desc not in _SHAPE_BY_GROUP:
+    """The catalog shape of a vertex group (the catalog is in vertex order)."""
+    from .groupsys import NODE_GROUPS
+
+    if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
-    return _SHAPE_BY_GROUP[desc]
+    return FRAME_SHAPES[NODE_GROUPS.index(desc)]
 
 
 # exact Laurent series ---------------------------------------------------------
+
+# terms per block of the series engine: 128 was fastest over orders 650-2000
+_BLOCK = 128
+
+# the largest order a series is expanded to, checked before any work starts:
+# the slowest catalog shapes (1^24, 2^24 / 1^24) take about 10 s there on a
+# 2-vCPU host, and the time grows about 4.5-fold per doubling of the order
+SERIES_ORDER_BUDGET = 12000
 
 
 class IntegerPowerSeries(namedtuple("IntegerPowerSeries", "leading coeffs")):
@@ -192,10 +211,28 @@ def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
     a shape whose exponent does not cancel is rejected.  What is left is
     a product of powers (1 - q^d)^c_d, expanded by the Euler transform:
     with b_k the sum of d*c_d over the divisors d of k, the coefficients
-    satisfy m*f_m = -(b_1 f_(m-1) + ... + b_m f_0), an exact division.
+    satisfy m*f_m = -(b_1 f_(m-1) + ... + b_m f_0), an exact division
+    (checked: a remainder is an internal error).
+
+    The terms are found in blocks of ``_BLOCK``.  Inside a block the sum
+    runs over the block's own earlier terms; ``pending[m]`` holds the
+    rest, the part from all finished blocks.  A finished block adds its
+    part to every later m at once, by one integer product (Kronecker
+    substitution): the block's terms and b are written into fixed-width
+    byte slots, the positive and the negative parts apart, and slot t of
+    the product is the convolution term t.  The slot width is exact, not
+    estimated: each convolution term is a sum of at most ``_BLOCK``
+    products |f_i|*|b_k| of numbers already known, so it is below
+    2**(bits(max|f|) + bits(max|b|) + bits(_BLOCK)), and a slot two bits
+    wider holds it with its sign.  Adding half a slot to every slot makes
+    all of them non-negative, so they part without borrows.  b is packed
+    once at its own width and widened for each block by byte copies, so
+    each product is only as wide as its block needs.
     """
     if order < 1:
         raise ValueError("order must be positive")
+    if order > SERIES_ORDER_BUDGET:
+        raise ValueError("cannot expand to order %d: above the budget of %d" % (order, SERIES_ORDER_BUDGET))
     if fs.degree % 24:
         raise ValueError("fractional leading exponent for %s" % fs.display)
     leading = -fs.degree // 24
@@ -213,11 +250,52 @@ def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
         if c[d]:
             for k in range(d, top + 1, d):
                 b[k] += d * c[d]
-    f = [1]
-    for m in range(1, top + 1):
-        # f holds f_0 .. f_(m-1), so reversed(f) pairs f_(m-k) with b_k
-        f.append(-sum(map(operator.mul, b[1 : m + 1], reversed(f))) // m)
+    block = _BLOCK
+    b_bits = max(map(abs, b)).bit_length()
+    narrow = max(1, (b_bits + 7) // 8)
+    b_pos, b_neg = _slots(b, narrow)
+    f = []
+    pending = [0] * (top + 1)
+    for j0 in range(0, top + 1, block):
+        j1 = min(j0 + block, top + 1)
+        run = [1] if j0 == 0 else []
+        for m in range(max(j0, 1), j1):
+            # run holds f_j0 .. f_(m-1), so reversed(run) pairs f_(m-k) with b_k
+            total = pending[m] + sum(map(operator.mul, b[1 : m - j0 + 1], reversed(run)))
+            fm, rem = divmod(-total, m)
+            if rem:
+                raise AssertionError("%d does not divide the q^%d sum of %s" % (m, m + leading, fs.display))
+            run.append(fm)
+        f += run
+        if j1 > top:
+            break
+        width = (max(map(abs, run)).bit_length() + b_bits + block.bit_length() + 2 + 7) // 8
+        slots = top - j0 + 1  # b_0 .. b_(top-j0) reach every later m
+        size = width * slots
+        wide = []
+        for part in (b_pos, b_neg):
+            # widen b's narrow slots to this block's width, one byte column at a time
+            out = bytearray(size)
+            for j in range(narrow):
+                out[j::width] = part[j : slots * narrow : narrow]
+            wide.append(int.from_bytes(out, "little"))
+        run_pos, run_neg = _slots(run, width)
+        product = (int.from_bytes(run_pos, "little") - int.from_bytes(run_neg, "little")) * (wide[0] - wide[1])
+        # adding half a slot to every slot makes each one non-negative, so no
+        # slot borrows from the next; the mask drops the slots above top
+        half = 1 << (8 * width - 1)
+        offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+        terms = ((product + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        for t in range(j1 - j0, slots):
+            pending[j0 + t] += int.from_bytes(terms[t * width : (t + 1) * width], "little") - half
     return IntegerPowerSeries(leading, tuple(f))
+
+
+def _slots(values: list[int], width: int) -> tuple[bytes, bytes]:
+    """The positive and the negative parts of values, width little-endian bytes each."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
+    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
+    return pos, neg
 
 
 # numeric invariance (the only floating point in the package) -------------------
@@ -230,6 +308,8 @@ def eta_value(tau: complex, terms: int = 200) -> complex:
     until its imaginary part is at least 0.8, then multiplies the
     q-product directly.
     """
+    import cmath
+
     if tau.imag <= 0:
         raise ValueError("eta needs a point of the upper half-plane")
     factor = complex(1)
@@ -281,4 +361,6 @@ def numeric_invariance_check(
     tol: float = 1e-6,
 ) -> bool:
     """Necessary-condition check: invariance under every group generator."""
+    from .groupsys import group_generators
+
     return all(invariant_under(fs, g, tau, tol) for g in group_generators(desc))

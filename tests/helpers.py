@@ -1,12 +1,14 @@
 """Reference code that only the tests use: element orders, lattice-set
 actions and whole subgroup lattices of finite quotients, the two
-instantiated characters, cusp counts, balls of the p-adic trees and graph
-edges by group name."""
+instantiated characters, cusp counts, balls of the p-adic trees, graph
+edges by group name and the dense eta-series recurrence."""
 
+import operator
 from fractions import Fraction
 
 from plattice.cusps import translation_orbits, width_at_infinity
 from plattice.exact import ProjectiveMatrix, translation
+from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.groupsys import (
     FiniteQuotient,
     GroupDescriptor,
@@ -158,3 +160,29 @@ def edge_displays(graph) -> set[tuple[str, str]]:
         tuple(sorted((graph.vertices[a].group.display, graph.vertices[b].group.display)))
         for a, b in graph.edges
     }
+
+
+def dense_eta_series(fs: FrameShape, order: int) -> IntegerPowerSeries:
+    """The eta-quotient series by the plain Euler-transform recurrence.
+
+    Each m sums over every earlier term, O(order**2) big-integer products;
+    the blocked engine of ``eta_quotient_series`` is tested against it.
+    """
+    leading = -fs.degree // 24
+    top = order - leading
+    c = [0] * (top + 1)
+    for a, alpha in fs.parts:
+        for d in range(a, top + 1, a):
+            c[d] += alpha
+        for d in range(2 * a, top + 1, 2 * a):
+            c[d] -= alpha
+    b = [0] * (top + 1)
+    for d in range(1, top + 1):
+        if c[d]:
+            for k in range(d, top + 1, d):
+                b[k] += d * c[d]
+    f = [1]
+    for m in range(1, top + 1):
+        # f holds f_0 .. f_(m-1), so reversed(f) pairs f_(m-k) with b_k
+        f.append(-sum(map(operator.mul, b[1 : m + 1], reversed(f))) // m)
+    return IntegerPowerSeries(leading, tuple(f))

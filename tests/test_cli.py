@@ -229,6 +229,22 @@ class TestSuper:
         assert found == run(capsys, "eta", shape, "--order", "6")
         assert found[0] == 0
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("24", (0, "q^-1 - q^23\n", "")),
+            ("1", (0, "q^-1 - 24 + 276 q - 2048 q^2 + 11202 q^3\n", "")),
+            ("1^+24", (0, "q^-1 - 24 + 276 q - 2048 q^2 + 11202 q^3\n", "")),
+            ("2^3 / 1^x", (1, "", "error: invalid literal for int() with base 10: 'x'\n")),
+        ],
+        ids=["bare-number", "group-name", "signed-exponent", "bad-exponent"],
+    )
+    def test_eta_text_forms_print_pinned_bytes(self, capsys, text, expected):
+        # text with "^" or "/" goes straight to the Frame-shape parser, and
+        # the other forms still try the group name first
+        order = "50" if text == "24" else "3"
+        assert run(capsys, "eta", text, "--order", order) == expected
+
     def test_check_invariance(self, capsys):
         code, out, _ = run(capsys, "super", "--check-invariance", "--tol", "1e-6")
         assert code == 0
@@ -246,8 +262,10 @@ class TestInputBudgets:
             (["project", "1,0", "1000000000000000003"], "cannot factorize 1000000000000000003"),
             (["hypercircle", "1,0", "1000000"], "hypercircle of radius 1000000 has 1800000 members"),
             (["cusps", "1000000"], "hypercircle of radius 1000000 has 1800000 members"),
+            (["eta", "1^24", "--order", "100000"], "cannot expand to order 100000"),
+            (["super", "--series", "100000"], "cannot expand to order 100000"),
         ],
-        ids=["index-huge", "cusps-huge", "project-huge", "hypercircle-wide", "cusps-wide"],
+        ids=["index-huge", "cusps-huge", "project-huge", "hypercircle-wide", "cusps-wide", "eta-order", "super-series"],
     )
     def test_over_budget_input_exits_one(self, argv, message):
         proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)

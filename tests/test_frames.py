@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from plattice import frames
 from plattice.diagram import NODE_GROUPS, node_vertex_data
 from plattice.exact import S, T, ProjectiveMatrix
 from plattice.frames import (
     FRAME_SHAPES,
+    SERIES_ORDER_BUDGET,
     FrameShape,
     double_coset_label,
     double_group,
@@ -18,6 +20,8 @@ from plattice.frames import (
 )
 from plattice.groupsys import GroupDescriptor, member, quotient_generators
 from plattice.cusps import width_at_infinity
+
+from .helpers import dense_eta_series
 
 DOUBLED_DISPLAYS = ["2", "4+", "6+6", "8+", "10+10", "12+", "6|3", "8|2+", "4"]
 
@@ -75,6 +79,16 @@ def random_shape(rng):
         fs = FrameShape(tuple((a, rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])) for a in bases))
         if fs.degree == 24 and min(alpha for _, alpha in fs.parts) < 0 and fs.max_part > 2:
             return fs
+
+
+def two_part_shape(rng):
+    """A degree-24 shape of two parts with bases and exponents up to 12."""
+    while True:
+        a, b = rng.sample(range(1, 13), 2)
+        alpha = rng.choice([e for e in range(-12, 13) if e])
+        rest = 24 - a * alpha
+        if rest and rest % b == 0 and abs(rest // b) <= 12:
+            return FrameShape(tuple(sorted([(a, alpha), (b, rest // b)])))
 
 
 class TestDoubling:
@@ -224,6 +238,56 @@ class TestSeries:
     def test_str_form(self):
         series = eta_quotient_series(FRAME_SHAPES[0], 1)
         assert str(series).startswith("q^-1 - 24 + 276 q")
+
+
+class TestBlockedEngine:
+    # the dense recurrence of tests/helpers.py is the reference; orders
+    # around the block edges reach every part of the packing and decoding
+    @pytest.mark.parametrize(
+        "order",
+        [1, 2, frames._BLOCK - 1, frames._BLOCK, frames._BLOCK + 1, 2 * frames._BLOCK + 1, 5 * frames._BLOCK + 3, 1000],
+    )
+    def test_catalog_matches_dense_recurrence(self, order):
+        for fs in FRAME_SHAPES:
+            assert eta_quotient_series(fs, order) == dense_eta_series(fs, order)
+
+    def test_random_shapes_match_dense_recurrence(self):
+        rng = random.Random(1985)
+        for i in range(40):
+            fs = random_shape(rng) if i % 2 else two_part_shape(rng)
+            order = rng.randint(1, 700)
+            assert eta_quotient_series(fs, order) == dense_eta_series(fs, order), (fs, order)
+
+    @pytest.mark.parametrize("text", ["1^24 2^12", "1^48", "2^12 / 1^24", "1^-24"])
+    def test_other_degrees_match_dense_recurrence(self, text):
+        fs = FrameShape.parse(text)
+        for order in (1, 300):
+            assert eta_quotient_series(fs, order) == dense_eta_series(fs, order)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_tiny_blocks_match_dense_recurrence(self, monkeypatch, block):
+        monkeypatch.setattr(frames, "_BLOCK", block)
+        for fs in FRAME_SHAPES:
+            assert eta_quotient_series(fs, 60) == dense_eta_series(fs, 60)
+
+    def test_a_wrong_decode_is_an_internal_error(self, monkeypatch):
+        # one unit more in the last term of the first block moves the sum
+        # at q^127 by b_1 = 24, which 128 does not divide
+        monkeypatch.setattr(frames, "_BLOCK", 128)
+        slots = frames._slots
+
+        def off_by_one(values, width):
+            if len(values) == frames._BLOCK:  # a block's terms, not b
+                values = values[:-1] + [values[-1] + 1]
+            return slots(values, width)
+
+        monkeypatch.setattr(frames, "_slots", off_by_one)
+        with pytest.raises(AssertionError, match="128 does not divide the q\\^127 sum of 1\\^24"):
+            eta_quotient_series(FRAME_SHAPES[0], 200)
+
+    def test_order_above_the_budget_rejected(self):
+        with pytest.raises(ValueError, match="above the budget of %d" % SERIES_ORDER_BUDGET):
+            eta_quotient_series(FRAME_SHAPES[0], SERIES_ORDER_BUDGET + 1)
 
 
 class TestNumericCheck:

@@ -187,6 +187,18 @@ def test_eta_loads_no_classification(shape):
     assert loaded & {"classify", "diagram"} == set()
 
 
+def test_eta_of_a_frame_shape_loads_only_frames():
+    # text with "^" or "/" is never a group name, so groupsys and the
+    # layers under it (and fractions with them) stay unloaded
+    loaded = _loaded_modules(["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"])
+    assert {m for m in loaded if m.startswith("plattice.")} == {"plattice.cli", "plattice.frames"}
+    assert "fractions" not in loaded
+
+
+def test_eta_of_a_group_name_loads_groupsys():
+    assert "groupsys" in _loaded_layers(["eta", "3|3", "--order", "20"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["index", "8"], ["classify"], ["super", "--check-invariance"]],
