@@ -157,10 +157,12 @@ def frame_shape(desc: GroupDescriptor) -> FrameShape:
 # terms per block of the series engine: 128 was fastest over orders 650-2000
 _BLOCK = 128
 
-# the largest order a series is expanded to, checked before any work starts:
-# the slowest catalog shapes (1^24, 2^24 / 1^24) take about 10 s there on a
-# 2-vCPU host, and the time grows about 4.5-fold per doubling of the order
-SERIES_ORDER_BUDGET = 12000
+# the most terms after the leading one a series is expanded to, checked
+# before any work starts.  It bounds order - leading, not the order alone,
+# because a shape of degree 24k has a pole of order k.  The slowest catalog
+# shapes (1^24, 2^24 / 1^24) take about 10 s at the budget on a 2-vCPU host,
+# and the time grows about 4.5-fold per doubling of the order.
+SERIES_TERM_BUDGET = 12000
 
 
 class IntegerPowerSeries(namedtuple("IntegerPowerSeries", "leading coeffs")):
@@ -231,14 +233,17 @@ def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    if order > SERIES_ORDER_BUDGET:
-        raise ValueError("cannot expand to order %d: above the budget of %d" % (order, SERIES_ORDER_BUDGET))
     if fs.degree % 24:
         raise ValueError("fractional leading exponent for %s" % fs.display)
     leading = -fs.degree // 24
     top = order - leading
     if top < 0:
         raise ValueError("order %d is below the leading exponent %d" % (order, leading))
+    if top > SERIES_TERM_BUDGET:
+        raise ValueError(
+            "cannot expand to order %d: %d terms after q^%d, above the budget of %d"
+            % (order, top, leading, SERIES_TERM_BUDGET)
+        )
     c = [0] * (top + 1)
     for a, alpha in fs.parts:
         for d in range(a, top + 1, a):

@@ -264,8 +264,9 @@ class TestInputBudgets:
             (["cusps", "1000000"], "hypercircle of radius 1000000 has 1800000 members"),
             (["eta", "1^24", "--order", "100000"], "cannot expand to order 100000"),
             (["super", "--series", "100000"], "cannot expand to order 100000"),
+            (["eta", "1^2400000", "--order", "1"], "cannot expand to order 1: 100001 terms after q^-100000"),
         ],
-        ids=["index-huge", "cusps-huge", "project-huge", "hypercircle-wide", "cusps-wide", "eta-order", "super-series"],
+        ids=["index-huge", "cusps-huge", "project-huge", "hypercircle-wide", "cusps-wide", "eta-order", "super-series", "eta-pole"],
     )
     def test_over_budget_input_exits_one(self, argv, message):
         proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)

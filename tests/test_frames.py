@@ -7,7 +7,7 @@ from plattice.diagram import NODE_GROUPS, node_vertex_data
 from plattice.exact import S, T, ProjectiveMatrix
 from plattice.frames import (
     FRAME_SHAPES,
-    SERIES_ORDER_BUDGET,
+    SERIES_TERM_BUDGET,
     FrameShape,
     double_coset_label,
     double_group,
@@ -285,9 +285,15 @@ class TestBlockedEngine:
         with pytest.raises(AssertionError, match="128 does not divide the q\\^127 sum of 1\\^24"):
             eta_quotient_series(FRAME_SHAPES[0], 200)
 
-    def test_order_above_the_budget_rejected(self):
-        with pytest.raises(ValueError, match="above the budget of %d" % SERIES_ORDER_BUDGET):
-            eta_quotient_series(FRAME_SHAPES[0], SERIES_ORDER_BUDGET + 1)
+    @pytest.mark.parametrize(
+        "text, order",
+        [("1^24", SERIES_TERM_BUDGET), ("1^%d" % (24 * SERIES_TERM_BUDGET), 1)],
+        ids=["order", "pole"],
+    )
+    def test_terms_above_the_budget_rejected(self, text, order):
+        # a pole of high order costs as many terms as a high order does
+        with pytest.raises(ValueError, match="terms after q\\^-\\d+, above the budget of %d" % SERIES_TERM_BUDGET):
+            eta_quotient_series(FrameShape.parse(text), order)
 
 
 class TestNumericCheck:
