@@ -185,6 +185,9 @@ def cmd_diagram(args):
 
 
 def cmd_super(args):
+    if not 0 < args.tol < float("inf"):
+        raise ValueError("tolerance must be a positive finite number, not %s" % args.tol)
+
     from .frames import double_group, eta_quotient_series, frame_shape, numeric_invariance_check
     from .groupsys import NODE_GROUPS
 
@@ -210,13 +213,14 @@ def cmd_super(args):
 def cmd_eta(args):
     import re
 
-    from .frames import FrameShape, eta_quotient_series, frame_shape
+    from .frames import VERTEX_SHAPES, FrameShape, eta_quotient_series, frame_shape
 
     text = args.shape.strip()
-    if "^" in text or "/" in text:
-        # no group name survives its integer conversions with these in it,
-        # so the text is a Frame shape and groupsys need not load
-        shape = FrameShape.parse(args.shape)
+    catalog = dict(VERTEX_SHAPES)
+    if text in catalog or "^" in text or "/" in text:
+        # a vertex name is read from the catalog, and no group name survives
+        # its integer conversions with "^" or "/" in it, so groupsys need not load
+        shape = catalog[text] if text in catalog else FrameShape.parse(args.shape)
     else:
         from .groupsys import GroupDescriptor
 
@@ -231,79 +235,73 @@ def cmd_eta(args):
     print(eta_quotient_series(shape, args.order))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command in the order of the help listing: its help text and its
+# arguments, each a positional name or a (flag, keyword options) pair.  The
+# command runs cmd_<name>, looked up when the parser is built, so a wrapper
+# bound to that module name (the benchmark's tracer) is the one called.
+COMMANDS = {
+    "reduce": ("canonical name of a matrix coset", ["matrix"]),
+    "hyperdistance": ("hyperdistance between two names", ["left", "right"]),
+    "hypercircle": ("all names at a given hyperdistance", ["center", ("radius", {"type": int})]),
+    "thread": ("names multiplicatively between two names", ["left", "right"]),
+    "cell": ("whether names project to points or edges everywhere", [("names", {"nargs": "+"})]),
+    "project": ("projection of a name onto a p-adic tree", ["name", ("prime", {"type": int})]),
+    "index": ("index of the level group in the modular group", [("level", {"type": int})]),
+    "cusps": ("cusps and widths of a level group", [("level", {"type": int})]),
+    "groups": ("inspect a group descriptor", ["name", ("--member", {"help": "matrix to test for membership"})]),
+    "level": (
+        "congruence level of a group",
+        ["name", ("--max-n", {"type": int, "help": "a bound the level must divide"})],
+    ),
+    # the bounds default to None, which means the defaults of plattice.classify,
+    # read when the command runs
+    "classify": (
+        "search for the nine vertex groups",
+        [
+            ("--relax-width", {"action": "store_true"}),
+            ("--index-bound", {"type": int}),
+            ("--ratio-bound", {"type": int}),
+        ],
+    ),
+    "diagram": ("vertex invariants and the unique graph", []),
+    "super": (
+        "level-doubled groups and Frame shapes",
+        [
+            ("--frame-shapes", {"action": "store_true"}),
+            ("--series", {"type": int, "metavar": "K"}),
+            ("--check-invariance", {"action": "store_true"}),
+            ("--tol", {"type": float, "default": 1e-6}),
+        ],
+    ),
+    "eta": ("eta-quotient q-expansion of a Frame shape", ["shape", ("--order", {"type": int, "default": 50})]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone with the same texts."""
     parser = argparse.ArgumentParser(
         prog="plattice",
         description="exact projective-lattice calculus for arithmetic groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    # one command's parser still lists every command in its usage line
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=globals()["cmd_" + name])
         p.add_argument("--format", choices=["text", "json", "dot"], default="text")
         p.add_argument("--json", dest="as_json", action="store_true", help="shorthand for --format json")
-        return p
-
-    p = add("reduce", cmd_reduce, help="canonical name of a matrix coset")
-    p.add_argument("matrix")
-
-    p = add("hyperdistance", cmd_hyperdistance, help="hyperdistance between two names")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("hypercircle", cmd_hypercircle, help="all names at a given hyperdistance")
-    p.add_argument("center")
-    p.add_argument("radius", type=int)
-
-    p = add("thread", cmd_thread, help="names multiplicatively between two names")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("cell", cmd_cell, help="whether names project to points or edges everywhere")
-    p.add_argument("names", nargs="+")
-
-    p = add("project", cmd_project, help="projection of a name onto a p-adic tree")
-    p.add_argument("name")
-    p.add_argument("prime", type=int)
-
-    p = add("index", cmd_index, help="index of the level group in the modular group")
-    p.add_argument("level", type=int)
-
-    p = add("cusps", cmd_cusps, help="cusps and widths of a level group")
-    p.add_argument("level", type=int)
-
-    p = add("groups", cmd_groups, help="inspect a group descriptor")
-    p.add_argument("name")
-    p.add_argument("--member", help="matrix to test for membership")
-
-    p = add("level", cmd_level, help="congruence level of a group")
-    p.add_argument("name")
-    p.add_argument("--max-n", type=int, default=None, help="a bound the level must divide")
-
-    p = add("classify", cmd_classify, help="search for the nine vertex groups")
-    p.add_argument("--relax-width", action="store_true")
-    # None means the defaults of plattice.classify, read when the command runs
-    p.add_argument("--index-bound", type=int, default=None)
-    p.add_argument("--ratio-bound", type=int, default=None)
-
-    add("diagram", cmd_diagram, help="vertex invariants and the unique graph")
-
-    p = add("super", cmd_super, help="level-doubled groups and Frame shapes")
-    p.add_argument("--frame-shapes", action="store_true")
-    p.add_argument("--series", type=int, metavar="K")
-    p.add_argument("--check-invariance", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-6)
-
-    p = add("eta", cmd_eta, help="eta-quotient q-expansion of a Frame shape")
-    p.add_argument("shape")
-    p.add_argument("--order", type=int, default=50)
-
+        for argument in arguments:
+            flag, options = argument if isinstance(argument, tuple) else (argument, {})
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # when the first word names a command, only that command's parser is built
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -106,6 +106,8 @@ class FrameShape(namedtuple("FrameShape", "parts")):
     @classmethod
     def parse(cls, text: str) -> "FrameShape":
         num, _, den = text.partition("/")
+        if not (num + " " + den).split():
+            raise ValueError("Frame shape %r has no parts" % text)
 
         def side(chunk, sign):
             out = {}
@@ -123,20 +125,23 @@ class FrameShape(namedtuple("FrameShape", "parts")):
         return cls(parts)
 
 
-FRAME_SHAPES: tuple[FrameShape, ...] = tuple(
-    FrameShape.parse(text)
-    for text in (
-        "1^24",
-        "2^24 / 1^24",
-        "3^12 / 1^12",
-        "4^8 / 1^8",
-        "5^6 / 1^6",
-        "2^6 6^6 / 1^6 3^6",
-        "3^8",
-        "4^12 / 2^12",
-        "1^8 2^8",
+# the catalog: each vertex group's display name with its shape, in vertex
+# order, so a vertex name finds its shape without loading groupsys
+VERTEX_SHAPES: tuple[tuple[str, FrameShape], ...] = tuple(
+    (name, FrameShape.parse(text))
+    for name, text in (
+        ("1", "1^24"),
+        ("2+", "2^24 / 1^24"),
+        ("3+", "3^12 / 1^12"),
+        ("4+", "4^8 / 1^8"),
+        ("5+", "5^6 / 1^6"),
+        ("6+", "2^6 6^6 / 1^6 3^6"),
+        ("3|3", "3^8"),
+        ("4|2+", "4^12 / 2^12"),
+        ("2", "1^8 2^8"),
     )
 )
+FRAME_SHAPES: tuple[FrameShape, ...] = tuple(shape for _, shape in VERTEX_SHAPES)
 
 for _fs in FRAME_SHAPES:
     if _fs.degree != 24:
@@ -144,12 +149,12 @@ for _fs in FRAME_SHAPES:
 
 
 def frame_shape(desc: GroupDescriptor) -> FrameShape:
-    """The catalog shape of a vertex group (the catalog is in vertex order)."""
+    """The catalog shape of a vertex group."""
     from .groupsys import NODE_GROUPS
 
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
-    return FRAME_SHAPES[NODE_GROUPS.index(desc)]
+    return dict(VERTEX_SHAPES)[desc.display]
 
 
 # exact Laurent series ---------------------------------------------------------

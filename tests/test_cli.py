@@ -124,6 +124,88 @@ class TestErrors:
         assert err == "internal error: cusp widths of level 8 do not sum to the index\n"
 
 
+COMMAND_NAMES = list(cli.COMMANDS)
+USAGE = """usage: plattice [-h]
+                {reduce,hyperdistance,hypercircle,thread,cell,project,index,cusps,groups,level,classify,diagram,super,eta}
+                ...
+"""
+COMMAND_HELP = "\n".join(
+    "    %-20s%s" % (name, help_text) for name, (help_text, _) in cli.COMMANDS.items()
+)
+
+
+def parse_with_the_full_parser(capsys, argv):
+    try:
+        cli.build_parser().parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParser:
+    # argparse wraps its texts at the terminal width, read from COLUMNS
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_fourteen_commands(self):
+        assert len(COMMAND_NAMES) == 14
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        found = run(capsys, command, "--help")
+        assert found[0] == 0 and found[1].startswith("usage: plattice %s [-h]" % command)
+        assert found == parse_with_the_full_parser(capsys, [command, "--help"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eta", "3|3", "extra"], ["index", "x"], ["index", "8", "--format", "xml"], ["cell"], ["super", "--tol"]],
+        ids=["extra-word", "bad-int", "bad-choice", "missing-positional", "missing-value"],
+    )
+    def test_command_usage_errors_are_the_full_parsers(self, capsys, argv):
+        found = run(capsys, *argv)
+        assert found[0] == 2 and found[2].startswith("usage: plattice")
+        assert found == parse_with_the_full_parser(capsys, argv)
+
+    @pytest.mark.parametrize("command", ["eta", "classify"])
+    def test_a_command_word_builds_only_its_parser(self, capsys, monkeypatch, command):
+        built = []
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or full(only))
+        run(capsys, command, "--help")
+        run(capsys, "bogus")
+        assert built == [command, None]
+
+    def test_no_arguments(self, capsys):
+        expected = USAGE + "plattice: error: the following arguments are required: command\n"
+        assert run(capsys) == (2, "", expected)
+
+    def test_help(self, capsys):
+        expected = (
+            USAGE
+            + "\nexact projective-lattice calculus for arithmetic groups\n\npositional arguments:\n"
+            + "  {reduce,hyperdistance,hypercircle,thread,cell,project,index,cusps,groups,level,classify,diagram,super,eta}\n"
+            + COMMAND_HELP
+            + "\n\noptions:\n  -h, --help            show this help message and exit\n"
+        )
+        assert run(capsys, "--help") == (0, expected, "")
+
+    def test_unknown_command(self, capsys):
+        choices = ", ".join("'%s'" % name for name in COMMAND_NAMES)
+        expected = USAGE + "plattice: error: argument command: invalid choice: 'bogus' (choose from %s)\n" % choices
+        assert run(capsys, "bogus") == (2, "", expected)
+
+    def test_command_without_its_argument(self, capsys):
+        expected = (
+            "usage: plattice eta [-h] [--format {text,json,dot}] [--json] [--order ORDER]\n"
+            "                    shape\n"
+            "plattice eta: error: the following arguments are required: shape\n"
+        )
+        assert run(capsys, "eta") == (2, "", expected)
+
+
 class TestJsonRoundTrips:
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, "classify", "--json")
@@ -249,6 +331,22 @@ class TestSuper:
         code, out, _ = run(capsys, "super", "--check-invariance", "--tol", "1e-6")
         assert code == 0
         assert out.count("True") == 9
+
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        # inf passed every group and -1 or nan failed every group, with exit 0
+        code, out, err = run(capsys, "super", "--check-invariance", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err == "error: tolerance must be a positive finite number, not %s\n" % float(tol)
+
+    @pytest.mark.parametrize("text", ["", " / ", "/"])
+    def test_eta_of_text_without_parts_exits_one(self, capsys, text):
+        # these printed the series 1 with exit 0
+        assert run(capsys, "eta", text) == (1, "", "error: Frame shape %r has no parts\n" % text)
+
+    @pytest.mark.parametrize("text", ["1^24 / 1^24", "1^0"])
+    def test_eta_of_cancelling_exponents_prints_one(self, capsys, text):
+        assert run(capsys, "eta", text) == (0, "1\n", "")
 
 
 class TestInputBudgets:

@@ -8,6 +8,7 @@ from plattice.exact import S, T, ProjectiveMatrix
 from plattice.frames import (
     FRAME_SHAPES,
     SERIES_TERM_BUDGET,
+    VERTEX_SHAPES,
     FrameShape,
     double_coset_label,
     double_group,
@@ -175,6 +176,25 @@ class TestFrameShapes:
             FrameShape(((2, 1), (2, 3)))
         with pytest.raises(ValueError):
             FrameShape(((1, 0),))
+
+    def test_catalog_names_are_the_vertex_displays(self):
+        assert [name for name, _ in VERTEX_SHAPES] == [d.display for d in NODE_GROUPS]
+        assert tuple(shape for _, shape in VERTEX_SHAPES) == FRAME_SHAPES
+
+    @pytest.mark.parametrize("name", [name for name, _ in VERTEX_SHAPES])
+    def test_lookup_by_parsed_name_is_the_catalog_shape(self, name):
+        assert frame_shape(GroupDescriptor.parse(name)) == dict(VERTEX_SHAPES)[name]
+
+    @pytest.mark.parametrize("text", ["", "   ", "/", " / "])
+    def test_text_without_parts_rejected(self, text):
+        with pytest.raises(ValueError, match="has no parts"):
+            FrameShape.parse(text)
+
+    @pytest.mark.parametrize("text", ["1^24 / 1^24", "1^0"])
+    def test_cancelling_exponents_give_the_empty_shape(self, text):
+        shape = FrameShape.parse(text)
+        assert shape.parts == ()
+        assert str(eta_quotient_series(shape, 5)) == "1"
 
 
 class TestSeries:

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -195,8 +196,55 @@ def test_eta_of_a_frame_shape_loads_only_frames():
     assert "fractions" not in loaded
 
 
-def test_eta_of_a_group_name_loads_groupsys():
-    assert "groupsys" in _loaded_layers(["eta", "3|3", "--order", "20"])
+@pytest.mark.parametrize("name", ["1", "2+", "3+", "4+", "5+", "6+", "3|3", "4|2+", "2"])
+def test_eta_of_a_vertex_name_loads_only_frames(name):
+    # the nine display names are read from the frames catalog
+    loaded = _loaded_modules(["eta", name, "--order", "20"])
+    assert {m for m in loaded if m.startswith("plattice.")} == {"plattice.cli", "plattice.frames"}
+    assert "fractions" not in loaded
+
+
+def test_eta_of_an_alias_loads_groupsys():
+    # another spelling of a vertex group still goes through the group parser
+    assert "groupsys" in _loaded_layers(["eta", "3+3", "--order", "20"])
+    alias = fresh_python("-m", "plattice.cli", "eta", "3+3", "--order", "20")
+    assert alias.stdout == fresh_python("-m", "plattice.cli", "eta", "3+", "--order", "20").stdout
+
+
+# One argv per row of README's start-up table, keyed by the row's command
+# cell; the layers it loads (besides cli) must be exactly the row's.
+README = SRC.parent.parent / "README.md"
+STARTUP_ROWS = {
+    "`reduce`, `hyperdistance`": ["reduce", "[[0,-1],[4,0]]"],
+    "`hypercircle`, `thread`, `cell`, `project`, `index`": ["index", "8"],
+    "`level`, `groups --member`": ["groups", "3|3", "--member", "[[1,0],[0,1]]"],
+    "`groups`, `cusps`": ["cusps", "9"],
+    "`eta` of a Frame shape (text with `^` or `/`)": ["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"],
+    "`eta` of a vertex name (`2+`, `6+`, ...)": ["eta", "6+", "--order", "20"],
+    "`eta` of another group name or a bare number": ["eta", "24", "--order", "20"],
+    "`classify`": ["classify"],
+    "`diagram`": ["diagram"],
+    "`super`": ["super"],
+}
+
+
+def _startup_table() -> dict:
+    text = README.read_text().split("## Start-up", 1)[1]
+    rows = {}
+    for line in text.split("| --- | --- |", 1)[1].strip().split("\n\n", 1)[0].splitlines():
+        command, layers = (cell.strip() for cell in line.strip("|").rsplit("|", 1))
+        names = set(re.findall(r"`(\w+)`", layers))
+        rows[command] = names | ({"exact", "lattice", "tree"} if layers.startswith("...") else set())
+    return rows
+
+
+def test_startup_table_has_one_argv_per_row():
+    assert list(_startup_table()) == list(STARTUP_ROWS)
+
+
+@pytest.mark.parametrize("row", list(STARTUP_ROWS))
+def test_startup_table_row_loads_its_layers(row):
+    assert _loaded_layers(STARTUP_ROWS[row]) - {"cli"} == _startup_table()[row]
 
 
 @pytest.mark.parametrize(
