@@ -13,19 +13,36 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
+
+
+# Output is written in batches of this many characters: with
+# PYTHONUNBUFFERED set each write is a system call, and a write per JSON
+# chunk or per line would cost more than making them.
+WRITE_BATCH = 1 << 16
+
+
+def _write(chunks):
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= WRITE_BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
 
 
 def _print_json(payload):
     import json
 
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # the bytes of print(json.dumps(payload, indent=2, sort_keys=True)),
+    # never held as one string
+    _write(chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), "\n"))
 
 
-def _emit(args, payload_text, payload_json):
-    if getattr(args, "as_json", False) or args.format == "json":
-        _print_json(payload_json)
-    else:
-        print(payload_text)
+def _json_wanted(args) -> bool:
+    return args.as_json or args.format == "json"
 
 
 def cmd_reduce(args):
@@ -48,12 +65,11 @@ def cmd_hypercircle(args):
     circle = hypercircle(LatticeName.parse(args.center), args.radius)
     if args.format == "dot":
         print(hypercircle_dot(circle), end="")
-        return
-    _emit(
-        args,
-        "\n".join(str(x) for x in circle.members),
-        {"center": str(circle.center), "radius": circle.radius, "members": [str(x) for x in circle]},
-    )
+    elif _json_wanted(args):
+        members = [str(x) for x in circle]
+        _print_json({"center": str(circle.center), "radius": circle.radius, "members": members})
+    else:
+        _write(str(x) + "\n" for x in circle.members)
 
 
 def cmd_thread(args):
@@ -61,11 +77,10 @@ def cmd_thread(args):
     from .tree import thread
 
     t = thread(LatticeName.parse(args.left), LatticeName.parse(args.right))
-    _emit(
-        args,
-        "\n".join(str(x) for x in t.members),
-        {"left": str(t.left), "right": str(t.right), "members": [str(x) for x in t]},
-    )
+    if _json_wanted(args):
+        _print_json({"left": str(t.left), "right": str(t.right), "members": [str(x) for x in t]})
+    else:
+        print("\n".join(str(x) for x in t.members))
 
 
 def cmd_cell(args):
@@ -74,7 +89,10 @@ def cmd_cell(args):
 
     names = [LatticeName.parse(x) for x in args.names]
     result = is_cell(names)
-    _emit(args, "true" if result else "false", {"cell": result})
+    if _json_wanted(args):
+        _print_json({"cell": result})
+    else:
+        print("true" if result else "false")
 
 
 def cmd_project(args):
@@ -94,11 +112,13 @@ def cmd_cusps(args):
     from .cusps import cusps_of_gamma0
 
     report = cusps_of_gamma0(args.level)
+    if _json_wanted(args):
+        _print_json(report.to_json())
+        return
     lines = ["representative\twidth"]
-    for orbit, width in report.cusps:
-        lines.append("%s\t%s" % (orbit[0], width))
+    lines.extend("%s\t%s" % cusp for cusp in report.cusps)
     lines.append("cusps: %d  total width: %s" % (report.count, report.total_width))
-    _emit(args, "\n".join(lines), report.to_json())
+    print("\n".join(lines))
 
 
 def cmd_groups(args):
@@ -115,8 +135,10 @@ def cmd_groups(args):
     info = desc.to_json()
     info["width_at_infinity"] = str(width_at_infinity(desc))
     info["intersection_level"] = desc.intersection_level()
-    text = "\n".join("%s: %s" % (k, v) for k, v in sorted(info.items()))
-    _emit(args, text, info)
+    if _json_wanted(args):
+        _print_json(info)
+    else:
+        print("\n".join("%s: %s" % (k, v) for k, v in sorted(info.items())))
 
 
 def cmd_level(args):
@@ -132,7 +154,7 @@ def cmd_classify(args):
     ratio_bound = RATIO_BOUND if args.ratio_bound is None else args.ratio_bound
     hits = classify_hits(index_bound, ratio_bound, args.relax_width)
     found = sorted({h.descriptor for h in hits})
-    if args.as_json or args.format == "json":
+    if _json_wanted(args):
         payload = []
         for desc in found:
             sightings = [h for h in hits if h.descriptor == desc]
@@ -171,7 +193,7 @@ def cmd_diagram(args):
     if args.format == "dot":
         print(emit_dot(graph), end="")
         return
-    if args.as_json or args.format == "json":
+    if _json_wanted(args):
         _print_json(graph.to_json())
         return
     print("group\tscale\tlevel0\tvalency\tfaithful")
@@ -203,7 +225,7 @@ def cmd_super(args):
         if args.check_invariance:
             row["invariant"] = numeric_invariance_check(shape, doubled, tol=args.tol)
         rows.append(row)
-    if args.as_json or args.format == "json":
+    if _json_wanted(args):
         _print_json(rows)
         return
     for row in rows:

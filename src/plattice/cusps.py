@@ -1,10 +1,11 @@
-"""Cusps and widths via translation orbits on lattice sets.
+"""Cusps and widths of the level groups, in closed form.
 
 Cusps of a finite-index subgroup of a one-cusp ambient group correspond to
 the orbits of the ambient translation stabilizer on the ambient orbit of
 lattices; the width of a cusp is the size of its orbit times the ambient
-width at infinity.  Everything is computed inside the name calculus, with
-no projective-line arithmetic.
+width at infinity.  For the level-n group the orbits of the unit shear on
+the hyperradius-n circle about L1 have a closed form, one family per
+divisor of n, so no orbit is walked and no member is built unless printed.
 """
 
 from __future__ import annotations
@@ -15,11 +16,18 @@ from math import gcd
 
 from .exact import translation
 from .groupsys import GroupDescriptor, member
-from .lattice import L1, LatticeName
-from .tree import gamma0_index, hypercircle
+from .lattice import LatticeName, name_text
+from .tree import divisors, hypercircle_size
 
 
 class CuspReport(namedtuple("CuspReport", "group cusps width_at_infinity")):
+    """The cusps of a level group as (representative, width) pairs.
+
+    The representative (a, r, d) is the least name of the cusp's orbit
+    under the unit shear, which is (a, r + k*a mod d, d) for k < width in
+    walk order; the JSON lists it, printed straight from the integers.
+    """
+
     __slots__ = ()
 
     @property
@@ -27,23 +35,23 @@ class CuspReport(namedtuple("CuspReport", "group cusps width_at_infinity")):
         return len(self.cusps)
 
     @property
-    def total_width(self) -> Fraction:
-        return sum((w for _, w in self.cusps), Fraction(0))
+    def total_width(self) -> int:
+        return sum(w for _, w in self.cusps)
 
     def to_json(self) -> dict:
         return {
             "group": self.group.to_json(),
             "width_at_infinity": str(self.width_at_infinity),
             "cusps": [
-                {"orbit": [str(x) for x in orbit], "width": str(w)} for orbit, w in self.cusps
+                {"orbit": [name_text(a, (r + k * a) % d, d) for k in range(w)], "width": str(w)}
+                for (a, r, d), w in self.cusps
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CuspReport":
         cusps = tuple(
-            (tuple(LatticeName.parse(x) for x in entry["orbit"]), Fraction(entry["width"]))
-            for entry in data["cusps"]
+            (LatticeName.parse(entry["orbit"][0]), int(entry["width"])) for entry in data["cusps"]
         )
         return cls(
             GroupDescriptor.from_json(data["group"]),
@@ -61,29 +69,21 @@ def width_at_infinity(desc: GroupDescriptor) -> Fraction:
     raise AssertionError("no translation found in %s" % desc.display)
 
 
-def translation_orbits(points, amount) -> list[tuple[LatticeName, ...]]:
-    """Orbits of the shear by a rational ``amount`` on a finite lattice set.
+def gamma0_cusps(n: int) -> tuple[tuple[LatticeName, int], ...]:
+    """Each cusp of the level-n group as (representative, width), in name order.
 
-    The shear by k/h moves the Hermite triple (a, s, d) to the name of
-    [[a, s], [0, d]] * [[h, k], [0, h]]: (a*h, a*k + s*h, d*h) over its
-    gcd, the middle entry taken mod the last.
+    For a divisor a of n, with d = n/a and g = gcd(a, d), the hypercircle
+    members (a, s, d) fall into the unit-shear orbits s = r mod g, one for
+    each r < g prime to g, each of d/g members: the shear moves (a, s, d)
+    to (a, s + a mod d, d), and a generates gZ mod d.  Names order by a/d
+    first, so increasing a and r list the representatives in name order.
     """
-    k, h = amount.numerator, amount.denominator
-    seen = set()
-    orbits = []
-    for start in sorted(points):
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        while not orbit or cur != start:
-            orbit.append(cur)
-            a, s, d = cur.a * h, cur.a * k + cur.s * h, cur.d * h
-            g = gcd(a, s, d)
-            cur = LatticeName(a // g, s // g % (d // g), d // g)
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
+    out = []
+    for a in divisors(n):
+        d = n // a
+        g = gcd(a, d)
+        out.extend((LatticeName(a, r, d), d // g) for r in range(g) if gcd(r, g) == 1)
+    return tuple(out)
 
 
 def cusps_of_gamma0(n: int) -> CuspReport:
@@ -92,12 +92,12 @@ def cusps_of_gamma0(n: int) -> CuspReport:
     The ambient group is the modular group (width one at infinity) acting
     on the hyperradius-n circle about L1; the stabilizer of L_n is the
     level-n group, so each orbit is one cusp of width equal to its size.
+    The circle's budget holds, since the JSON form lists every member.
     """
     if n < 1:
         raise ValueError("level must be positive")
-    orbits = translation_orbits(hypercircle(L1, n).members, Fraction(1))
-    cusps = tuple((orbit, Fraction(len(orbit))) for orbit in orbits)
-    report = CuspReport(GroupDescriptor.gamma0(n), cusps, Fraction(1))
-    if report.total_width != gamma0_index(n):
+    index = hypercircle_size(n)
+    report = CuspReport(GroupDescriptor.gamma0(n), gamma0_cusps(n), Fraction(1))
+    if report.total_width != index:
         raise AssertionError("cusp widths of level %d do not sum to the index" % n)
     return report

@@ -9,9 +9,9 @@ M = a/d and b = s/d; it hashes as that tuple but orders by (M, b).  This
 module implements the reduction of an arbitrary positive-determinant matrix
 to its name, the right group action on names, hyperdistance, and the dual
 (reverse) naming by lower-triangular representatives.  Reduction, action
-and hyperdistance are integer arithmetic; ``fractions.Fraction`` appears
-only where a name is built from, read as, or printed as the pair (M, b),
-and in the reverse names.
+and hyperdistance are integer arithmetic, and so is printing a name;
+``fractions.Fraction`` appears only where a name is built from or read as
+the pair (M, b), and in the reverse names.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .exact import ProjectiveMatrix, primitive_rep
+from .exact import ProjectiveMatrix, parse_rational, primitive_rep
 
 
 class LatticeName(namedtuple("LatticeName", "a s d")):
@@ -63,14 +63,14 @@ class LatticeName(namedtuple("LatticeName", "a s d")):
         return ProjectiveMatrix.from_ints(self.a, self.s, 0, self.d)
 
     def __str__(self) -> str:
-        return "%s,%s" % (self.m, self.b)
+        return name_text(*self)
 
     @classmethod
     def parse(cls, text: str) -> "LatticeName":
         parts = text.strip().split(",")
         if len(parts) != 2:
             raise ValueError("bad lattice name %r (expected M,b)" % text)
-        return lattice(parts[0], parts[1])
+        return lattice(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
 class ReverseName(namedtuple("ReverseName", "b m")):
@@ -91,6 +91,17 @@ class ReverseName(namedtuple("ReverseName", "b m")):
 
 
 L1 = LatticeName(1, 0, 1)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    # p/q for q > 0, printed as its Fraction prints
+    g = gcd(p, q)
+    return "%d" % (p // g) if g == q else "%d/%d" % (p // g, q // g)
+
+
+def name_text(a: int, s: int, d: int) -> str:
+    """The printed name ``M,b`` of the Hermite triple (a, s, d), from integers."""
+    return "%s,%s" % (_ratio_text(a, d), _ratio_text(s, d))
 
 
 def lattice(m, b=0) -> LatticeName:

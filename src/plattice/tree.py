@@ -85,16 +85,27 @@ class HyperCircle:
 
 def _hypercircle_at_l1(n: int) -> list[LatticeName]:
     # cosets at hyperdistance n <-> upper Hermite forms [[a, b], [0, d]]
-    # with a*d == n, 0 <= b < d, gcd(a, b, d) == 1: the names' own triples
+    # with a*d == n, 0 <= b < d, gcd(a, b, d) == 1: the names' own triples.
+    # M = a/d = n/d**2 falls as d grows, so running d down and b up lists
+    # them in name order with no sort
     out = []
-    for d in divisors(n):
+    for d in reversed(divisors(n)):
         a = n // d
         g0 = gcd(a, d)
-        for b in range(d):
-            if gcd(g0, b) == 1:
-                out.append(LatticeName(a, b, d))
-    out.sort()
+        out.extend(LatticeName(a, b, d) for b in range(d) if gcd(g0, b) == 1)
     return out
+
+
+def hypercircle_size(radius: int) -> int:
+    """The member count gamma0_index(radius), refused above HYPERCIRCLE_BOUND."""
+    if radius < 1:
+        raise ValueError("hyperradius must be >= 1, got %d" % radius)
+    size = gamma0_index(radius)
+    if size > HYPERCIRCLE_BOUND:
+        raise ValueError(
+            "hypercircle of radius %d has %d members: above the budget of 10**6" % (radius, size)
+        )
+    return size
 
 
 def hypercircle(center: LatticeName, radius: int) -> HyperCircle:
@@ -105,19 +116,14 @@ def hypercircle(center: LatticeName, radius: int) -> HyperCircle:
     More than HYPERCIRCLE_BOUND members is a ValueError, raised before any
     member is enumerated.
     """
-    if radius < 1:
-        raise ValueError("hyperradius must be >= 1, got %d" % radius)
-    size = gamma0_index(radius)
-    if size > HYPERCIRCLE_BOUND:
-        raise ValueError(
-            "hypercircle of radius %d has %d members: above the budget of 10**6" % (radius, size)
-        )
-    base = _hypercircle_at_l1(radius)
-    if center == L1:
-        members = base
-    else:
+    hypercircle_size(radius)
+    members = _hypercircle_at_l1(radius)
+    if center != L1:
+        # moved in place, so each name at L1 is dropped as its image is made
         g = center.matrix()
-        members = sorted(act(x, g) for x in base)
+        for i, x in enumerate(members):
+            members[i] = act(x, g)
+        members.sort()
     return HyperCircle(center, radius, tuple(members))
 
 

@@ -1,12 +1,14 @@
 """Reference code that only the tests use: element orders, lattice-set
 actions and whole subgroup lattices of finite quotients, the two
-instantiated characters, cusp counts, balls of the p-adic trees, graph
-edges by group name and the dense eta-series recurrence."""
+instantiated characters, shear orbits, cusp counts and the cusp report
+they give, balls of the p-adic trees, graph edges by group name and the
+dense eta-series recurrence."""
 
 import operator
 from fractions import Fraction
+from math import gcd
 
-from plattice.cusps import translation_orbits, width_at_infinity
+from plattice.cusps import width_at_infinity
 from plattice.exact import ProjectiveMatrix, translation
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.groupsys import (
@@ -100,6 +102,48 @@ def character_lambda(case: int) -> Character:
         q = finite_quotient(GroupDescriptor(2, 4, frozenset({2})), GroupDescriptor.gamma0(8))
         return Character(q, points, 2, ())
     raise ValueError("character construction defined only for N=9, N=8")
+
+
+def translation_orbits(points, amount) -> list[tuple[LatticeName, ...]]:
+    """Orbits of the shear by a rational ``amount`` on a finite lattice set.
+
+    The shear by k/h moves the Hermite triple (a, s, d) to the name of
+    [[a, s], [0, d]] * [[h, k], [0, h]]: (a*h, a*k + s*h, d*h) over its
+    gcd, the middle entry taken mod the last.  Each orbit starts at its
+    least name, and the orbits come in the order of those names.
+    """
+    k, h = amount.numerator, amount.denominator
+    seen = set()
+    orbits = []
+    for start in sorted(points):
+        if start in seen:
+            continue
+        orbit = []
+        cur = start
+        while not orbit or cur != start:
+            orbit.append(cur)
+            a, s, d = cur.a * h, cur.a * k + cur.s * h, cur.d * h
+            g = gcd(a, s, d)
+            cur = LatticeName(a // g, s // g % (d // g), d // g)
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def orbit_cusp_outputs(n: int) -> tuple[str, dict]:
+    """The text and JSON of ``plattice cusps n``, from the unit-shear orbits
+    walked on the whole hypercircle, as the command printed them before the
+    closed form."""
+    orbits = translation_orbits(hypercircle(L1, n).members, Fraction(1))
+    lines = ["representative\twidth"]
+    lines += ["%s\t%d" % (orbit[0], len(orbit)) for orbit in orbits]
+    lines.append("cusps: %d  total width: %d" % (len(orbits), sum(map(len, orbits))))
+    payload = {
+        "group": GroupDescriptor.gamma0(n).to_json(),
+        "width_at_infinity": "1",
+        "cusps": [{"orbit": [str(x) for x in orbit], "width": str(len(orbit))} for orbit in orbits],
+    }
+    return "\n".join(lines) + "\n", payload
 
 
 def cusp_count(ambient: GroupDescriptor, orbit) -> int:

@@ -72,6 +72,23 @@ class TestErrors:
         assert "Fraction(" not in err
         assert err.strip() == "error: matrix does not have positive determinant: [[1,0],[0,-1]]"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hypercircle", "1/0,0", "2"],
+            ["hyperdistance", "1,1/0", "1,0"],
+            ["thread", "1,0", "1/0,0"],
+            ["cell", "1,0", "1/0,0"],
+            ["project", "1/0,0", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_denominator_in_a_name(self, argv):
+        # these printed "error: Fraction(1, 0)"; a matrix literal names the token
+        proc = fresh_python("-m", "plattice.cli", *argv, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: bad rational literal '1/0'\n"
+
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run(capsys, "not-a-command")
         assert code == 2
@@ -246,6 +263,58 @@ class TestJsonRoundTrips:
         code, out, _ = run(capsys, "hypercircle", "1,0", "9", "--json")
         data = json.loads(out)
         assert len(data["members"]) == 12
+
+
+class CountingStdout:
+    """A stdout stand-in that keeps what is written and counts the writes."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestPrintJson:
+    @staticmethod
+    def payloads():
+        from plattice.cusps import cusps_of_gamma0
+        from plattice.diagram import build_graph, node_vertex_data
+        from plattice.lattice import L1
+        from plattice.tree import hypercircle
+
+        circle = hypercircle(L1, 5000)
+        yield "classify", None
+        yield "diagram", build_graph(node_vertex_data()).to_json()
+        yield "cusps", cusps_of_gamma0(3218).to_json()
+        yield "hypercircle", {"center": "1,0", "radius": 5000, "members": [str(x) for x in circle]}
+
+    def test_bytes_and_writes(self, capsys, monkeypatch):
+        for name, payload in self.payloads():
+            if payload is None:
+                # the classify payload is assembled inside its command
+                assert main(["classify", "--json"]) == 0
+                payload = json.loads(capsys.readouterr().out)
+            stdout = CountingStdout()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            cli._print_json(payload)
+            monkeypatch.undo()
+            out = "".join(stdout.parts)
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
+            assert len(stdout.parts) <= len(out.encode()) // 65536 + 2, name
+
+    def test_large_outputs_are_written_in_batches(self, monkeypatch):
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["hypercircle", "1,0", "5000"]) == 0
+        monkeypatch.undo()
+        out = "".join(stdout.parts)
+        assert len(out.splitlines()) == 9000
+        assert len(stdout.parts) <= len(out.encode()) // 65536 + 2
 
 
 class TestDot:

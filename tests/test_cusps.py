@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from plattice import cli, cusps, tree
 from plattice.cusps import (
     CuspReport,
     cusps_of_gamma0,
-    translation_orbits,
     width_at_infinity,
 )
 from plattice.exact import translation
@@ -14,7 +14,7 @@ from plattice.groupsys import GroupDescriptor
 from plattice.lattice import L1, act, lattice
 from plattice.tree import gamma0_index, hypercircle
 
-from .helpers import cusp_count
+from .helpers import cusp_count, orbit_cusp_outputs, translation_orbits
 
 
 class TestWidthAtInfinity:
@@ -61,12 +61,11 @@ class TestGamma0Cusps:
         # the orbit of L_n is the width-1 infinity cusp; the orbit through
         # L_{1/n} has size n (the zero cusp)
         for n in range(2, 31):
-            report = cusps_of_gamma0(n)
-            for orbit, width in report.cusps:
-                if lattice(n) in orbit:
-                    assert width == 1
-                if lattice(Fraction(1, n)) in orbit:
-                    assert width == n
+            for cusp in cusps_of_gamma0(n).to_json()["cusps"]:
+                if str(lattice(n)) in cusp["orbit"]:
+                    assert cusp["width"] == "1"
+                if str(lattice(Fraction(1, n))) in cusp["orbit"]:
+                    assert cusp["width"] == str(n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -128,3 +127,27 @@ class TestOrbits:
             assert translation_orbits(points, amount) == matrix_orbits(points, amount)
         points = hypercircle(lattice(Fraction(2, 3), Fraction(1, 5)), 12).members
         assert translation_orbits(points, amount) == matrix_orbits(points, amount)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_command_prints_the_walked_report(self, capsys, fmt):
+        for n in range(1, 401):
+            assert cli.main(["cusps", str(n), "--format", fmt]) == 0
+            text, payload = orbit_cusp_outputs(n)
+            if fmt == "json":
+                text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert capsys.readouterr().out == text, n
+
+    @pytest.mark.parametrize("fmt", ["text", "dot", "json"])
+    def test_command_walks_no_hypercircle(self, capsys, monkeypatch, fmt):
+        def refuse(*args):
+            raise AssertionError("the hypercircle was built")
+
+        monkeypatch.setattr(tree, "hypercircle", refuse)
+        monkeypatch.setattr(tree, "_hypercircle_at_l1", refuse)
+        if fmt != "json":
+            # text and DOT print representatives and widths alone
+            monkeypatch.setattr(cusps, "name_text", refuse)
+        assert cli.main(["cusps", "3218", "--format", fmt]) == 0
+        assert capsys.readouterr().out.endswith("cusps: 4  total width: 4830\n" if fmt != "json" else "}\n")

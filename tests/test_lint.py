@@ -27,10 +27,11 @@ def test_no_bare_asserts_in_package():
 
 
 # matrices and lattice names are integers between parse and print, so the
-# product, reduction and coset-key path must build no rationals
+# product, reduction, coset-key, cusp and name-printing paths must build no
+# rationals
 INTEGER_ONLY = {
     "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints"),
-    "lattice.py": ("reduce_matrix", "act", "hyperdistance"),
+    "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
     "tree.py": ("divisors", "thread", "_lattice_sum"),
     "groupsys.py": (
         "_coset_key",
@@ -41,7 +42,7 @@ INTEGER_ONLY = {
         "normalizer_quotient_orders",
     ),
     "classify.py": ("may_pass",),
-    "cusps.py": ("translation_orbits",),
+    "cusps.py": ("gamma0_cusps", "CuspReport.to_json"),
 }
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}
 
