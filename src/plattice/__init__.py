@@ -1,7 +1,7 @@
 """Exact projective-lattice calculus for arithmetic subgroups.
 
 Computes with names for projective lattices (exact integer arithmetic,
-rationals only at the parse and print edges), the groups between
+rationals read and printed as integer pairs), the groups between
 congruence subgroups and their normalizers, cusps and widths, the
 classification of the nine groups labeling the extended E8 diagram, the
 reconstruction of that diagram from group invariants, and the
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # home module -> the names it exports through the package
 _HOMES = {
     "exact": ("ProjectiveMatrix", "pdet", "primitive_rep"),
-    "lattice": ("LatticeName", "ReverseName", "act", "hyperdistance", "reduce_matrix"),
+    "lattice": ("LatticeName", "act", "hyperdistance", "reduce_matrix"),
     "tree": ("HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"),
     "groupsys": (
         "FiniteQuotient",
@@ -34,8 +34,9 @@ _HOMES = {
         "member",
         "normalizer_of_gamma0",
         "schreier_generators",
+        "width_at_infinity",
     ),
-    "cusps": ("CuspReport", "cusps_of_gamma0", "width_at_infinity"),
+    "cusps": ("CuspReport", "cusps_of_gamma0"),
     "classify": ("Candidate", "candidate_levels", "check_conditions", "classify"),
     "diagram": ("LabeledGraph", "VertexData", "build_graph", "emit_dot", "vertex_data"),
     "frames": (

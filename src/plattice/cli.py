@@ -64,7 +64,7 @@ def cmd_hypercircle(args):
 
     circle = hypercircle(LatticeName.parse(args.center), args.radius)
     if args.format == "dot":
-        print(hypercircle_dot(circle), end="")
+        _write(hypercircle_dot(circle))
     elif _json_wanted(args):
         members = [str(x) for x in circle]
         _print_json({"center": str(circle.center), "radius": circle.radius, "members": members})
@@ -130,10 +130,11 @@ def cmd_groups(args):
 
         print("true" if member(parse_matrix(args.member), desc) else "false")
         return
-    from .cusps import width_at_infinity
+    from .groupsys import width_at_infinity
 
+    k, h = width_at_infinity(desc)
     info = desc.to_json()
-    info["width_at_infinity"] = str(width_at_infinity(desc))
+    info["width_at_infinity"] = "%d" % k if h == 1 else "%d/%d" % (k, h)
     info["intersection_level"] = desc.intersection_level()
     if _json_wanted(args):
         _print_json(info)

@@ -11,17 +11,14 @@ divisor of n, so no orbit is walked and no member is built unless printed.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
-from .exact import translation
-from .groupsys import GroupDescriptor, member
 from .lattice import LatticeName, name_text
 from .tree import divisors, hypercircle_size
 
 
-class CuspReport(namedtuple("CuspReport", "group cusps width_at_infinity")):
-    """The cusps of a level group as (representative, width) pairs.
+class CuspReport(namedtuple("CuspReport", "level cusps")):
+    """The cusps of the level group as (representative, width) pairs.
 
     The representative (a, r, d) is the least name of the cusp's orbit
     under the unit shear, which is (a, r + k*a mod d, d) for k < width in
@@ -39,9 +36,12 @@ class CuspReport(namedtuple("CuspReport", "group cusps width_at_infinity")):
         return sum(w for _, w in self.cusps)
 
     def to_json(self) -> dict:
+        # the group's record is written only here, so only the JSON loads groupsys
+        from .groupsys import GroupDescriptor
+
         return {
-            "group": self.group.to_json(),
-            "width_at_infinity": str(self.width_at_infinity),
+            "group": GroupDescriptor.gamma0(self.level).to_json(),
+            "width_at_infinity": "1",
             "cusps": [
                 {"orbit": [name_text(a, (r + k * a) % d, d) for k in range(w)], "width": str(w)}
                 for (a, r, d), w in self.cusps
@@ -53,20 +53,7 @@ class CuspReport(namedtuple("CuspReport", "group cusps width_at_infinity")):
         cusps = tuple(
             (LatticeName.parse(entry["orbit"][0]), int(entry["width"])) for entry in data["cusps"]
         )
-        return cls(
-            GroupDescriptor.from_json(data["group"]),
-            cusps,
-            Fraction(data["width_at_infinity"]),
-        )
-
-
-def width_at_infinity(desc: GroupDescriptor) -> Fraction:
-    """Least positive translation amount whose shear lies in the group."""
-    h = desc.h
-    for k in range(1, h * desc.n + 1):
-        if member(translation(Fraction(k, h)), desc):
-            return Fraction(k, h)
-    raise AssertionError("no translation found in %s" % desc.display)
+        return cls(data["group"]["n"], cusps)
 
 
 def gamma0_cusps(n: int) -> tuple[tuple[LatticeName, int], ...]:
@@ -97,7 +84,7 @@ def cusps_of_gamma0(n: int) -> CuspReport:
     if n < 1:
         raise ValueError("level must be positive")
     index = hypercircle_size(n)
-    report = CuspReport(GroupDescriptor.gamma0(n), gamma0_cusps(n), Fraction(1))
+    report = CuspReport(n, gamma0_cusps(n))
     if report.total_width != index:
         raise AssertionError("cusp widths of level %d do not sum to the index" % n)
     return report

@@ -24,7 +24,7 @@ from .groupsys import (
     normalizer_of_gamma0,
     normalizer_quotient,
 )
-from .lattice import L1, act, lattice
+from .lattice import L1, LatticeName, act
 from .tree import divisors
 
 ENVELOPE_SEARCH_BOUND = 64
@@ -93,7 +93,7 @@ class VertexData(
         return cls(**fields)
 
 
-PAIR_BASE = frozenset({L1, lattice(2)})
+PAIR_BASE = frozenset({L1, LatticeName(2, 0, 1)})
 
 
 def pair_orbit_size(desc: GroupDescriptor, bound: int = 64) -> int:
@@ -149,15 +149,6 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
 
 class LabeledGraph(namedtuple("LabeledGraph", "vertices edges")):
     __slots__ = ()
-
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
 
     def to_json(self) -> dict:
         return {

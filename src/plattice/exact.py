@@ -5,17 +5,33 @@ is a nonzero 2x2 matrix with positive determinant, considered up to scaling
 by nonzero rationals.  It is stored as its unique primitive integral
 representative (content 1, first nonzero entry positive), a named tuple
 (a, b, c, d) that is compared and hashed as a tuple.  Products and inverses
-are integer arithmetic through the one normaliser ``from_ints``;
-``fractions.Fraction`` appears only where rational input is read:
-``primitive_rep`` clears its denominators, and the text parsers.
+are integer arithmetic through the one normaliser ``from_ints``.  A
+rational is read as an integer pair (p, q) with q > 0, and
+``clear_denominators`` is the one place such pairs become integers.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
+
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
+def clear_denominators(pairs) -> tuple[int, ...]:
+    """The rationals p/q of ``pairs`` (q > 0) scaled to integers with content 1.
+
+    The scale is the positive one that clears every denominator and then
+    divides out the gcd of the results; not every p may be zero.
+    """
+    den = lcm(*(q for _, q in pairs))
+    ints = [p * (den // q) for p, q in pairs]
+    content = gcd(*ints)
+    if content == 0:
+        raise ValueError("zero matrix has no primitive representative")
+    return tuple(x // content for x in ints)
 
 
 def primitive_rep(entries: Iterable) -> tuple[int, int, int, int]:
@@ -23,15 +39,12 @@ def primitive_rep(entries: Iterable) -> tuple[int, int, int, int]:
 
     Returns the unique positive-rational multiple of the input that is
     integral with content 1 (gcd of absolute entries equal to 1).  This is
-    total on nonzero matrices, including those with zero entries.
+    total on nonzero matrices, including those with zero entries.  The
+    entries are ints or ``Fraction``s, read through their ``numerator``
+    and ``denominator``.
     """
-    a, b, c, d = (Fraction(x) for x in entries)
-    if a == b == c == d == 0:
-        raise ValueError("zero matrix has no primitive representative")
-    den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    ia, ib, ic, id_ = (int(x * den) for x in (a, b, c, d))
-    content = gcd(ia, ib, ic, id_)
-    return (ia // content, ib // content, ic // content, id_ // content)
+    a, b, c, d = entries
+    return clear_denominators([(x.numerator, x.denominator) for x in (a, b, c, d)])
 
 
 class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
@@ -116,7 +129,6 @@ def lower_translation(amount) -> ProjectiveMatrix:
 
 def dilation(m) -> ProjectiveMatrix:
     """Diagonal [[M, 0], [0, 1]] for a positive rational M."""
-    m = Fraction(m)
     if m <= 0:
         raise ValueError("dilation requires a positive rational, got %s" % m)
     return ProjectiveMatrix.from_entries(m, 0, 0, 1)
@@ -125,11 +137,12 @@ def dilation(m) -> ProjectiveMatrix:
 # Text serialization ---------------------------------------------------------
 
 
-def parse_rational(token: str) -> Fraction:
-    try:
-        return Fraction(token.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("bad rational literal %r" % token) from exc
+def parse_rational(token: str) -> tuple[int, int]:
+    """Read ``p`` or ``p/q`` (decimal digits, ``p`` signed) as the pair (p, q), q > 0."""
+    match = _RATIONAL.fullmatch(token)
+    if match is None or match[2] is not None and int(match[2]) == 0:
+        raise ValueError("bad rational literal %r" % token)
+    return int(match[1]), int(match[2] or 1)
 
 
 def parse_matrix(text: str) -> ProjectiveMatrix:
@@ -147,4 +160,4 @@ def parse_matrix(text: str) -> ProjectiveMatrix:
         if len(parts) != 2:
             raise ValueError("bad matrix literal %r" % text)
         entries.extend(parse_rational(p) for p in parts)
-    return ProjectiveMatrix.from_entries(*entries)
+    return ProjectiveMatrix.from_ints(*clear_denominators(entries))

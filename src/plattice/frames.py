@@ -87,14 +87,6 @@ class FrameShape(namedtuple("FrameShape", "parts")):
         return sum(a * alpha for a, alpha in self.parts)
 
     @property
-    def max_part(self) -> int:
-        return max(a for a, _ in self.parts)
-
-    @property
-    def predicted_valency(self) -> int:
-        return sum(1 for _, alpha in self.parts if alpha < 0) + 1
-
-    @property
     def display(self) -> str:
         num = " ".join("%d^%d" % (a, alpha) for a, alpha in self.parts if alpha > 0)
         den = " ".join("%d^%d" % (a, -alpha) for a, alpha in self.parts if alpha < 0)

@@ -18,20 +18,11 @@ permutations along the enumeration tree.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
-from .exact import (
-    IDENTITY,
-    S,
-    T,
-    ProjectiveMatrix,
-    dilation,
-    lower_translation,
-    translation,
-)
-from .lattice import LatticeName, act, lattice, reduce_matrix
+from .exact import IDENTITY, S, T, ProjectiveMatrix
+from .lattice import LatticeName, act, reduce_matrix
 from .tree import divisors, gamma0_index, hypercircle, thread
 
 # (h, n) pairs for which the canonical index-h kernel is implemented; the
@@ -210,9 +201,10 @@ def _kernel_action_set(h: int, n: int) -> tuple[LatticeName, ...]:
     flip the sign of the Atkin-Lehner coset).
     """
     if h == 3:
-        return hypercircle(lattice(3), 3).members
-    members = set(hypercircle(lattice(2), 2)) | set(hypercircle(lattice(n), 2))
-    spine = set(thread(lattice(2), lattice(n)).members)
+        return hypercircle(LatticeName(3, 0, 1), 3).members
+    l2, ln = LatticeName(2, 0, 1), LatticeName(n, 0, 1)
+    members = set(hypercircle(l2, 2)) | set(hypercircle(ln, 2))
+    spine = set(thread(l2, ln).members)
     return tuple(sorted(members - spine))
 
 
@@ -279,6 +271,16 @@ def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
     return True
 
 
+def width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
+    """Least positive k/h, as (k, h) in lowest terms, whose shear lies in the group."""
+    h = desc.h
+    for k in range(1, h * desc.n + 1):
+        if member(ProjectiveMatrix.from_ints(h, k, 0, h), desc):
+            g = gcd(k, h)
+            return k // g, h // g
+    raise AssertionError("no translation found in %s" % desc.display)
+
+
 def _member_cosets(q: FiniteQuotient, desc: GroupDescriptor) -> frozenset[int]:
     """Indices of the quotient's representatives that lie in the described group."""
     return frozenset(i for i, rep in enumerate(q.reps) if member(rep, desc))
@@ -312,7 +314,7 @@ def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
 def conjugated_al_representative(desc_h: int, m: int, e: int) -> ProjectiveMatrix:
     """Representative of the label-e coset inside the (h, n) family, n = h*m."""
     rep = al_coset_representative(m, e)
-    gh = dilation(desc_h)
+    gh = ProjectiveMatrix.from_ints(desc_h, 0, 0, 1)
     return gh.inv() * rep * gh
 
 
@@ -360,7 +362,7 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
     """
     if n < 1:
         raise ValueError("level must be positive")
-    base = lattice(n)
+    base = LatticeName(n, 0, 1)
     transversal: dict[LatticeName, ProjectiveMatrix] = {base: IDENTITY}
     frontier = [base]
     gens = [S, T, T.inv()]
@@ -487,8 +489,8 @@ def quotient_generators(big: GroupDescriptor) -> list[ProjectiveMatrix]:
         return list(_kernel_coset_generators(big.h, big.n, big.plus))
     gens = []
     if big.h > 1:
-        gens.append(translation(Fraction(1, big.h)))
-        gens.append(lower_translation(big.n))
+        gens.append(ProjectiveMatrix.from_ints(big.h, 1, 0, big.h))
+        gens.append(ProjectiveMatrix.from_ints(1, 0, big.n, 1))
     gens.extend(
         conjugated_al_representative(big.h, big.n // big.h, e) for e in sorted(big.plus)
     )

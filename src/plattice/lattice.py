@@ -7,20 +7,17 @@ lattice's name.  A name is stored as the named tuple (a, s, d) of the
 primitive integral form [[a, s], [0, d]] of that representative, so
 M = a/d and b = s/d; it hashes as that tuple but orders by (M, b).  This
 module implements the reduction of an arbitrary positive-determinant matrix
-to its name, the right group action on names, hyperdistance, and the dual
-(reverse) naming by lower-triangular representatives.  Reduction, action
-and hyperdistance are integer arithmetic, and so is printing a name;
-``fractions.Fraction`` appears only where a name is built from or read as
-the pair (M, b), and in the reverse names.
+to its name, the right group action on names and hyperdistance.  All of it
+is integer arithmetic, and so are reading and printing a name: M and b are
+read as integer pairs (p, q).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
-from .exact import ProjectiveMatrix, parse_rational, primitive_rep
+from .exact import ProjectiveMatrix, clear_denominators, parse_rational
 
 
 class LatticeName(namedtuple("LatticeName", "a s d")):
@@ -35,14 +32,6 @@ class LatticeName(namedtuple("LatticeName", "a s d")):
     def __init__(self, a, s, d):
         if not (a > 0 and 0 <= s < d) or gcd(a, s, d) != 1:
             raise ValueError("(%s, %s, %s) is not a primitive Hermite triple" % (a, s, d))
-
-    @property
-    def m(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.s, self.d)
 
     # a tuple's own comparisons would order by (a, s, d), so all four are here
     def __lt__(self, other: "LatticeName") -> bool:
@@ -70,24 +59,7 @@ class LatticeName(namedtuple("LatticeName", "a s d")):
         parts = text.strip().split(",")
         if len(parts) != 2:
             raise ValueError("bad lattice name %r (expected M,b)" % text)
-        return lattice(parse_rational(parts[0]), parse_rational(parts[1]))
-
-
-class ReverseName(namedtuple("ReverseName", "b m")):
-    """The dual pair (b, M), naming by lower-triangular [[1, 0], [b, M]]."""
-
-    __slots__ = ()
-
-    def __new__(cls, b, m):
-        b, m = Fraction(b), Fraction(m)
-        if m <= 0:
-            raise ValueError("reverse name needs M > 0, got %s" % m)
-        if not (0 <= b < 1):
-            raise ValueError("reverse name needs 0 <= b < 1, got %s" % b)
-        return super().__new__(cls, b, m)
-
-    def matrix(self) -> ProjectiveMatrix:
-        return ProjectiveMatrix.from_entries(1, 0, self.b, self.m)
+        return _name_of_pairs(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
 L1 = LatticeName(1, 0, 1)
@@ -104,15 +76,19 @@ def name_text(a: int, s: int, d: int) -> str:
     return "%s,%s" % (_ratio_text(a, d), _ratio_text(s, d))
 
 
-def lattice(m, b=0) -> LatticeName:
-    """The name of rational M > 0 and 0 <= b < 1."""
-    m, b = Fraction(m), Fraction(b)
-    if m <= 0:
-        raise ValueError("lattice name needs M > 0, got %s" % m)
-    if not (0 <= b < 1):
-        raise ValueError("lattice name needs 0 <= b < 1, got %s" % b)
-    a, s, _, d = primitive_rep((m, b, 0, 1))
+def _name_of_pairs(m: tuple[int, int], b: tuple[int, int]) -> LatticeName:
+    # M = p/q and b = p'/q' with q, q' > 0, checked and cleared to (a, s, d)
+    if m[0] <= 0:
+        raise ValueError("lattice name needs M > 0, got %s" % _ratio_text(*m))
+    if not 0 <= b[0] < b[1]:
+        raise ValueError("lattice name needs 0 <= b < 1, got %s" % _ratio_text(*b))
+    a, s, _, d = clear_denominators((m, b, (0, 1), (1, 1)))
     return LatticeName(a, s, d)
+
+
+def lattice(m, b=0) -> LatticeName:
+    """The name of rational M > 0 and 0 <= b < 1 (ints or ``Fraction``s)."""
+    return _name_of_pairs((m.numerator, m.denominator), (b.numerator, b.denominator))
 
 
 def reduce_matrix(g: ProjectiveMatrix) -> LatticeName:
@@ -144,25 +120,3 @@ def act(name: LatticeName, g: ProjectiveMatrix) -> LatticeName:
 def hyperdistance(x: LatticeName, y: LatticeName) -> int:
     """Projective determinant of the transition matrix between two names."""
     return (y.matrix() * x.matrix().inv()).pdet()
-
-
-def reverse_name(name: LatticeName) -> ReverseName:
-    """The lower-triangular name of the same projective lattice.
-
-    (M, 0) maps to (0, 1/M); (M, f/g) in lowest terms maps to
-    (f'/g, 1/(g^2 M)) where f f' == 1 (mod g) and 0 < f' < g.
-    """
-    if name.b == 0:
-        return ReverseName(Fraction(0), 1 / name.m)
-    f, g = name.b.numerator, name.b.denominator
-    fp = pow(f, -1, g)
-    return ReverseName(Fraction(fp, g), 1 / (g * g * name.m))
-
-
-def name_of(rev: ReverseName) -> LatticeName:
-    """Inverse of :func:`reverse_name`."""
-    if rev.b == 0:
-        return lattice(1 / rev.m)
-    fp, g = rev.b.numerator, rev.b.denominator
-    f = pow(fp, -1, g)
-    return lattice(1 / (g * g * rev.m), Fraction(f, g))

@@ -223,8 +223,8 @@ def is_cell(names) -> bool:
     return True
 
 
-def hypercircle_dot(circle: HyperCircle) -> str:
-    """DOT rendering of the members of the circle, with no edges.
+def hypercircle_dot(circle: HyperCircle):
+    """DOT rendering of the members of the circle, with no edges, line by line.
 
     An edge would join two members at prime hyperdistance, and no two
     members are.  The hyperdistance is the product of p**d_p over the
@@ -233,7 +233,8 @@ def hypercircle_dot(circle: HyperCircle) -> str:
     that tree, and a tree is bipartite, so d_p is even: the hyperdistance
     between two members of one hypercircle is a perfect square.
     """
-    lines = ["graph hypercircle {", '  node [shape=box, fontname="monospace"];']
-    lines.extend('  n%d [label="%s"];' % (i, name) for i, name in enumerate(circle.members))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph hypercircle {\n"
+    yield '  node [shape=box, fontname="monospace"];\n'
+    for i, name in enumerate(circle.members):
+        yield '  n%d [label="%s"];\n' % (i, name)
+    yield "}\n"

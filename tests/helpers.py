@@ -1,14 +1,16 @@
-"""Reference code that only the tests use: element orders, lattice-set
+"""Reference code that only the tests use: a name's pair (M, b) as
+Fractions and the dual (reverse) names, element orders, lattice-set
 actions and whole subgroup lattices of finite quotients, the two
 instantiated characters, shear orbits, cusp counts and the cusp report
-they give, balls of the p-adic trees, graph edges by group name and the
+they give, balls of the p-adic trees, graph edges by group name, graph
+neighbours, the Frame-shape predictions of the vertex invariants and the
 dense eta-series recurrence."""
 
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from plattice.cusps import width_at_infinity
 from plattice.exact import ProjectiveMatrix, translation
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.groupsys import (
@@ -19,9 +21,81 @@ from plattice.groupsys import (
     _perm_order,
     _perm_sign,
     finite_quotient,
+    width_at_infinity,
 )
-from plattice.lattice import L1, LatticeName, hyperdistance
+from plattice.lattice import L1, LatticeName, hyperdistance, lattice
 from plattice.tree import hypercircle, is_prime
+
+
+def name_m(name: LatticeName) -> Fraction:
+    """The M = a/d of the name (a, s, d)."""
+    return Fraction(name.a, name.d)
+
+
+def name_b(name: LatticeName) -> Fraction:
+    """The b = s/d of the name (a, s, d)."""
+    return Fraction(name.s, name.d)
+
+
+class ReverseName(namedtuple("ReverseName", "b m")):
+    """The dual pair (b, M), naming by lower-triangular [[1, 0], [b, M]]."""
+
+    __slots__ = ()
+
+    def __new__(cls, b, m):
+        b, m = Fraction(b), Fraction(m)
+        if m <= 0:
+            raise ValueError("reverse name needs M > 0, got %s" % m)
+        if not (0 <= b < 1):
+            raise ValueError("reverse name needs 0 <= b < 1, got %s" % b)
+        return super().__new__(cls, b, m)
+
+    def matrix(self) -> ProjectiveMatrix:
+        return ProjectiveMatrix.from_entries(1, 0, self.b, self.m)
+
+
+def reverse_name(name: LatticeName) -> ReverseName:
+    """The lower-triangular name of the same projective lattice.
+
+    (M, 0) maps to (0, 1/M); (M, f/g) in lowest terms maps to
+    (f'/g, 1/(g^2 M)) where f f' == 1 (mod g) and 0 < f' < g.
+    """
+    m, b = name_m(name), name_b(name)
+    if b == 0:
+        return ReverseName(Fraction(0), 1 / m)
+    f, g = b.numerator, b.denominator
+    fp = pow(f, -1, g)
+    return ReverseName(Fraction(fp, g), 1 / (g * g * m))
+
+
+def name_of(rev: ReverseName) -> LatticeName:
+    """Inverse of :func:`reverse_name`."""
+    if rev.b == 0:
+        return lattice(1 / rev.m)
+    fp, g = rev.b.numerator, rev.b.denominator
+    f = pow(fp, -1, g)
+    return lattice(1 / (g * g * rev.m), Fraction(f, g))
+
+
+def max_part(fs: FrameShape) -> int:
+    """The largest part of a Frame shape, predicted to be the normalized level."""
+    return max(a for a, _ in fs.parts)
+
+
+def predicted_valency(fs: FrameShape) -> int:
+    """One more than the number of negative exponents, predicted to be the valency."""
+    return sum(1 for _, alpha in fs.parts if alpha < 0) + 1
+
+
+def neighbors(graph, i: int) -> list[int]:
+    """The vertices joined to vertex ``i`` of a ``LabeledGraph``, in order."""
+    out = []
+    for a, b in graph.edges:
+        if a == i:
+            out.append(b)
+        elif b == i:
+            out.append(a)
+    return sorted(out)
 
 
 def cyclic(q: FiniteQuotient, i: int) -> list[int]:
@@ -148,7 +222,7 @@ def orbit_cusp_outputs(n: int) -> tuple[str, dict]:
 
 def cusp_count(ambient: GroupDescriptor, orbit) -> int:
     """Number of cusps of a point stabilizer, from one ambient lattice orbit."""
-    return len(translation_orbits(orbit, width_at_infinity(ambient)))
+    return len(translation_orbits(orbit, Fraction(*width_at_infinity(ambient))))
 
 
 def closure(q: FiniteQuotient, seed) -> frozenset[int]:

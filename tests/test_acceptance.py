@@ -20,18 +20,18 @@ from plattice.frames import (
     numeric_invariance_check,
 )
 from plattice.groupsys import GroupDescriptor, finite_quotient
-from plattice.lattice import (
-    L1,
-    act,
-    hyperdistance,
-    lattice,
-    name_of,
-    reduce_matrix,
-    reverse_name,
-)
+from plattice.lattice import L1, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import gamma0_index, hypercircle
 
-from .helpers import edge_displays, order_profile, quotient_actions
+from .helpers import (
+    edge_displays,
+    max_part,
+    name_of,
+    order_profile,
+    predicted_valency,
+    quotient_actions,
+    reverse_name,
+)
 from .test_exact import rand_pgl2q, rand_psl2z
 from .test_frames import oracle_quotient
 
@@ -136,8 +136,8 @@ def test_05_doubled_labels_and_frame_shapes():
 def test_06_frame_shape_invariants():
     data = node_vertex_data()
     ok = all(fs.degree == 24 for fs in FRAME_SHAPES)
-    ok = ok and [fs.max_part for fs in FRAME_SHAPES] == [v.normalized_level for v in data]
-    ok = ok and [fs.predicted_valency for fs in FRAME_SHAPES] == [v.valency for v in data]
+    ok = ok and [max_part(fs) for fs in FRAME_SHAPES] == [v.normalized_level for v in data]
+    ok = ok and [predicted_valency(fs) for fs in FRAME_SHAPES] == [v.valency for v in data]
     report(6, ok, "Frame-shape degree, max parts, and valency predictions agree")
 
 

@@ -15,7 +15,7 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 # every name the package exports, by the module that defines it
 HOMES = {
     "exact": ["ProjectiveMatrix", "pdet", "primitive_rep"],
-    "lattice": ["LatticeName", "ReverseName", "act", "hyperdistance", "reduce_matrix"],
+    "lattice": ["LatticeName", "act", "hyperdistance", "reduce_matrix"],
     "tree": ["HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"],
     "groupsys": [
         "FiniteQuotient",
@@ -27,8 +27,9 @@ HOMES = {
         "member",
         "normalizer_of_gamma0",
         "schreier_generators",
+        "width_at_infinity",
     ],
-    "cusps": ["CuspReport", "cusps_of_gamma0", "width_at_infinity"],
+    "cusps": ["CuspReport", "cusps_of_gamma0"],
     "classify": ["Candidate", "candidate_levels", "check_conditions", "classify"],
     "diagram": ["LabeledGraph", "VertexData", "build_graph", "emit_dot", "vertex_data"],
     "frames": [

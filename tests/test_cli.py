@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from plattice import cli
 from plattice.cli import main
 from plattice.frames import frame_shape
 from plattice.groupsys import NODE_GROUPS, GroupDescriptor
+from plattice.lattice import LatticeName
+from plattice.tree import hypercircle
 
 from .test_api import SRC_ROOT, fresh_python
 
@@ -88,6 +91,12 @@ class TestErrors:
         proc = fresh_python("-m", "plattice.cli", *argv, check=False)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: bad rational literal '1/0'\n"
+
+    @pytest.mark.parametrize("token", ["0.5", "1e2", "1_0", "1/-3", "1/0"])
+    def test_a_rational_is_an_integer_or_a_ratio(self, capsys, token):
+        # Fraction read the first three; a token is p or p/q in decimal digits
+        for argv in (["reduce", "[[%s,0],[0,1]]" % token], ["hyperdistance", "%s,0" % token, "1,0"]):
+            assert run(capsys, *argv) == (1, "", "error: bad rational literal %r\n" % token)
 
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run(capsys, "not-a-command")
@@ -327,6 +336,28 @@ class TestDot:
     def test_hypercircle_dot(self, capsys):
         code, out, _ = run(capsys, "hypercircle", "1,0", "4", "--format", "dot")
         assert code == 0 and out.startswith("graph hypercircle")
+
+    @pytest.mark.parametrize("center, radius", [("1,0", 1), ("1,0", 2000), ("2/3,1/5", 360), ("3,1/2", 12)])
+    def test_hypercircle_dot_is_streamed(self, monkeypatch, center, radius):
+        # the bytes of the whole text joined at once, written in 64 KiB batches
+        members = hypercircle(LatticeName.parse(center), radius).members
+        lines = ["graph hypercircle {", '  node [shape=box, fontname="monospace"];']
+        lines.extend('  n%d [label="%s"];' % (i, name) for i, name in enumerate(members))
+        lines.append("}")
+        expected = "\n".join(lines) + "\n"
+
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["hypercircle", center, str(radius), "--format", "dot"]) == 0
+        assert stdout.getvalue() == expected
+        assert stdout.writes <= len(expected.encode()) // 65536 + 2
 
     def test_wide_hypercircle_dot_answers(self):
         # the rendering once compared every pair of members for an edge

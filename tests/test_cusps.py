@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from plattice import cli, cusps, tree
-from plattice.cusps import (
-    CuspReport,
-    cusps_of_gamma0,
-    width_at_infinity,
-)
+from plattice.cusps import CuspReport, cusps_of_gamma0
 from plattice.exact import translation
-from plattice.groupsys import GroupDescriptor
+from plattice.groupsys import GroupDescriptor, width_at_infinity
 from plattice.lattice import L1, act, lattice
 from plattice.tree import gamma0_index, hypercircle
 
@@ -19,20 +15,20 @@ from .helpers import cusp_count, orbit_cusp_outputs, translation_orbits
 
 class TestWidthAtInfinity:
     def test_modular_group(self):
-        assert width_at_infinity(GroupDescriptor.gamma0(1)) == 1
+        assert width_at_infinity(GroupDescriptor.gamma0(1)) == (1, 1)
 
     def test_scaled_base_group(self):
-        assert width_at_infinity(GroupDescriptor(2, 4)) == Fraction(1, 2)
+        assert width_at_infinity(GroupDescriptor(2, 4)) == (1, 2)
 
     def test_doubled_kernel_has_width_one(self):
-        assert width_at_infinity(GroupDescriptor.kernel(2, 4, {2})) == 1
+        assert width_at_infinity(GroupDescriptor.kernel(2, 4, {2})) == (1, 1)
 
     def test_three_kernel_has_width_one(self):
-        assert width_at_infinity(GroupDescriptor.kernel(3, 3)) == 1
+        assert width_at_infinity(GroupDescriptor.kernel(3, 3)) == (1, 1)
 
     def test_gamma0_always_one(self):
         for n in range(1, 31):
-            assert width_at_infinity(GroupDescriptor.gamma0(n)) == 1
+            assert width_at_infinity(GroupDescriptor.gamma0(n)) == (1, 1)
 
 
 class TestGamma0Cusps:
@@ -114,6 +110,7 @@ class TestOrbits:
         assert len(data["cusps"]) == 4
 
     def test_json_round_trip(self):
+        assert cusps_of_gamma0(9).level == 9
         for n in range(1, 61):
             report = cusps_of_gamma0(n)
             assert CuspReport.from_json(json.loads(json.dumps(report.to_json()))) == report

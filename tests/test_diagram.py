@@ -27,7 +27,7 @@ from plattice.groupsys import (
 )
 from plattice.lattice import L1, act, lattice
 
-from .helpers import edge_displays
+from .helpers import edge_displays, neighbors
 from .test_groupsys import CATALOG_48, outcome
 
 E8_EDGES = {
@@ -207,7 +207,7 @@ class TestBuildGraph:
     def test_balance_holds_on_result(self):
         graph = build_graph(node_vertex_data())
         for i, v in enumerate(graph.vertices):
-            neighbor_sum = sum(graph.vertices[j].normalized_level for j in graph.neighbors(i))
+            neighbor_sum = sum(graph.vertices[j].normalized_level for j in neighbors(graph, i))
             assert 2 * v.normalized_level == neighbor_sum
 
     def test_triangle_toy(self):

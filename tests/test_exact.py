@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -23,6 +24,14 @@ def rand_psl2z(rng, length=12):
     for _ in range(rng.randrange(1, length)):
         m = m * rng.choice([S, T, T.inv()])
     return m
+
+
+def rand_rational_token(rng):
+    """A signed, spaced or unreduced ``p`` or ``p/q`` token."""
+    p, q = rng.randrange(-30, 31), rng.randrange(1, 13)
+    sign = "+" if p >= 0 and rng.random() < 0.3 else ""
+    body = "%s%d" % (sign, p) if q == 1 and rng.random() < 0.5 else "%s%d/%d" % (sign, p, q)
+    return " " * rng.randrange(2) + body + " " * rng.randrange(2)
 
 
 def rand_pgl2q(rng, bound=9):
@@ -121,6 +130,23 @@ class TestSerialization:
         assert parse_matrix("[[1,1/2],[0,1]]") == ProjectiveMatrix.from_entries(
             1, Fraction(1, 2), 0, 1
         )
+
+    def test_parse_agrees_with_fraction_oracle(self):
+        # the oracle reads each token with Fraction and scales by Fraction
+        # arithmetic; a determinant <= 0 (the zero matrix too) is an error
+        rng = random.Random(71)
+        for _ in range(2000):
+            tokens = [rand_rational_token(rng) for _ in range(4)]
+            text = "[[%s,%s],[%s,%s]]" % tuple(tokens)
+            entries = [Fraction(t) for t in tokens]
+            if entries[0] * entries[3] - entries[1] * entries[2] <= 0:
+                with pytest.raises(ValueError):
+                    parse_matrix(text)
+                continue
+            den = lcm(*(x.denominator for x in entries))
+            ints = [int(x * den) for x in entries]
+            content = gcd(*ints) * (-1 if ints[0] < 0 or ints[0] == 0 and ints[1] < 0 else 1)
+            assert parse_matrix(text).entries() == tuple(x // content for x in ints)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -7,19 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, dilation, translation
-from plattice.lattice import (
-    L1,
-    LatticeName,
-    ReverseName,
-    act,
-    hyperdistance,
-    lattice,
-    name_of,
-    reduce_matrix,
-    reverse_name,
-)
+from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import hypercircle
-from .test_exact import rand_pgl2q, rand_psl2z
+from .helpers import ReverseName, name_b, name_m, name_of, reverse_name
+from .test_exact import rand_pgl2q, rand_psl2z, rand_rational_token
 
 
 def assert_comparisons_follow_sort(items):
@@ -178,18 +169,18 @@ class TestReverseNamesOnPrimePowerCircles:
         q = p**n
         for member in hypercircle(L1, q):
             rev = reverse_name(member)
-            if member.b == 0:
-                assert rev == ReverseName(Fraction(0), 1 / member.m)
+            if name_b(member) == 0:
+                assert rev == ReverseName(Fraction(0), 1 / name_m(member))
                 continue
-            k, pa = member.b.numerator, member.b.denominator
+            k, pa = name_b(member).numerator, name_b(member).denominator
             kp = pow(k, -1, pa)
             a = 0
             while p**a != pa:
                 a += 1
-            if member.m == Fraction(q, pa * pa):
+            if name_m(member) == Fraction(q, pa * pa):
                 assert rev == ReverseName(Fraction(kp, pa), Fraction(1, q))
             else:
-                assert member.m == Fraction(1, q)
+                assert name_m(member) == Fraction(1, q)
                 assert rev == ReverseName(Fraction(kp, pa), Fraction(p ** (n - a), pa))
 
     def test_level_eight_reverse_list(self):
@@ -232,6 +223,25 @@ class TestNameValidation:
         with pytest.raises(ValueError):
             LatticeName(*triple)
 
+    def test_parse_agrees_with_fraction_oracle(self):
+        # the names and the M <= 0 and b outside [0, 1) messages are those
+        # of the pair read with Fraction
+        rng = random.Random(73)
+        for _ in range(2000):
+            m_token, b_token = rand_rational_token(rng), rand_rational_token(rng)
+            m, b = Fraction(m_token), Fraction(b_token)
+            text = "%s,%s" % (m_token, b_token)
+            if m <= 0:
+                with pytest.raises(ValueError, match=r"^lattice name needs M > 0, got %s$" % m):
+                    LatticeName.parse(text)
+            elif not 0 <= b < 1:
+                with pytest.raises(ValueError, match=r"^lattice name needs 0 <= b < 1, got %s$" % b):
+                    LatticeName.parse(text)
+            else:
+                name = LatticeName.parse(text)
+                assert (name_m(name), name_b(name)) == (m, b)
+                assert name == lattice(m, b)
+
     def test_parse_and_str(self):
         name = lattice(Fraction(1, 9), Fraction(2, 9))
         assert LatticeName.parse(str(name)) == name
@@ -265,7 +275,7 @@ class TestIntegerNameProperties:
     @given(positive_rationals, unit_rationals)
     def test_pair_reads_back(self, m, b):
         name = lattice(m, b)
-        assert name.m == m and name.b == b
+        assert name_m(name) == m and name_b(name) == b
 
     @PROPERTY
     @given(st.lists(st.tuples(positive_rationals, unit_rationals), max_size=20))

@@ -81,9 +81,8 @@ def test_integer_path_builds_no_rationals():
     assert offenders == []
 
 
-def test_no_module_imports_dataclasses():
-    # records are named tuples: importing dataclasses (and inspect with it)
-    # cost every cold command about 15 ms
+def _importers(module: str) -> list[str]:
+    # every import statement of the package that names ``module``
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -93,9 +92,21 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "dataclasses" for m in modules):
+            if any(m.split(".")[0] == module for m in modules):
                 offenders.append("%s:%d" % (path.name, node.lineno))
-    assert offenders == []
+    return offenders
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples: importing dataclasses (and inspect with it)
+    # cost every cold command about 15 ms
+    assert _importers("dataclasses") == []
+
+
+def test_no_module_imports_fractions():
+    # rationals are read as integer pairs: fractions (with decimal and
+    # numbers) cost every command that reads a name about 3.5 ms
+    assert _importers("fractions") == []
 
 
 # A cold command loads only the layers it uses: the package and the CLI
@@ -218,8 +229,9 @@ README = SRC.parent.parent / "README.md"
 STARTUP_ROWS = {
     "`reduce`, `hyperdistance`": ["reduce", "[[0,-1],[4,0]]"],
     "`hypercircle`, `thread`, `cell`, `project`, `index`": ["index", "8"],
-    "`level`, `groups --member`": ["groups", "3|3", "--member", "[[1,0],[0,1]]"],
-    "`groups`, `cusps`": ["cusps", "9"],
+    "`level`, `groups`": ["groups", "4|2+"],
+    "`cusps`": ["cusps", "9"],
+    "`cusps --json`": ["cusps", "9", "--json"],
     "`eta` of a Frame shape (text with `^` or `/`)": ["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"],
     "`eta` of a vertex name (`2+`, `6+`, ...)": ["eta", "6+", "--order", "20"],
     "`eta` of another group name or a bare number": ["eta", "24", "--order", "20"],
@@ -250,11 +262,28 @@ def test_startup_table_row_loads_its_layers(row):
 
 @pytest.mark.parametrize(
     "argv",
-    [["index", "8"], ["classify"], ["super", "--check-invariance"]],
-    ids=lambda argv: argv[0],
+    [
+        ["index", "8"],
+        ["classify"],
+        ["super", "--check-invariance"],
+        ["reduce", "[[1,1/3],[0,1]]"],
+        ["hyperdistance", "1/2,1/3", "1,0"],
+        ["cusps", "9"],
+        ["cusps", "9", "--json"],
+        ["groups", "4|2+"],
+    ],
+    ids=["index", "classify", "super", "reduce", "hyperdistance", "cusps", "cusps-json", "groups"],
 )
 def test_commands_load_neither_dataclasses_nor_inspect(argv):
-    assert _loaded_modules(argv) & {"dataclasses", "inspect"} == set()
+    # nor fractions, with decimal and numbers, which it imports
+    loaded = _loaded_modules(argv)
+    assert loaded & {"dataclasses", "inspect", "fractions", "decimal", "numbers"} == set()
+
+
+def test_cusps_text_loads_no_groupsys():
+    # the text prints no group record, so only the JSON loads groupsys
+    assert "groupsys" not in _loaded_layers(["cusps", "9"])
+    assert "groupsys" in _loaded_layers(["cusps", "9", "--json"])
 
 
 # The benchmark's traced runs (perfbench/launcher.py) wrap these callables
