@@ -1,8 +1,9 @@
 """The finite search that recovers the nine diagram-labeling groups.
 
 Candidate parameter pairs (n, h) are those allowed by the index bound.  A
-level n*h whose quotient orders, known in closed form, leave no room for a
-passing subgroup is skipped; at every other level the quotient of the
+level n*h at which no exponent-two subgroup of the quotient can meet both
+index bounds is skipped: ``may_pass`` bounds such subgroups in closed form
+and proves the bounds.  At every other level the quotient of the
 normalizer of the level group by that group is enumerated, its exponent-two
 subgroups (the only ones that can pass) are screened against four
 conditions (width one at infinity, exponent-two quotient, and two index
@@ -36,6 +37,11 @@ RATIO_BOUND = 3
 # list (about 10 s at the budget on a 2-vCPU host), so larger bounds are
 # refused before any work starts.
 INDEX_BOUND_BUDGET = 10**5
+
+# The order of the largest exponent-two subgroup of the level-h**2 quotient,
+# for each divisor h of 24, found by enumerating its subgroups (checked in
+# the tests); ``may_pass`` reads it.
+EXPONENT_TWO_ORDER = {1: 1, 2: 2, 3: 4, 4: 4, 6: 8, 8: 4, 12: 16, 24: 16}
 
 
 def candidate_levels(index_bound: int = INDEX_BOUND) -> list[tuple[int, int]]:
@@ -182,16 +188,34 @@ def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int]) -> GroupDescripto
 
 
 def may_pass(level: int, index_bound: int, ratio_bound: int) -> bool:
-    """Whether any subgroup of the level's quotient can meet both index bounds.
+    """Whether any exponent-two subgroup of the level's quotient Q can meet both index bounds.
 
-    A passing subgroup has exponent two, so its order divides the two-part
-    of the quotient's order, and its modular part is at most the two-part
-    of the modular part's order: ``check_conditions`` rejects every
-    subgroup at a level where this is False.
+    Only exponent-two subgroups can pass, and two facts bound them, with h
+    the normalizer's parameter and m = level/h**2:
+
+    - The modular part of Q, the cosets of determinant one, is cyclic of
+      order h.  It is the image of the level-(level/h) group, and
+      g -> (c/(level/h)) * d**-1 mod h maps that group onto Z/h with kernel
+      the level group, because h divides level/h and every unit modulo a
+      divisor of 24 squares to one.  So a subgroup meets it in at most
+      gcd(2, h) cosets, and passes the index bound only if psi(level) is
+      at most gcd(2, h) times that bound.
+    - The cosets with no Atkin-Lehner factor, the base group over the level
+      group, have index 2**omega(m) in Q with an elementary abelian
+      quotient.  Conjugation by diag(h, 1) embeds them in the modular group
+      modulo {b = c = 0 mod h}, which is the level-h**2 quotient
+      (Conway-Norton 1979).  So a subgroup has at most
+      2**omega(m) * EXPONENT_TWO_ORDER[h] elements, and at most the
+      two-part of |Q|.
+
+    ``check_conditions`` rejects every subgroup at a level where this is False.
     """
-    order, modular = normalizer_quotient_orders(level)
+    order, h = normalizer_quotient_orders(level)  # the modular part has order h
     total = gamma0_index(level)
-    return total <= ratio_bound * (order & -order) and total <= index_bound * (modular & -modular)
+    if total > index_bound * gcd(2, h) or total > ratio_bound * (order & -order):
+        return False
+    atkin_lehner = order * gamma0_index(level // (h * h)) // total  # 2**omega(m)
+    return total <= ratio_bound * EXPONENT_TWO_ORDER[h] * atkin_lehner
 
 
 def elementary_two_subgroups(q: FiniteQuotient) -> set[frozenset[int]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from itertools import chain
 
@@ -20,6 +21,13 @@ from itertools import chain
 # PYTHONUNBUFFERED set each write is a system call, and a write per JSON
 # chunk or per line would cost more than making them.
 WRITE_BATCH = 1 << 16
+
+# what argparse reads as a value rather than an option; its own pattern
+# takes only plain negative numbers.  It is set on each subcommand parser as
+# argparse's private `_negative_number_matcher`, which `add_argument` and
+# the argument scan read with `.match`; checked on Python 3.11, and
+# tests/test_cli.py fails plainly if a release drops the attribute.
+NEGATIVE_VALUE = re.compile(r"-\d")
 
 
 def _write(chunks):
@@ -59,17 +67,28 @@ def cmd_hyperdistance(args):
 
 
 def cmd_hypercircle(args):
+    import gc
+
     from .lattice import LatticeName
     from .tree import hypercircle, hypercircle_dot
 
-    circle = hypercircle(LatticeName.parse(args.center), args.radius)
-    if args.format == "dot":
-        _write(hypercircle_dot(circle))
-    elif _json_wanted(args):
-        members = [str(x) for x in circle]
-        _print_json({"center": str(circle.center), "radius": circle.radius, "members": members})
-    else:
-        _write(str(x) + "\n" for x in circle.members)
+    # a LatticeName is a tuple the cyclic collector never untracks, so near
+    # the budget each full collection would walk up to a million names, none
+    # of which can be part of a reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        circle = hypercircle(LatticeName.parse(args.center), args.radius)
+        if args.format == "dot":
+            _write(hypercircle_dot(circle))
+        elif _json_wanted(args):
+            members = [str(x) for x in circle]
+            _print_json({"center": str(circle.center), "radius": circle.radius, "members": members})
+        else:
+            _write(str(x) + "\n" for x in circle.members)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def cmd_thread(args):
@@ -312,6 +331,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     for name in COMMANDS if command is None else [command]:
         help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
+        # no option begins with "-<digit>", so such a token is a value: a
+        # name or shape with a negative entry reaches its own parser (a
+        # private argparse hook, see NEGATIVE_VALUE)
+        p._negative_number_matcher = NEGATIVE_VALUE
         p.set_defaults(fn=globals()["cmd_" + name])
         p.add_argument("--format", choices=["text", "json", "dot"], default="text")
         p.add_argument("--json", dest="as_json", action="store_true", help="shorthand for --format json")

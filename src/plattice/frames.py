@@ -105,8 +105,11 @@ class FrameShape(namedtuple("FrameShape", "parts")):
             out = {}
             for token in chunk.split():
                 base, _, exp = token.partition("^")
-                a = int(base)
-                alpha = int(exp) if exp else 1
+                try:
+                    a = int(base)
+                    alpha = int(exp) if exp else 1
+                except ValueError as exc:
+                    raise ValueError("bad Frame shape %r" % text) from exc
                 out[a] = out.get(a, 0) + sign * alpha
             return out
 

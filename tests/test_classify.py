@@ -1,10 +1,12 @@
 import time
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
 from plattice.classify import (
+    EXPONENT_TWO_ORDER,
     Candidate,
     Hit,
     candidate_levels,
@@ -17,7 +19,15 @@ from plattice.classify import (
     name_subgroup,
 )
 from plattice.exact import lower_translation, translation
-from plattice.groupsys import GroupDescriptor, member, normalizer_quotient
+from plattice.groupsys import (
+    GroupDescriptor,
+    exact_divisors,
+    member,
+    normalizer_of_gamma0,
+    normalizer_quotient,
+    normalizer_quotient_orders,
+)
+from plattice.tree import divisors
 
 from .helpers import all_subgroups, cyclic, element_order
 from .test_api import fresh_python
@@ -226,7 +236,7 @@ class TestPrune:
     def test_levels_built_at_wide_bounds(self):
         # a weaker skip (dropping a two-part) gives the same hits; only the
         # count of levels built shows it
-        for bounds, built, levels in [((40, 5), 17, 44), ((400, 3), 15, 433), ((1000, 12), 67, 1058)]:
+        for bounds, built, levels in [((40, 5), 11, 44), ((400, 3), 8, 433), ((1000, 12), 39, 1058)]:
             candidates = candidate_levels(bounds[0])
             assert len(candidates) == levels
             assert sum(may_pass(n * h, *bounds) for n, h in candidates) == built
@@ -246,3 +256,36 @@ class TestPrune:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: cannot sweep index bound 100001: above the budget of 10**5\n"
+
+
+# the bounds behind the skip, against the enumerated quotients -------------
+
+
+def largest_exponent_two_order(q) -> int:
+    return max(len(sub) for sub in elementary_two_subgroups(q))
+
+
+class TestSkipBounds:
+    def test_modular_part_is_cyclic_of_order_h(self):
+        # the first bound: at most gcd(2, h) modular cosets in an
+        # exponent-two subgroup, because the modular part is cyclic
+        for n in range(1, 501):
+            q = normalizer_quotient.__wrapped__(n)  # uncached: 500 tables
+            h = normalizer_of_gamma0(n).h
+            modular = [i for i in range(q.order) if q.reps[i].pdet() == 1]
+            assert len(modular) == normalizer_quotient_orders(n)[1] == h, n
+            assert max(element_order(q, i) for i in modular) == h, n
+            involutions = [i for i in modular if i and q.mult[i][i] == 0]
+            assert len(involutions) + 1 == gcd(2, h), n
+
+    def test_exponent_two_orders_at_the_square_levels(self):
+        assert sorted(EXPONENT_TWO_ORDER) == divisors(24)
+        for h, expected in EXPONENT_TWO_ORDER.items():
+            assert largest_exponent_two_order(normalizer_quotient(h * h)) == expected, h
+
+    def test_exponent_two_subgroups_within_the_second_bound(self):
+        for n in range(1, 201):
+            h = normalizer_of_gamma0(n).h
+            atkin_lehner = len(exact_divisors(n // (h * h)))
+            q = normalizer_quotient.__wrapped__(n)
+            assert largest_exponent_two_order(q) <= atkin_lehner * EXPONENT_TWO_ORDER[h], n

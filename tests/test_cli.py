@@ -1,3 +1,5 @@
+import argparse
+import gc
 import io
 import json
 import os
@@ -135,6 +137,45 @@ class TestErrors:
         # report the name as a bad integer
         code, out, err = run(capsys, "eta", name)
         assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hyperdistance", "-2/4,0", "1,0"], "lattice name needs M > 0, got -1/2"),
+            (["hyperdistance", "1,0", "--json", "-2,0"], "lattice name needs M > 0, got -2"),
+            (["hyperdistance", "--format", "json", "1,0", "-2,0"], "lattice name needs M > 0, got -2"),
+            (["hypercircle", "-1/2,0", "2"], "lattice name needs M > 0, got -1/2"),
+            (["thread", "1,0", "-3,0"], "lattice name needs M > 0, got -3"),
+            (["cell", "-1,0", "1,0"], "lattice name needs M > 0, got -1"),
+            (["project", "-1,0", "2"], "lattice name needs M > 0, got -1"),
+        ],
+    )
+    def test_a_value_may_begin_with_minus_and_a_digit(self, capsys, argv, message):
+        # argparse read the names as unknown options and exited 2, saying a
+        # positional argument was missing
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+    def test_a_frame_shape_may_begin_with_minus_and_a_digit(self, capsys):
+        # only the exit code: the message for a base below 1 is still to be
+        # made to name the fault
+        code, out, _ = run(capsys, "eta", "-1^24")
+        assert (code, out) == (1, "")
+
+    def test_the_negative_value_hook_exists(self):
+        # the "-<digit>" values rest on this private attribute of argparse
+        assert hasattr(argparse.ArgumentParser()._negative_number_matcher, "match")
+
+    def test_other_dash_tokens_are_still_options(self, capsys):
+        code, out, err = run(capsys, "hyperdistance", "-x", "1,0")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: right\n")
+        code, out, _ = run(capsys, "hyperdistance", "-h")
+        assert code == 0 and out.startswith("usage: plattice hyperdistance [-h]")
+
+    @pytest.mark.parametrize("text", ["1^x", "^3", "1.5^24", "1^24^2"])
+    def test_eta_of_a_malformed_part_names_the_shape(self, capsys, text):
+        # these said "invalid literal for int() with base 10: ..."
+        assert run(capsys, "eta", text) == (1, "", "error: bad Frame shape %r\n" % text)
 
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "project", "1,0", "6")
@@ -370,6 +411,30 @@ class TestDot:
         assert not any(" -- " in line for line in lines)
 
 
+class TestHypercircleCollector:
+    OUTPUTS = {
+        "text": "1/2,0\n1/2,1/2\n2,0\n",
+        "json": '{\n  "center": "1,0",\n  "members": [\n    "1/2,0",\n    "1/2,1/2",\n    "2,0"\n  ],\n  "radius": 2\n}\n',
+        "dot": 'graph hypercircle {\n  node [shape=box, fontname="monospace"];\n'
+        '  n0 [label="1/2,0"];\n  n1 [label="1/2,1/2"];\n  n2 [label="2,0"];\n}\n',
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, capsys, enabled):
+        # the command pauses the cyclic collector while it builds and prints
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for fmt, expected in self.OUTPUTS.items():
+                assert run(capsys, "hypercircle", "1,0", "2", "--format", fmt) == (0, expected, "")
+                assert gc.isenabled() == enabled
+            code, out, err = run(capsys, "hypercircle", "1,0", "1000000")
+            assert (code, out) == (1, "") and "budget" in err
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -417,7 +482,7 @@ class TestSuper:
             ("24", (0, "q^-1 - q^23\n", "")),
             ("1", (0, "q^-1 - 24 + 276 q - 2048 q^2 + 11202 q^3\n", "")),
             ("1^+24", (0, "q^-1 - 24 + 276 q - 2048 q^2 + 11202 q^3\n", "")),
-            ("2^3 / 1^x", (1, "", "error: invalid literal for int() with base 10: 'x'\n")),
+            ("2^3 / 1^x", (1, "", "error: bad Frame shape '2^3 / 1^x'\n")),
         ],
         ids=["bare-number", "group-name", "signed-exponent", "bad-exponent"],
     )
