@@ -15,6 +15,7 @@ here.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -126,7 +127,8 @@ def _closed_label_sets(pool: list[int]) -> list[frozenset[int]]:
     return out
 
 
-def descriptor_catalog(level: int) -> list[GroupDescriptor]:
+@lru_cache(maxsize=None)
+def descriptor_catalog(level: int) -> tuple[GroupDescriptor, ...]:
     """Every descriptor denoting a group containing the level group."""
     out = []
     for n2 in divisors(level):
@@ -136,7 +138,7 @@ def descriptor_catalog(level: int) -> list[GroupDescriptor]:
                 out.append(GroupDescriptor(h2, n2, labels))
                 if unsupported_kernel(h2, n2, labels) is None and level % (n2 * h2) == 0:
                     out.append(GroupDescriptor(h2, n2, labels, h2))
-    return out
+    return tuple(out)
 
 
 def _index_over_modular_part(desc: GroupDescriptor) -> int:

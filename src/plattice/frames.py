@@ -117,6 +117,8 @@ class FrameShape(namedtuple("FrameShape", "parts")):
         for a, alpha in side(den, 1).items():
             exps[a] = exps.get(a, 0) - alpha
         parts = tuple(sorted((a, alpha) for a, alpha in exps.items() if alpha))
+        if parts and parts[0][0] < 1:
+            raise ValueError("bad Frame shape %r: base %d is below 1" % (text, parts[0][0]))
         return cls(parts)
 
 

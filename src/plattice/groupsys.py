@@ -8,6 +8,12 @@ kernel subgroup cut out by a character.  Membership is decided entry-wise
 on the primitive representative after conjugating by the diagonal matrix
 with ratio h, so everything stays in integer arithmetic.
 
+A kernel n|h is decided on the quotient of its full group (no character)
+by the level-n*h group, which its character factors through (Conway-Norton
+1979, section 3): the character is 1 on the shear [[h, 1], [0, h]], a value
+fixed per (h, n) on [[1, 0], [n, 1]] and 0 on each Atkin-Lehner
+representative, and the kernel is the set of cosets where it is 0.
+
 Finite quotients of a group by the plain level group under its base level
 are materialized as coset representative lists with an exact
 multiplication table.  Matrix products are taken only while the cosets are
@@ -19,15 +25,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .exact import IDENTITY, S, T, ProjectiveMatrix
 from .lattice import LatticeName, act, reduce_matrix
-from .tree import divisors, gamma0_index, hypercircle, thread
+from .tree import divisors, gamma0_index
 
-# (h, n) pairs for which the canonical index-h kernel is implemented; the
-# two doubled pairs are the images of the first two under level doubling.
-SUPPORTED_KERNELS = frozenset({(3, 3), (2, 4), (3, 6), (2, 8)})
+# The (h, n) pairs whose canonical index-h kernel is implemented, each with
+# its character's value (mod h) on [[1, 0], [n, 1]]; the doubled pairs
+# (3, 6) and (2, 8) are the images of (3, 3) and (2, 4) under level doubling.
+KERNEL_CHARACTER_VALUES = {(3, 3): 2, (2, 4): 1, (3, 6): 1, (2, 8): 1}
 
 QUOTIENT_ELEMENT_BOUND = 10000
 
@@ -50,11 +57,13 @@ def unclosed_label_product(labels) -> tuple[int, int, int] | None:
 
 def unsupported_kernel(h: int, n: int, labels) -> str | None:
     """Why the index-h kernel with these labels is not implemented; None if it is."""
-    if (h, n) not in SUPPORTED_KERNELS:
+    if (h, n) not in KERNEL_CHARACTER_VALUES:
         return "kernel subgroup not implemented for (h, n) = (%d, %d)" % (h, n)
     if h == 3 and labels:
-        # the order-3 character is read off the four lattices around L_3,
-        # which the Atkin-Lehner coset of the (3, 6) family moves
+        # there is no order-3 character to take the kernel of: with the shear
+        # at 1, none of the nine choices of values on [[1, 0], [6, 1]] and on
+        # the Atkin-Lehner representative [[0, 1], [-18, 0]] is a homomorphism
+        # on 6|3+2 modulo the level-18 group (the tests try all nine)
         labels = sorted(labels)
         return "kernel subgroup not implemented for (h, n) = (3, %d) with labels %s" % (n, labels)
     return None
@@ -189,69 +198,6 @@ def _conjugate_by_scale(g: ProjectiveMatrix, h: int) -> ProjectiveMatrix:
     return ProjectiveMatrix.from_ints(h * a, h * h * b, c, h * d)
 
 
-@lru_cache(maxsize=None)
-def _kernel_action_set(h: int, n: int) -> tuple[LatticeName, ...]:
-    """Finite lattice set whose action cuts out the index-h kernel.
-
-    For h = 3 the order-3 character is trivial exactly on the elements
-    acting with order at most 2 on the four lattices around L_3.  For
-    h = 2 it is the sign of the action on the hyperradius-2 circles about
-    the two stabilized lattices, with the fixed spine between them removed
-    (path reversal contributes spine transpositions that would otherwise
-    flip the sign of the Atkin-Lehner coset).
-    """
-    if h == 3:
-        return hypercircle(LatticeName(3, 0, 1), 3).members
-    l2, ln = LatticeName(2, 0, 1), LatticeName(n, 0, 1)
-    members = set(hypercircle(l2, 2)) | set(hypercircle(ln, 2))
-    spine = set(thread(l2, ln).members)
-    return tuple(sorted(members - spine))
-
-
-def _action_perm(g: ProjectiveMatrix, points: tuple[LatticeName, ...]):
-    index = {x: i for i, x in enumerate(points)}
-    out = []
-    for x in points:
-        y = act(x, g)
-        if y not in index:
-            return None
-        out.append(index[y])
-    return tuple(out)
-
-
-def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
-    lengths = []
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    return lengths
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    return lcm(*_cycle_lengths(perm))
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    return sum(length - 1 for length in _cycle_lengths(perm)) & 1
-
-
-def _kernel_condition(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
-    perm = _action_perm(g, _kernel_action_set(desc.h, desc.n))
-    if perm is None:
-        return False
-    if desc.h == 3:
-        return _perm_order(perm) <= 2
-    return _perm_sign(perm) == 0
-
-
 def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
     """Exact membership of a projective matrix in the described group."""
     w = _conjugate_by_scale(g, desc.h)
@@ -267,7 +213,8 @@ def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
     else:
         return False
     if desc.character is not None:
-        return _kernel_condition(g, desc)
+        q, kernel = _kernel_cosets(desc.h, desc.n, desc.plus)
+        return q.coset_of(g) in kernel
     return True
 
 
@@ -486,7 +433,8 @@ def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuoti
 def quotient_generators(big: GroupDescriptor) -> list[ProjectiveMatrix]:
     """Generators of ``big`` modulo any normal congruence subgroup."""
     if big.character is not None:
-        return list(_kernel_coset_generators(big.h, big.n, big.plus))
+        q, kernel = _kernel_cosets(big.h, big.n, big.plus)
+        return [q.reps[i] for i in sorted(kernel) if i]
     gens = []
     if big.h > 1:
         gens.append(ProjectiveMatrix.from_ints(big.h, 1, 0, big.h))
@@ -498,21 +446,31 @@ def quotient_generators(big: GroupDescriptor) -> list[ProjectiveMatrix]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_coset_generators(h: int, n: int, labels: frozenset) -> tuple[ProjectiveMatrix, ...]:
-    """Representatives of every character-trivial coset of the full extension."""
-    full = GroupDescriptor(h, n, labels)
-    kernel = GroupDescriptor(h, n, labels, h)
-    q = finite_quotient(full, GroupDescriptor.gamma0(n * h))
-    out = tuple(
-        rep for rep in q.reps if not rep.is_identity() and _kernel_condition(rep, kernel)
-    )
-    # the kernel has index h among the character-graded part
-    if (len(out) + 1) * h != q.order:
+def _kernel_cosets(h: int, n: int, labels: frozenset) -> tuple[FiniteQuotient, frozenset[int]]:
+    """The full group's quotient by the level-n*h group, and the kernel's cosets in it.
+
+    The character's values on the walk's generators spread over the table:
+    in walk order every coset is an earlier one times a generator.  Every
+    such product must agree with the values, and the kernel must have index h.
+    """
+    q = finite_quotient(GroupDescriptor(h, n, labels), GroupDescriptor.gamma0(n * h))
+    values = [1, KERNEL_CHARACTER_VALUES[h, n]] + [0] * len(labels)
+    columns = [(q.coset_of(gen), v) for gen, v in zip(quotient_generators(q.big), values)]
+    out = [0] + [None] * (q.order - 1)
+    for i in range(q.order):
+        for c, v in columns:
+            j, w = q.mult[i][c], (out[i] + v) % h
+            if out[j] is None:
+                out[j] = w
+            elif out[j] != w:
+                raise AssertionError("character of %s disagrees at coset %d" % (q.big.display, j))
+    kernel = frozenset(i for i, v in enumerate(out) if v == 0)
+    if len(kernel) * h != q.order:
         raise AssertionError(
             "kernel of (%d, %d, %s) has %d cosets in a quotient of order %d"
-            % (h, n, sorted(labels), len(out) + 1, q.order)
+            % (h, n, sorted(labels), len(kernel), q.order)
         )
-    return out
+    return q, kernel
 
 
 @lru_cache(maxsize=None)

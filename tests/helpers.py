@@ -1,7 +1,8 @@
 """Reference code that only the tests use: a name's pair (M, b) as
 Fractions and the dual (reverse) names, element orders, lattice-set
-actions and whole subgroup lattices of finite quotients, the two
-instantiated characters, shear orbits, cusp counts and the cusp report
+actions and whole subgroup lattices of finite quotients, the lattice-set
+rule for kernel membership, characters spread from generator values, the
+two instantiated characters, shear orbits, cusp counts and the cusp report
 they give, balls of the p-adic trees, graph edges by group name, graph
 neighbours, the Frame-shape predictions of the vertex invariants and the
 dense eta-series recurrence."""
@@ -9,22 +10,19 @@ dense eta-series recurrence."""
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from plattice.exact import ProjectiveMatrix, translation
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.groupsys import (
     FiniteQuotient,
     GroupDescriptor,
-    _action_perm,
-    _kernel_action_set,
-    _perm_order,
-    _perm_sign,
     finite_quotient,
+    quotient_generators,
     width_at_infinity,
 )
-from plattice.lattice import L1, LatticeName, hyperdistance, lattice
-from plattice.tree import hypercircle, is_prime
+from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
+from plattice.tree import hypercircle, is_prime, thread
 
 
 def name_m(name: LatticeName) -> Fraction:
@@ -125,9 +123,94 @@ def order_profile(q: FiniteQuotient) -> dict[int, int]:
     return out
 
 
+def kernel_action_set(h: int, n: int) -> tuple[LatticeName, ...]:
+    """Finite lattice set whose action cuts out the index-h kernel.
+
+    For h = 3 the order-3 character is trivial exactly on the elements
+    acting with order at most 2 on the four lattices around L_3.  For
+    h = 2 it is the sign of the action on the hyperradius-2 circles about
+    the two stabilized lattices, with the fixed spine between them removed
+    (path reversal contributes spine transpositions that would otherwise
+    flip the sign of the Atkin-Lehner coset).
+    """
+    if h == 3:
+        return hypercircle(LatticeName(3, 0, 1), 3).members
+    l2, ln = LatticeName(2, 0, 1), LatticeName(n, 0, 1)
+    members = set(hypercircle(l2, 2)) | set(hypercircle(ln, 2))
+    spine = set(thread(l2, ln).members)
+    return tuple(sorted(members - spine))
+
+
+def action_perm(g: ProjectiveMatrix, points: tuple[LatticeName, ...]):
+    """How ``g`` permutes ``points``; None where it moves the set off itself."""
+    index = {x: i for i, x in enumerate(points)}
+    out = []
+    for x in points:
+        y = act(x, g)
+        if y not in index:
+            return None
+        out.append(index[y])
+    return tuple(out)
+
+
+def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+    lengths = []
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def perm_order(perm: tuple[int, ...]) -> int:
+    return lcm(*cycle_lengths(perm))
+
+
+def perm_sign(perm: tuple[int, ...]) -> int:
+    return sum(length - 1 for length in cycle_lengths(perm)) & 1
+
+
+def kernel_condition(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
+    """The lattice-set rule for the character part of kernel membership;
+    ``groupsys.member`` reads the character off the full quotient instead."""
+    perm = action_perm(g, kernel_action_set(desc.h, desc.n))
+    if perm is None:
+        return False
+    if desc.h == 3:
+        return perm_order(perm) <= 2
+    return perm_sign(perm) == 0
+
+
+def character_values(q: FiniteQuotient, values) -> list[int] | None:
+    """The map to Z/h, h = ``q.big.h``, taking ``values`` on the generators
+    ``quotient_generators(q.big)``, on every coset; None when no
+    homomorphism takes those values."""
+    h = q.big.h
+    columns = [(q.coset_of(gen), v) for gen, v in zip(quotient_generators(q.big), values)]
+    out = {0: 0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for c, v in columns:
+            j, w = q.mult[i][c], (out[i] + v) % h
+            if j not in out:
+                out[j] = w
+                frontier.append(j)
+            elif out[j] != w:
+                return None
+    return [out[i] for i in range(q.order)]
+
+
 def quotient_actions(q: FiniteQuotient, points) -> tuple:
     """How each representative permutes ``points``; None where it moves the set off itself."""
-    return tuple(_action_perm(rep, points) for rep in q.reps)
+    return tuple(action_perm(rep, points) for rep in q.reps)
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,15 +235,15 @@ class Character:
         self._x_perm = x_perm
 
     def value(self, g: ProjectiveMatrix) -> int:
-        perm = _action_perm(g, self.points)
+        perm = action_perm(g, self.points)
         if perm is None:
             raise ValueError("element does not act on the character's lattice set")
         if self.order == 2:
-            return _perm_sign(perm)
+            return perm_sign(perm)
         # g lies in the coset (x^-j) * kernel exactly when x^j g acts with
         # order <= 2; the generator x itself has value 2 under the character
         for j in range(3):
-            if _perm_order(compose(power(self._x_perm, j), perm)) <= 2:
+            if perm_order(compose(power(self._x_perm, j), perm)) <= 2:
                 return j
         raise AssertionError("permutation is not in the order-12 image")
 
@@ -168,11 +251,11 @@ class Character:
 def character_lambda(case: int) -> Character:
     """The two instantiated characters, for overall levels 9 and 8."""
     if case == 9:
-        points = _kernel_action_set(3, 3)
+        points = kernel_action_set(3, 3)
         q = finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9))
-        return Character(q, points, 3, _action_perm(translation(Fraction(1, 3)), points))
+        return Character(q, points, 3, action_perm(translation(Fraction(1, 3)), points))
     if case == 8:
-        points = _kernel_action_set(2, 4)
+        points = kernel_action_set(2, 4)
         q = finite_quotient(GroupDescriptor(2, 4, frozenset({2})), GroupDescriptor.gamma0(8))
         return Character(q, points, 2, ())
     raise ValueError("character construction defined only for N=9, N=8")

@@ -28,6 +28,7 @@ from .helpers import (
     max_part,
     name_of,
     order_profile,
+    perm_sign,
     predicted_valency,
     quotient_actions,
     reverse_name,
@@ -211,10 +212,8 @@ def test_11_quotient_structures():
     points9 = hypercircle(lattice(3), 3).members
     q9 = finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9))
     actions9 = quotient_actions(q9, points9)
-    from plattice.groupsys import _perm_sign
-
     alt4 = q9.order == 12 and None not in actions9 and len(set(actions9)) == 12
-    alt4 = alt4 and all(_perm_sign(p) == 0 for p in actions9)
+    alt4 = alt4 and all(perm_sign(p) == 0 for p in actions9)
     alt4 = alt4 and order_profile(q9) == {1: 1, 2: 3, 3: 8}
 
     points8 = tuple(sorted(set(hypercircle(lattice(2), 2)) | set(hypercircle(lattice(4), 2))))

@@ -169,6 +169,17 @@ class TestNaming:
         assert GroupDescriptor.gamma0(8) in cat
         assert GroupDescriptor(2, 4, frozenset({2})) in cat
 
+    def test_catalog_is_built_once_per_named_level(self, capsys):
+        # naming built the whole catalog of the level again for every hit
+        from plattice import cli
+
+        descriptor_catalog.cache_clear()
+        assert cli.main(["classify", "--index-bound", "17", "--ratio-bound", "4"]) == 0
+        capsys.readouterr()
+        hits = classify_hits(17, 4)
+        assert (len(hits), len({hit.candidate.level for hit in hits})) == (12, 9)
+        assert descriptor_catalog.cache_info().misses == 9
+
     def test_membership_separates_descriptor_from_subgroup(self):
         # bidirectional check: the named descriptor accepts exactly the
         # subgroup's representatives

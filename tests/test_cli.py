@@ -156,10 +156,14 @@ class TestErrors:
         assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
 
     def test_a_frame_shape_may_begin_with_minus_and_a_digit(self, capsys):
-        # only the exit code: the message for a base below 1 is still to be
-        # made to name the fault
-        code, out, _ = run(capsys, "eta", "-1^24")
-        assert (code, out) == (1, "")
+        # this said "parts must have increasing bases and nonzero exponents"
+        message = "error: bad Frame shape '-1^24': base -1 is below 1\n"
+        assert run(capsys, "eta", "-1^24") == (1, "", message)
+
+    @pytest.mark.parametrize("text", ["0^24", "1^24 / 0^3"])
+    def test_a_frame_shape_base_of_zero_is_named(self, capsys, text):
+        message = "error: bad Frame shape %r: base 0 is below 1\n" % text
+        assert run(capsys, "eta", text) == (1, "", message)
 
     def test_the_negative_value_hook_exists(self):
         # the "-<digit>" values rest on this private attribute of argparse

@@ -10,10 +10,7 @@ from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, lower_translation, 
 from plattice.lattice import L1, act, lattice
 from plattice import groupsys
 from plattice.groupsys import (
-    _action_perm,
     _coset_key,
-    _kernel_action_set,
-    _perm_sign,
     GroupDescriptor,
     al_coset_representative,
     congruence_level,
@@ -30,8 +27,19 @@ from plattice.groupsys import (
     unclosed_label_product,
 )
 from plattice.classify import descriptor_catalog
+from plattice import tree
 from plattice.tree import factorize, gamma0_index, hypercircle
-from .helpers import all_subgroups, character_lambda, order_profile, quotient_actions
+from .helpers import (
+    action_perm,
+    all_subgroups,
+    character_lambda,
+    character_values,
+    kernel_action_set,
+    kernel_condition,
+    order_profile,
+    perm_sign,
+    quotient_actions,
+)
 from .test_exact import rand_psl2z
 from .test_lattice import assert_comparisons_follow_sort
 
@@ -172,8 +180,8 @@ class TestDescriptor:
         assert_comparisons_follow_sort(catalog)
 
     def test_labelled_order_three_kernel_is_refused(self):
-        # the Atkin-Lehner coset of 6|3+ swaps L_3 and L_6, so it leaves the
-        # lattice set the order-3 character is read off
+        # 6|3+ has no order-3 character to take the kernel of
+        # (TestKernelCharacter.test_six_three_plus_has_no_order_three_character)
         message = r"kernel subgroup not implemented for \(h, n\) = \(3, 6\) with labels \[2\]"
         with pytest.raises(ValueError, match=message):
             GroupDescriptor.kernel(3, 6, {2})
@@ -340,7 +348,7 @@ class TestFiniteQuotient:
         actions = quotient_actions(q, points)
         assert q.order == 12
         assert len(set(actions)) == 12
-        assert all(_perm_sign(p) == 0 for p in actions)
+        assert all(perm_sign(p) == 0 for p in actions)
         assert order_profile(q) == {1: 1, 2: 3, 3: 8}
 
     def test_dihedral_eight(self):
@@ -399,8 +407,8 @@ class TestFiniteQuotient:
         [
             (lambda: normalizer_quotient(36), ()),
             (lambda: normalizer_quotient(64), ()),
-            (lambda: character_lambda(8).quotient, _kernel_action_set(2, 4)),
-            (lambda: character_lambda(9).quotient, _kernel_action_set(3, 3)),
+            (lambda: character_lambda(8).quotient, kernel_action_set(2, 4)),
+            (lambda: character_lambda(9).quotient, kernel_action_set(3, 3)),
         ],
         ids=["level36", "level64", "lambda8", "lambda9"],
     )
@@ -416,7 +424,7 @@ class TestFiniteQuotient:
         assert None not in actions
         for i, a in enumerate(q.reps):
             for j, b in enumerate(q.reps):
-                assert _action_perm(a * b, points) == actions[q.mult[i][j]]
+                assert action_perm(a * b, points) == actions[q.mult[i][j]]
 
     def test_table_takes_one_coset_key_per_walk_step(self, monkeypatch):
         calls = []
@@ -500,6 +508,80 @@ class TestCharacter:
         for a in words[:10]:
             for b in words[10:]:
                 assert lam.value(a * b) == (lam.value(a) + lam.value(b)) % 3
+
+
+# the full groups of the six kernels the catalog forms, as (h, n, labels)
+KERNEL_FAMILIES = [(2, 4, ()), (2, 4, (2,)), (2, 8, ()), (2, 8, (4,)), (3, 3, ()), (3, 6, ())]
+
+
+class TestKernelCharacter:
+    @pytest.mark.parametrize("h, n, labels", KERNEL_FAMILIES)
+    def test_kernel_cosets_match_the_lattice_set_rule(self, h, n, labels):
+        q, kernel = groupsys._kernel_cosets(h, n, frozenset(labels))
+        desc = GroupDescriptor.kernel(h, n, labels)
+        assert q.big == GroupDescriptor(h, n, frozenset(labels))
+        assert kernel == frozenset(i for i, rep in enumerate(q.reps) if kernel_condition(rep, desc))
+        assert len(kernel) * h == q.order
+        assert quotient_generators(desc) == [q.reps[i] for i in sorted(kernel) if i]
+
+    @pytest.mark.parametrize("h, n, labels", KERNEL_FAMILIES)
+    def test_member_agrees_with_the_lattice_set_rule_on_random_words(self, h, n, labels):
+        full = GroupDescriptor(h, n, frozenset(labels))
+        desc = GroupDescriptor.kernel(h, n, labels)
+        gens = group_generators(full)
+        gens += [g.inv() for g in gens]
+        rng = random.Random(1979 + 100 * h + n + len(labels))
+        words = []
+        for _ in range(300):
+            w = IDENTITY
+            for _ in range(rng.randrange(1, 9)):
+                w = w * rng.choice(gens)
+            words.append(w)
+        words += [rand_psl2z(rng) for _ in range(100)]
+        inside = 0
+        for w in words:
+            expected = member(w, full) and kernel_condition(w, desc)
+            assert member(w, desc) == expected, w
+            inside += expected
+        # both answers occur among the words
+        assert 0 < inside < len(words)
+
+    def test_member_on_catalog_kernels_acts_on_no_lattice_sets(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a lattice set was built")
+
+        monkeypatch.setattr(tree, "hypercircle", refuse)
+        monkeypatch.setattr(tree, "thread", refuse)
+        groupsys._kernel_cosets.cache_clear()
+        kernels = [d for d in CATALOG_48 if d.character]
+        assert {(d.h, d.n, tuple(sorted(d.plus))) for d in kernels} == set(KERNEL_FAMILIES)
+        for desc in kernels:
+            full = GroupDescriptor(desc.h, desc.n, desc.plus)
+            q = finite_quotient(full, GroupDescriptor.gamma0(desc.n * desc.h))
+            found = sum(member(rep, desc) for rep in q.reps)
+            assert found * desc.h == q.order
+
+    def test_disagreeing_generator_values_are_refused(self, monkeypatch):
+        # y*x lies in the kernel of 3|3, so y cannot take the value 0 with x at 1
+        monkeypatch.setitem(groupsys.KERNEL_CHARACTER_VALUES, (3, 3), 0)
+        with pytest.raises(AssertionError, match="character of 3\\|3 disagrees at coset"):
+            groupsys._kernel_cosets.__wrapped__(3, 3, frozenset())
+
+    def test_six_three_plus_has_no_order_three_character(self):
+        q = finite_quotient(GroupDescriptor(3, 6, frozenset({2})), GroupDescriptor.gamma0(18))
+        assert q.order == 24
+        assert quotient_generators(q.big) == [
+            ProjectiveMatrix.from_ints(3, 1, 0, 3),
+            ProjectiveMatrix.from_ints(1, 0, 6, 1),
+            ProjectiveMatrix.from_ints(0, 1, -18, 0),
+        ]
+        # with the shear at 1, none of the nine choices on the other two
+        # generators is a homomorphism onto Z/3
+        assert [character_values(q, (1, a, b)) for a in range(3) for b in range(3)] == [None] * 9
+        # without the Atkin-Lehner coset, the table's value is one
+        q, kernel = groupsys._kernel_cosets(3, 6, frozenset())
+        values = character_values(q, (1, groupsys.KERNEL_CHARACTER_VALUES[3, 6]))
+        assert frozenset(i for i, v in enumerate(values) if v == 0) == kernel
 
 
 class TestActionKernel:

@@ -36,6 +36,7 @@ INTEGER_ONLY = {
     "groupsys.py": (
         "_coset_key",
         "_conjugate_by_scale",
+        "_kernel_cosets",
         "finite_quotient",
         "FiniteQuotient.width_cosets",
         "congruence_level",
@@ -107,6 +108,20 @@ def test_no_module_imports_fractions():
     # rationals are read as integer pairs: fractions (with decimal and
     # numbers) cost every command that reads a name about 3.5 ms
     assert _importers("fractions") == []
+
+
+def test_groupsys_takes_only_divisors_and_the_index_from_tree():
+    # a kernel is decided on a finite quotient, not by acting on lattice
+    # sets, so hypercircle and thread are not needed here
+    path = SRC / "groupsys.py"
+    taken = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tree":
+            taken += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # no other spelling reaches the module: ``from . import tree``
+            assert all(alias.name.split(".")[-1] != "tree" for alias in node.names)
+    assert sorted(taken) == ["divisors", "gamma0_index"]
 
 
 # A cold command loads only the layers it uses: the package and the CLI
