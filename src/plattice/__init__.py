@@ -24,15 +24,12 @@ _HOMES = {
     "exact": ("ProjectiveMatrix", "pdet", "primitive_rep"),
     "lattice": ("LatticeName", "act", "hyperdistance", "reduce_matrix"),
     "tree": ("HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"),
+    "descriptors": ("GroupDescriptor", "NODE_GROUPS", "congruence_level", "normalizer_of_gamma0"),
     "groupsys": (
         "FiniteQuotient",
-        "GroupDescriptor",
-        "NODE_GROUPS",
         "al_coset_representative",
-        "congruence_level",
         "finite_quotient",
         "member",
-        "normalizer_of_gamma0",
         "schreier_generators",
         "width_at_infinity",
     ),

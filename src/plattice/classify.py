@@ -19,16 +19,14 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .groupsys import (
-    FiniteQuotient,
+from .descriptors import (
     GroupDescriptor,
-    _member_cosets,
     exact_divisors,
-    normalizer_quotient,
     normalizer_quotient_orders,
     unclosed_label_product,
     unsupported_kernel,
 )
+from .groupsys import FiniteQuotient, _member_cosets, normalizer_quotient
 from .tree import divisors, gamma0_index
 
 INDEX_BOUND = 12

@@ -141,7 +141,8 @@ def cmd_cusps(args):
 
 
 def cmd_groups(args):
-    from .groupsys import GroupDescriptor, member
+    from .descriptors import GroupDescriptor
+    from .groupsys import member, width_at_infinity
 
     desc = GroupDescriptor.parse(args.name)
     if args.member:
@@ -149,8 +150,6 @@ def cmd_groups(args):
 
         print("true" if member(parse_matrix(args.member), desc) else "false")
         return
-    from .groupsys import width_at_infinity
-
     k, h = width_at_infinity(desc)
     info = desc.to_json()
     info["width_at_infinity"] = "%d" % k if h == 1 else "%d/%d" % (k, h)
@@ -162,7 +161,7 @@ def cmd_groups(args):
 
 
 def cmd_level(args):
-    from .groupsys import GroupDescriptor, congruence_level
+    from .descriptors import GroupDescriptor, congruence_level
 
     print(congruence_level(GroupDescriptor.parse(args.name), args.max_n))
 
@@ -231,7 +230,7 @@ def cmd_super(args):
         raise ValueError("tolerance must be a positive finite number, not %s" % args.tol)
 
     from .frames import double_group, eta_quotient_series, frame_shape, numeric_invariance_check
-    from .groupsys import NODE_GROUPS
+    from .descriptors import NODE_GROUPS
 
     rows = []
     for desc in NODE_GROUPS:
@@ -261,10 +260,10 @@ def cmd_eta(args):
     catalog = dict(VERTEX_SHAPES)
     if text in catalog or "^" in text or "/" in text:
         # a vertex name is read from the catalog, and no group name survives
-        # its integer conversions with "^" or "/" in it, so groupsys need not load
+        # its integer conversions with "^" or "/" in it, so descriptors need not load
         shape = catalog[text] if text in catalog else FrameShape.parse(args.shape)
     else:
-        from .groupsys import GroupDescriptor
+        from .descriptors import GroupDescriptor
 
         try:
             shape = frame_shape(GroupDescriptor.parse(text))

@@ -36,8 +36,8 @@ class CuspReport(namedtuple("CuspReport", "level cusps")):
         return sum(w for _, w in self.cusps)
 
     def to_json(self) -> dict:
-        # the group's record is written only here, so only the JSON loads groupsys
-        from .groupsys import GroupDescriptor
+        # the group's record is written only here, so only the JSON loads descriptors
+        from .descriptors import GroupDescriptor
 
         return {
             "group": GroupDescriptor.gamma0(self.level).to_json(),

@@ -13,17 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .classify import name_subgroup
-from .groupsys import (
-    NODE_GROUPS,
-    GroupDescriptor,
-    _member_cosets,
-    congruence_level,
-    group_generators,
-    member,
-    normalizer_of_gamma0,
-    normalizer_quotient,
-)
+from .descriptors import NODE_GROUPS, GroupDescriptor, congruence_level, normalizer_of_gamma0
+from .groupsys import _member_cosets, group_generators, member, normalizer_quotient
 from .lattice import L1, LatticeName, act
 from .tree import divisors
 
@@ -67,6 +58,9 @@ def scale_factor(desc: GroupDescriptor) -> int:
 @lru_cache(maxsize=None)
 def core_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The group cut back to the scaled base family: its Atkin-Lehner-free part."""
+    # classify loads only here, so doubling a group (super) does not load it
+    from .classify import name_subgroup
+
     n = envelope_level(desc)
     a = scale_factor(desc)
     q = normalizer_quotient(n)

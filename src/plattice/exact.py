@@ -122,11 +122,6 @@ def translation(amount) -> ProjectiveMatrix:
     return ProjectiveMatrix.from_entries(1, amount, 0, 1)
 
 
-def lower_translation(amount) -> ProjectiveMatrix:
-    """Lower-triangular unipotent [[1, 0], [n, 1]]."""
-    return ProjectiveMatrix.from_entries(1, 0, amount, 1)
-
-
 def dilation(m) -> ProjectiveMatrix:
     """Diagonal [[M, 0], [0, 1]] for a positive rational M."""
     if m <= 0:

@@ -27,9 +27,9 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-# groupsys, and exact, lattice and tree with it, loads only inside the
-# functions that take a group, so a Frame shape given as text loads none of
-# them; the annotations that name their types are never evaluated
+# descriptors and groupsys, and exact, lattice and tree with them, load only
+# inside the functions that take a group, so a Frame shape given as text
+# loads none of them; the annotations that name their types are never evaluated
 
 # group doubling ---------------------------------------------------------------
 
@@ -52,9 +52,9 @@ def double_coset_label(e: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def double_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The level-doubled group attached to a vertex group."""
-    # diagram, and with it classify, loads only when a group is doubled
+    # diagram, and with it groupsys, loads only when a group is doubled
+    from .descriptors import NODE_GROUPS, GroupDescriptor
     from .diagram import envelope_level, scale_factor
-    from .groupsys import NODE_GROUPS, GroupDescriptor
 
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
@@ -123,7 +123,7 @@ class FrameShape(namedtuple("FrameShape", "parts")):
 
 
 # the catalog: each vertex group's display name with its shape, in vertex
-# order, so a vertex name finds its shape without loading groupsys
+# order, so a vertex name finds its shape without loading descriptors
 VERTEX_SHAPES: tuple[tuple[str, FrameShape], ...] = tuple(
     (name, FrameShape.parse(text))
     for name, text in (
@@ -147,7 +147,7 @@ for _fs in FRAME_SHAPES:
 
 def frame_shape(desc: GroupDescriptor) -> FrameShape:
     """The catalog shape of a vertex group."""
-    from .groupsys import NODE_GROUPS
+    from .descriptors import NODE_GROUPS
 
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
@@ -179,14 +179,6 @@ class IntegerPowerSeries(namedtuple("IntegerPowerSeries", "leading coeffs")):
     @property
     def order(self) -> int:
         return self.leading + len(self.coeffs) - 1
-
-    def coefficient(self, exponent: int) -> int:
-        i = exponent - self.leading
-        if i < 0:
-            return 0
-        if i >= len(self.coeffs):
-            raise ValueError("coefficient of q^%d is beyond the truncation" % exponent)
-        return self.coeffs[i]
 
     def __str__(self) -> str:
         chunks = []

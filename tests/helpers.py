@@ -1,11 +1,11 @@
-"""Reference code that only the tests use: a name's pair (M, b) as
-Fractions and the dual (reverse) names, element orders, lattice-set
-actions and whole subgroup lattices of finite quotients, the lattice-set
-rule for kernel membership, characters spread from generator values, the
-two instantiated characters, shear orbits, cusp counts and the cusp report
-they give, balls of the p-adic trees, graph edges by group name, graph
-neighbours, the Frame-shape predictions of the vertex invariants and the
-dense eta-series recurrence."""
+"""Reference code that only the tests use: the lower translation, series
+coefficients, a name's pair (M, b) as Fractions and the dual (reverse)
+names, element orders, lattice-set actions and whole subgroup lattices of
+finite quotients, the lattice-set rule for kernel membership, characters
+spread from generator values, the two instantiated characters, shear
+orbits, cusp counts and the cusp report they give, balls of the p-adic
+trees, graph edges by group name, graph neighbours, the Frame-shape
+predictions of the vertex invariants and the dense eta-series recurrence."""
 
 import operator
 from collections import namedtuple
@@ -14,15 +14,26 @@ from math import gcd, lcm
 
 from plattice.exact import ProjectiveMatrix, translation
 from plattice.frames import FrameShape, IntegerPowerSeries
-from plattice.groupsys import (
-    FiniteQuotient,
-    GroupDescriptor,
-    finite_quotient,
-    quotient_generators,
-    width_at_infinity,
-)
+from plattice.descriptors import GroupDescriptor
+from plattice.groupsys import FiniteQuotient, finite_quotient, quotient_generators, width_at_infinity
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
 from plattice.tree import hypercircle, is_prime, thread
+
+
+def lower_translation(amount) -> ProjectiveMatrix:
+    """Lower-triangular unipotent [[1, 0], [n, 1]]."""
+    return ProjectiveMatrix.from_entries(1, 0, amount, 1)
+
+
+def coefficient(series: IntegerPowerSeries, exponent: int) -> int:
+    """The coefficient of q**exponent: 0 below the leading term, a
+    ValueError beyond the truncation."""
+    i = exponent - series.leading
+    if i < 0:
+        return 0
+    if i >= len(series.coeffs):
+        raise ValueError("coefficient of q^%d is beyond the truncation" % exponent)
+    return series.coeffs[i]
 
 
 def name_m(name: LatticeName) -> Fraction:

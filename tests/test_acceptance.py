@@ -10,7 +10,7 @@ from fractions import Fraction
 from plattice.classify import classify
 from plattice.cusps import cusps_of_gamma0
 from plattice.diagram import NODE_GROUPS, build_graph, node_vertex_data
-from plattice.exact import S, T, lower_translation
+from plattice.exact import S, T
 from plattice.frames import (
     FRAME_SHAPES,
     double_group,
@@ -19,12 +19,14 @@ from plattice.frames import (
     invariant_under,
     numeric_invariance_check,
 )
-from plattice.groupsys import GroupDescriptor, finite_quotient
+from plattice.descriptors import GroupDescriptor
+from plattice.groupsys import finite_quotient
 from plattice.lattice import L1, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import gamma0_index, hypercircle
 
 from .helpers import (
     edge_displays,
+    lower_translation,
     max_part,
     name_of,
     order_profile,

@@ -17,15 +17,12 @@ HOMES = {
     "exact": ["ProjectiveMatrix", "pdet", "primitive_rep"],
     "lattice": ["LatticeName", "act", "hyperdistance", "reduce_matrix"],
     "tree": ["HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"],
+    "descriptors": ["GroupDescriptor", "NODE_GROUPS", "congruence_level", "normalizer_of_gamma0"],
     "groupsys": [
         "FiniteQuotient",
-        "GroupDescriptor",
-        "NODE_GROUPS",
         "al_coset_representative",
-        "congruence_level",
         "finite_quotient",
         "member",
-        "normalizer_of_gamma0",
         "schreier_generators",
         "width_at_infinity",
     ],
@@ -108,6 +105,6 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_diagram_keeps_the_node_group_catalog():
-    from plattice import diagram, groupsys
+    from plattice import descriptors, diagram
 
-    assert diagram.NODE_GROUPS is groupsys.NODE_GROUPS
+    assert diagram.NODE_GROUPS is descriptors.NODE_GROUPS

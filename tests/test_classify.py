@@ -18,18 +18,17 @@ from plattice.classify import (
     may_pass,
     name_subgroup,
 )
-from plattice.exact import lower_translation, translation
-from plattice.groupsys import (
+from plattice.exact import translation
+from plattice.descriptors import (
     GroupDescriptor,
     exact_divisors,
-    member,
     normalizer_of_gamma0,
-    normalizer_quotient,
     normalizer_quotient_orders,
 )
+from plattice.groupsys import member, normalizer_quotient
 from plattice.tree import divisors
 
-from .helpers import all_subgroups, cyclic, element_order
+from .helpers import all_subgroups, cyclic, element_order, lower_translation
 from .test_api import fresh_python
 from .test_groupsys import outcome
 

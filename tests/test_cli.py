@@ -11,7 +11,7 @@ import pytest
 from plattice import cli
 from plattice.cli import main
 from plattice.frames import frame_shape
-from plattice.groupsys import NODE_GROUPS, GroupDescriptor
+from plattice.descriptors import NODE_GROUPS, GroupDescriptor
 from plattice.lattice import LatticeName
 from plattice.tree import hypercircle
 

@@ -6,7 +6,8 @@ import pytest
 from plattice import cli, cusps, tree
 from plattice.cusps import CuspReport, cusps_of_gamma0
 from plattice.exact import translation
-from plattice.groupsys import GroupDescriptor, width_at_infinity
+from plattice.descriptors import GroupDescriptor
+from plattice.groupsys import width_at_infinity
 from plattice.lattice import L1, act, lattice
 from plattice.tree import gamma0_index, hypercircle
 

@@ -18,13 +18,8 @@ from plattice.diagram import (
     scale_factor,
     vertex_data,
 )
-from plattice.groupsys import (
-    GroupDescriptor,
-    group_generators,
-    member,
-    normalizer_of_gamma0,
-    schreier_generators,
-)
+from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0
+from plattice.groupsys import group_generators, member, schreier_generators
 from plattice.lattice import L1, act, lattice
 
 from .helpers import edge_displays, neighbors
@@ -99,7 +94,7 @@ class TestScaleFactor:
     def test_scale_is_envelope_h_except_plus_four(self):
         # the scale agrees with the square-divisor bound of the envelope
         # level everywhere but the label-four group, where it drops to one
-        from plattice.groupsys import normalizer_of_gamma0
+        from plattice.descriptors import normalizer_of_gamma0
 
         for d in NODE_GROUPS:
             expected = 1 if d == GroupDescriptor.gamma0_plus(4) else normalizer_of_gamma0(

@@ -10,12 +10,13 @@ from plattice.exact import (
     T,
     ProjectiveMatrix,
     dilation,
-    lower_translation,
     parse_matrix,
     pdet,
     primitive_rep,
     translation,
 )
+
+from .helpers import lower_translation
 
 
 def rand_psl2z(rng, length=12):

@@ -19,9 +19,10 @@ from plattice.frames import (
     invariant_under,
     numeric_invariance_check,
 )
-from plattice.groupsys import GroupDescriptor, member, quotient_generators, width_at_infinity
+from plattice.descriptors import GroupDescriptor
+from plattice.groupsys import member, quotient_generators, width_at_infinity
 
-from .helpers import dense_eta_series, max_part, predicted_valency
+from .helpers import coefficient, dense_eta_series, max_part, predicted_valency
 
 DOUBLED_DISPLAYS = ["2", "4+", "6+6", "8+", "10+10", "12+", "6|3", "8|2+", "4"]
 
@@ -248,11 +249,11 @@ class TestSeries:
 
     def test_coefficient_accessor(self):
         series = eta_quotient_series(FRAME_SHAPES[0], 5)
-        assert series.coefficient(-1) == 1
-        assert series.coefficient(-3) == 0
-        assert series.coefficient(0) == -24
+        assert coefficient(series, -1) == 1
+        assert coefficient(series, -3) == 0
+        assert coefficient(series, 0) == -24
         with pytest.raises(ValueError):
-            series.coefficient(series.order + 1)
+            coefficient(series, series.order + 1)
 
     def test_str_form(self):
         series = eta_quotient_series(FRAME_SHAPES[0], 1)

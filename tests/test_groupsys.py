@@ -6,25 +6,27 @@ from math import gcd
 
 import pytest
 
-from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, lower_translation, translation
+from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, translation
 from plattice.lattice import L1, act, lattice
-from plattice import groupsys
+from plattice import descriptors, groupsys
+from plattice.descriptors import (
+    GroupDescriptor,
+    congruence_level,
+    exact_divisors,
+    normalizer_of_gamma0,
+    normalizer_quotient_orders,
+    unclosed_label_product,
+)
 from plattice.groupsys import (
     _coset_key,
-    GroupDescriptor,
     al_coset_representative,
-    congruence_level,
     conjugated_al_representative,
-    exact_divisors,
     finite_quotient,
     group_generators,
     member,
-    normalizer_of_gamma0,
     normalizer_quotient,
-    normalizer_quotient_orders,
     quotient_generators,
     schreier_generators,
-    unclosed_label_product,
 )
 from plattice.classify import descriptor_catalog
 from plattice import tree
@@ -36,6 +38,7 @@ from .helpers import (
     character_values,
     kernel_action_set,
     kernel_condition,
+    lower_translation,
     order_profile,
     perm_sign,
     quotient_actions,
@@ -563,7 +566,7 @@ class TestKernelCharacter:
 
     def test_disagreeing_generator_values_are_refused(self, monkeypatch):
         # y*x lies in the kernel of 3|3, so y cannot take the value 0 with x at 1
-        monkeypatch.setitem(groupsys.KERNEL_CHARACTER_VALUES, (3, 3), 0)
+        monkeypatch.setitem(descriptors.KERNEL_CHARACTER_VALUES, (3, 3), 0)
         with pytest.raises(AssertionError, match="character of 3\\|3 disagrees at coset"):
             groupsys._kernel_cosets.__wrapped__(3, 3, frozenset())
 
@@ -580,7 +583,7 @@ class TestKernelCharacter:
         assert [character_values(q, (1, a, b)) for a in range(3) for b in range(3)] == [None] * 9
         # without the Atkin-Lehner coset, the table's value is one
         q, kernel = groupsys._kernel_cosets(3, 6, frozenset())
-        values = character_values(q, (1, groupsys.KERNEL_CHARACTER_VALUES[3, 6]))
+        values = character_values(q, (1, descriptors.KERNEL_CHARACTER_VALUES[3, 6]))
         assert frozenset(i for i, v in enumerate(values) if v == 0) == kernel
 
 

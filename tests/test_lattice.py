@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, dilation, translation
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import hypercircle
-from .helpers import ReverseName, name_b, name_m, name_of, reverse_name
+from .helpers import ReverseName, lower_translation, name_b, name_m, name_of, reverse_name
 from .test_exact import rand_pgl2q, rand_psl2z, rand_rational_token
 
 
@@ -144,8 +144,6 @@ class TestReverseNames:
     def test_lower_translation_acts_on_reverse_names(self):
         # reverse pair (b, A) gains A*M in its shift under [[1,0],[M,1]]
         rng = random.Random(61)
-        from plattice.exact import lower_translation
-
         for _ in range(300):
             name = reduce_matrix(rand_pgl2q(rng))
             rev = reverse_name(name)

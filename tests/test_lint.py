@@ -33,14 +33,13 @@ INTEGER_ONLY = {
     "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints"),
     "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
     "tree.py": ("divisors", "thread", "_lattice_sum"),
+    "descriptors.py": ("congruence_level", "normalizer_quotient_orders"),
     "groupsys.py": (
         "_coset_key",
         "_conjugate_by_scale",
         "_kernel_cosets",
         "finite_quotient",
         "FiniteQuotient.width_cosets",
-        "congruence_level",
-        "normalizer_quotient_orders",
     ),
     "classify.py": ("may_pass",),
     "cusps.py": ("gamma0_cusps", "CuspReport.to_json"),
@@ -110,18 +109,33 @@ def test_no_module_imports_fractions():
     assert _importers("fractions") == []
 
 
-def test_groupsys_takes_only_divisors_and_the_index_from_tree():
-    # a kernel is decided on a finite quotient, not by acting on lattice
-    # sets, so hypercircle and thread are not needed here
-    path = SRC / "groupsys.py"
-    taken = []
+def _taken_from(filename: str) -> dict:
+    # module -> the names ``filename`` imports from it, for plattice modules
+    path = SRC / filename
+    taken = {}
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tree":
-            taken += [alias.name for alias in node.names]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            # no other spelling reaches the module: ``from . import tree``
-            assert all(alias.name.split(".")[-1] != "tree" for alias in node.names)
-    assert sorted(taken) == ["divisors", "gamma0_index"]
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or not _imports_plattice(node):
+            continue
+        module = (node.module or "").split(".")[-1] if isinstance(node, ast.ImportFrom) else ""
+        for alias in node.names:
+            if module in ("", "plattice"):  # ``from . import tree`` takes the whole module
+                taken.setdefault(alias.name.split(".")[-1], []).append("*")
+            else:
+                taken.setdefault(module, []).append(alias.name)
+    return {module: sorted(names) for module, names in taken.items()}
+
+
+def test_groupsys_takes_only_the_index_from_tree():
+    # a kernel is decided on a finite quotient, not by acting on lattice
+    # sets, and the normalizer is read off its descriptor, so hypercircle,
+    # thread and divisors are not needed here
+    assert _taken_from("groupsys.py")["tree"] == ["gamma0_index"]
+
+
+def test_descriptors_take_only_divisors_and_the_index_from_tree():
+    # names are computed from their integers alone: no other plattice
+    # module is imported, so no matrix is built here
+    assert _taken_from("descriptors.py") == {"tree": ["divisors", "gamma0_index"]}
 
 
 # A cold command loads only the layers it uses: the package and the CLI
@@ -173,7 +187,7 @@ else:
 print(json.dumps(sorted(sys.modules)))
 """
 
-SEARCH_LAYERS = {"groupsys", "cusps", "classify", "diagram", "frames"}
+SEARCH_LAYERS = {"descriptors", "groupsys", "cusps", "classify", "diagram", "frames"}
 
 
 def _loaded_modules(argv) -> set:
@@ -231,9 +245,11 @@ def test_eta_of_a_vertex_name_loads_only_frames(name):
     assert "fractions" not in loaded
 
 
-def test_eta_of_an_alias_loads_groupsys():
-    # another spelling of a vertex group still goes through the group parser
-    assert "groupsys" in _loaded_layers(["eta", "3+3", "--order", "20"])
+def test_eta_of_an_alias_loads_descriptors_not_groupsys():
+    # another spelling of a vertex group still goes through the group parser,
+    # which builds no matrix
+    loaded = _loaded_layers(["eta", "3+3", "--order", "20"])
+    assert "descriptors" in loaded and "groupsys" not in loaded
     alias = fresh_python("-m", "plattice.cli", "eta", "3+3", "--order", "20")
     assert alias.stdout == fresh_python("-m", "plattice.cli", "eta", "3+", "--order", "20").stdout
 
@@ -244,7 +260,8 @@ README = SRC.parent.parent / "README.md"
 STARTUP_ROWS = {
     "`reduce`, `hyperdistance`": ["reduce", "[[0,-1],[4,0]]"],
     "`hypercircle`, `thread`, `cell`, `project`, `index`": ["index", "8"],
-    "`level`, `groups`": ["groups", "4|2+"],
+    "`level`": ["level", "8|2+"],
+    "`groups`": ["groups", "4|2+"],
     "`cusps`": ["cusps", "9"],
     "`cusps --json`": ["cusps", "9", "--json"],
     "`eta` of a Frame shape (text with `^` or `/`)": ["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"],
@@ -296,9 +313,17 @@ def test_commands_load_neither_dataclasses_nor_inspect(argv):
 
 
 def test_cusps_text_loads_no_groupsys():
-    # the text prints no group record, so only the JSON loads groupsys
-    assert "groupsys" not in _loaded_layers(["cusps", "9"])
-    assert "groupsys" in _loaded_layers(["cusps", "9", "--json"])
+    # the text prints no group record, so only the JSON loads descriptors,
+    # and a record is a name, so neither loads groupsys
+    assert _loaded_layers(["cusps", "9"]) & {"descriptors", "groupsys"} == set()
+    loaded = _loaded_layers(["cusps", "2644", "--json"])
+    assert "descriptors" in loaded and "groupsys" not in loaded
+
+
+def test_level_with_a_bound_loads_no_groupsys():
+    # the congruence level is read off the name, never its matrices
+    loaded = _loaded_layers(["level", "6+2", "--max-n", "12"])
+    assert "descriptors" in loaded and "groupsys" not in loaded
 
 
 # The benchmark's traced runs (perfbench/launcher.py) wrap these callables

@@ -5,7 +5,7 @@ from math import gcd, isqrt
 import pytest
 
 from plattice import tree
-from plattice.exact import T, ProjectiveMatrix, lower_translation
+from plattice.exact import T, ProjectiveMatrix
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import (
     divisors,
@@ -16,7 +16,7 @@ from plattice.tree import (
     padic_projection,
     thread,
 )
-from .helpers import tree_ball_edges
+from .helpers import lower_translation, tree_ball_edges
 from .test_exact import rand_pgl2q
 
 
