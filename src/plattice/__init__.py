@@ -21,21 +21,21 @@ __version__ = "0.1.0"
 
 # home module -> the names it exports through the package
 _HOMES = {
+    "arith": ("gamma0_index",),
     "exact": ("ProjectiveMatrix", "pdet", "primitive_rep"),
     "lattice": ("LatticeName", "act", "hyperdistance", "reduce_matrix"),
-    "tree": ("HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"),
+    "tree": ("HyperCircle", "Thread", "hypercircle", "is_cell", "padic_projection", "thread"),
     "descriptors": ("GroupDescriptor", "NODE_GROUPS", "congruence_level", "normalizer_of_gamma0"),
     "groupsys": (
         "FiniteQuotient",
         "al_coset_representative",
         "finite_quotient",
         "member",
-        "schreier_generators",
         "width_at_infinity",
     ),
     "cusps": ("CuspReport", "cusps_of_gamma0"),
     "classify": ("Candidate", "candidate_levels", "check_conditions", "classify"),
-    "diagram": ("LabeledGraph", "VertexData", "build_graph", "emit_dot", "vertex_data"),
+    "diagram": ("LabeledGraph", "VertexData", "build_graph", "emit_dot", "schreier_generators", "vertex_data"),
     "frames": (
         "FRAME_SHAPES",
         "FrameShape",

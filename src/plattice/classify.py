@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
+from .arith import divisors, gamma0_index
 from .descriptors import (
     GroupDescriptor,
     exact_divisors,
@@ -27,7 +28,6 @@ from .descriptors import (
     unsupported_kernel,
 )
 from .groupsys import FiniteQuotient, _member_cosets, normalizer_quotient
-from .tree import divisors, gamma0_index
 
 INDEX_BOUND = 12
 RATIO_BOUND = 3

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
+from .arith import divisors, hypercircle_size
 from .lattice import LatticeName, name_text
-from .tree import divisors, hypercircle_size
 
 
 class CuspReport(namedtuple("CuspReport", "level cusps")):

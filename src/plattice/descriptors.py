@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .tree import divisors, gamma0_index
+from .arith import divisors, gamma0_index
 
 # The (h, n) pairs whose canonical index-h kernel is implemented, each with
 # its character's value (mod h) on [[1, 0], [n, 1]]; the doubled pairs

@@ -5,7 +5,7 @@ and normalizes), a scale factor, a core subgroup (the group with its
 adjoined involutions removed), a congruence level, a normalized level, a
 valency, and a faithfulness bit.  A degree- and weight-constrained
 backtracking search then recovers the unique graph on the nine vertices:
-the extended E8 diagram.
+the extended E8 diagram.  The groups' generating sets are built here too.
 """
 
 from __future__ import annotations
@@ -13,12 +13,56 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+from .arith import divisors, gamma0_index
 from .descriptors import NODE_GROUPS, GroupDescriptor, congruence_level, normalizer_of_gamma0
-from .groupsys import _member_cosets, group_generators, member, normalizer_quotient
+from .exact import IDENTITY, S, T, ProjectiveMatrix
+from .groupsys import _member_cosets, member, normalizer_quotient, quotient_generators
 from .lattice import L1, LatticeName, act
-from .tree import divisors
 
 ENVELOPE_SEARCH_BOUND = 64
+
+
+@lru_cache(maxsize=None)
+def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
+    """Generators of the level-n congruence group from the coset action.
+
+    Takes the spanning-tree transversal of the action of the two standard
+    modular-group generators on the hyperradius-n circle (cosets correspond
+    to the lattices there, based at L_n) and returns the Schreier elements.
+    """
+    if n < 1:
+        raise ValueError("level must be positive")
+    base = LatticeName(n, 0, 1)
+    transversal: dict[LatticeName, ProjectiveMatrix] = {base: IDENTITY}
+    frontier = [base]
+    gens = [S, T, T.inv()]
+    while frontier:
+        cur = frontier.pop(0)
+        for g in gens:
+            nxt = act(cur, g)
+            if nxt not in transversal:
+                transversal[nxt] = transversal[cur] * g
+                frontier.append(nxt)
+    if len(transversal) != gamma0_index(n):
+        raise AssertionError("coset transversal of level %d has the wrong size" % n)
+    out = []
+    seen = set()
+    for point, rep in transversal.items():
+        for g in (S, T):
+            elem = rep * g * transversal[act(point, g)].inv()
+            if not elem.is_identity() and elem not in seen:
+                seen.add(elem)
+                out.append(elem)
+    desc = GroupDescriptor.gamma0(n)
+    if not all(member(x, desc) for x in out):
+        raise AssertionError("a Schreier generator left the level-%d group" % n)
+    return tuple(out)
+
+
+def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
+    """A finite generating set for the described group."""
+    base = desc.n * desc.h if desc.h > 1 else desc.n
+    return list(schreier_generators(base)) + quotient_generators(desc)
 
 
 @lru_cache(maxsize=None)

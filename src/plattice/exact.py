@@ -117,18 +117,6 @@ S = ProjectiveMatrix.from_ints(0, -1, 1, 0)
 T = ProjectiveMatrix.from_ints(1, 1, 0, 1)
 
 
-def translation(amount) -> ProjectiveMatrix:
-    """Upper-triangular unipotent [[1, A], [0, 1]] for rational A."""
-    return ProjectiveMatrix.from_entries(1, amount, 0, 1)
-
-
-def dilation(m) -> ProjectiveMatrix:
-    """Diagonal [[M, 0], [0, 1]] for a positive rational M."""
-    if m <= 0:
-        raise ValueError("dilation requires a positive rational, got %s" % m)
-    return ProjectiveMatrix.from_entries(m, 0, 0, 1)
-
-
 # Text serialization ---------------------------------------------------------
 
 

@@ -360,6 +360,6 @@ def numeric_invariance_check(
     tol: float = 1e-6,
 ) -> bool:
     """Necessary-condition check: invariance under every group generator."""
-    from .groupsys import group_generators
+    from .diagram import group_generators
 
     return all(invariant_under(fs, g, tau, tol) for g in group_generators(desc))

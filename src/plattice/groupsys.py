@@ -29,9 +29,8 @@ from .descriptors import (
     normalizer_of_gamma0,
     normalizer_quotient_orders,
 )
-from .exact import IDENTITY, S, T, ProjectiveMatrix
+from .exact import IDENTITY, ProjectiveMatrix
 from .lattice import LatticeName, act, reduce_matrix
-from .tree import gamma0_index
 
 QUOTIENT_ELEMENT_BOUND = 10000
 
@@ -80,7 +79,7 @@ def _member_cosets(q: FiniteQuotient, desc: GroupDescriptor) -> frozenset[int]:
     return frozenset(i for i, rep in enumerate(q.reps) if member(rep, desc))
 
 
-# Atkin-Lehner cosets and generators -----------------------------------------
+# Atkin-Lehner cosets ---------------------------------------------------------
 
 
 def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
@@ -110,52 +109,6 @@ def conjugated_al_representative(desc_h: int, m: int, e: int) -> ProjectiveMatri
     rep = al_coset_representative(m, e)
     gh = ProjectiveMatrix.from_ints(desc_h, 0, 0, 1)
     return gh.inv() * rep * gh
-
-
-def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
-    """A finite generating set for the described group."""
-    base = desc.n * desc.h if desc.h > 1 else desc.n
-    return list(schreier_generators(base)) + quotient_generators(desc)
-
-
-# Schreier generators ----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
-    """Generators of the level-n congruence group from the coset action.
-
-    Takes the spanning-tree transversal of the action of the two standard
-    modular-group generators on the hyperradius-n circle (cosets correspond
-    to the lattices there, based at L_n) and returns the Schreier elements.
-    """
-    if n < 1:
-        raise ValueError("level must be positive")
-    base = LatticeName(n, 0, 1)
-    transversal: dict[LatticeName, ProjectiveMatrix] = {base: IDENTITY}
-    frontier = [base]
-    gens = [S, T, T.inv()]
-    while frontier:
-        cur = frontier.pop(0)
-        for g in gens:
-            nxt = act(cur, g)
-            if nxt not in transversal:
-                transversal[nxt] = transversal[cur] * g
-                frontier.append(nxt)
-    if len(transversal) != gamma0_index(n):
-        raise AssertionError("coset transversal of level %d has the wrong size" % n)
-    out = []
-    seen = set()
-    for point, rep in transversal.items():
-        for g in (S, T):
-            elem = rep * g * transversal[act(point, g)].inv()
-            if not elem.is_identity() and elem not in seen:
-                seen.add(elem)
-                out.append(elem)
-    desc = GroupDescriptor.gamma0(n)
-    if not all(member(x, desc) for x in out):
-        raise AssertionError("a Schreier generator left the level-%d group" % n)
-    return tuple(out)
 
 
 # finite quotients -------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Reference code that only the tests use: the lower translation, series
+"""Reference code that only the tests use: the upper and lower translations
+and the dilation, series
 coefficients, a name's pair (M, b) as Fractions and the dual (reverse)
 names, element orders, lattice-set actions and whole subgroup lattices of
 finite quotients, the lattice-set rule for kernel membership, characters
@@ -12,17 +13,30 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from plattice.exact import ProjectiveMatrix, translation
+from plattice.exact import ProjectiveMatrix
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import GroupDescriptor
 from plattice.groupsys import FiniteQuotient, finite_quotient, quotient_generators, width_at_infinity
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
-from plattice.tree import hypercircle, is_prime, thread
+from plattice.arith import is_prime
+from plattice.tree import hypercircle, thread
+
+
+def translation(amount) -> ProjectiveMatrix:
+    """Upper-triangular unipotent [[1, A], [0, 1]] for rational A."""
+    return ProjectiveMatrix.from_entries(1, amount, 0, 1)
 
 
 def lower_translation(amount) -> ProjectiveMatrix:
     """Lower-triangular unipotent [[1, 0], [n, 1]]."""
     return ProjectiveMatrix.from_entries(1, 0, amount, 1)
+
+
+def dilation(m) -> ProjectiveMatrix:
+    """Diagonal [[M, 0], [0, 1]] for a positive rational M."""
+    if m <= 0:
+        raise ValueError("dilation requires a positive rational, got %s" % m)
+    return ProjectiveMatrix.from_entries(m, 0, 0, 1)
 
 
 def coefficient(series: IntegerPowerSeries, exponent: int) -> int:

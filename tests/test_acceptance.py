@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 
+from plattice.arith import gamma0_index
 from plattice.classify import classify
 from plattice.cusps import cusps_of_gamma0
 from plattice.diagram import NODE_GROUPS, build_graph, node_vertex_data
@@ -22,7 +23,7 @@ from plattice.frames import (
 from plattice.descriptors import GroupDescriptor
 from plattice.groupsys import finite_quotient
 from plattice.lattice import L1, act, hyperdistance, lattice, reduce_matrix
-from plattice.tree import gamma0_index, hypercircle
+from plattice.tree import hypercircle
 
 from .helpers import (
     edge_displays,

@@ -14,21 +14,21 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 # every name the package exports, by the module that defines it
 HOMES = {
+    "arith": ["gamma0_index"],
     "exact": ["ProjectiveMatrix", "pdet", "primitive_rep"],
     "lattice": ["LatticeName", "act", "hyperdistance", "reduce_matrix"],
-    "tree": ["HyperCircle", "Thread", "gamma0_index", "hypercircle", "is_cell", "padic_projection", "thread"],
+    "tree": ["HyperCircle", "Thread", "hypercircle", "is_cell", "padic_projection", "thread"],
     "descriptors": ["GroupDescriptor", "NODE_GROUPS", "congruence_level", "normalizer_of_gamma0"],
     "groupsys": [
         "FiniteQuotient",
         "al_coset_representative",
         "finite_quotient",
         "member",
-        "schreier_generators",
         "width_at_infinity",
     ],
     "cusps": ["CuspReport", "cusps_of_gamma0"],
     "classify": ["Candidate", "candidate_levels", "check_conditions", "classify"],
-    "diagram": ["LabeledGraph", "VertexData", "build_graph", "emit_dot", "vertex_data"],
+    "diagram": ["LabeledGraph", "VertexData", "build_graph", "emit_dot", "schreier_generators", "vertex_data"],
     "frames": [
         "FRAME_SHAPES",
         "FrameShape",
@@ -39,10 +39,10 @@ HOMES = {
         "numeric_invariance_check",
     ],
 }
-SUBMODULES = list(HOMES) + ["cli"]
+SUBMODULES = list(HOMES) + ["cli", "cli_calculus", "cli_groups", "cli_series", "output"]
 
 # Run in a fresh interpreter: argv[1] is "before" (no submodule imported
-# yet) or "after" (all ten imported first).  Prints what it found as JSON.
+# yet) or "after" (all of SUBMODULES imported first).  Prints what it found as JSON.
 PARITY_SCRIPT = r"""
 import importlib, json, sys
 order, homes, submodules = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])

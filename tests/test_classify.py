@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from plattice.arith import divisors
 from plattice.classify import (
     EXPONENT_TWO_ORDER,
     Candidate,
@@ -18,7 +19,6 @@ from plattice.classify import (
     may_pass,
     name_subgroup,
 )
-from plattice.exact import translation
 from plattice.descriptors import (
     GroupDescriptor,
     exact_divisors,
@@ -26,9 +26,8 @@ from plattice.descriptors import (
     normalizer_quotient_orders,
 )
 from plattice.groupsys import member, normalizer_quotient
-from plattice.tree import divisors
 
-from .helpers import all_subgroups, cyclic, element_order, lower_translation
+from .helpers import all_subgroups, cyclic, element_order, lower_translation, translation
 from .test_api import fresh_python
 from .test_groupsys import outcome
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from plattice import cli
+from plattice import cli, cli_calculus, output
 from plattice.cli import main
 from plattice.frames import frame_shape
 from plattice.descriptors import NODE_GROUPS, GroupDescriptor
@@ -189,7 +189,7 @@ class TestErrors:
         def broken(args):
             raise AssertionError("cusp widths of level 8 do not sum to the index")
 
-        monkeypatch.setattr(cli, "cmd_index", broken)
+        monkeypatch.setattr(cli_calculus, "cmd_index", broken)
         code, out, err = run(capsys, "index", "8")
         assert code == 3 and out == ""
         assert err == "internal error: cusp widths of level 8 do not sum to the index\n"
@@ -201,7 +201,7 @@ USAGE = """usage: plattice [-h]
                 ...
 """
 COMMAND_HELP = "\n".join(
-    "    %-20s%s" % (name, help_text) for name, (help_text, _) in cli.COMMANDS.items()
+    "    %-20s%s" % (name, help_text) for name, (_, help_text, _) in cli.COMMANDS.items()
 )
 
 
@@ -355,7 +355,7 @@ class TestPrintJson:
                 payload = json.loads(capsys.readouterr().out)
             stdout = CountingStdout()
             monkeypatch.setattr(sys, "stdout", stdout)
-            cli._print_json(payload)
+            output.print_json(payload)
             monkeypatch.undo()
             out = "".join(stdout.parts)
             assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", name

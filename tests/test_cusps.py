@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from plattice import cli, cusps, tree
+from plattice.arith import gamma0_index
 from plattice.cusps import CuspReport, cusps_of_gamma0
-from plattice.exact import translation
 from plattice.descriptors import GroupDescriptor
 from plattice.groupsys import width_at_infinity
 from plattice.lattice import L1, act, lattice
-from plattice.tree import gamma0_index, hypercircle
+from plattice.tree import hypercircle
 
-from .helpers import cusp_count, orbit_cusp_outputs, translation_orbits
+from .helpers import cusp_count, orbit_cusp_outputs, translation, translation_orbits
 
 
 class TestWidthAtInfinity:

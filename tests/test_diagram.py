@@ -12,14 +12,16 @@ from plattice.diagram import (
     emit_dot,
     envelope_level,
     graph_solutions,
+    group_generators,
     is_faithful,
     node_vertex_data,
     pair_orbit_size,
     scale_factor,
+    schreier_generators,
     vertex_data,
 )
 from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0
-from plattice.groupsys import group_generators, member, schreier_generators
+from plattice.groupsys import member
 from plattice.lattice import L1, act, lattice
 
 from .helpers import edge_displays, neighbors
@@ -172,8 +174,6 @@ class TestStabilizedThread:
         # cross-check for the one spelled-out case: the group with label
         # four stabilizes {L1, L2, L4}, and its pointwise fixer there is
         # the core group
-        from plattice.groupsys import group_generators
-
         trio = {L1, lattice(2), lattice(4)}
         desc = GroupDescriptor.gamma0_plus(4)
         for g in group_generators(desc):

@@ -9,14 +9,12 @@ from plattice.exact import (
     S,
     T,
     ProjectiveMatrix,
-    dilation,
     parse_matrix,
     pdet,
     primitive_rep,
-    translation,
 )
 
-from .helpers import lower_translation
+from .helpers import dilation, lower_translation, translation
 
 
 def rand_psl2z(rng, length=12):

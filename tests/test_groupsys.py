@@ -6,9 +6,10 @@ from math import gcd
 
 import pytest
 
-from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, translation
+from plattice.arith import factorize, gamma0_index
+from plattice.exact import IDENTITY, S, T, ProjectiveMatrix
 from plattice.lattice import L1, act, lattice
-from plattice import descriptors, groupsys
+from plattice import descriptors, groupsys, tree
 from plattice.descriptors import (
     GroupDescriptor,
     congruence_level,
@@ -22,15 +23,13 @@ from plattice.groupsys import (
     al_coset_representative,
     conjugated_al_representative,
     finite_quotient,
-    group_generators,
     member,
     normalizer_quotient,
     quotient_generators,
-    schreier_generators,
 )
 from plattice.classify import descriptor_catalog
-from plattice import tree
-from plattice.tree import factorize, gamma0_index, hypercircle
+from plattice.diagram import group_generators, schreier_generators
+from plattice.tree import hypercircle
 from .helpers import (
     action_perm,
     all_subgroups,
@@ -42,6 +41,7 @@ from .helpers import (
     order_profile,
     perm_sign,
     quotient_actions,
+    translation,
 )
 from .test_exact import rand_psl2z
 from .test_lattice import assert_comparisons_follow_sort

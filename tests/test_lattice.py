@@ -6,10 +6,19 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plattice.exact import IDENTITY, S, T, ProjectiveMatrix, dilation, translation
+from plattice.exact import IDENTITY, S, T, ProjectiveMatrix
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import hypercircle
-from .helpers import ReverseName, lower_translation, name_b, name_m, name_of, reverse_name
+from .helpers import (
+    ReverseName,
+    dilation,
+    lower_translation,
+    name_b,
+    name_m,
+    name_of,
+    reverse_name,
+    translation,
+)
 from .test_exact import rand_pgl2q, rand_psl2z, rand_rational_token
 
 

@@ -32,7 +32,8 @@ def test_no_bare_asserts_in_package():
 INTEGER_ONLY = {
     "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints"),
     "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
-    "tree.py": ("divisors", "thread", "_lattice_sum"),
+    "arith.py": ("divisors",),
+    "tree.py": ("thread", "_lattice_sum"),
     "descriptors.py": ("congruence_level", "normalizer_quotient_orders"),
     "groupsys.py": (
         "_coset_key",
@@ -125,22 +126,52 @@ def _taken_from(filename: str) -> dict:
     return {module: sorted(names) for module, names in taken.items()}
 
 
-def test_groupsys_takes_only_the_index_from_tree():
+def test_groupsys_takes_nothing_from_arith_or_tree():
     # a kernel is decided on a finite quotient, not by acting on lattice
-    # sets, and the normalizer is read off its descriptor, so hypercircle,
-    # thread and divisors are not needed here
-    assert _taken_from("groupsys.py")["tree"] == ["gamma0_index"]
+    # sets, the normalizer is read off its descriptor, and the Schreier walk,
+    # which counts its cosets with the index, is in diagram
+    assert sorted(_taken_from("groupsys.py")) == ["descriptors", "exact", "lattice"]
 
 
-def test_descriptors_take_only_divisors_and_the_index_from_tree():
+def test_descriptors_take_only_divisors_and_the_index_from_arith():
     # names are computed from their integers alone: no other plattice
     # module is imported, so no matrix is built here
-    assert _taken_from("descriptors.py") == {"tree": ["divisors", "gamma0_index"]}
+    assert _taken_from("descriptors.py") == {"arith": ["divisors", "gamma0_index"]}
 
 
-# A cold command loads only the layers it uses: the package and the CLI
-# import plattice modules lazily, inside the code that needs them.
-LAZY_IMPORTERS = ("__init__.py", "cli.py")
+def test_arith_imports_no_plattice_module():
+    assert _taken_from("arith.py") == {}
+
+
+@pytest.mark.parametrize("filename", ["descriptors.py", "groupsys.py", "classify.py", "cusps.py"])
+def test_group_layers_import_nothing_from_tree(filename):
+    # their number theory is in arith, so no hypercircle code is compiled
+    assert "tree" not in _taken_from(filename)
+
+
+def test_no_module_imports_the_cli():
+    # under ``python -m plattice.cli`` the CLI runs as __main__, so importing
+    # plattice.cli would compile it a second time
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and _imports_plattice(node):
+                module = (node.module or "").split(".")[-1]
+                names = [alias.name for alias in node.names] if module in ("", "plattice") else [module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.split(".", 1)[-1] for alias in node.names if _imports_plattice(node)]
+            else:
+                continue
+            if "cli" in names:
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
+
+
+# A cold command loads only the layers it uses: the package, the CLI and
+# the command handlers import plattice modules lazily, inside the code that
+# needs them.  A handler module may import ``output`` at module scope.
+LAZY_IMPORTERS = ("__init__.py", "cli.py", "cli_calculus.py", "cli_groups.py", "cli_series.py")
+SHARED_BY_HANDLERS = "output"
 
 
 def _module_scope_imports(node):
@@ -167,8 +198,16 @@ def test_package_and_cli_import_no_layer_at_module_scope():
             "%s:%d" % (filename, node.lineno)
             for node in _module_scope_imports(tree)
             if _imports_plattice(node)
+            and not (filename.startswith("cli_") and getattr(node, "module", None) == SHARED_BY_HANDLERS)
         ]
     assert offenders == []
+
+
+def test_lazy_importers_cover_every_handler_module():
+    from plattice.cli import COMMANDS
+
+    handlers = {module + ".py" for module, _, _ in COMMANDS.values()}
+    assert handlers == {name for name in LAZY_IMPORTERS if name.startswith("cli_")}
 
 
 # Run in a fresh interpreter: main(argv) with stdout discarded, then print
@@ -229,11 +268,16 @@ def test_eta_loads_no_classification(shape):
     assert loaded & {"classify", "diagram"} == set()
 
 
+# the plattice modules an eta loads besides its layers: the CLI, the
+# module of its handler and the output helpers
+SERIES_HANDLERS = {"plattice.cli", "plattice.cli_series", "plattice.output"}
+
+
 def test_eta_of_a_frame_shape_loads_only_frames():
     # text with "^" or "/" is never a group name, so groupsys and the
     # layers under it (and fractions with them) stay unloaded
     loaded = _loaded_modules(["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"])
-    assert {m for m in loaded if m.startswith("plattice.")} == {"plattice.cli", "plattice.frames"}
+    assert {m for m in loaded if m.startswith("plattice.")} == SERIES_HANDLERS | {"plattice.frames"}
     assert "fractions" not in loaded
 
 
@@ -241,7 +285,7 @@ def test_eta_of_a_frame_shape_loads_only_frames():
 def test_eta_of_a_vertex_name_loads_only_frames(name):
     # the nine display names are read from the frames catalog
     loaded = _loaded_modules(["eta", name, "--order", "20"])
-    assert {m for m in loaded if m.startswith("plattice.")} == {"plattice.cli", "plattice.frames"}
+    assert {m for m in loaded if m.startswith("plattice.")} == SERIES_HANDLERS | {"plattice.frames"}
     assert "fractions" not in loaded
 
 
@@ -254,12 +298,48 @@ def test_eta_of_an_alias_loads_descriptors_not_groupsys():
     assert alias.stdout == fresh_python("-m", "plattice.cli", "eta", "3+", "--order", "20").stdout
 
 
+def test_index_loads_only_arith():
+    assert _loaded_layers(["index", "8"]) == {"cli", "cli_calculus", "output", "arith"}
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["groups", "4|2+"], ["diagram"], ["super"]], ids=lambda a: a[0])
+def test_group_commands_load_no_tree(argv):
+    assert "tree" not in _loaded_layers(argv)
+
+
+# What ``python -m plattice.cli ARGV...`` runs, with the loaded modules
+# printed to stderr at the end.
+MAIN_SCRIPT = r"""
+import json, runpy, sys
+sys.argv[1:] = json.loads(sys.argv[1])
+try:
+    runpy._run_module_as_main("plattice.cli")
+finally:
+    print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["index", "1"], ["classify"], ["diagram", "--json"], ["eta", "6+"], ["hypercircle", "1,0", "6", "--json"]],
+    ids=lambda argv: argv[0],
+)
+def test_running_as_main_never_imports_the_cli_module(argv):
+    proc = fresh_python("-c", MAIN_SCRIPT, json.dumps(argv), check=False)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr))
+    assert "plattice.output" in loaded
+    assert "plattice.cli" not in loaded
+
+
 # One argv per row of README's start-up table, keyed by the row's command
-# cell; the layers it loads (besides cli) must be exactly the row's.
+# cell; the modules it loads besides cli and output must be exactly the
+# row's handler module and layers.
 README = SRC.parent.parent / "README.md"
 STARTUP_ROWS = {
     "`reduce`, `hyperdistance`": ["reduce", "[[0,-1],[4,0]]"],
-    "`hypercircle`, `thread`, `cell`, `project`, `index`": ["index", "8"],
+    "`hypercircle`, `thread`, `cell`, `project`": ["hypercircle", "3,0", "3"],
+    "`index`": ["index", "8"],
     "`level`": ["level", "8|2+"],
     "`groups`": ["groups", "4|2+"],
     "`cusps`": ["cusps", "9"],
@@ -276,10 +356,10 @@ STARTUP_ROWS = {
 def _startup_table() -> dict:
     text = README.read_text().split("## Start-up", 1)[1]
     rows = {}
-    for line in text.split("| --- | --- |", 1)[1].strip().split("\n\n", 1)[0].splitlines():
-        command, layers = (cell.strip() for cell in line.strip("|").rsplit("|", 1))
-        names = set(re.findall(r"`(\w+)`", layers))
-        rows[command] = names | ({"exact", "lattice", "tree"} if layers.startswith("...") else set())
+    for line in text.split("| --- | --- | --- |", 1)[1].strip().split("\n\n", 1)[0].splitlines():
+        command, handler, layers = (cell.strip() for cell in line.strip("|").rsplit("|", 2))
+        names = set(re.findall(r"`(\w+)`", handler + layers))
+        rows[command] = names | ({"arith", "exact", "lattice"} if layers.startswith("...") else set())
     return rows
 
 
@@ -289,7 +369,9 @@ def test_startup_table_has_one_argv_per_row():
 
 @pytest.mark.parametrize("row", list(STARTUP_ROWS))
 def test_startup_table_row_loads_its_layers(row):
-    assert _loaded_layers(STARTUP_ROWS[row]) - {"cli"} == _startup_table()[row]
+    loaded = _loaded_layers(STARTUP_ROWS[row])
+    assert {"cli", "output"} <= loaded
+    assert loaded - {"cli", "output"} == _startup_table()[row]
 
 
 @pytest.mark.parametrize(

@@ -4,18 +4,11 @@ from math import gcd, isqrt
 
 import pytest
 
-from plattice import tree
+from plattice import arith, tree
+from plattice.arith import divisors, factorize, gamma0_index
 from plattice.exact import T, ProjectiveMatrix
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
-from plattice.tree import (
-    divisors,
-    factorize,
-    gamma0_index,
-    hypercircle,
-    is_cell,
-    padic_projection,
-    thread,
-)
+from plattice.tree import hypercircle, is_cell, padic_projection, thread
 from .helpers import lower_translation, tree_ball_edges
 from .test_exact import rand_pgl2q
 
@@ -295,7 +288,7 @@ def test_divisors_match_the_linear_scan():
 
 class TestInputBudgets:
     def test_factorize_up_to_the_bound(self):
-        assert tree.FACTORIZE_BOUND == 10**15
+        assert arith.FACTORIZE_BOUND == 10**15
         assert factorize(10**15) == {2: 15, 5: 15}
 
     def test_factorize_refuses_above_the_bound(self):
@@ -308,7 +301,7 @@ class TestInputBudgets:
 
     def test_hypercircle_bound_is_on_the_member_count(self, monkeypatch):
         # 9 and 10 have 12 and 18 members
-        monkeypatch.setattr(tree, "HYPERCIRCLE_BOUND", 12)
+        monkeypatch.setattr(arith, "HYPERCIRCLE_BOUND", 12)
         assert len(hypercircle(lattice(3), 9)) == 12
         with pytest.raises(ValueError, match="budget"):
             hypercircle(lattice(3), 10)
