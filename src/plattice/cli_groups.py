@@ -17,12 +17,12 @@ def cmd_cusps(args):
 
 
 def cmd_groups(args):
-    from .descriptors import GroupDescriptor
-    from .groupsys import member, width_at_infinity
+    from .descriptors import GroupDescriptor, width_at_infinity
 
     desc = GroupDescriptor.parse(args.name)
     if args.member:
         from .exact import parse_matrix
+        from .groupsys import member
 
         print("true" if member(parse_matrix(args.member), desc) else "false")
         return
@@ -47,25 +47,24 @@ def cmd_classify(args):
 
     index_bound = INDEX_BOUND if args.index_bound is None else args.index_bound
     ratio_bound = RATIO_BOUND if args.ratio_bound is None else args.ratio_bound
-    hits = classify_hits(index_bound, ratio_bound, args.relax_width)
-    found = sorted({h.descriptor for h in hits})
+    sightings = {}  # descriptor -> its hits, in hit order
+    for hit in classify_hits(index_bound, ratio_bound, args.relax_width):
+        sightings.setdefault(hit.descriptor, []).append(hit)
+    found = sorted(sightings)
     if json_wanted(args):
-        payload = []
-        for desc in found:
-            sightings = [h for h in hits if h.descriptor == desc]
-            payload.append(
-                {
-                    "group": desc.to_json(),
-                    "levels": [h.candidate.level for h in sightings],
-                    "conditions": sightings[0].report.to_json(),
-                }
-            )
+        payload = [
+            {
+                "group": desc.to_json(),
+                "levels": [h.candidate.level for h in sightings[desc]],
+                "conditions": sightings[desc][0].report.to_json(),
+            }
+            for desc in found
+        ]
         print_json(payload)
         return
     for desc in found:
-        sightings = [h for h in hits if h.descriptor == desc]
-        levels = ",".join(str(h.candidate.level) for h in sightings)
-        rep = sightings[0].report
+        levels = ",".join(str(h.candidate.level) for h in sightings[desc])
+        rep = sightings[desc][0].report
         print(
             "%-6s levels=%s width_one=%s exponent_two=%s index=%d over=%d"
             % (

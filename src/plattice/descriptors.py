@@ -5,9 +5,10 @@ needed here: the Hecke-type base group with parameters (h, n) (h = 1 gives
 the classical level-n congruence group), adjoined Atkin-Lehner cosets
 labeled by the exact divisors of n/h in ``plus``, and an optional index-h
 kernel subgroup cut out by a character.  Parsing, display, ordering, the
-normalizer of a level group with the orders of its quotient, and the
-congruence level are all read off these four integers, so this module
-builds no matrix; membership and the finite quotients are in ``groupsys``.
+normalizer of a level group with the orders of its quotient, the width at
+infinity and the congruence level are all read off these four integers, so
+this module builds no matrix; membership and the finite quotients are in
+``groupsys``.
 """
 
 from __future__ import annotations
@@ -199,6 +200,19 @@ def normalizer_quotient_orders(n: int) -> tuple[int, int]:
     m = n // (h * h)
     total = gamma0_index(n)
     return total // gamma0_index(m) * len(exact_divisors(m)), total // gamma0_index(n // h)
+
+
+# width and congruence level ---------------------------------------------------
+
+
+def width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
+    """Least positive k/h, as (k, h) in lowest terms, whose shear lies in the group.
+
+    The shear [[1, 1/h], [0, 1]] lies in every base group with parameter h.
+    A kernel's character is 1 (mod h) on it, so the kernel meets the shears
+    in the integral ones (Conway-Norton 1979, section 3).
+    """
+    return (1, 1) if desc.character else (1, desc.h)
 
 
 # congruence level -------------------------------------------------------------

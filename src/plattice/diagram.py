@@ -2,16 +2,18 @@
 
 Each group gets an envelope level (the least level whose group it contains
 and normalizes), a scale factor, a core subgroup (the group with its
-adjoined involutions removed), a congruence level, a normalized level, a
-valency, and a faithfulness bit.  A degree- and weight-constrained
-backtracking search then recovers the unique graph on the nine vertices:
-the extended E8 diagram.  The groups' generating sets are built here too.
+adjoined involutions removed, read off its name), a congruence level, a
+normalized level, a valency, and a faithfulness bit.  A degree- and
+weight-constrained backtracking search then recovers the unique graph on
+the nine vertices: the extended E8 diagram.  The groups' generating sets
+are built here too.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 
 from .arith import divisors, gamma0_index
 from .descriptors import NODE_GROUPS, GroupDescriptor, congruence_level, normalizer_of_gamma0
@@ -66,20 +68,21 @@ def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
 
 
 @lru_cache(maxsize=None)
-def envelope_level(desc: GroupDescriptor, bound: int = ENVELOPE_SEARCH_BOUND) -> int:
-    """Least N up to ``bound`` whose level group the group contains and normalizes.
+def envelope_level(desc: GroupDescriptor) -> int:
+    """Least N whose level group the group contains and normalizes.
 
     The group contains the level-N group exactly when its modular-group
     intersection does, that is when K = ``intersection_level()`` divides N;
-    so only the multiples of K are tried, against the normalizer of each.
+    so only the multiples of K up to ``ENVELOPE_SEARCH_BOUND`` are tried,
+    against the normalizer of each.
     """
     gens = group_generators(desc)
     k = desc.intersection_level()
-    for n in range(k, bound + 1, k):
+    for n in range(k, ENVELOPE_SEARCH_BOUND + 1, k):
         envelope = normalizer_of_gamma0(n)
         if all(member(g, envelope) for g in gens):
             return n
-    raise ValueError("no envelope level below %d for %s" % (bound, desc))
+    raise ValueError("no envelope level below %d for %s" % (ENVELOPE_SEARCH_BOUND, desc))
 
 
 @lru_cache(maxsize=None)
@@ -97,19 +100,6 @@ def scale_factor(desc: GroupDescriptor) -> int:
         if len(scaled) == len(met) * a:
             return a
     raise AssertionError("no scale factor found for %s" % desc.display)
-
-
-@lru_cache(maxsize=None)
-def core_group(desc: GroupDescriptor) -> GroupDescriptor:
-    """The group cut back to the scaled base family: its Atkin-Lehner-free part."""
-    # classify loads only here, so doubling a group (super) does not load it
-    from .classify import name_subgroup
-
-    n = envelope_level(desc)
-    a = scale_factor(desc)
-    q = normalizer_quotient(n)
-    met = _member_cosets(q, GroupDescriptor(a, n // a)) & _member_cosets(q, desc)
-    return name_subgroup(q, met)
 
 
 class VertexData(
@@ -132,9 +122,10 @@ class VertexData(
 
 
 PAIR_BASE = frozenset({L1, LatticeName(2, 0, 1)})
+PAIR_ORBIT_BOUND = 64
 
 
-def pair_orbit_size(desc: GroupDescriptor, bound: int = 64) -> int:
+def pair_orbit_size(desc: GroupDescriptor) -> int:
     """Size of the orbit of the unordered pair {L1, L2} under the group."""
     gens = group_generators(desc)
     seen = {PAIR_BASE}
@@ -144,7 +135,7 @@ def pair_orbit_size(desc: GroupDescriptor, bound: int = 64) -> int:
         for g in gens:
             nxt = frozenset(act(x, g) for x in cur)
             if nxt not in seen:
-                if len(seen) >= bound:
+                if len(seen) >= PAIR_ORBIT_BOUND:
                     raise AssertionError("pair orbit exceeded bound for %s" % desc.display)
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -165,13 +156,17 @@ def is_faithful(desc: GroupDescriptor) -> bool:
 def vertex_data(desc: GroupDescriptor) -> VertexData:
     n = envelope_level(desc)
     a = scale_factor(desc)
-    core = core_group(desc)
+    # the core drops the adjoined involutions; on the normalizer quotient it
+    # must be where the group meets its scaled base group
+    core = GroupDescriptor(desc.h, desc.n, (), desc.character)
     level = congruence_level(desc)
     if level % a:
         raise AssertionError("level %d not divisible by scale %d for %s" % (level, a, desc))
     q = normalizer_quotient(n)
     mine = _member_cosets(q, desc)
-    core_set = _member_cosets(q, core) & mine
+    core_set = _member_cosets(q, core)
+    if core_set != _member_cosets(q, GroupDescriptor(a, n // a)) & mine:
+        raise AssertionError("core of %s is not its meet with the scaled base group" % desc.display)
     ratio = len(mine) // len(core_set)
     m = ratio.bit_length() - 1
     if 2**m != ratio:
@@ -219,6 +214,7 @@ def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple
     adjacency: list[list[int]] = [[] for _ in range(count)]
 
     def place(i: int) -> None:
+        # vertex i takes its missing edges to later vertices with room left
         if i == count:
             solutions.append(frozenset(edges))
             return
@@ -231,26 +227,19 @@ def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple
             if len(adjacency[j]) < degrees[j]
             and not (enforce_faithful and faithful[i] and faithful[j])
         ]
-
-        def choose(picked: int, start: int) -> None:
-            if picked == need:
-                if 2 * weights[i] != sum(weights[j] for j in adjacency[i]):
-                    return
-                place(i + 1)
-                return
-            for idx in range(start, len(candidates)):
-                j = candidates[idx]
-                if len(adjacency[j]) >= degrees[j]:
-                    continue
+        have = sum(weights[j] for j in adjacency[i])
+        for picked in combinations(candidates, need):
+            if 2 * weights[i] != have + sum(weights[j] for j in picked):
+                continue
+            for j in picked:
                 edges.append((i, j))
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-                choose(picked + 1, idx + 1)
+            place(i + 1)
+            for j in picked:
                 edges.pop()
                 adjacency[i].pop()
                 adjacency[j].pop()
-
-        choose(0, 0)
 
     place(0)
     return solutions

@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache
 
-# descriptors and groupsys, and exact, lattice and tree with them, load only
-# inside the functions that take a group, so a Frame shape given as text
-# loads none of them; the annotations that name their types are never evaluated
+# descriptors loads only inside the functions that take a group, and diagram,
+# with groupsys, exact and lattice, only inside the invariance check, so a
+# Frame shape given as text loads none of them and doubling a group loads
+# descriptors alone; the annotations that name their types are never evaluated
 
 # group doubling ---------------------------------------------------------------
 
@@ -49,22 +49,18 @@ def double_coset_label(e: int, n: int) -> tuple[int, int]:
     return (e, 2 * n)
 
 
-@lru_cache(maxsize=None)
 def double_group(desc: GroupDescriptor) -> GroupDescriptor:
-    """The level-doubled group attached to a vertex group."""
-    # diagram, and with it groupsys, loads only when a group is doubled
+    """The level-doubled group attached to a vertex group, read off its name.
+
+    The level n doubles, each label e, an exact divisor of n/h, doubles
+    when it stays one, and h and the character stay as they are.
+    """
     from .descriptors import NODE_GROUPS, GroupDescriptor
-    from .diagram import envelope_level, scale_factor
 
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
-    a = scale_factor(desc)
-    n = envelope_level(desc)
-    inner = n // (a * a)  # level over which the adjoined cosets live
-    labels = frozenset(double_coset_label(e, inner)[0] for e in desc.plus)
-    if a == 1:
-        return GroupDescriptor(1, 2 * n, labels)
-    return GroupDescriptor.kernel(a, 2 * n // a, labels)
+    labels = {double_coset_label(e, desc.n // desc.h)[0] for e in desc.plus}
+    return GroupDescriptor(desc.h, 2 * desc.n, labels, desc.character)
 
 
 # Frame shapes -----------------------------------------------------------------

@@ -64,16 +64,6 @@ def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
     return True
 
 
-def width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
-    """Least positive k/h, as (k, h) in lowest terms, whose shear lies in the group."""
-    h = desc.h
-    for k in range(1, h * desc.n + 1):
-        if member(ProjectiveMatrix.from_ints(h, k, 0, h), desc):
-            g = gcd(k, h)
-            return k // g, h // g
-    raise AssertionError("no translation found in %s" % desc.display)
-
-
 def _member_cosets(q: FiniteQuotient, desc: GroupDescriptor) -> frozenset[int]:
     """Indices of the quotient's representatives that lie in the described group."""
     return frozenset(i for i, rep in enumerate(q.reps) if member(rep, desc))

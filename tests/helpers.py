@@ -6,17 +6,30 @@ finite quotients, the lattice-set rule for kernel membership, characters
 spread from generator values, the two instantiated characters, shear
 orbits, cusp counts and the cusp report they give, balls of the p-adic
 trees, graph edges by group name, graph neighbours, the Frame-shape
-predictions of the vertex invariants and the dense eta-series recurrence."""
+predictions of the vertex invariants and the dense eta-series recurrence;
+and the searches that worked out what a name now fixes: the width at
+infinity by a shear scan, the doubled group by the envelope level and the
+scale, the core by naming a quotient subgroup, and the backtracking graph
+solver."""
 
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
+from plattice.classify import name_subgroup
+from plattice.diagram import envelope_level, scale_factor
 from plattice.exact import ProjectiveMatrix
-from plattice.frames import FrameShape, IntegerPowerSeries
-from plattice.descriptors import GroupDescriptor
-from plattice.groupsys import FiniteQuotient, finite_quotient, quotient_generators, width_at_infinity
+from plattice.frames import FrameShape, IntegerPowerSeries, double_coset_label
+from plattice.descriptors import GroupDescriptor, width_at_infinity
+from plattice.groupsys import (
+    FiniteQuotient,
+    _member_cosets,
+    finite_quotient,
+    member,
+    normalizer_quotient,
+    quotient_generators,
+)
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
 from plattice.arith import is_prime
 from plattice.tree import hypercircle, thread
@@ -412,3 +425,88 @@ def dense_eta_series(fs: FrameShape, order: int) -> IntegerPowerSeries:
         # f holds f_0 .. f_(m-1), so reversed(f) pairs f_(m-k) with b_k
         f.append(-sum(map(operator.mul, b[1 : m + 1], reversed(f))) // m)
     return IntegerPowerSeries(leading, tuple(f))
+
+
+# The searches the closed forms replaced, kept as their oracles.
+
+
+def scanned_width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
+    """Least positive k/h, as (k, h) in lowest terms, whose shear lies in
+    the group: each k = 1 ... h*n tested by membership."""
+    h = desc.h
+    for k in range(1, h * desc.n + 1):
+        if member(ProjectiveMatrix.from_ints(h, k, 0, h), desc):
+            g = gcd(k, h)
+            return k // g, h // g
+    raise AssertionError("no translation found in %s" % desc.display)
+
+
+def searched_double_group(desc: GroupDescriptor) -> GroupDescriptor:
+    """The doubled group from the envelope level n and the scale a: the
+    labels double over level n/a**2, and the base group is (a, 2n/a)."""
+    a = scale_factor(desc)
+    n = envelope_level(desc)
+    labels = frozenset(double_coset_label(e, n // (a * a))[0] for e in desc.plus)
+    if a == 1:
+        return GroupDescriptor(1, 2 * n, labels)
+    return GroupDescriptor.kernel(a, 2 * n // a, labels)
+
+
+def named_core_group(desc: GroupDescriptor) -> GroupDescriptor:
+    """The group met with its scaled base group on the normalizer quotient
+    at its envelope level, named by the classify catalog."""
+    n = envelope_level(desc)
+    a = scale_factor(desc)
+    q = normalizer_quotient(n)
+    met = _member_cosets(q, GroupDescriptor(a, n // a)) & _member_cosets(q, desc)
+    return name_subgroup(q, met)
+
+
+def backtracking_graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple[int, int]]]:
+    """The graph solver before ``itertools.combinations``: each vertex picks
+    its edges to later vertices by a hand-written recursion."""
+    data = tuple(data)
+    count = len(data)
+    degrees = [v.valency for v in data]
+    weights = [v.normalized_level for v in data]
+    faithful = [v.faithful for v in data]
+    solutions: list[frozenset[tuple[int, int]]] = []
+    edges: list[tuple[int, int]] = []
+    adjacency: list[list[int]] = [[] for _ in range(count)]
+
+    def place(i: int) -> None:
+        if i == count:
+            solutions.append(frozenset(edges))
+            return
+        need = degrees[i] - len(adjacency[i])
+        if need < 0:
+            return
+        candidates = [
+            j
+            for j in range(i + 1, count)
+            if len(adjacency[j]) < degrees[j]
+            and not (enforce_faithful and faithful[i] and faithful[j])
+        ]
+
+        def choose(picked: int, start: int) -> None:
+            if picked == need:
+                if 2 * weights[i] != sum(weights[j] for j in adjacency[i]):
+                    return
+                place(i + 1)
+                return
+            for idx in range(start, len(candidates)):
+                j = candidates[idx]
+                if len(adjacency[j]) >= degrees[j]:
+                    continue
+                edges.append((i, j))
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+                choose(picked + 1, idx + 1)
+                edges.pop()
+                adjacency[i].pop()
+                adjacency[j].pop()
+
+        choose(0, 0)
+
+    place(0)
+    return solutions

@@ -18,14 +18,14 @@ HOMES = {
     "exact": ["ProjectiveMatrix", "pdet", "primitive_rep"],
     "lattice": ["LatticeName", "act", "hyperdistance", "reduce_matrix"],
     "tree": ["HyperCircle", "Thread", "hypercircle", "is_cell", "padic_projection", "thread"],
-    "descriptors": ["GroupDescriptor", "NODE_GROUPS", "congruence_level", "normalizer_of_gamma0"],
-    "groupsys": [
-        "FiniteQuotient",
-        "al_coset_representative",
-        "finite_quotient",
-        "member",
+    "descriptors": [
+        "GroupDescriptor",
+        "NODE_GROUPS",
+        "congruence_level",
+        "normalizer_of_gamma0",
         "width_at_infinity",
     ],
+    "groupsys": ["FiniteQuotient", "al_coset_representative", "finite_quotient", "member"],
     "cusps": ["CuspReport", "cusps_of_gamma0"],
     "classify": ["Candidate", "candidate_levels", "check_conditions", "classify"],
     "diagram": ["LabeledGraph", "VertexData", "build_graph", "emit_dot", "schreier_generators", "vertex_data"],

@@ -6,12 +6,18 @@ import pytest
 from plattice import cli, cusps, tree
 from plattice.arith import gamma0_index
 from plattice.cusps import CuspReport, cusps_of_gamma0
-from plattice.descriptors import GroupDescriptor
-from plattice.groupsys import width_at_infinity
+from plattice.descriptors import GroupDescriptor, width_at_infinity
 from plattice.lattice import L1, act, lattice
 from plattice.tree import hypercircle
 
-from .helpers import cusp_count, orbit_cusp_outputs, translation, translation_orbits
+from .helpers import (
+    cusp_count,
+    orbit_cusp_outputs,
+    scanned_width_at_infinity,
+    translation,
+    translation_orbits,
+)
+from .test_groupsys import CATALOG_48
 
 
 class TestWidthAtInfinity:
@@ -30,6 +36,11 @@ class TestWidthAtInfinity:
     def test_gamma0_always_one(self):
         for n in range(1, 31):
             assert width_at_infinity(GroupDescriptor.gamma0(n)) == (1, 1)
+
+    def test_closed_form_matches_the_shear_scan(self):
+        assert len(CATALOG_48) == 395
+        for desc in CATALOG_48:
+            assert width_at_infinity(desc) == scanned_width_at_infinity(desc), desc.display
 
 
 class TestGamma0Cusps:

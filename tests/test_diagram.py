@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -8,7 +9,6 @@ from plattice.diagram import (
     LabeledGraph,
     VertexData,
     build_graph,
-    core_group,
     emit_dot,
     envelope_level,
     graph_solutions,
@@ -24,7 +24,7 @@ from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0
 from plattice.groupsys import member
 from plattice.lattice import L1, act, lattice
 
-from .helpers import edge_displays, neighbors
+from .helpers import backtracking_graph_solutions, edge_displays, named_core_group, neighbors
 from .test_groupsys import CATALOG_48, outcome
 
 E8_EDGES = {
@@ -75,8 +75,11 @@ class TestEnvelopeLevel:
     def test_closed_form_matches_search(self):
         for desc in CATALOG_48:
             assert outcome(envelope_level, desc) == outcome(searched_envelope_level, desc)
-        assert outcome(envelope_level, GroupDescriptor.gamma0(7), 6) == (
-            "ValueError: no envelope level below 6 for 7"
+
+    def test_search_stops_at_its_bound(self):
+        # the level-67 group is its own envelope, past ENVELOPE_SEARCH_BOUND
+        assert outcome(envelope_level, GroupDescriptor.gamma0(67)) == (
+            "ValueError: no envelope level below 64 for 67"
         )
 
 
@@ -107,14 +110,14 @@ class TestScaleFactor:
 
 class TestCoreGroup:
     def test_plus_six(self):
-        assert core_group(GroupDescriptor.gamma0_plus(6)) == GroupDescriptor.gamma0(6)
+        assert vertex_data(GroupDescriptor.gamma0_plus(6)).core == GroupDescriptor.gamma0(6)
 
     def test_three_kernel_is_its_own_core(self):
         desc = GroupDescriptor.kernel(3, 3)
-        assert core_group(desc) == desc
+        assert vertex_data(desc).core == desc
 
     def test_modular_group(self):
-        assert core_group(GroupDescriptor.gamma0(1)) == GroupDescriptor.gamma0(1)
+        assert vertex_data(GroupDescriptor.gamma0(1)).core == GroupDescriptor.gamma0(1)
 
     def test_table_row(self):
         expected = [
@@ -128,7 +131,11 @@ class TestCoreGroup:
             GroupDescriptor.kernel(2, 4),
             GroupDescriptor.gamma0(2),
         ]
-        assert [core_group(d) for d in NODE_GROUPS] == expected
+        assert [vertex_data(d).core for d in NODE_GROUPS] == expected
+
+    def test_name_rule_matches_the_named_meet(self):
+        for d in NODE_GROUPS:
+            assert vertex_data(d).core == named_core_group(d)
 
 
 class TestVertexData:
@@ -233,6 +240,43 @@ class TestBuildGraph:
         assert len(strict) == 1
         assert len(relaxed) >= 1
         assert strict[0] in relaxed
+
+    def test_matches_the_backtracking_solver(self):
+        data = node_vertex_data()
+        for strict in (True, False):
+            assert graph_solutions(data, strict) == backtracking_graph_solutions(data, strict)
+
+    def test_random_vertex_lists_match_the_backtracking_solver(self):
+        # (weight, valency) lists of balanced graphs: cycles of equal
+        # weights and the affine D4, D5 and E6 diagrams, shuffled together,
+        # with random faithful bits and sometimes one entry changed
+        components = [
+            [(2, 4)] + [(1, 1)] * 4,
+            [(2, 3)] * 2 + [(1, 1)] * 4,
+            [(3, 3)] + [(2, 2)] * 3 + [(1, 1)] * 3,
+        ]
+        rng = random.Random(23)
+        solved = several = 0
+        for _ in range(600):
+            specs = []
+            while len(specs) < 4:
+                if rng.random() < 0.5:
+                    specs += [(rng.randint(1, 3), 2)] * rng.randint(3, 5)
+                else:
+                    specs += rng.choice(components)
+            if rng.random() < 0.3:
+                i = rng.randrange(len(specs))
+                specs[i] = (specs[i][0] + rng.choice([-1, 1]), specs[i][1] + rng.choice([-1, 0, 1]))
+            rng.shuffle(specs)
+            one = GroupDescriptor.gamma0(1)
+            data = [VertexData(one, 1, 1, one, 1, w, k, rng.random() < 0.2) for w, k in specs]
+            strict = rng.random() < 0.5
+            expected = backtracking_graph_solutions(data, strict)
+            assert graph_solutions(data, strict) == expected
+            solved += bool(expected)
+            several += len(expected) > 1
+        # the lists are neither all unsolvable nor all uniquely solvable
+        assert solved > 200 and several > 100
 
     def test_failure_is_loud(self):
         from plattice.diagram import VertexData

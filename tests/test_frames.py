@@ -19,10 +19,10 @@ from plattice.frames import (
     invariant_under,
     numeric_invariance_check,
 )
-from plattice.descriptors import GroupDescriptor
-from plattice.groupsys import member, quotient_generators, width_at_infinity
+from plattice.descriptors import GroupDescriptor, width_at_infinity
+from plattice.groupsys import member, quotient_generators
 
-from .helpers import coefficient, dense_eta_series, max_part, predicted_valency
+from .helpers import coefficient, dense_eta_series, max_part, predicted_valency, searched_double_group
 
 DOUBLED_DISPLAYS = ["2", "4+", "6+6", "8+", "10+10", "12+", "6|3", "8|2+", "4"]
 
@@ -116,6 +116,10 @@ class TestDoubling:
     def test_rejects_outsiders(self):
         with pytest.raises(ValueError):
             double_group(GroupDescriptor.gamma0(7))
+
+    def test_name_rule_matches_the_envelope_and_scale_route(self):
+        for d in NODE_GROUPS:
+            assert double_group(d) == searched_double_group(d)
 
     def test_doubles_are_arithmetic_with_width_one(self):
         for d in NODE_GROUPS:

@@ -139,6 +139,26 @@ def test_descriptors_take_only_divisors_and_the_index_from_arith():
     assert _taken_from("descriptors.py") == {"arith": ["divisors", "gamma0_index"]}
 
 
+def test_diagram_imports_nothing_from_classify():
+    # a core is read off its group's name, not named by the classify catalog
+    assert "classify" not in _taken_from("diagram.py")
+
+
+def test_frames_imports_diagram_only_inside_the_invariance_check():
+    # a group doubles by its name, so only the check that needs generators
+    # loads diagram, and groupsys, exact and lattice with it
+    tree = ast.parse((SRC / "frames.py").read_text())
+    importers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for child in ast.walk(node)
+        if isinstance(child, ast.ImportFrom) and child.module == "diagram"
+    ]
+    assert importers == ["numeric_invariance_check"]
+    assert "diagram" not in [getattr(node, "module", None) for node in _module_scope_imports(tree)]
+
+
 def test_arith_imports_no_plattice_module():
     assert _taken_from("arith.py") == {}
 
@@ -342,6 +362,7 @@ STARTUP_ROWS = {
     "`index`": ["index", "8"],
     "`level`": ["level", "8|2+"],
     "`groups`": ["groups", "4|2+"],
+    "`groups --member`": ["groups", "4|2+", "--member", "[[1,1],[0,1]]"],
     "`cusps`": ["cusps", "9"],
     "`cusps --json`": ["cusps", "9", "--json"],
     "`eta` of a Frame shape (text with `^` or `/`)": ["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"],
@@ -350,6 +371,7 @@ STARTUP_ROWS = {
     "`classify`": ["classify"],
     "`diagram`": ["diagram"],
     "`super`": ["super"],
+    "`super --check-invariance`": ["super", "--check-invariance"],
 }
 
 
