@@ -40,11 +40,11 @@ _HOMES = {
         "FRAME_SHAPES",
         "FrameShape",
         "IntegerPowerSeries",
-        "double_group",
         "eta_quotient_series",
         "frame_shape",
         "numeric_invariance_check",
     ),
+    "doubling": ("double_group",),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
 

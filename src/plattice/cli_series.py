@@ -2,16 +2,18 @@
 loads ``frames`` alone."""
 
 import re
+from itertools import chain
 
-from .output import json_wanted, print_json
+from .output import json_wanted, print_json, write
 
 
 def cmd_super(args):
     if not 0 < args.tol < float("inf"):
         raise ValueError("tolerance must be a positive finite number, not %s" % args.tol)
 
-    from .frames import double_group, eta_quotient_series, frame_shape, numeric_invariance_check
     from .descriptors import NODE_GROUPS
+    from .doubling import double_group
+    from .frames import eta_quotient_series, frame_shape, numeric_invariance_check
 
     rows = []
     for desc in NODE_GROUPS:
@@ -52,4 +54,5 @@ def cmd_eta(args):
             if ("|" in text or "+" in text) and re.fullmatch(r"\d+(\|\d+)?(\+(\d+(,\d+)*)?)?", text):
                 raise
             shape = FrameShape.parse(args.shape)
-    print(eta_quotient_series(shape, args.order))
+    # the series is written in batches as it is printed, never held whole
+    write(chain(eta_quotient_series(shape, args.order).text(), "\n"))

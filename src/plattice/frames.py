@@ -1,14 +1,12 @@
-"""Frame shapes, level-doubled groups, and eta-quotient principal moduli.
+"""Frame shapes and their eta-quotient principal moduli.
 
-Each of the nine vertex groups doubles to another arithmetic group: the
-core scales its level by two and every adjoined coset label doubles
-exactly when doubling keeps it an exact divisor.  A catalog attaches to
-each vertex a Frame shape (a formal product of integer parts encoding a
-conjugacy class of the automorphism group of the Leech lattice); the
-quotient of eta functions it determines is an exact integer Laurent
-series with a simple pole in q, computed by the Euler transform of its
-product formula, and a floating-point checker (the only floating point in
-the package) verifies its invariance under the doubled group numerically.
+A catalog attaches to each vertex group a Frame shape (a formal product of
+integer parts encoding a conjugacy class of the automorphism group of the
+Leech lattice); the quotient of eta functions it determines is an exact
+integer Laurent series with a simple pole in q, computed by the Euler
+transform of its product formula.  The doubled groups and the numeric
+invariance check's eta values are in ``doubling``, which only ``super``
+loads.
 
 The Euler transform runs in blocks of terms.  Each finished block reaches
 every later term through one big-integer product (Kronecker substitution)
@@ -26,42 +24,10 @@ import math
 import operator
 from collections import namedtuple
 
-# descriptors loads only inside the functions that take a group, and diagram,
-# with groupsys, exact and lattice, only inside the invariance check, so a
-# Frame shape given as text loads none of them and doubling a group loads
-# descriptors alone; the annotations that name their types are never evaluated
-
-# group doubling ---------------------------------------------------------------
-
-
-def double_coset_label(e: int, n: int) -> tuple[int, int]:
-    """Where the label-e coset over level n goes when the level doubles.
-
-    The label doubles exactly when 2e is still an exact divisor of 2n,
-    which happens when n/e is odd; the trivial coset always stays trivial.
-    """
-    if n % e or math.gcd(e, n // e) != 1:
-        raise ValueError("%d is not an exact divisor of %d" % (e, n))
-    if e == 1:
-        return (1, 2 * n)
-    if (n // e) % 2:
-        return (2 * e, 2 * n)
-    return (e, 2 * n)
-
-
-def double_group(desc: GroupDescriptor) -> GroupDescriptor:
-    """The level-doubled group attached to a vertex group, read off its name.
-
-    The level n doubles, each label e, an exact divisor of n/h, doubles
-    when it stays one, and h and the character stay as they are.
-    """
-    from .descriptors import NODE_GROUPS, GroupDescriptor
-
-    if desc not in NODE_GROUPS:
-        raise ValueError("%s is not one of the nine vertex groups" % desc.display)
-    labels = {double_coset_label(e, desc.n // desc.h)[0] for e in desc.plus}
-    return GroupDescriptor(desc.h, 2 * desc.n, labels, desc.character)
-
+# descriptors loads only inside frame_shape, and doubling and diagram, with
+# groupsys, exact and lattice, only inside the invariance check, so a Frame
+# shape given as text loads none of them; the annotations that name their
+# types are never evaluated
 
 # Frame shapes -----------------------------------------------------------------
 
@@ -100,10 +66,10 @@ class FrameShape(namedtuple("FrameShape", "parts")):
         def side(chunk, sign):
             out = {}
             for token in chunk.split():
-                base, _, exp = token.partition("^")
+                base, caret, exp = token.partition("^")
                 try:
                     a = int(base)
-                    alpha = int(exp) if exp else 1
+                    alpha = int(exp) if caret else 1
                 except ValueError as exc:
                     raise ValueError("bad Frame shape %r" % text) from exc
                 out[a] = out.get(a, 0) + sign * alpha
@@ -113,7 +79,9 @@ class FrameShape(namedtuple("FrameShape", "parts")):
         for a, alpha in side(den, 1).items():
             exps[a] = exps.get(a, 0) - alpha
         parts = tuple(sorted((a, alpha) for a, alpha in exps.items() if alpha))
-        if parts and parts[0][0] < 1:
+        if not parts:
+            raise ValueError("Frame shape %r has no parts" % text)
+        if parts[0][0] < 1:
             raise ValueError("bad Frame shape %r: base %d is below 1" % (text, parts[0][0]))
         return cls(parts)
 
@@ -176,8 +144,9 @@ class IntegerPowerSeries(namedtuple("IntegerPowerSeries", "leading coeffs")):
     def order(self) -> int:
         return self.leading + len(self.coeffs) - 1
 
-    def __str__(self) -> str:
-        chunks = []
+    def text(self):
+        """The printed series in pieces, term by term: ``str`` joins them."""
+        signs = ("", "-")  # before the first term, then between terms
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -188,11 +157,13 @@ class IntegerPowerSeries(namedtuple("IntegerPowerSeries", "leading coeffs")):
                 term = "%d q" % abs(c) if abs(c) != 1 else "q"
             else:
                 term = "%d q^%d" % (abs(c), e) if abs(c) != 1 else "q^%d" % e
-            if not chunks:
-                chunks.append(term if c > 0 else "-" + term)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(chunks) if chunks else "0"
+            yield signs[c < 0] + term
+            signs = (" + ", " - ")
+        if not signs[0]:
+            yield "0"
+
+    def __str__(self) -> str:
+        return "".join(self.text())
 
 
 def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
@@ -234,55 +205,69 @@ def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
             "cannot expand to order %d: %d terms after q^%d, above the budget of %d"
             % (order, top, leading, SERIES_TERM_BUDGET)
         )
-    c = [0] * (top + 1)
+    # when every base is a multiple of s the product is a series in q^s:
+    # expand it in q^s to top // s terms, about s**2 less work, and spread it
+    s = math.gcd(*(a for a, _ in fs.parts)) or 1
+    n = top // s
+    c = [0] * (n + 1)
     for a, alpha in fs.parts:
-        for d in range(a, top + 1, a):
-            c[d] += alpha
-        for d in range(2 * a, top + 1, 2 * a):
-            c[d] -= alpha
-    b = [0] * (top + 1)
-    for d in range(1, top + 1):
+        for step, sign in ((a // s, alpha), (2 * a // s, -alpha)):
+            for d in range(step, n + 1, step):
+                c[d] += sign
+    b = [0] * (n + 1)
+    for d in range(1, n + 1):
         if c[d]:
-            for k in range(d, top + 1, d):
+            for k in range(d, n + 1, d):
                 b[k] += d * c[d]
+    del c
     block = _BLOCK
     b_bits = max(map(abs, b)).bit_length()
     narrow = max(1, (b_bits + 7) // 8)
     b_pos, b_neg = _slots(b, narrow)
     f = []
-    pending = [0] * (top + 1)
-    for j0 in range(0, top + 1, block):
-        j1 = min(j0 + block, top + 1)
+    pending = [0] * (n + 1)
+    for j0 in range(0, n + 1, block):
+        j1 = min(j0 + block, n + 1)
         run = [1] if j0 == 0 else []
         for m in range(max(j0, 1), j1):
             # run holds f_j0 .. f_(m-1), so reversed(run) pairs f_(m-k) with b_k
             total = pending[m] + sum(map(operator.mul, b[1 : m - j0 + 1], reversed(run)))
+            pending[m] = 0
             fm, rem = divmod(-total, m)
             if rem:
-                raise AssertionError("%d does not divide the q^%d sum of %s" % (m, m + leading, fs.display))
+                raise AssertionError("%d does not divide the q^%d sum of %s" % (m, m * s + leading, fs.display))
             run.append(fm)
         f += run
-        if j1 > top:
+        if j1 > n:
             break
         width = (max(map(abs, run)).bit_length() + b_bits + block.bit_length() + 2 + 7) // 8
-        slots = top - j0 + 1  # b_0 .. b_(top-j0) reach every later m
+        slots = n - j0 + 1  # b_0 .. b_(n-j0) reach every later m
         size = width * slots
-        wide = []
-        for part in (b_pos, b_neg):
-            # widen b's narrow slots to this block's width, one byte column at a time
-            out = bytearray(size)
+        # widen b's narrow slots to this block's width, one byte column at a
+        # time, into one signed integer: the negative part, then the positive
+        # part less it.  Each full-length temporary is let go before the next
+        # one is made
+        wide, out = 0, bytearray(size)
+        for part in (b_neg, b_pos):
             for j in range(narrow):
                 out[j::width] = part[j : slots * narrow : narrow]
-            wide.append(int.from_bytes(out, "little"))
+            wide = int.from_bytes(out, "little") - wide
+        del out
         run_pos, run_neg = _slots(run, width)
-        product = (int.from_bytes(run_pos, "little") - int.from_bytes(run_neg, "little")) * (wide[0] - wide[1])
+        product = (int.from_bytes(run_pos, "little") - int.from_bytes(run_neg, "little")) * wide
+        del wide
         # adding half a slot to every slot makes each one non-negative, so no
-        # slot borrows from the next; the mask drops the slots above top
+        # slot borrows from the next; the mask drops the slots above n
         half = 1 << (8 * width - 1)
-        offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-        terms = ((product + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        product += int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+        terms = (product & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        del product
         for t in range(j1 - j0, slots):
             pending[j0 + t] += int.from_bytes(terms[t * width : (t + 1) * width], "little") - half
+        del terms
+    if s > 1:
+        f, spread = [0] * (top + 1), f
+        f[::s] = spread
     return IntegerPowerSeries(leading, tuple(f))
 
 
@@ -293,62 +278,6 @@ def _slots(values: list[int], width: int) -> tuple[bytes, bytes]:
     return pos, neg
 
 
-# numeric invariance (the only floating point in the package) -------------------
-
-
-def eta_value(tau: complex, terms: int = 200) -> complex:
-    """Dedekind eta at a point of the upper half-plane.
-
-    Reduces the argument with the shift and inversion transformations
-    until its imaginary part is at least 0.8, then multiplies the
-    q-product directly.
-    """
-    import cmath
-
-    if tau.imag <= 0:
-        raise ValueError("eta needs a point of the upper half-plane")
-    factor = complex(1)
-    while True:
-        shift = round(tau.real)
-        if shift:
-            tau -= shift
-            factor *= cmath.exp(1j * math.pi * shift / 12)
-        if tau.imag >= 0.8:
-            break
-        tau = -1 / tau
-        factor *= cmath.sqrt(-1j * tau)
-    q24 = cmath.exp(2j * math.pi * tau / 24)
-    q = q24**24
-    prod = complex(1)
-    qn = q
-    for _ in range(terms):
-        prod *= 1 - qn
-        qn *= q
-    return factor * q24 * prod
-
-
-def eta_quotient_value(fs: FrameShape, tau: complex) -> complex:
-    out = complex(1)
-    for a, alpha in fs.parts:
-        out *= eta_value(a * tau) ** alpha
-        out *= eta_value(2 * a * tau) ** (-alpha)
-    return out
-
-
-def mobius(g: ProjectiveMatrix, tau: complex) -> complex:
-    a, b, c, d = g.entries()
-    return (a * tau + b) / (c * tau + d)
-
-
-def invariant_under(fs: FrameShape, g: ProjectiveMatrix, tau: complex, tol: float = 1e-6) -> bool:
-    """Whether the eta quotient takes the same value at tau and g(tau)."""
-    if tau.imag <= 0:
-        raise ValueError("invariance check needs a point of the upper half-plane")
-    base = eta_quotient_value(fs, tau)
-    moved = eta_quotient_value(fs, mobius(g, tau))
-    return abs(moved - base) <= tol * (1 + abs(base))
-
-
 def numeric_invariance_check(
     fs: FrameShape,
     desc: GroupDescriptor,
@@ -357,5 +286,6 @@ def numeric_invariance_check(
 ) -> bool:
     """Necessary-condition check: invariance under every group generator."""
     from .diagram import group_generators
+    from .doubling import invariant_under
 
     return all(invariant_under(fs, g, tau, tol) for g in group_generators(desc))

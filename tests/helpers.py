@@ -20,7 +20,8 @@ from math import gcd, lcm
 from plattice.classify import name_subgroup
 from plattice.diagram import envelope_level, scale_factor
 from plattice.exact import ProjectiveMatrix
-from plattice.frames import FrameShape, IntegerPowerSeries, double_coset_label
+from plattice.doubling import double_coset_label
+from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import GroupDescriptor, width_at_infinity
 from plattice.groupsys import (
     FiniteQuotient,

@@ -12,14 +12,8 @@ from plattice.classify import classify
 from plattice.cusps import cusps_of_gamma0
 from plattice.diagram import NODE_GROUPS, build_graph, node_vertex_data
 from plattice.exact import S, T
-from plattice.frames import (
-    FRAME_SHAPES,
-    double_group,
-    eta_quotient_series,
-    frame_shape,
-    invariant_under,
-    numeric_invariance_check,
-)
+from plattice.doubling import double_group, invariant_under
+from plattice.frames import FRAME_SHAPES, eta_quotient_series, frame_shape, numeric_invariance_check
 from plattice.descriptors import GroupDescriptor
 from plattice.groupsys import finite_quotient
 from plattice.lattice import L1, act, hyperdistance, lattice, reduce_matrix

@@ -33,11 +33,11 @@ HOMES = {
         "FRAME_SHAPES",
         "FrameShape",
         "IntegerPowerSeries",
-        "double_group",
         "eta_quotient_series",
         "frame_shape",
         "numeric_invariance_check",
     ],
+    "doubling": ["double_group"],
 }
 SUBMODULES = list(HOMES) + ["cli", "cli_calculus", "cli_groups", "cli_series", "output"]
 

@@ -176,9 +176,10 @@ class TestErrors:
         code, out, _ = run(capsys, "hyperdistance", "-h")
         assert code == 0 and out.startswith("usage: plattice hyperdistance [-h]")
 
-    @pytest.mark.parametrize("text", ["1^x", "^3", "1.5^24", "1^24^2"])
+    @pytest.mark.parametrize("text", ["1^x", "^3", "1.5^24", "1^24^2", "1^", "24^"])
     def test_eta_of_a_malformed_part_names_the_shape(self, capsys, text):
-        # these said "invalid literal for int() with base 10: ..."
+        # these said "invalid literal for int() with base 10: ...", and a
+        # part with "^" but no exponent was read as the exponent 1
         assert run(capsys, "eta", text) == (1, "", "error: bad Frame shape %r\n" % text)
 
     def test_bad_prime(self, capsys):
@@ -508,14 +509,28 @@ class TestSuper:
         assert (code, out) == (1, "")
         assert err == "error: tolerance must be a positive finite number, not %s\n" % float(tol)
 
-    @pytest.mark.parametrize("text", ["", " / ", "/"])
+    @pytest.mark.parametrize("text", ["", " / ", "/", "1^24 / 1^24", "1^0", "2^0"])
     def test_eta_of_text_without_parts_exits_one(self, capsys, text):
-        # these printed the series 1 with exit 0
+        # these printed the series 1 with exit 0; so did exponents that cancel
         assert run(capsys, "eta", text) == (1, "", "error: Frame shape %r has no parts\n" % text)
 
-    @pytest.mark.parametrize("text", ["1^24 / 1^24", "1^0"])
-    def test_eta_of_cancelling_exponents_prints_one(self, capsys, text):
-        assert run(capsys, "eta", text) == (0, "1\n", "")
+    def test_eta_is_written_in_batches(self, monkeypatch):
+        from plattice.frames import FrameShape, eta_quotient_series
+
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["eta", "1^24", "--order", "2000"]) == 0
+        monkeypatch.undo()
+        expected = str(eta_quotient_series(FrameShape.parse("1^24"), 2000)) + "\n"
+        assert "".join(stdout.parts) == expected
+        assert len(stdout.parts) == len(expected) // output.WRITE_BATCH + 1 == 3
+
+    def test_cold_eta_prints_the_joined_series(self):
+        from plattice.frames import FrameShape, eta_quotient_series
+
+        proc = fresh_python("-m", "plattice.cli", "eta", "1^24", "--order", "2000")
+        assert proc.stdout == str(eta_quotient_series(FrameShape.parse("1^24"), 2000)) + "\n"
+        assert len(proc.stdout) > 2 * output.WRITE_BATCH
 
 
 class TestInputBudgets:

@@ -1,22 +1,21 @@
 import random
+import re
+import tracemalloc
 
 import pytest
 
 from plattice import frames
 from plattice.diagram import NODE_GROUPS, node_vertex_data
 from plattice.exact import S, T, ProjectiveMatrix
+from plattice.doubling import double_coset_label, double_group, eta_quotient_value, eta_value, invariant_under, mobius
 from plattice.frames import (
     FRAME_SHAPES,
     SERIES_TERM_BUDGET,
     VERTEX_SHAPES,
     FrameShape,
-    double_coset_label,
-    double_group,
+    IntegerPowerSeries,
     eta_quotient_series,
-    eta_quotient_value,
-    eta_value,
     frame_shape,
-    invariant_under,
     numeric_invariance_check,
 )
 from plattice.descriptors import GroupDescriptor, width_at_infinity
@@ -189,16 +188,17 @@ class TestFrameShapes:
     def test_lookup_by_parsed_name_is_the_catalog_shape(self, name):
         assert frame_shape(GroupDescriptor.parse(name)) == dict(VERTEX_SHAPES)[name]
 
-    @pytest.mark.parametrize("text", ["", "   ", "/", " / "])
+    @pytest.mark.parametrize("text", ["", "   ", "/", " / ", "1^24 / 1^24", "1^0", "2^0"])
     def test_text_without_parts_rejected(self, text):
+        # exponents that cancel leave no parts either
         with pytest.raises(ValueError, match="has no parts"):
             FrameShape.parse(text)
 
-    @pytest.mark.parametrize("text", ["1^24 / 1^24", "1^0"])
-    def test_cancelling_exponents_give_the_empty_shape(self, text):
-        shape = FrameShape.parse(text)
-        assert shape.parts == ()
-        assert str(eta_quotient_series(shape, 5)) == "1"
+    @pytest.mark.parametrize("text", ["1^", "24^", "1^24 2^"])
+    def test_a_caret_without_an_exponent_is_rejected(self, text):
+        # these were read as the exponent 1
+        with pytest.raises(ValueError, match="^%s$" % re.escape("bad Frame shape %r" % text)):
+            FrameShape.parse(text)
 
 
 class TestSeries:
@@ -263,6 +263,15 @@ class TestSeries:
         series = eta_quotient_series(FRAME_SHAPES[0], 1)
         assert str(series).startswith("q^-1 - 24 + 276 q")
 
+    def test_text_pieces_join_to_the_str(self):
+        rng = random.Random(4242)
+        shapes = list(FRAME_SHAPES) + [random_shape(rng) for _ in range(10)] + [two_part_shape(rng) for _ in range(10)]
+        for fs in shapes:
+            for order in (1, 7, rng.randint(8, 300)):
+                series = eta_quotient_series(fs, order)
+                assert "".join(series.text()) == str(series), (fs, order)
+        assert str(IntegerPowerSeries(0, (0, 0))) == "".join(IntegerPowerSeries(0, (0, 0)).text()) == "0"
+
 
 class TestBlockedEngine:
     # the dense recurrence of tests/helpers.py is the reference; orders
@@ -309,6 +318,50 @@ class TestBlockedEngine:
         with pytest.raises(AssertionError, match="128 does not divide the q\\^127 sum of 1\\^24"):
             eta_quotient_series(FRAME_SHAPES[0], 200)
 
+    @pytest.mark.parametrize("text, s", [("3^8", 3), ("4^12 / 2^12", 2)])
+    def test_dilated_catalog_shapes_match_dense_recurrence(self, text, s):
+        # every base a multiple of s: the series in q^s, spread out; the
+        # orders cross the first two block edges of the reduced series
+        fs = FrameShape.parse(text)
+        for edge in (frames._BLOCK, 2 * frames._BLOCK):
+            for order in range(s * edge - s - 2, s * edge + s + 1):
+                assert eta_quotient_series(fs, order) == dense_eta_series(fs, order), order
+
+    def test_seeded_dilated_shapes_match_dense_recurrence(self):
+        rng = random.Random(1729)
+        for i in range(16):
+            s = rng.randint(2, 5)
+            base = random_shape(rng) if i % 2 else two_part_shape(rng)
+            fs = FrameShape(tuple((s * a, alpha) for a, alpha in base.parts))
+            order = rng.choice([rng.randint(1, 700), s * frames._BLOCK + rng.randint(-s - 2, s)])
+            assert eta_quotient_series(fs, order) == dense_eta_series(fs, order), (fs, order)
+
+    def test_a_wrong_decode_of_a_dilated_shape_names_the_true_exponent(self, monkeypatch):
+        # 3^8 is a series in q^3: one unit more in the last term of the first
+        # block moves the sum of the 128th reduced term, q^383, by b_1 = 8
+        monkeypatch.setattr(frames, "_BLOCK", 128)
+        slots = frames._slots
+
+        def off_by_one(values, width):
+            if len(values) == frames._BLOCK:
+                values = values[:-1] + [values[-1] + 1]
+            return slots(values, width)
+
+        monkeypatch.setattr(frames, "_slots", off_by_one)
+        with pytest.raises(AssertionError, match="128 does not divide the q\\^383 sum of 3\\^8"):
+            eta_quotient_series(FrameShape.parse("3^8"), 400)
+
+    def test_one_block_product_at_a_time(self):
+        # each full-length temporary of a block is let go before the next is
+        # made; holding them all took 729 KiB here
+        tracemalloc.start()
+        try:
+            eta_quotient_series(FrameShape.parse("1^24"), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 1024
+
     @pytest.mark.parametrize(
         "text, order",
         [("1^24", SERIES_TERM_BUDGET), ("1^%d" % (24 * SERIES_TERM_BUDGET), 1)],
@@ -336,8 +389,6 @@ class TestNumericCheck:
         # involution; the involution sends it to 4096 over itself
         w2 = ProjectiveMatrix.from_entries(0, -1, 2, 0)
         tau = 0.1 + 0.8j
-        from plattice.frames import mobius
-
         f0 = eta_quotient_value(FRAME_SHAPES[0], tau)
         f1 = eta_quotient_value(FRAME_SHAPES[0], mobius(w2, tau))
         assert abs(f1 - 4096 / f0) < 1e-6 * (1 + abs(f1))

@@ -144,19 +144,28 @@ def test_diagram_imports_nothing_from_classify():
     assert "classify" not in _taken_from("diagram.py")
 
 
-def test_frames_imports_diagram_only_inside_the_invariance_check():
-    # a group doubles by its name, so only the check that needs generators
-    # loads diagram, and groupsys, exact and lattice with it
+def _frames_importers_of(module: str) -> list[str]:
+    """The functions of frames that import module; none may import it at module scope."""
     tree = ast.parse((SRC / "frames.py").read_text())
-    importers = [
+    assert module not in [getattr(node, "module", None) for node in _module_scope_imports(tree)]
+    return [
         node.name
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
         for child in ast.walk(node)
-        if isinstance(child, ast.ImportFrom) and child.module == "diagram"
+        if isinstance(child, ast.ImportFrom) and child.module == module
     ]
-    assert importers == ["numeric_invariance_check"]
-    assert "diagram" not in [getattr(node, "module", None) for node in _module_scope_imports(tree)]
+
+
+def test_frames_imports_diagram_only_inside_the_invariance_check():
+    # a group doubles by its name, so only the check that needs generators
+    # loads diagram, and groupsys, exact and lattice with it
+    assert _frames_importers_of("diagram") == ["numeric_invariance_check"]
+
+
+def test_frames_imports_doubling_only_inside_the_invariance_check():
+    # the series engine compiles no doubling and no float helpers
+    assert _frames_importers_of("doubling") == ["numeric_invariance_check"]
 
 
 def test_arith_imports_no_plattice_module():
@@ -246,7 +255,7 @@ else:
 print(json.dumps(sorted(sys.modules)))
 """
 
-SEARCH_LAYERS = {"descriptors", "groupsys", "cusps", "classify", "diagram", "frames"}
+SEARCH_LAYERS = {"descriptors", "groupsys", "cusps", "classify", "diagram", "doubling", "frames"}
 
 
 def _loaded_modules(argv) -> set:
