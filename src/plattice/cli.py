@@ -1,7 +1,9 @@
 """Command-line surface: deterministic text, JSON, and DOT output.
 
-``main`` imports the module of the invoked command's handler when the
-command runs, and the handler imports the layers it uses, so a cold process
+``main`` reads a plain command line itself, so ``argparse`` (with
+``gettext`` and ``locale``) is loaded only for help, usage errors and other
+spellings.  It imports the module of the command's handler when the command
+runs, and the handler imports the layers it uses, so a cold process
 compiles only those modules (the README lists them per command).
 
 Exit codes: 0 on success, 1 on a domain error (bad mathematical input) or
@@ -11,19 +13,27 @@ on a usage error, 3 on an internal error (a failed consistency check).
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
+import types
 from importlib import import_module
 
 
-# what argparse reads as a value rather than an option; its own pattern
-# takes only plain negative numbers.  It is set on each subcommand parser as
-# argparse's private `_negative_number_matcher`, which `add_argument` and
-# the argument scan read with `.match`; checked on Python 3.11, and
-# tests/test_cli.py fails plainly if a release drops the attribute.
-NEGATIVE_VALUE = re.compile(r"-\d")
+def _is_value(word: str) -> bool:
+    # a word is a value unless it begins with "-" and no digit follows: no
+    # option does, so a name or shape with a negative entry is a value.
+    # argparse asks this too, as its private `_negative_number_matcher`
+    # (with `.match`, only of words that begin with "-"; checked on Python
+    # 3.11, and tests/test_cli.py fails plainly if a release drops it)
+    return word[:1] != "-" or word[1:2].isdecimal()
+
+
+# the options every command takes, before its own; the reader and the
+# parser both read them, and COMMANDS, from here
+SHARED_OPTIONS = [
+    ("--format", {"choices": ("text", "json", "dot"), "default": "text"}),
+    ("--json", {"dest": "as_json", "action": "store_true", "help": "shorthand for --format json"}),
+]
 
 
 # Each command in the order of the help listing: the module that holds its
@@ -82,8 +92,10 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
+def build_parser(command=None):
     """The parser of every command, or of ``command`` alone with the same texts."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="plattice",
         description="exact projective-lattice calculus for arithmetic groups",
@@ -94,26 +106,74 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     for name in COMMANDS if command is None else [command]:
         _, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        # no option begins with "-<digit>", so such a token is a value: a
-        # name or shape with a negative entry reaches its own parser (a
-        # private argparse hook, see NEGATIVE_VALUE)
-        p._negative_number_matcher = NEGATIVE_VALUE
-        p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-        p.add_argument("--json", dest="as_json", action="store_true", help="shorthand for --format json")
-        for argument in arguments:
+        p._negative_number_matcher = types.SimpleNamespace(match=_is_value)
+        for argument in SHARED_OPTIONS + arguments:
             flag, options = argument if isinstance(argument, tuple) else (argument, {})
             p.add_argument(flag, **options)
     return parser
 
 
+def _read_argv(argv):
+    """The namespace argparse gives for a plain ``argv``, else None.
+
+    Plain is the command word, exactly its positionals (a ``nargs="+"`` one
+    takes the longest run of values), then options: each flag spelled in
+    full, at most once, and followed by its value unless it is a switch.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args = types.SimpleNamespace(command=argv[0])
+    flags = {}
+    at = 1
+    for argument in SHARED_OPTIONS + COMMANDS[argv[0]][2]:
+        name, options = argument if isinstance(argument, tuple) else (argument, {})
+        if name.startswith("-"):
+            dest = options.get("dest", name[2:].replace("-", "_"))
+            switch = options.get("action") == "store_true"
+            setattr(args, dest, options.get("default", False if switch else None))
+            flags[name] = dest, options, switch
+            continue
+        many, end = options.get("nargs") == "+", at + 1
+        while many and end < len(argv) and _is_value(argv[end]):
+            end += 1
+        values = [_converted(options, word) for word in argv[at:end]]
+        if end > len(argv) or None in values:
+            return None
+        setattr(args, name, values if many else values[0])
+        at = end
+    while at < len(argv):
+        # an unknown or repeated flag, or a value with no flag before it
+        dest, options, switch = flags.pop(argv[at], (None, None, None))
+        if dest is None:
+            return None
+        value = True if switch else _converted(options, argv[at + 1]) if at + 1 < len(argv) else None
+        if value is None:
+            return None
+        setattr(args, dest, value)
+        at += 1 if switch else 2
+    return args
+
+
+def _converted(options, word):
+    # word as argparse stores it for an argument with these options, or None
+    try:
+        value = options.get("type", str)(word) if _is_value(word) else None
+    except ValueError:
+        return None
+    return value if value in options.get("choices", (value,)) else None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # when the first word names a command, only that command's parser is built
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        # help, a usage error or another spelling: argparse reads it, with
+        # only the command's parser built when the first word names one
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     handlers = import_module("." + COMMANDS[args.command][0], __package__)
     try:
         getattr(handlers, "cmd_" + args.command)(args)

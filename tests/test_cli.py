@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -250,6 +251,24 @@ class TestParser:
         run(capsys, "bogus")
         assert built == [command, None]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eta", "3|3", "--order", "20"],
+            ["classify", "--index-bound", "33", "--ratio-bound", "5", "--relax-width", "--json"],
+            ["cell", "1,0", "2,0", "--format", "json"],
+            ["hyperdistance", "-2/4,0", "1,0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_plain_command_line_builds_no_parser(self, capsys, monkeypatch, argv):
+        def refuse(command=None):
+            raise AssertionError("built the parser of %s" % command)
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and not err.startswith("internal error")
+
     def test_no_arguments(self, capsys):
         expected = USAGE + "plattice: error: the following arguments are required: command\n"
         assert run(capsys) == (2, "", expected)
@@ -276,6 +295,157 @@ class TestParser:
             "plattice eta: error: the following arguments are required: shape\n"
         )
         assert run(capsys, "eta") == (2, "", expected)
+
+
+# A seeded corpus of command lines over all fourteen commands: plain ones,
+# then mutated by the words and orders that only argparse reads.
+VALUES = {
+    str: ["1,0", "2,0", "-2,0", "3|3", "4|2+", "8", "[[0,-1],[4,0]]", "2^6 6^6 / 1^6 3^6", "-1^24", "", "x"],
+    int: ["3", "8", "-3", "+5", " 7", "x", "1.5", "", "-"],
+    float: ["1e-6", "-1e-3", "0.5", "nan", "x", "", "-.5"],
+}
+ODD_WORDS = ["--", "-h", "--help", "--order=7", "--ord", "7", "--format", "xml", "--json", "-x", "--tol", "extra"]
+
+
+def _arguments(command):
+    for argument in cli.SHARED_OPTIONS + cli.COMMANDS[command][2]:
+        yield argument if isinstance(argument, tuple) else (argument, {})
+
+
+def _value(rng, options):
+    if "choices" in options:
+        return rng.choice(list(options["choices"]) + ["xml"])
+    return rng.choice(VALUES[options.get("type", str)])
+
+
+def _plain_argv(rng, command):
+    argv, options_part = [command], []
+    for flag, options in _arguments(command):
+        if not flag.startswith("-"):
+            argv += [_value(rng, options) for _ in range(rng.randint(1, 3) if "nargs" in options else 1)]
+        elif rng.random() < 0.4:
+            switch = options.get("action") == "store_true"
+            options_part.append([flag] if switch else [flag, _value(rng, options)])
+    rng.shuffle(options_part)
+    return argv + [word for pair in options_part for word in pair]
+
+
+def _flag_at(rng, argv):
+    # one flag of argv chosen at random: its index and its words, the flag
+    # with the value that follows it
+    flags = [i for i, word in enumerate(argv) if word.startswith("--")]
+    if not flags:
+        return None
+    i = rng.choice(flags)
+    return i, argv[i : i + 2 if i + 1 < len(argv) and cli._is_value(argv[i + 1]) else i + 1]
+
+
+def _mutated(rng, argv):
+    argv = list(argv)
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        kind = rng.randrange(5)
+        flag = _flag_at(rng, argv) if kind in (2, 3) else None
+        if kind == 0:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(ODD_WORDS))
+        elif kind == 1 and len(argv) > 1:
+            del argv[rng.randrange(1, len(argv))]
+        elif flag:
+            i, words = flag
+            if kind == 2:
+                # moved before or between the positionals
+                del argv[i : i + len(words)]
+                argv[1:1] = words
+            else:
+                argv += words  # given twice
+        else:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(VALUES[rng.choice([str, int, float])]))
+    return argv
+
+
+def reader_corpus(seed=25, count=1200):
+    rng = random.Random(seed)
+    return [_mutated(rng, _plain_argv(rng, rng.choice(COMMAND_NAMES))) for _ in range(count)]
+
+
+def _attributes(namespace):
+    # by repr, so that a float nan equals itself and 7 differs from "7"
+    return repr(sorted(vars(namespace).items()))
+
+
+def _outcome(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestReader:
+    """``main`` reads plain command lines without argparse; nothing else changes."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_the_corpus_reaches_both_paths(self):
+        read = sum(cli._read_argv(argv) is not None for argv in reader_corpus())
+        assert 200 < read < 1000
+
+    def test_a_read_namespace_is_argparses(self, capsys):
+        mismatches = []
+        for argv in reader_corpus():
+            args = cli._read_argv(argv)
+            if args is None:
+                continue
+            try:
+                expected = _attributes(cli.build_parser(argv[0]).parse_args(argv))
+            except SystemExit:
+                expected = capsys.readouterr().err
+            if _attributes(args) != expected:
+                mismatches.append((argv, vars(args), expected))
+        assert mismatches == []
+
+    def test_main_prints_what_the_argparse_path_prints(self, capsys, monkeypatch):
+        # every line of the corpus, read or declined, against main with the
+        # reader switched off
+        corpus = reader_corpus()
+        found = [_outcome(capsys, argv) for argv in corpus]
+        monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+        expected = [_outcome(capsys, argv) for argv in corpus]
+        mismatches = [(argv, f, e) for argv, f, e in zip(corpus, found, expected) if f != e]
+        assert mismatches == []
+
+    def test_a_value_begins_with_minus_and_a_digit_as_argparses_pattern_says(self):
+        # the rule argparse was given as the pattern -\d before, over every
+        # character that may follow the minus
+        import re
+
+        differ = [c for c in range(0x110000) if cli._is_value("-" + chr(c)) != bool(re.match(r"-\d", "-" + chr(c)))]
+        assert differ == []
+        assert cli._is_value("") and cli._is_value("x") and not cli._is_value("-") and not cli._is_value("--")
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (["eta", "--order", "20", "3|3"], ["eta", "3|3", "--order", "20"]),
+            (["eta", "3|3", "--order=20"], ["eta", "3|3", "--order", "20"]),
+            (["eta", "3|3", "--ord", "20"], ["eta", "3|3", "--order", "20"]),
+            (["hyperdistance", "1,0", "--json", "4,0"], ["hyperdistance", "1,0", "4,0", "--json"]),
+            (["index", "8", "--format", "text", "--format", "json"], ["index", "8", "--format", "json"]),
+        ],
+        ids=["option-first", "equals", "abbreviated", "option-between", "repeated"],
+    )
+    def test_other_spellings_go_through_argparse(self, capsys, monkeypatch, argv, plain):
+        expected = {
+            "eta": "q^-1 - 8 q^2 + 28 q^5 - 64 q^8 + 134 q^11 - 288 q^14 + 568 q^17 - 1024 q^20\n",
+            "hyperdistance": "4\n",
+            "index": "12\n",
+        }[argv[0]]
+        assert cli._read_argv(argv) is None and cli._read_argv(plain) is not None
+        built = []
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or full(only))
+        assert run(capsys, *argv) == (0, expected, "")
+        assert run(capsys, *plain) == (0, expected, "")
+        assert built == [argv[0]]
 
 
 class TestJsonRoundTrips:

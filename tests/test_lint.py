@@ -1,6 +1,8 @@
 import ast
 import json
 import re
+import runpy
+import shlex
 from pathlib import Path
 
 import pytest
@@ -232,6 +234,15 @@ def test_package_and_cli_import_no_layer_at_module_scope():
     assert offenders == []
 
 
+def test_cli_imports_the_argument_parser_only_when_it_builds_one():
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in _module_scope_imports(tree):
+        names |= {alias.name for alias in node.names} if isinstance(node, ast.Import) else {node.module}
+    assert names & {"argparse", "re"} == set()
+
+
 def test_lazy_importers_cover_every_handler_module():
     from plattice.cli import COMMANDS
 
@@ -403,6 +414,65 @@ def test_startup_table_row_loads_its_layers(row):
     loaded = _loaded_layers(STARTUP_ROWS[row])
     assert {"cli", "output"} <= loaded
     assert loaded - {"cli", "output"} == _startup_table()[row]
+
+
+# argparse, with gettext and the locale that its first translated text
+# loads, is for help, usage errors and unusual spellings only
+ARGUMENT_PARSER = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("row", list(STARTUP_ROWS))
+def test_startup_table_row_loads_no_argument_parser(row):
+    assert _loaded_modules(STARTUP_ROWS[row]) & ARGUMENT_PARSER == set()
+
+
+# main(argv) in a fresh interpreter; prints its exit code, stdout, stderr
+# and the modules that were loaded
+OUTCOME_SCRIPT = r"""
+import contextlib, io, json, sys
+from plattice.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), err.getvalue(), sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["eta", "--help"], 0), (["index", "x"], 2)], ids=["help", "usage-error"])
+def test_help_and_usage_errors_still_use_argparse(monkeypatch, capsys, argv, code):
+    from plattice.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its texts at this width
+    found = json.loads(fresh_python("-c", OUTCOME_SCRIPT, json.dumps(argv)).stdout)
+    assert ARGUMENT_PARSER <= set(found.pop())
+    with pytest.raises(SystemExit) as stopped:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert found == [code, expected.out, expected.err] and stopped.value.code == code
+
+
+# Every command line the benchmark runs is read without argparse: the
+# first blocks of each stream for a few seeds, every argv its `fixed` ops
+# draw from, its setup op and the README's quick start.
+BENCHMARK = SRC.parent.parent / "perfbench"
+
+
+def _readme_commands() -> list:
+    block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.strip().splitlines()]
+
+
+def test_every_benchmark_and_readme_command_line_is_read_without_argparse():
+    from plattice.cli import _read_argv
+
+    readme = _readme_commands()
+    assert len(readme) == 15
+    workloads = runpy.run_path(str(BENCHMARK / "workloads.py"))
+    argvs = [["index", "1"]] + workloads["fixed_argvs"]() + readme
+    for workload in workloads["WORKLOADS"]:
+        for seed in range(1, 6):
+            argvs += [op.argv for op in workloads["ops_for"](workload, seed, 60)]
+    assert [argv for argv in argvs if _read_argv(argv) is None] == []
 
 
 @pytest.mark.parametrize(
