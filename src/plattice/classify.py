@@ -246,6 +246,8 @@ def classify_hits(
     relax_width: bool = False,
 ) -> list[Hit]:
     """Every (candidate, subgroup) pair passing the screening, with names."""
+    if index_bound < 1 or ratio_bound < 1:
+        raise ValueError("bounds must be positive, got index %d and ratio %d" % (index_bound, ratio_bound))
     hits = []
     for n, h in candidate_levels(index_bound):
         if not may_pass(n * h, index_bound, ratio_bound):

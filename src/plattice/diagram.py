@@ -1,12 +1,13 @@
 """Vertex invariants for the nine groups and the graph they determine.
 
-Each group gets an envelope level (the least level whose group it contains
-and normalizes), a scale factor, a core subgroup (the group with its
-adjoined involutions removed, read off its name), a congruence level, a
-normalized level, a valency, and a faithfulness bit.  A degree- and
-weight-constrained backtracking search then recovers the unique graph on
-the nine vertices: the extended E8 diagram.  The groups' generating sets
-are built here too.
+Each vertex group n|h+e has its invariants read off its name: the
+envelope level (the least level whose group it contains and normalizes)
+is its intersection level, the scale is h, the core drops the labels, and
+the valency is one more than the number of involutions the labels need.
+The normalizer quotient at the envelope level checks them, and only the
+faithfulness bit is an orbit computation.  A degree- and weight-constrained
+search then recovers the unique graph on the nine vertices: the extended
+E8 diagram.  The groups' generating sets are built here too.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
-from .arith import divisors, gamma0_index
-from .descriptors import NODE_GROUPS, GroupDescriptor, congruence_level, normalizer_of_gamma0
+from .arith import gamma0_index
+from .descriptors import NODE_GROUPS, GroupDescriptor, congruence_level
 from .exact import IDENTITY, S, T, ProjectiveMatrix
 from .groupsys import _member_cosets, member, normalizer_quotient, quotient_generators
 from .lattice import L1, LatticeName, act
-
-ENVELOPE_SEARCH_BOUND = 64
 
 
 @lru_cache(maxsize=None)
@@ -65,41 +64,6 @@ def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
     """A finite generating set for the described group."""
     base = desc.n * desc.h if desc.h > 1 else desc.n
     return list(schreier_generators(base)) + quotient_generators(desc)
-
-
-@lru_cache(maxsize=None)
-def envelope_level(desc: GroupDescriptor) -> int:
-    """Least N whose level group the group contains and normalizes.
-
-    The group contains the level-N group exactly when its modular-group
-    intersection does, that is when K = ``intersection_level()`` divides N;
-    so only the multiples of K up to ``ENVELOPE_SEARCH_BOUND`` are tried,
-    against the normalizer of each.
-    """
-    gens = group_generators(desc)
-    k = desc.intersection_level()
-    for n in range(k, ENVELOPE_SEARCH_BOUND + 1, k):
-        envelope = normalizer_of_gamma0(n)
-        if all(member(g, envelope) for g in gens):
-            return n
-    raise ValueError("no envelope level below %d for %s" % (ENVELOPE_SEARCH_BOUND, desc))
-
-
-@lru_cache(maxsize=None)
-def scale_factor(desc: GroupDescriptor) -> int:
-    """Largest divisor a of 24 with a^2 | N whose scaled base group meets
-    the group in index a."""
-    n = envelope_level(desc)
-    q = normalizer_quotient(n)
-    mine = _member_cosets(q, desc)
-    for a in sorted(divisors(24), reverse=True):
-        if n % (a * a):
-            continue
-        scaled = _member_cosets(q, GroupDescriptor(a, n // a))
-        met = scaled & mine
-        if len(scaled) == len(met) * a:
-            return a
-    raise AssertionError("no scale factor found for %s" % desc.display)
 
 
 class VertexData(
@@ -154,10 +118,14 @@ def is_faithful(desc: GroupDescriptor) -> bool:
 
 @lru_cache(maxsize=None)
 def vertex_data(desc: GroupDescriptor) -> VertexData:
-    n = envelope_level(desc)
-    a = scale_factor(desc)
-    # the core drops the adjoined involutions; on the normalizer quotient it
-    # must be where the group meets its scaled base group
+    """The invariants of a vertex group, read off its name and checked on
+    the normalizer quotient at its envelope level."""
+    if desc not in NODE_GROUPS:
+        raise ValueError("%s is not one of the nine vertex groups" % desc.display)
+    # the envelope level is the intersection level, the scale is h, and the
+    # core drops the adjoined involutions; on the normalizer quotient the
+    # core must be where the group meets its scaled base group
+    n, a = desc.intersection_level(), desc.h
     core = GroupDescriptor(desc.h, desc.n, (), desc.character)
     level = congruence_level(desc)
     if level % a:
@@ -167,14 +135,14 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
     core_set = _member_cosets(q, core)
     if core_set != _member_cosets(q, GroupDescriptor(a, n // a)) & mine:
         raise AssertionError("core of %s is not its meet with the scaled base group" % desc.display)
-    ratio = len(mine) // len(core_set)
-    m = ratio.bit_length() - 1
-    if 2**m != ratio:
-        raise AssertionError("quotient by the core is not a two-group for %s" % desc.display)
+    # the labels and the identity are the cosets of the core
+    if len(mine) != len(core_set) * (len(desc.plus) + 1):
+        raise AssertionError("quotient by the core has the wrong order for %s" % desc.display)
     for i in mine:
         if q.mult[i][i] not in core_set:
             raise AssertionError("core quotient has exponent above two for %s" % desc.display)
-    return VertexData(desc, n, a, core, level, level // a, m + 1, is_faithful(desc))
+    valency = (len(desc.plus) + 1).bit_length()
+    return VertexData(desc, n, a, core, level, level // a, valency, is_faithful(desc))
 
 
 # graph reconstruction ---------------------------------------------------------

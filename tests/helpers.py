@@ -8,21 +8,24 @@ orbits, cusp counts and the cusp report they give, balls of the p-adic
 trees, graph edges by group name, graph neighbours, the Frame-shape
 predictions of the vertex invariants and the dense eta-series recurrence;
 and the searches that worked out what a name now fixes: the width at
-infinity by a shear scan, the doubled group by the envelope level and the
+infinity by a shear scan, the envelope level by normalizer membership, the
+scale by comparing scaled base groups, the valency by the order of the
+quotient by the core, the doubled group by the envelope level and the
 scale, the core by naming a quotient subgroup, and the backtracking graph
 solver."""
 
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from plattice.classify import name_subgroup
-from plattice.diagram import envelope_level, scale_factor
+from plattice.diagram import group_generators
 from plattice.exact import ProjectiveMatrix
 from plattice.doubling import double_coset_label
 from plattice.frames import FrameShape, IntegerPowerSeries
-from plattice.descriptors import GroupDescriptor, width_at_infinity
+from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0, width_at_infinity
 from plattice.groupsys import (
     FiniteQuotient,
     _member_cosets,
@@ -32,7 +35,7 @@ from plattice.groupsys import (
     quotient_generators,
 )
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
-from plattice.arith import is_prime
+from plattice.arith import divisors, is_prime
 from plattice.tree import hypercircle, thread
 
 
@@ -442,11 +445,70 @@ def scanned_width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
     raise AssertionError("no translation found in %s" % desc.display)
 
 
+ENVELOPE_SEARCH_BOUND = 64
+
+
+@lru_cache(maxsize=None)
+def searched_envelope_level(desc: GroupDescriptor) -> int:
+    """Least N whose level group the group contains and normalizes.
+
+    The group contains the level-N group exactly when its modular-group
+    intersection does, that is when K = ``intersection_level()`` divides N;
+    so only the multiples of K up to ``ENVELOPE_SEARCH_BOUND`` are tried,
+    against the normalizer of each.
+    """
+    gens = group_generators(desc)
+    k = desc.intersection_level()
+    for n in range(k, ENVELOPE_SEARCH_BOUND + 1, k):
+        envelope = normalizer_of_gamma0(n)
+        if all(member(g, envelope) for g in gens):
+            return n
+    raise ValueError("no envelope level below %d for %s" % (ENVELOPE_SEARCH_BOUND, desc))
+
+
+@lru_cache(maxsize=None)
+def searched_scale_factor(desc: GroupDescriptor) -> int:
+    """Largest divisor a of 24 with a^2 | N whose scaled base group meets
+    the group in index a."""
+    n = searched_envelope_level(desc)
+    q = normalizer_quotient(n)
+    mine = _member_cosets(q, desc)
+    for a in sorted(divisors(24), reverse=True):
+        if n % (a * a):
+            continue
+        scaled = _member_cosets(q, GroupDescriptor(a, n // a))
+        met = scaled & mine
+        if len(scaled) == len(met) * a:
+            return a
+    raise AssertionError("no scale factor found for %s" % desc.display)
+
+
+def _core_cosets(desc: GroupDescriptor) -> tuple[FiniteQuotient, frozenset[int], frozenset[int]]:
+    """The normalizer quotient at the searched envelope level, the group's
+    cosets there, and their meet with the scaled base group's."""
+    n = searched_envelope_level(desc)
+    a = searched_scale_factor(desc)
+    q = normalizer_quotient(n)
+    mine = _member_cosets(q, desc)
+    return q, mine, _member_cosets(q, GroupDescriptor(a, n // a)) & mine
+
+
+def searched_valency(desc: GroupDescriptor) -> int:
+    """One more than m, where the group's quotient by its meet with the
+    scaled base group has order 2**m."""
+    _, mine, met = _core_cosets(desc)
+    ratio = len(mine) // len(met)
+    m = ratio.bit_length() - 1
+    if 2**m != ratio:
+        raise AssertionError("quotient by the core is not a two-group for %s" % desc.display)
+    return m + 1
+
+
 def searched_double_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The doubled group from the envelope level n and the scale a: the
     labels double over level n/a**2, and the base group is (a, 2n/a)."""
-    a = scale_factor(desc)
-    n = envelope_level(desc)
+    a = searched_scale_factor(desc)
+    n = searched_envelope_level(desc)
     labels = frozenset(double_coset_label(e, n // (a * a))[0] for e in desc.plus)
     if a == 1:
         return GroupDescriptor(1, 2 * n, labels)
@@ -456,10 +518,7 @@ def searched_double_group(desc: GroupDescriptor) -> GroupDescriptor:
 def named_core_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The group met with its scaled base group on the normalizer quotient
     at its envelope level, named by the classify catalog."""
-    n = envelope_level(desc)
-    a = scale_factor(desc)
-    q = normalizer_quotient(n)
-    met = _member_cosets(q, GroupDescriptor(a, n // a)) & _member_cosets(q, desc)
+    q, _, met = _core_cosets(desc)
     return name_subgroup(q, met)
 
 

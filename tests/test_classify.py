@@ -266,6 +266,16 @@ class TestPrune:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: cannot sweep index bound 100001: above the budget of 10**5\n"
 
+    @pytest.mark.parametrize("bounds", [(0, 3), (-3, 3), (12, 0), (12, -1)])
+    def test_non_positive_bounds_are_refused(self, bounds):
+        # these swept nothing and printed "total: 0" with exit 0
+        message = "bounds must be positive, got index %d and ratio %d" % bounds
+        with pytest.raises(ValueError, match=message):
+            classify_hits(*bounds)
+        argv = ["classify", "--index-bound", str(bounds[0]), "--ratio-bound", str(bounds[1])]
+        proc = fresh_python("-m", "plattice.cli", *argv, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: %s\n" % message)
+
 
 # the bounds behind the skip, against the enumerated quotients -------------
 

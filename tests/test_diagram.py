@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -10,13 +11,11 @@ from plattice.diagram import (
     VertexData,
     build_graph,
     emit_dot,
-    envelope_level,
     graph_solutions,
     group_generators,
     is_faithful,
     node_vertex_data,
     pair_orbit_size,
-    scale_factor,
     schreier_generators,
     vertex_data,
 )
@@ -24,7 +23,15 @@ from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0
 from plattice.groupsys import member
 from plattice.lattice import L1, act, lattice
 
-from .helpers import backtracking_graph_solutions, edge_displays, named_core_group, neighbors
+from .helpers import (
+    backtracking_graph_solutions,
+    edge_displays,
+    named_core_group,
+    neighbors,
+    searched_envelope_level,
+    searched_scale_factor,
+    searched_valency,
+)
 from .test_groupsys import CATALOG_48, outcome
 
 E8_EDGES = {
@@ -39,9 +46,10 @@ E8_EDGES = {
 }
 
 
-def searched_envelope_level(desc: GroupDescriptor, bound: int = 64) -> int:
-    """The envelope search before the closed form: test every level up to
-    the bound for containment by its Schreier generators, then normality."""
+def scanned_envelope_level(desc: GroupDescriptor, bound: int = 64) -> int:
+    """The envelope search before it stepped by the intersection level:
+    test every level up to the bound for containment by its Schreier
+    generators, then normality."""
     gens = group_generators(desc)
     for n in range(1, bound + 1):
         if not all(member(g, desc) for g in schreier_generators(n)):
@@ -53,16 +61,16 @@ def searched_envelope_level(desc: GroupDescriptor, bound: int = 64) -> int:
 
 class TestEnvelopeLevel:
     def test_modular_group(self):
-        assert envelope_level(GroupDescriptor.gamma0(1)) == 1
+        assert vertex_data(GroupDescriptor.gamma0(1)).envelope == 1
 
     def test_level_two_group_minimal(self):
-        assert envelope_level(GroupDescriptor.gamma0(2)) == 2
+        assert vertex_data(GroupDescriptor.gamma0(2)).envelope == 2
 
     def test_doubled_kernel(self):
-        assert envelope_level(GroupDescriptor.kernel(2, 4, {2})) == 8
+        assert vertex_data(GroupDescriptor.kernel(2, 4, {2})).envelope == 8
 
     def test_all_nine(self):
-        assert [envelope_level(d) for d in NODE_GROUPS] == [1, 2, 3, 4, 5, 6, 9, 8, 2]
+        assert [v.envelope for v in node_vertex_data()] == [1, 2, 3, 4, 5, 6, 9, 8, 2]
 
     def test_containment_is_divisibility_of_the_intersection_level(self):
         # the Schreier-generator scan the search used: the group contains
@@ -73,39 +81,41 @@ class TestEnvelopeLevel:
                 assert all(member(g, desc) for g in schreier_generators(n)) == (n % k == 0)
 
     def test_closed_form_matches_search(self):
+        # the oracle, which steps by the intersection level, against the
+        # scan over every level; off the nine the envelope is not always
+        # the intersection level, so the oracle is checked on the catalog
         for desc in CATALOG_48:
-            assert outcome(envelope_level, desc) == outcome(searched_envelope_level, desc)
+            assert outcome(searched_envelope_level, desc) == outcome(scanned_envelope_level, desc)
 
     def test_search_stops_at_its_bound(self):
-        # the level-67 group is its own envelope, past ENVELOPE_SEARCH_BOUND
-        assert outcome(envelope_level, GroupDescriptor.gamma0(67)) == (
+        # the level-67 group is its own envelope, past the oracle's bound
+        assert outcome(searched_envelope_level, GroupDescriptor.gamma0(67)) == (
             "ValueError: no envelope level below 64 for 67"
         )
 
 
 class TestScaleFactor:
     def test_three_kernel(self):
-        assert scale_factor(GroupDescriptor.kernel(3, 3)) == 3
+        assert vertex_data(GroupDescriptor.kernel(3, 3)).scale == 3
 
     def test_plus_four_is_one(self):
-        assert scale_factor(GroupDescriptor.gamma0_plus(4)) == 1
+        assert vertex_data(GroupDescriptor.gamma0_plus(4)).scale == 1
 
     def test_plus_two_is_one(self):
-        assert scale_factor(GroupDescriptor.gamma0_plus(2)) == 1
+        assert vertex_data(GroupDescriptor.gamma0_plus(2)).scale == 1
 
     def test_table_row(self):
-        assert [scale_factor(d) for d in NODE_GROUPS] == [1, 1, 1, 1, 1, 1, 3, 2, 1]
+        assert [v.scale for v in node_vertex_data()] == [1, 1, 1, 1, 1, 1, 3, 2, 1]
 
     def test_scale_is_envelope_h_except_plus_four(self):
-        # the scale agrees with the square-divisor bound of the envelope
-        # level everywhere but the label-four group, where it drops to one
-        from plattice.descriptors import normalizer_of_gamma0
-
+        # the searched scale agrees with the square-divisor bound of the
+        # searched envelope level everywhere but the label-four group,
+        # where it drops to one
         for d in NODE_GROUPS:
             expected = 1 if d == GroupDescriptor.gamma0_plus(4) else normalizer_of_gamma0(
-                envelope_level(d)
+                searched_envelope_level(d)
             ).h
-            assert scale_factor(d) == expected
+            assert searched_scale_factor(d) == expected
 
 
 class TestCoreGroup:
@@ -139,6 +149,21 @@ class TestCoreGroup:
 
 
 class TestVertexData:
+    def test_name_rules_match_the_searches(self):
+        for d in NODE_GROUPS:
+            v = vertex_data(d)
+            assert (v.envelope, v.scale, v.valency) == (
+                searched_envelope_level(d),
+                searched_scale_factor(d),
+                searched_valency(d),
+            )
+
+    @pytest.mark.parametrize("name", ["7+", "4", "6", "4|2", "8|2+"])
+    def test_refuses_a_group_off_the_nine(self, name):
+        message = "^%s is not one of the nine vertex groups$" % re.escape(name)
+        with pytest.raises(ValueError, match=message):
+            vertex_data(GroupDescriptor.parse(name))
+
     def test_tables_reproduced(self):
         data = node_vertex_data()
         assert [v.scale for v in data] == [1, 1, 1, 1, 1, 1, 3, 2, 1]
@@ -150,7 +175,8 @@ class TestVertexData:
             assert v.level == v.scale * v.normalized_level
 
     def test_level_divides_envelope(self):
-        # justifies the divisor bound in the congruence-level search
+        # the group contains the envelope-level group, so its intersection
+        # level, the congruence level, divides the envelope
         for v in node_vertex_data():
             assert v.envelope % v.level == 0
 
