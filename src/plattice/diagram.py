@@ -4,10 +4,11 @@ Each vertex group n|h+e has its invariants read off its name: the
 envelope level (the least level whose group it contains and normalizes)
 is its intersection level, the scale is h, the core drops the labels, and
 the valency is one more than the number of involutions the labels need.
-The normalizer quotient at the envelope level checks them, and only the
-faithfulness bit is an orbit computation.  A degree- and weight-constrained
-search then recovers the unique graph on the nine vertices: the extended
-E8 diagram.  The groups' generating sets are built here too.
+The normalizer quotient at the envelope level checks them, and the
+faithfulness bit is an index on the quotient at its least even multiple.
+A degree- and weight-constrained search then recovers the unique graph on
+the nine vertices: the extended E8 diagram.  The groups' generating sets
+are built here too.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .arith import gamma0_index
-from .descriptors import NODE_GROUPS, GroupDescriptor, congruence_level
+from .descriptors import NODE_GROUPS, GroupDescriptor
 from .exact import IDENTITY, S, T, ProjectiveMatrix
 from .groupsys import _member_cosets, member, normalizer_quotient, quotient_generators
-from .lattice import L1, LatticeName, act
+from .lattice import LatticeName, act
 
 
 @lru_cache(maxsize=None)
@@ -35,15 +37,17 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
         raise ValueError("level must be positive")
     base = LatticeName(n, 0, 1)
     transversal: dict[LatticeName, ProjectiveMatrix] = {base: IDENTITY}
-    frontier = [base]
+    walk = [base]
     gens = [S, T, T.inv()]
-    while frontier:
-        cur = frontier.pop(0)
+    head = 0
+    while head < len(walk):
+        cur = walk[head]
         for g in gens:
             nxt = act(cur, g)
             if nxt not in transversal:
                 transversal[nxt] = transversal[cur] * g
-                frontier.append(nxt)
+                walk.append(nxt)
+        head += 1
     if len(transversal) != gamma0_index(n):
         raise AssertionError("coset transversal of level %d has the wrong size" % n)
     out = []
@@ -62,8 +66,7 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
 
 def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
     """A finite generating set for the described group."""
-    base = desc.n * desc.h if desc.h > 1 else desc.n
-    return list(schreier_generators(base)) + quotient_generators(desc)
+    return list(schreier_generators(desc.n * desc.h)) + quotient_generators(desc)
 
 
 class VertexData(
@@ -85,41 +88,30 @@ class VertexData(
         return cls(**fields)
 
 
-PAIR_BASE = frozenset({L1, LatticeName(2, 0, 1)})
-PAIR_ORBIT_BOUND = 64
-
-
-def pair_orbit_size(desc: GroupDescriptor) -> int:
-    """Size of the orbit of the unordered pair {L1, L2} under the group."""
-    gens = group_generators(desc)
-    seen = {PAIR_BASE}
-    frontier = [PAIR_BASE]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = frozenset(act(x, g) for x in cur)
-            if nxt not in seen:
-                if len(seen) >= PAIR_ORBIT_BOUND:
-                    raise AssertionError("pair orbit exceeded bound for %s" % desc.display)
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen)
-
-
-def is_faithful(desc: GroupDescriptor) -> bool:
-    """Nearness to the joint two-lattice stabilizer, as an orbit bound.
-
-    The stabilizer of the unordered pair {L1, L2} meets the group in index
-    equal to the pair-orbit size, so the intersection index bound of two
-    becomes an orbit-size bound.
-    """
-    return pair_orbit_size(desc) <= 2
+def _pair_orbit(desc: GroupDescriptor, index: int) -> int:
+    """Size of the orbit of {L1, L2} under a group of ``index`` cosets over
+    its level-K group, K the intersection level (see ``vertex_data``)."""
+    k = desc.intersection_level()
+    wide = lcm(k, 2)
+    q = normalizer_quotient(wide)
+    meet = _member_cosets(q, desc) & _member_cosets(q, GroupDescriptor.gamma0_plus(2))
+    orbit, rest = divmod(index * gamma0_index(wide), gamma0_index(k) * len(meet))
+    if rest:
+        raise AssertionError("pair orbit of %s is not a whole number" % desc.display)
+    return orbit
 
 
 @lru_cache(maxsize=None)
 def vertex_data(desc: GroupDescriptor) -> VertexData:
     """The invariants of a vertex group, read off its name and checked on
-    the normalizer quotient at its envelope level."""
+    the normalizer quotient Q(K) at its envelope level K.
+
+    The vertex is faithful when the pair {L1, L2} has at most two images
+    under the group G.  The pair's stabilizer is 2+, and its meet with G
+    normalizes the level-L group, L = lcm(K, 2).  So the orbit, the index
+    of that meet in G, is |G/level K| * psi(L)/psi(K) over the number of
+    cosets of Q(L) in both G and 2+; a fraction is an internal error.
+    """
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
     # the envelope level is the intersection level, the scale is h, and the
@@ -127,9 +119,6 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
     # core must be where the group meets its scaled base group
     n, a = desc.intersection_level(), desc.h
     core = GroupDescriptor(desc.h, desc.n, (), desc.character)
-    level = congruence_level(desc)
-    if level % a:
-        raise AssertionError("level %d not divisible by scale %d for %s" % (level, a, desc))
     q = normalizer_quotient(n)
     mine = _member_cosets(q, desc)
     core_set = _member_cosets(q, core)
@@ -142,7 +131,8 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
         if q.mult[i][i] not in core_set:
             raise AssertionError("core quotient has exponent above two for %s" % desc.display)
     valency = (len(desc.plus) + 1).bit_length()
-    return VertexData(desc, n, a, core, level, level // a, valency, is_faithful(desc))
+    faithful = _pair_orbit(desc, len(mine)) <= 2
+    return VertexData(desc, n, a, core, n, n // a, valency, faithful)
 
 
 # graph reconstruction ---------------------------------------------------------
@@ -165,12 +155,12 @@ class LabeledGraph(namedtuple("LabeledGraph", "vertices edges")):
         )
 
 
-def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple[int, int]]]:
+def graph_solutions(data) -> list[frozenset[tuple[int, int]]]:
     """All simple graphs meeting the degree, weight-balance, and parity rules.
 
     Vertex degrees must equal the valencies; twice each vertex's
-    normalized level must equal the sum over its neighbors'; and, when
-    enforced, faithful vertices may only touch non-faithful ones.
+    normalized level must equal the sum over its neighbors'; and faithful
+    vertices may only touch non-faithful ones.
     """
     data = tuple(data)
     count = len(data)
@@ -193,7 +183,7 @@ def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple
             j
             for j in range(i + 1, count)
             if len(adjacency[j]) < degrees[j]
-            and not (enforce_faithful and faithful[i] and faithful[j])
+            and not (faithful[i] and faithful[j])
         ]
         have = sum(weights[j] for j in adjacency[i])
         for picked in combinations(candidates, need):
@@ -213,10 +203,10 @@ def graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple
     return solutions
 
 
-def build_graph(data, enforce_faithful: bool = True) -> LabeledGraph:
+def build_graph(data) -> LabeledGraph:
     """The unique constrained graph; raises if the count differs from one."""
     data = tuple(data)
-    solutions = graph_solutions(data, enforce_faithful)
+    solutions = graph_solutions(data)
     if len(solutions) != 1:
         raise ValueError("expected a unique graph, found %d solutions" % len(solutions))
     return LabeledGraph(data, solutions[0])

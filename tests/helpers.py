@@ -11,8 +11,8 @@ and the searches that worked out what a name now fixes: the width at
 infinity by a shear scan, the envelope level by normalizer membership, the
 scale by comparing scaled base groups, the valency by the order of the
 quotient by the core, the doubled group by the envelope level and the
-scale, the core by naming a quotient subgroup, and the backtracking graph
-solver."""
+scale, the core by naming a quotient subgroup, the faithfulness bit by walking
+the orbit of the pair {L1, L2}, and the backtracking graph solver."""
 
 import operator
 from collections import namedtuple
@@ -520,6 +520,28 @@ def named_core_group(desc: GroupDescriptor) -> GroupDescriptor:
     at its envelope level, named by the classify catalog."""
     q, _, met = _core_cosets(desc)
     return name_subgroup(q, met)
+
+
+PAIR_BASE = frozenset({L1, LatticeName(2, 0, 1)})
+PAIR_ORBIT_BOUND = 64
+
+
+def walked_pair_orbit_size(desc: GroupDescriptor) -> int:
+    """Size of the orbit of the unordered pair {L1, L2} under the group,
+    walked under its Schreier generators."""
+    gens = group_generators(desc)
+    seen = {PAIR_BASE}
+    frontier = [PAIR_BASE]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = frozenset(act(x, g) for x in cur)
+            if nxt not in seen:
+                if len(seen) >= PAIR_ORBIT_BOUND:
+                    raise AssertionError("pair orbit exceeded bound for %s" % desc.display)
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
 
 
 def backtracking_graph_solutions(data, enforce_faithful: bool = True) -> list[frozenset[tuple[int, int]]]:

@@ -1,26 +1,30 @@
+import hashlib
+import io
 import json
 import random
 import re
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from plattice import cli, diagram
 from plattice.diagram import (
     NODE_GROUPS,
     LabeledGraph,
     VertexData,
+    _pair_orbit,
     build_graph,
     emit_dot,
     graph_solutions,
     group_generators,
-    is_faithful,
     node_vertex_data,
-    pair_orbit_size,
     schreier_generators,
     vertex_data,
 )
 from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0
-from plattice.groupsys import member
+from plattice.groupsys import _member_cosets, member, normalizer_quotient
 from plattice.lattice import L1, act, lattice
 
 from .helpers import (
@@ -31,6 +35,7 @@ from .helpers import (
     searched_envelope_level,
     searched_scale_factor,
     searched_valency,
+    walked_pair_orbit_size,
 )
 from .test_groupsys import CATALOG_48, outcome
 
@@ -195,11 +200,39 @@ class TestVertexData:
         assert sum(v.valency for v in node_vertex_data()) == 16
 
     def test_pair_orbit_examples(self):
-        assert pair_orbit_size(GroupDescriptor.gamma0(2)) == 1
-        assert pair_orbit_size(GroupDescriptor.gamma0_plus(2)) == 1
-        assert pair_orbit_size(GroupDescriptor.gamma0_plus(4)) == 2
-        assert pair_orbit_size(GroupDescriptor.gamma0(1)) == 3
-        assert not is_faithful(GroupDescriptor.kernel(3, 3))
+        assert walked_pair_orbit_size(GroupDescriptor.gamma0(2)) == 1
+        assert walked_pair_orbit_size(GroupDescriptor.gamma0_plus(2)) == 1
+        assert walked_pair_orbit_size(GroupDescriptor.gamma0_plus(4)) == 2
+        assert walked_pair_orbit_size(GroupDescriptor.gamma0(1)) == 3
+        assert walked_pair_orbit_size(GroupDescriptor.kernel(3, 3)) > 2
+        assert not vertex_data(GroupDescriptor.kernel(3, 3)).faithful
+
+    def test_pair_orbit_index_matches_the_walk(self):
+        orbits = []
+        for d in NODE_GROUPS:
+            index = len(_member_cosets(normalizer_quotient(d.intersection_level()), d))
+            orbit = walked_pair_orbit_size(d)
+            assert _pair_orbit(d, index) == orbit
+            assert vertex_data(d).faithful == (orbit <= 2)
+            orbits.append(orbit)
+        assert orbits == [3, 1, 6, 2, 6, 2, 12, 4, 1]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_diagram_builds_no_schreier_generators(self, monkeypatch, fmt):
+        # the vertex table needs no generating set: the command prints the
+        # benchmark's recorded bytes with the Schreier walk made to fail
+        def refuse(n):
+            raise AssertionError("the diagram built the level-%d Schreier generators" % n)
+
+        recorded = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+        digests = json.loads(recorded.read_text())
+        monkeypatch.setattr(diagram, "schreier_generators", refuse)
+        vertex_data.cache_clear()
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["diagram", "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests["diagram --format " + fmt]
 
 
 class TestStabilizedThread:
@@ -261,16 +294,17 @@ class TestBuildGraph:
 
     def test_without_faithfulness_more_solutions(self):
         data = node_vertex_data()
-        relaxed = graph_solutions(data, enforce_faithful=False)
-        strict = graph_solutions(data, enforce_faithful=True)
+        relaxed = graph_solutions([v._replace(faithful=False) for v in data])
+        strict = graph_solutions(data)
         assert len(strict) == 1
         assert len(relaxed) >= 1
         assert strict[0] in relaxed
 
     def test_matches_the_backtracking_solver(self):
         data = node_vertex_data()
-        for strict in (True, False):
-            assert graph_solutions(data, strict) == backtracking_graph_solutions(data, strict)
+        relaxed = [v._replace(faithful=False) for v in data]
+        assert graph_solutions(data) == backtracking_graph_solutions(data, True)
+        assert graph_solutions(relaxed) == backtracking_graph_solutions(data, False)
 
     def test_random_vertex_lists_match_the_backtracking_solver(self):
         # (weight, valency) lists of balanced graphs: cycles of equal
@@ -298,7 +332,8 @@ class TestBuildGraph:
             data = [VertexData(one, 1, 1, one, 1, w, k, rng.random() < 0.2) for w, k in specs]
             strict = rng.random() < 0.5
             expected = backtracking_graph_solutions(data, strict)
-            assert graph_solutions(data, strict) == expected
+            relaxed = [v._replace(faithful=False) for v in data]
+            assert graph_solutions(data if strict else relaxed) == expected
             solved += bool(expected)
             several += len(expected) > 1
         # the lists are neither all unsolvable nor all uniquely solvable
