@@ -225,11 +225,14 @@ def congruence_level(desc: GroupDescriptor, bound: int | None = None) -> int:
     group with K = ``intersection_level()``, and the level-M principal
     group lies in it exactly when K | M.  So the answer is K whenever K
     divides ``bound`` (default four times n*h, which K always divides);
-    otherwise no divisor of ``bound`` qualifies, a ValueError.
+    otherwise no divisor of ``bound`` qualifies, a ValueError, as is a
+    bound below 1.
     """
     k = desc.intersection_level()
     if bound is None:
         bound = 4 * desc.n * desc.h
-    if bound <= 0 or bound % k:
-        raise ValueError("no congruence level found below %d for %s" % (bound, desc))
+    if bound < 1:
+        raise ValueError("bound must be positive, got %d" % bound)
+    if bound % k:
+        raise ValueError("no congruence level of %s divides %d" % (desc, bound))
     return k

@@ -7,8 +7,7 @@ the valency is one more than the number of involutions the labels need.
 The normalizer quotient at the envelope level checks them, and the
 faithfulness bit is an index on the quotient at its least even multiple.
 A degree- and weight-constrained search then recovers the unique graph on
-the nine vertices: the extended E8 diagram.  The groups' generating sets
-are built here too.
+the nine vertices: the extended E8 diagram.
 """
 
 from __future__ import annotations
@@ -20,53 +19,7 @@ from math import lcm
 
 from .arith import gamma0_index
 from .descriptors import NODE_GROUPS, GroupDescriptor
-from .exact import IDENTITY, S, T, ProjectiveMatrix
-from .groupsys import _member_cosets, member, normalizer_quotient, quotient_generators
-from .lattice import LatticeName, act
-
-
-@lru_cache(maxsize=None)
-def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
-    """Generators of the level-n congruence group from the coset action.
-
-    Takes the spanning-tree transversal of the action of the two standard
-    modular-group generators on the hyperradius-n circle (cosets correspond
-    to the lattices there, based at L_n) and returns the Schreier elements.
-    """
-    if n < 1:
-        raise ValueError("level must be positive")
-    base = LatticeName(n, 0, 1)
-    transversal: dict[LatticeName, ProjectiveMatrix] = {base: IDENTITY}
-    walk = [base]
-    gens = [S, T, T.inv()]
-    head = 0
-    while head < len(walk):
-        cur = walk[head]
-        for g in gens:
-            nxt = act(cur, g)
-            if nxt not in transversal:
-                transversal[nxt] = transversal[cur] * g
-                walk.append(nxt)
-        head += 1
-    if len(transversal) != gamma0_index(n):
-        raise AssertionError("coset transversal of level %d has the wrong size" % n)
-    out = []
-    seen = set()
-    for point, rep in transversal.items():
-        for g in (S, T):
-            elem = rep * g * transversal[act(point, g)].inv()
-            if not elem.is_identity() and elem not in seen:
-                seen.add(elem)
-                out.append(elem)
-    desc = GroupDescriptor.gamma0(n)
-    if not all(member(x, desc) for x in out):
-        raise AssertionError("a Schreier generator left the level-%d group" % n)
-    return tuple(out)
-
-
-def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
-    """A finite generating set for the described group."""
-    return list(schreier_generators(desc.n * desc.h)) + quotient_generators(desc)
+from .groupsys import _member_cosets, normalizer_quotient
 
 
 class VertexData(

@@ -1,12 +1,14 @@
-"""Level-doubled groups, and the eta values of the numeric invariance check.
+"""Level-doubled groups, and the two halves of the invariance check.
 
 Each of the nine vertex groups doubles to another arithmetic group: the
 core scales its level by two and every adjoined coset label doubles
 exactly when doubling keeps it an exact divisor.  The eta quotient of a
-vertex's Frame shape is checked for invariance under the doubled group in
-floating point, the only floating point in the package.  Only ``super``
-loads this module, and it loads descriptors only inside ``double_group``;
-the annotations that name other modules' types are never evaluated.
+vertex's Frame shape is checked for invariance under the doubled group:
+exactly, in integers, on its level group by Ligozat's criterion, and in
+floating point, the only floating point in the package, on the group's
+generators over that level group.  Only ``super`` loads this module, and
+it loads descriptors only inside ``double_group``; the annotations that
+name other modules' types are never evaluated.
 """
 
 from __future__ import annotations
@@ -41,6 +43,38 @@ def double_group(desc: GroupDescriptor) -> GroupDescriptor:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
     labels = {double_coset_label(e, desc.n // desc.h)[0] for e in desc.plus}
     return GroupDescriptor(desc.h, 2 * desc.n, labels, desc.character)
+
+
+def invariant_under_gamma0(fs: FrameShape, level: int) -> bool:
+    """Whether the eta quotient of fs is invariant under the level group.
+
+    The quotient is the product of eta(d*tau)**r_d with r_d the doubled
+    exponents (alpha at each part a, -alpha at 2a), so the r_d sum to
+    zero.  By Ligozat's criterion (Ligozat 1975; Ono, *The Web of
+    Modularity*, Thm 1.64) it is invariant when every d with r_d != 0
+    divides N = level, sum d*r_d and sum (N/d)*r_d are 0 mod 24, and
+    prod d**|r_d| is a square.  Each condition is also necessary:
+
+    - sum d*r_d = 0 mod 24 is invariance under T;
+    - if some d does not divide N, take the largest: f|S has a q^(1/d)
+      term with coefficient -r_d, which invariance under [[1,0],[N,1]]
+      rules out (the other terms' exponents are multiples of 1/N or above 1/d);
+    - once every d divides N, f|W_N sends d to N/d, so sum (N/d)*r_d = 0
+      mod 24 is invariance under [[1,0],[N,1]];
+    - f then transforms under the level group by the character
+      d -> (s/d), s = prod d**r_d, which is trivial exactly when s is a square.
+    """
+    r: dict[int, int] = {}
+    for a, alpha in fs.parts:
+        r[a] = r.get(a, 0) + alpha
+        r[2 * a] = r.get(2 * a, 0) - alpha
+    r = {d: e for d, e in r.items() if e}
+    if any(level % d for d in r):
+        return False
+    if sum(d * e for d, e in r.items()) % 24 or sum(level // d * e for d, e in r.items()) % 24:
+        return False
+    s = math.prod(d ** abs(e) for d, e in r.items())
+    return math.isqrt(s) ** 2 == s
 
 
 def eta_value(tau: complex, terms: int = 200) -> complex:

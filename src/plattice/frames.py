@@ -4,8 +4,9 @@ A catalog attaches to each vertex group a Frame shape (a formal product of
 integer parts encoding a conjugacy class of the automorphism group of the
 Leech lattice); the quotient of eta functions it determines is an exact
 integer Laurent series with a simple pole in q, computed by the Euler
-transform of its product formula.  The doubled groups and the numeric
-invariance check's eta values are in ``doubling``, which only ``super``
+transform of its product formula.  The doubled groups and both halves of
+the invariance check, Ligozat's criterion on the level group and the eta
+values at the other generators, are in ``doubling``, which only ``super``
 loads.
 
 The Euler transform runs in blocks of terms.  Each finished block reaches
@@ -24,10 +25,10 @@ import math
 import operator
 from collections import namedtuple
 
-# descriptors loads only inside frame_shape, and doubling and diagram, with
-# groupsys, exact and lattice, only inside the invariance check, so a Frame
-# shape given as text loads none of them; the annotations that name their
-# types are never evaluated
+# descriptors loads only inside frame_shape, and doubling and groupsys, with
+# exact and lattice, only inside the invariance check, so a Frame shape
+# given as text loads none of them; the annotations that name their types
+# are never evaluated
 
 # Frame shapes -----------------------------------------------------------------
 
@@ -284,8 +285,14 @@ def numeric_invariance_check(
     tau: complex = 0.1 + 0.8j,
     tol: float = 1e-6,
 ) -> bool:
-    """Necessary-condition check: invariance under every group generator."""
-    from .diagram import group_generators
-    from .doubling import invariant_under
+    """Invariance of the eta quotient under the group: exact on its level
+    group, the level-n*h group, by Ligozat's criterion, and in floating
+    point at tau on its generators over that group."""
+    from .doubling import invariant_under, invariant_under_gamma0
+    from .groupsys import quotient_generators
 
-    return all(invariant_under(fs, g, tau, tol) for g in group_generators(desc))
+    if tau.imag <= 0:
+        raise ValueError("invariance check needs a point of the upper half-plane")
+    return invariant_under_gamma0(fs, desc.n * desc.h) and all(
+        invariant_under(fs, g, tau, tol) for g in quotient_generators(desc)
+    )

@@ -12,7 +12,9 @@ infinity by a shear scan, the envelope level by normalizer membership, the
 scale by comparing scaled base groups, the valency by the order of the
 quotient by the core, the doubled group by the envelope level and the
 scale, the core by naming a quotient subgroup, the faithfulness bit by walking
-the orbit of the pair {L1, L2}, and the backtracking graph solver."""
+the orbit of the pair {L1, L2}, the backtracking graph solver, and the
+Schreier generators of the level groups with the invariance check in
+floating point over every generator."""
 
 import operator
 from collections import namedtuple
@@ -21,9 +23,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from plattice.classify import name_subgroup
-from plattice.diagram import group_generators
-from plattice.exact import ProjectiveMatrix
-from plattice.doubling import double_coset_label
+from plattice.exact import IDENTITY, S, T, ProjectiveMatrix
+from plattice.doubling import double_coset_label, invariant_under
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0, width_at_infinity
 from plattice.groupsys import (
@@ -35,7 +36,7 @@ from plattice.groupsys import (
     quotient_generators,
 )
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
-from plattice.arith import divisors, is_prime
+from plattice.arith import divisors, gamma0_index, is_prime
 from plattice.tree import hypercircle, thread
 
 
@@ -443,6 +444,57 @@ def scanned_width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
             g = gcd(k, h)
             return k // g, h // g
     raise AssertionError("no translation found in %s" % desc.display)
+
+
+@lru_cache(maxsize=None)
+def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
+    """Generators of the level-n congruence group from the coset action.
+
+    Takes the spanning-tree transversal of the action of the two standard
+    modular-group generators on the hyperradius-n circle (cosets correspond
+    to the lattices there, based at L_n) and returns the Schreier elements.
+    """
+    if n < 1:
+        raise ValueError("level must be positive")
+    base = LatticeName(n, 0, 1)
+    transversal: dict[LatticeName, ProjectiveMatrix] = {base: IDENTITY}
+    walk = [base]
+    gens = [S, T, T.inv()]
+    head = 0
+    while head < len(walk):
+        cur = walk[head]
+        for g in gens:
+            nxt = act(cur, g)
+            if nxt not in transversal:
+                transversal[nxt] = transversal[cur] * g
+                walk.append(nxt)
+        head += 1
+    if len(transversal) != gamma0_index(n):
+        raise AssertionError("coset transversal of level %d has the wrong size" % n)
+    out = []
+    seen = set()
+    for point, rep in transversal.items():
+        for g in (S, T):
+            elem = rep * g * transversal[act(point, g)].inv()
+            if not elem.is_identity() and elem not in seen:
+                seen.add(elem)
+                out.append(elem)
+    desc = GroupDescriptor.gamma0(n)
+    if not all(member(x, desc) for x in out):
+        raise AssertionError("a Schreier generator left the level-%d group" % n)
+    return tuple(out)
+
+
+def group_generators(desc: GroupDescriptor) -> list[ProjectiveMatrix]:
+    """A finite generating set for the described group."""
+    return list(schreier_generators(desc.n * desc.h)) + quotient_generators(desc)
+
+
+def float_invariance_check(fs: FrameShape, desc: GroupDescriptor, tau=0.1 + 0.8j, tol=1e-6) -> bool:
+    """The invariance check in floating point alone: the eta quotient at
+    tau against its value at every generator's image, the Schreier
+    generators of the level group included."""
+    return all(invariant_under(fs, g, tau, tol) for g in group_generators(desc))
 
 
 ENVELOPE_SEARCH_BOUND = 64

@@ -16,7 +16,14 @@ The corpus:
 - ``classify --ratio-bound`` 6, 8 and 12, which exit 1 on a level-9
   subgroup that matches no descriptor;
 - ``diagram`` and ``super`` in every format and flag set;
-- one command line for each domain-error and usage-error text.
+- one command line for each domain-error and usage-error text;
+- ``eta`` of the nine vertex names and the nine catalog Frame shapes at
+  orders on both sides of the series engine's 128-term blocks, and of the
+  two dilated shapes where their series in q^s crosses a block;
+- ``cusps`` of every level 1-200, as text and JSON;
+- ``hypercircle`` at three centres and four radii, in all three formats;
+- ten fixed command lines each of ``reduce``, ``hyperdistance``,
+  ``thread``, ``cell``, ``project`` and ``index``.
 """
 
 import hashlib
@@ -56,7 +63,9 @@ DOMAIN_ERRORS = [
     ["groups", "6+5"],  # labels are not exact divisors
     ["groups", "30+2,3"],  # label set is not closed
     ["groups", "5|5"],  # kernel subgroup not implemented
-    ["level", "3|3", "--max-n", "10"],  # no congruence level found
+    ["level", "3|3", "--max-n", "10"],  # no congruence level divides the bound
+    ["level", "2+", "--max-n", "0"],  # bound must be positive
+    ["level", "3|3", "--max-n", "-9"],  # bound must be positive
     ["classify", "--index-bound", "100001"],  # cannot sweep above the budget
     ["classify", "--index-bound", "0"],  # bounds must be positive
     ["super", "--tol", "0"],  # tolerance must be a positive finite number
@@ -68,6 +77,90 @@ DOMAIN_ERRORS = [
     ["eta", "1^1"],  # fractional leading exponent
     ["eta", "/ 1^48", "--order", "1"],  # order below the leading exponent
     ["eta", "7+"],  # not one of the nine vertex groups
+]
+
+VERTEX_NAMES = ["1", "2+", "3+", "4+", "5+", "6+", "3|3", "4|2+", "2"]
+CATALOG_SHAPES = [
+    "1^24",
+    "2^24 / 1^24",
+    "3^12 / 1^12",
+    "4^8 / 1^8",
+    "5^6 / 1^6",
+    "2^6 6^6 / 1^6 3^6",
+    "3^8",
+    "4^12 / 2^12",
+    "1^8 2^8",
+]
+# around one and two blocks of 128 terms after the pole at q^-1
+ETA_ORDERS = [1, 2, 50, 127, 128, 129, 255, 256, 257]
+# 3^8 is a series in q^3 and 4^12 / 2^12 one in q^2: their n = top // s
+# crosses 128 at s * 128 terms after the pole, order s * 128 - 1
+DILATED_ORDERS = {"3^8": range(381, 386), "4^12 / 2^12": range(253, 258)}
+
+HYPERCIRCLE_CENTRES = ["1,0", "2/3,1/7", "5/2,1/2"]
+HYPERCIRCLE_RADII = [1, 6, 30, 210]
+
+CALCULUS = [
+    ["reduce", "[[1,1/3],[0,1]]"],
+    ["reduce", "[[2,0],[0,1]]"],
+    ["reduce", "[[1,0],[6,1]]"],
+    ["reduce", "[[5,2],[7,3]]"],
+    ["reduce", "[[3,1/2],[0,2/5]]"],
+    ["reduce", "[[-1,0],[0,-1]]"],
+    ["reduce", "[[12,5],[0,7]]"],
+    ["reduce", "[[0,1],[-18,0]]"],
+    ["reduce", "[[7,-3],[9,4]]"],
+    ["reduce", "[[4,1],[3,1]]", "--json"],
+    ["hyperdistance", "1,0", "6,0"],
+    ["hyperdistance", "1/2,0", "3,1/2"],
+    ["hyperdistance", "2/3,1/7", "5/2,1/2"],
+    ["hyperdistance", "1,0", "1,1/2"],
+    ["hyperdistance", "7,3/7", "1/5,0"],
+    ["hyperdistance", "4,1/4", "4,3/4"],
+    ["hyperdistance", "12,0", "1/12,0"],
+    ["hyperdistance", "1,0", "1,0"],
+    ["hyperdistance", "9,1/3", "2,1/2"],
+    ["hyperdistance", "100,37/100", "1,0"],
+    ["thread", "1,0", "12,0"],
+    ["thread", "1,0", "1,1/2"],
+    ["thread", "2/3,1/7", "5/2,1/2"],
+    ["thread", "1,0", "30,0", "--json"],
+    ["thread", "1/4,0", "4,0"],
+    ["thread", "3,1/3", "1,0"],
+    ["thread", "1,0", "7,0"],
+    ["thread", "5,0", "5,0"],
+    ["thread", "1,0", "16,0", "--json"],
+    ["thread", "2,1/2", "18,0"],
+    ["cell", "1,0", "2,0"],
+    ["cell", "1,0", "2,0", "3,0"],
+    ["cell", "1,0", "2,0", "4,0"],
+    ["cell", "1,0", "3,0", "--json"],
+    ["cell", "1,0", "1,1/2", "2,0"],
+    ["cell", "1,0", "6,0"],
+    ["cell", "2,0", "4,0", "--json"],
+    ["cell", "1,0", "2,1/2"],
+    ["cell", "5,0", "10,0", "15,0", "30,0"],
+    ["cell", "1,0"],
+    ["project", "6,0", "3"],
+    ["project", "12,0", "2"],
+    ["project", "12,0", "3"],
+    ["project", "1,1/2", "2"],
+    ["project", "2/3,1/7", "7"],
+    ["project", "2/3,1/7", "3"],
+    ["project", "5/2,1/2", "5"],
+    ["project", "1,0", "5"],
+    ["project", "45,1/9", "3"],
+    ["project", "100,0", "5"],
+    ["index", "1"],
+    ["index", "2"],
+    ["index", "6"],
+    ["index", "12"],
+    ["index", "97"],
+    ["index", "360"],
+    ["index", "1024"],
+    ["index", "9699690"],
+    ["index", "999983"],
+    ["index", "1000000000000"],
 ]
 
 # each exits 2 with its own argparse text
@@ -108,6 +201,15 @@ def corpus() -> list:
         out += [["super"] + flags + fmt for fmt in FORMATS]
     out += [["super", "--check-invariance", "--tol", tol] for tol in ("1e-3", "1e-300")]
     out += DOMAIN_ERRORS + USAGE_ERRORS
+    for shape in VERTEX_NAMES + CATALOG_SHAPES:
+        out += [["eta", shape, "--order", str(order)] for order in ETA_ORDERS]
+    for shape, orders in DILATED_ORDERS.items():
+        out += [["eta", shape, "--order", str(order)] for order in orders]
+    for level, as_json in product(range(1, 201), (False, True)):
+        out.append(["cusps", str(level)] + ["--json"] * as_json)
+    for centre, radius, fmt in product(HYPERCIRCLE_CENTRES, HYPERCIRCLE_RADII, ("text", "json", "dot")):
+        out.append(["hypercircle", centre, str(radius), "--format", fmt])
+    out += CALCULUS
     # README's lines recur in the format sweeps
     return list(dict.fromkeys(map(shlex.join, out)))
 

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import io
 import json
 import os
@@ -671,6 +672,24 @@ class TestSuper:
         code, out, _ = run(capsys, "super", "--check-invariance", "--tol", "1e-6")
         assert code == 0
         assert out.count("True") == 9
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_check_invariance_loads_no_diagram(self, capsys, monkeypatch, fmt):
+        # the level group is decided by Ligozat's criterion, so the check
+        # needs no Schreier generators and prints the benchmark's recorded bytes
+        digests = json.loads((SRC_ROOT.parent / "perfbench" / "digests.json").read_text())
+        monkeypatch.setitem(sys.modules, "plattice.diagram", None)
+        code, out, _ = run(capsys, "super", "--check-invariance", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests["super --check-invariance --format " + fmt]
+
+    def test_groups_with_no_float_generator_pass_at_any_tolerance(self, capsys):
+        # the doubled groups of 1 and 2 are the level groups 2 and 4, decided
+        # in integers alone; the others still meet float noise at 1e-300
+        code, out, _ = run(capsys, "super", "--check-invariance", "--tol", "1e-300")
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert code == 0
+        assert [row[2] for row in rows if row[0] in ("1", "2")] == ["True", "True"]
 
     @pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):

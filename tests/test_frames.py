@@ -1,13 +1,26 @@
+import itertools
+import math
 import random
 import re
+import runpy
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from plattice import frames
 from plattice.diagram import NODE_GROUPS, node_vertex_data
 from plattice.exact import S, T, ProjectiveMatrix
-from plattice.doubling import double_coset_label, double_group, eta_quotient_value, eta_value, invariant_under, mobius
+from plattice.doubling import (
+    double_coset_label,
+    double_group,
+    eta_quotient_value,
+    eta_value,
+    invariant_under,
+    invariant_under_gamma0,
+    mobius,
+)
 from plattice.frames import (
     FRAME_SHAPES,
     SERIES_TERM_BUDGET,
@@ -21,7 +34,15 @@ from plattice.frames import (
 from plattice.descriptors import GroupDescriptor, width_at_infinity
 from plattice.groupsys import member, quotient_generators
 
-from .helpers import coefficient, dense_eta_series, max_part, predicted_valency, searched_double_group
+from .helpers import (
+    coefficient,
+    dense_eta_series,
+    float_invariance_check,
+    max_part,
+    predicted_valency,
+    schreier_generators,
+    searched_double_group,
+)
 
 DOUBLED_DISPLAYS = ["2", "4+", "6+6", "8+", "10+10", "12+", "6|3", "8|2+", "4"]
 
@@ -373,6 +394,36 @@ class TestBlockedEngine:
             eta_quotient_series(FrameShape.parse(text), order)
 
 
+def broken_ligozat_conditions(parts, level: int) -> set:
+    """Which conditions of Ligozat's criterion the doubled eta quotient of
+    the parts breaks at the level: every base divides it, the translation
+    and Fricke sums are 0 mod 24, and the product is a square."""
+    r = {}
+    for a, alpha in parts:
+        r[a] = r.get(a, 0) + alpha
+        r[2 * a] = r.get(2 * a, 0) - alpha
+    r = {d: e for d, e in r.items() if e}
+    s = math.prod(d ** abs(e) for d, e in r.items())
+    broken = {
+        "divides": any(level % d for d in r),
+        "translation": sum(d * e for d, e in r.items()) % 24 != 0,
+        # level / d as a fraction, for a base that does not divide the level
+        "fricke": sum(Fraction(level, d) * e for d, e in r.items()) % 24 != 0,
+        "square": math.isqrt(s) ** 2 != s,
+    }
+    return {name for name, fails in broken.items() if fails}
+
+
+# the nine catalog shapes and 60 shapes drawn as the benchmark's eta-series
+# workload draws them, read through runpy so the benchmark's files are only read
+_WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+_DRAW = random.Random(7)
+INVARIANCE_SHAPES = list(FRAME_SHAPES) + [
+    FrameShape(tuple(_WORKLOADS["random_frame_shape"](_DRAW))) for _ in range(60)
+]
+DOUBLED_GROUPS = [double_group(d) for d in NODE_GROUPS]
+
+
 class TestNumericCheck:
     def test_translation_always_invariant(self):
         assert invariant_under(FRAME_SHAPES[0], T, 0.1 + 0.8j)
@@ -394,11 +445,60 @@ class TestNumericCheck:
         assert abs(f1 - 4096 / f0) < 1e-6 * (1 + abs(f1))
         assert not invariant_under(FRAME_SHAPES[0], w2, tau)
 
+    def test_verdict_matches_the_float_oracle(self):
+        # the nine catalog shapes and 60 of the benchmark's random shapes,
+        # each against the nine doubled groups: 621 pairs, 14 invariant
+        pairs = [(fs, g) for fs in INVARIANCE_SHAPES for g in DOUBLED_GROUPS]
+        verdicts = [numeric_invariance_check(fs, g) for fs, g in pairs]
+        assert verdicts == [float_invariance_check(fs, g) for fs, g in pairs]
+        assert (len(verdicts), sum(verdicts)) == (621, 14)
+
+    def test_level_group_criterion_matches_the_schreier_oracle(self):
+        for fs in INVARIANCE_SHAPES:
+            for g in DOUBLED_GROUPS:
+                level = g.n * g.h
+                oracle = all(invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(level))
+                assert invariant_under_gamma0(fs, level) == oracle
+
+    @pytest.mark.parametrize("condition", ["divides", "translation", "fricke"])
+    def test_each_condition_is_necessary(self, condition):
+        # a two-part shape and a level up to 18 that break this condition of
+        # Ligozat's criterion alone: the criterion says no, and so do the
+        # Schreier generators of the level group in floating point
+        rng = random.Random(1975)
+        while True:
+            parts = sorted(zip(rng.sample(range(1, 10), 2), rng.sample([e for e in range(-12, 13) if e], 2)))
+            level = rng.randrange(1, 19)
+            if broken_ligozat_conditions(parts, level) == {condition}:
+                break
+        fs = FrameShape(tuple(parts))
+        assert not invariant_under_gamma0(fs, level)
+        assert not all(invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(level))
+
+    def test_square_condition_is_necessary_from_level_32(self):
+        # no two-part shape breaks the square condition alone at a level up
+        # to 18; eta(2t)^3 / (eta(t)^2 eta(4t)), the doubled 2 / 1^2, is
+        # the first at level 32: its s = 2^3 * 4 gives the character (2/d)
+        for level in range(1, 19):
+            for a in range(1, 10):
+                for b in range(a + 1, 10):
+                    if level % (2 * a) or level % (2 * b):
+                        continue  # r at 2b is never 0, and r at 2a is 0 only when 2a = b
+                    for exps in itertools.product([e for e in range(-12, 13) if e], repeat=2):
+                        assert broken_ligozat_conditions(list(zip((a, b), exps)), level) != {"square"}
+        fs = FrameShape(((1, -2), (2, 1)))
+        assert broken_ligozat_conditions(fs.parts, 32) == {"square"}
+        assert not invariant_under_gamma0(fs, 32)
+        assert not all(invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(32))
+
     def test_upper_half_plane_required(self):
         with pytest.raises(ValueError):
             eta_value(0.3 - 1j)
         with pytest.raises(ValueError):
             invariant_under(FRAME_SHAPES[0], T, 0.5 - 0.5j)
+        # also where no generator is left for the float check
+        with pytest.raises(ValueError, match="upper half-plane"):
+            numeric_invariance_check(FRAME_SHAPES[0], GroupDescriptor.gamma0(2), 0.5 - 0.5j)
 
     def test_eta_against_fixed_point(self):
         # eta(i) = Gamma(1/4) / (2 pi^(3/4))

@@ -28,19 +28,20 @@ from plattice.groupsys import (
     quotient_generators,
 )
 from plattice.classify import descriptor_catalog
-from plattice.diagram import group_generators, schreier_generators
 from plattice.tree import hypercircle
 from .helpers import (
     action_perm,
     all_subgroups,
     character_lambda,
     character_values,
+    group_generators,
     kernel_action_set,
     kernel_condition,
     lower_translation,
     order_profile,
     perm_sign,
     quotient_actions,
+    schreier_generators,
     translation,
 )
 from .test_exact import rand_psl2z
@@ -104,10 +105,12 @@ def searched_congruence_level(desc: GroupDescriptor, bound=None) -> int:
     k = desc.intersection_level()
     if bound is None:
         bound = 4 * desc.n * desc.h
+    if bound < 1:
+        raise ValueError("bound must be positive, got %d" % bound)
     for m in range(1, bound + 1):
         if bound % m == 0 and contains_principal_congruence(k, m):
             return m
-    raise ValueError("no congruence level found below %d for %s" % (bound, desc))
+    raise ValueError("no congruence level of %s divides %d" % (desc, bound))
 
 
 def outcome(fn, *args):
@@ -626,7 +629,7 @@ class TestCongruenceLevel:
             if k > 1:
                 # every divisor of this bound is a proper divisor of k
                 bound = k // min(factorize(k))
-                expected = "ValueError: no congruence level found below %d for %s" % (bound, desc)
+                expected = "ValueError: no congruence level of %s divides %d" % (desc, bound)
                 assert outcome(congruence_level, desc, bound) == expected
                 assert outcome(searched_congruence_level, desc, bound) == expected
 
@@ -634,10 +637,12 @@ class TestCongruenceLevel:
     def test_bound_is_a_multiple_of_the_level(self, bound):
         for desc in (G1, KERNEL_33, GroupDescriptor.gamma0_plus(6)):
             found = outcome(congruence_level, desc, bound)
-            if bound > 0 and bound % desc.intersection_level() == 0:
+            if bound < 1:
+                assert found == "ValueError: bound must be positive, got %d" % bound
+            elif bound % desc.intersection_level() == 0:
                 assert found == desc.intersection_level()
             else:
-                assert found == "ValueError: no congruence level found below %d for %s" % (bound, desc)
+                assert found == "ValueError: no congruence level of %s divides %d" % (desc, bound)
             if bound <= 36:
                 assert found == outcome(searched_congruence_level, desc, bound)
 

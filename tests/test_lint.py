@@ -130,8 +130,7 @@ def _taken_from(filename: str) -> dict:
 
 def test_groupsys_takes_nothing_from_arith_or_tree():
     # a kernel is decided on a finite quotient, not by acting on lattice
-    # sets, the normalizer is read off its descriptor, and the Schreier walk,
-    # which counts its cosets with the index, is in diagram
+    # sets, and the normalizer is read off its descriptor
     assert sorted(_taken_from("groupsys.py")) == ["descriptors", "exact", "lattice"]
 
 
@@ -144,6 +143,12 @@ def test_descriptors_take_only_divisors_and_the_index_from_arith():
 def test_diagram_imports_nothing_from_classify():
     # a core is read off its group's name, not named by the classify catalog
     assert "classify" not in _taken_from("diagram.py")
+
+
+def test_diagram_takes_nothing_from_exact_or_lattice():
+    # the vertex table is read off the name and checked on quotients, and
+    # the Schreier walk that acted on lattices is a test oracle
+    assert sorted(_taken_from("diagram.py")) == ["arith", "descriptors", "groupsys"]
 
 
 def _frames_importers_of(module: str) -> list[str]:
@@ -159,10 +164,16 @@ def _frames_importers_of(module: str) -> list[str]:
     ]
 
 
-def test_frames_imports_diagram_only_inside_the_invariance_check():
-    # a group doubles by its name, so only the check that needs generators
-    # loads diagram, and groupsys, exact and lattice with it
-    assert _frames_importers_of("diagram") == ["numeric_invariance_check"]
+def test_frames_never_imports_diagram():
+    # the invariance check decides the level group by Ligozat's criterion,
+    # so it needs no Schreier generators
+    assert _frames_importers_of("diagram") == []
+
+
+def test_frames_imports_groupsys_only_inside_the_invariance_check():
+    # only the check's generators over the level group load groupsys, and
+    # exact and lattice with it
+    assert _frames_importers_of("groupsys") == ["numeric_invariance_check"]
 
 
 def test_frames_imports_doubling_only_inside_the_invariance_check():
