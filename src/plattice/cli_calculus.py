@@ -1,5 +1,6 @@
 """Handlers of reduce, hyperdistance, hypercircle, thread, cell, project and
-index; ``index`` loads ``arith`` alone, and none of them a group layer."""
+index; ``index`` loads ``arith`` alone, and none of them a group layer.
+``hypercircle`` prints its members as they are generated, except in JSON."""
 
 from .output import json_wanted, print_json, write
 
@@ -18,28 +19,17 @@ def cmd_hyperdistance(args):
 
 
 def cmd_hypercircle(args):
-    import gc
-
     from .lattice import LatticeName
     from .tree import hypercircle, hypercircle_dot
 
-    # a LatticeName is a tuple the cyclic collector never untracks, so near
-    # the budget each full collection would walk up to a million names, none
-    # of which can be part of a reference cycle
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        circle = hypercircle(LatticeName.parse(args.center), args.radius)
-        if args.format == "dot":
-            write(hypercircle_dot(circle))
-        elif json_wanted(args):
-            members = [str(x) for x in circle]
-            print_json({"center": str(circle.center), "radius": circle.radius, "members": members})
-        else:
-            write(str(x) + "\n" for x in circle.members)
-    finally:
-        if enabled:
-            gc.enable()
+    circle = hypercircle(LatticeName.parse(args.center), args.radius)
+    if args.format == "dot":
+        write(hypercircle_dot(circle))
+    elif json_wanted(args):
+        members = [str(x) for x in circle]
+        print_json({"center": str(circle.center), "radius": circle.radius, "members": members})
+    else:
+        write(str(x) + "\n" for x in circle)
 
 
 def cmd_thread(args):

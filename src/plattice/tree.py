@@ -1,15 +1,17 @@
 """p-adic trees over the lattice-name calculus.
 
 Lattices at p-power hyperdistance from the distinguished lattice form a
-(p+1)-regular tree with edges at hyperdistance p.  This module enumerates
-hypercircles (spheres of given hyperradius), computes the projection of an
-arbitrary lattice onto each p-adic tree and the thread between two
-lattices, both as lattice sums in closed form, and tests the cell
-property.  The index formula that counts a hypercircle is in ``arith``.
+(p+1)-regular tree with edges at hyperdistance p.  This module generates
+hypercircles (spheres of given hyperradius) about any centre in name order,
+one member at a time, computes the projection of an arbitrary lattice onto
+each p-adic tree and the thread between two lattices, both as lattice sums
+in closed form, and tests the cell property.  The index formula that
+counts a hypercircle is in ``arith``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 from .arith import divisors, factorize, hypercircle_size, is_prime
@@ -18,50 +20,54 @@ from .lattice import L1, LatticeName, act, hyperdistance, reduce_matrix
 
 
 class HyperCircle:
-    __slots__ = ("center", "radius", "members")
+    """The members at hyperdistance ``radius`` from ``center``, generated in
+    name order on each iteration; ``len`` counts them without enumerating."""
 
-    def __init__(self, center: LatticeName, radius: int, members: tuple[LatticeName, ...]):
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center: LatticeName, radius: int):
         self.center = center
         self.radius = radius
-        self.members = members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return hypercircle_size(self.radius)
 
     def __iter__(self):
-        return iter(self.members)
+        # at L1 the members are the Hermite triples (a, s, d) with a*d == n
+        # and gcd(a, s, d) == 1; M = n/d**2 falls as d grows.  The right
+        # action of the centre [[A, S], [0, D]] sends one to the reduced
+        # [[a*A, a*S + s*D], [0, d*D]]: M scales by A/D, so running d down
+        # still lists the blocks in order, and in a block b rises with s
+        # from off = a*S mod d*D, wrapping once at s0 = ceil((d*D - off)/D)
+        A, S, D = self.center
+        n = self.radius
+        for d in reversed(divisors(n)):
+            a = n // d
+            g0 = gcd(a, d)
+            top, bottom = a * A, d * D
+            off = a * S % bottom
+            s0 = (bottom - off + D - 1) // D
+            content = gcd(top, bottom)
+            for s in chain(range(s0, d), range(s0)):
+                if gcd(g0, s) == 1:
+                    b = (off + s * D) % bottom
+                    g = gcd(content, b)
+                    yield LatticeName(top // g, b // g, bottom // g)
 
-
-def _hypercircle_at_l1(n: int) -> list[LatticeName]:
-    # cosets at hyperdistance n <-> upper Hermite forms [[a, b], [0, d]]
-    # with a*d == n, 0 <= b < d, gcd(a, b, d) == 1: the names' own triples.
-    # M = a/d = n/d**2 falls as d grows, so running d down and b up lists
-    # them in name order with no sort
-    out = []
-    for d in reversed(divisors(n)):
-        a = n // d
-        g0 = gcd(a, d)
-        out.extend(LatticeName(a, b, d) for b in range(d) if gcd(g0, b) == 1)
-    return out
+    @property
+    def members(self) -> tuple[LatticeName, ...]:
+        return tuple(self)
 
 
 def hypercircle(center: LatticeName, radius: int) -> HyperCircle:
     """All lattices at hyperdistance exactly ``radius`` from ``center``.
 
-    Enumerated at the distinguished lattice and translated by the group
-    action, which preserves hyperdistance; members come out sorted by name.
-    More than HYPERCIRCLE_BOUND members is a ValueError, raised before any
-    member is enumerated.
+    Iterating the circle generates its members sorted by name, straight
+    from the integers.  More than HYPERCIRCLE_BOUND members is a
+    ValueError, raised here, before any member is enumerated.
     """
     hypercircle_size(radius)
-    members = _hypercircle_at_l1(radius)
-    if center != L1:
-        # moved in place, so each name at L1 is dropped as its image is made
-        g = center.matrix()
-        for i, x in enumerate(members):
-            members[i] = act(x, g)
-        members.sort()
-    return HyperCircle(center, radius, tuple(members))
+    return HyperCircle(center, radius)
 
 
 def padic_projection(name: LatticeName, p: int) -> LatticeName:
@@ -172,6 +178,6 @@ def hypercircle_dot(circle: HyperCircle):
     """
     yield "graph hypercircle {\n"
     yield '  node [shape=box, fontname="monospace"];\n'
-    for i, name in enumerate(circle.members):
+    for i, name in enumerate(circle):
         yield '  n%d [label="%s"];\n' % (i, name)
     yield "}\n"

@@ -4,9 +4,10 @@ coefficients, a name's pair (M, b) as Fractions and the dual (reverse)
 names, element orders, lattice-set actions and whole subgroup lattices of
 finite quotients, the lattice-set rule for kernel membership, characters
 spread from generator values, the two instantiated characters, shear
-orbits, cusp counts and the cusp report they give, balls of the p-adic
-trees, graph edges by group name, graph neighbours, the Frame-shape
-predictions of the vertex invariants and the dense eta-series recurrence;
+orbits, cusp counts and the cusp report they give, the hypercircle by
+the group action and a sort, balls of the p-adic trees, graph edges by
+group name, graph neighbours, the Frame-shape predictions of the vertex
+invariants and the dense eta-series recurrence;
 and the searches that worked out what a name now fixes: the width at
 infinity by a shear scan, the envelope level by normalizer membership, the
 scale by comparing scaled base groups, the valency by the order of the
@@ -36,7 +37,7 @@ from plattice.groupsys import (
     quotient_generators,
 )
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
-from plattice.arith import divisors, gamma0_index, is_prime
+from plattice.arith import divisors, gamma0_index, hypercircle_size, is_prime
 from plattice.tree import hypercircle, thread
 
 
@@ -381,6 +382,24 @@ def all_subgroups(q: FiniteQuotient) -> set[frozenset[int]]:
                 subs.add(ext)
                 frontier.append(ext)
     return subs
+
+
+def acted_hypercircle(center: LatticeName, n: int) -> tuple[LatticeName, ...]:
+    """The hypercircle as ``tree.hypercircle`` built it before it generated
+    each centre's members in name order: the Hermite triples at L1 in name
+    order, each moved by the centre's action, then sorted by name."""
+    hypercircle_size(n)
+    members = []
+    for d in reversed(divisors(n)):
+        a = n // d
+        g0 = gcd(a, d)
+        members.extend(LatticeName(a, b, d) for b in range(d) if gcd(g0, b) == 1)
+    if center != L1:
+        g = center.matrix()
+        for i, x in enumerate(members):
+            members[i] = act(x, g)
+        members.sort()
+    return tuple(members)
 
 
 def tree_ball_edges(p: int, max_power: int) -> tuple[list[LatticeName], list[tuple[LatticeName, LatticeName]]]:

@@ -3,8 +3,11 @@ SHA-256 of what ``plattice`` prints to stdout and to stderr, and its exit
 code, run in-process through ``cli.main``.
 
     PYTHONPATH=src python -m tests.make_golden
+    PYTHONPATH=src python -m tests.make_golden --diff
 
-``tests/test_golden.py`` only reads the file.  Usage errors are argparse's
+With ``--diff`` it writes nothing: it prints each command line whose record
+changed, was added or was removed against the file, and exits 1 if there is
+any.  ``tests/test_golden.py`` only reads the file.  Usage errors are argparse's
 texts, so the records hold for the Python release they were made with
 (3.11); the help and usage lines are wrapped at ``COLUMNS=80``.
 
@@ -19,18 +22,23 @@ The corpus:
 - one command line for each domain-error and usage-error text;
 - ``eta`` of the nine vertex names and the nine catalog Frame shapes at
   orders on both sides of the series engine's 128-term blocks, and of the
-  two dilated shapes where their series in q^s crosses a block;
+  two dilated shapes where their series in q^s crosses a block, and of the
+  nine shapes at every order 1-300;
 - ``cusps`` of every level 1-200, as text and JSON;
-- ``hypercircle`` at three centres and four radii, in all three formats;
+- ``hypercircle`` at three centres and four radii, and at four centres
+  whose moved Hermite triples can lose a common factor and six radii, in
+  all three formats;
 - ten fixed command lines each of ``reduce``, ``hyperdistance``,
   ``thread``, ``cell``, ``project`` and ``index``.
 """
 
+import argparse
 import hashlib
 import io
 import json
 import os
 import shlex
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -99,6 +107,10 @@ DILATED_ORDERS = {"3^8": range(381, 386), "4^12 / 2^12": range(253, 258)}
 
 HYPERCIRCLE_CENTRES = ["1,0", "2/3,1/7", "5/2,1/2"]
 HYPERCIRCLE_RADII = [1, 6, 30, 210]
+# a member (a, s, d) moved by one of these can have content above 1, and
+# the radii give many blocks of equal M, each wrapped at its own point
+CONTENT_CENTRES = ["2,0", "1/2,1/2", "3/4,1/4", "12/5,3/5"]
+CONTENT_RADII = [4, 12, 64, 360, 1001, 4620]
 
 CALCULUS = [
     ["reduce", "[[1,1/3],[0,1]]"],
@@ -205,9 +217,13 @@ def corpus() -> list:
         out += [["eta", shape, "--order", str(order)] for order in ETA_ORDERS]
     for shape, orders in DILATED_ORDERS.items():
         out += [["eta", shape, "--order", str(order)] for order in orders]
+    for shape in CATALOG_SHAPES:
+        out += [["eta", shape, "--order", str(order)] for order in range(1, 301)]
     for level, as_json in product(range(1, 201), (False, True)):
         out.append(["cusps", str(level)] + ["--json"] * as_json)
     for centre, radius, fmt in product(HYPERCIRCLE_CENTRES, HYPERCIRCLE_RADII, ("text", "json", "dot")):
+        out.append(["hypercircle", centre, str(radius), "--format", fmt])
+    for centre, radius, fmt in product(CONTENT_CENTRES, CONTENT_RADII, ("text", "json", "dot")):
         out.append(["hypercircle", centre, str(radius), "--format", fmt])
     out += CALCULUS
     # README's lines recur in the format sweeps
@@ -226,12 +242,29 @@ def run(argv) -> dict:
     }
 
 
-def main() -> None:
+def differences(old: dict, new: dict) -> list:
+    """``changed``, ``added`` and ``removed`` lines, one per command line
+    whose record differs between the two record sets."""
+    out = ["changed\t" + line for line in new if line in old and new[line] != old[line]]
+    out += ["added\t" + line for line in new if line not in old]
+    out += ["removed\t" + line for line in old if line not in new]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m tests.make_golden")
+    parser.add_argument("--diff", action="store_true", help="compare with the file; write nothing")
+    args = parser.parse_args(argv)
     os.environ["COLUMNS"] = "80"
     records = {line: run(shlex.split(line)) for line in corpus()}
+    if args.diff:
+        lines = differences(json.loads(GOLDEN.read_text()), records)
+        print("\n".join(lines + ["%d differences" % len(lines)]))
+        return 1 if lines else 0
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
     print("wrote %d records to %s" % (len(records), GOLDEN.name))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

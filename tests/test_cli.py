@@ -597,7 +597,8 @@ class TestHypercircleCollector:
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_collector_state_is_restored(self, capsys, enabled):
-        # the command pauses the cyclic collector while it builds and prints
+        # the command leaves the cyclic collector as it found it, on
+        # success and on a budget error alike
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -609,6 +610,32 @@ class TestHypercircleCollector:
             assert gc.isenabled() == enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+
+class TestHypercircleStream:
+    def test_text_holds_no_list_of_names(self, monkeypatch):
+        import tracemalloc
+
+        class NullStdout:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        tracemalloc.start()
+        try:
+            # what holding the 99992 names as one tuple would take
+            held = hypercircle(LatticeName.parse("2/3,1/7"), 99991).members
+            tuple_peak = tracemalloc.get_traced_memory()[1]
+            del held
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(sys, "stdout", NullStdout())
+            assert main(["hypercircle", "2/3,1/7", "99991"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tuple_peak / 10, (peak, tuple_peak)
 
 
 class TestDeterminism:

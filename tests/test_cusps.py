@@ -154,7 +154,7 @@ class TestClosedForm:
             raise AssertionError("the hypercircle was built")
 
         monkeypatch.setattr(tree, "hypercircle", refuse)
-        monkeypatch.setattr(tree, "_hypercircle_at_l1", refuse)
+        monkeypatch.setattr(tree.HyperCircle, "__iter__", refuse)
         if fmt != "json":
             # text and DOT print representatives and widths alone
             monkeypatch.setattr(cusps, "name_text", refuse)

@@ -9,7 +9,7 @@ from plattice.arith import divisors, factorize, gamma0_index
 from plattice.exact import T, ProjectiveMatrix
 from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
 from plattice.tree import hypercircle, is_cell, padic_projection, thread
-from .helpers import lower_translation, tree_ball_edges
+from .helpers import acted_hypercircle, lower_translation, tree_ball_edges
 from .test_exact import rand_pgl2q
 
 
@@ -58,6 +58,43 @@ class TestHypercircle:
         a = hypercircle(L1, 12).members
         b = hypercircle(L1, 12).members
         assert a == b == tuple(sorted(a))
+
+    def test_members_match_the_acted_and_sorted_circle(self):
+        # at 2,0, 1/2,1/2 and the seeded triples the moved triples can have
+        # content above 1; composite radii give many blocks, most wrapped
+        rng = random.Random(30)
+        radii = [1, 4, 6, 12, 30, 64, 210, 360]
+        centres = [L1, lattice(2), lattice(Fraction(1, 2), Fraction(1, 2))]
+        centres += [lattice(Fraction(3, 4), Fraction(1, 4)), lattice(Fraction(12, 5), Fraction(3, 5))]
+        pairs = [(center, n) for center in centres for n in radii]
+        while len(pairs) < 520:
+            if rng.random() < 0.5:
+                center = reduce_matrix(rand_pgl2q(rng))
+            else:
+                d = rng.randrange(1, 361)
+                center = lattice(Fraction(rng.randrange(1, 1002), d), Fraction(rng.randrange(d), d))
+            pairs.append((center, rng.choice(radii + [rng.randrange(1, 400)])))
+        for center, n in pairs:
+            assert tuple(hypercircle(center, n)) == acted_hypercircle(center, n), (str(center), n)
+
+    def test_no_member_is_acted_on_or_compared(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a member was acted on or compared")
+
+        center = lattice(Fraction(2, 3), Fraction(1, 7))
+        expected = acted_hypercircle(center, 360)
+        monkeypatch.setattr(tree, "act", refuse)
+        monkeypatch.setattr(LatticeName, "__lt__", refuse)
+        assert tuple(hypercircle(center, 360)) == expected
+
+    def test_len_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a member was enumerated")
+
+        monkeypatch.setattr(tree.HyperCircle, "__iter__", refuse)
+        monkeypatch.setattr(tree, "LatticeName", refuse)
+        assert len(hypercircle(lattice(Fraction(2, 3), Fraction(1, 7)), 999983)) == 999984
+        assert len(hypercircle(L1, 6)) == 12
 
     @pytest.mark.parametrize(
         "center",
@@ -307,9 +344,10 @@ class TestInputBudgets:
             hypercircle(lattice(3), 10)
 
     def test_hypercircle_checks_before_enumerating(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError("enumerated radius %d" % n)
+        def refuse(*args):
+            raise AssertionError("a member was enumerated")
 
-        monkeypatch.setattr(tree, "_hypercircle_at_l1", refuse)
+        monkeypatch.setattr(tree.HyperCircle, "__iter__", refuse)
+        monkeypatch.setattr(tree, "divisors", refuse)
         with pytest.raises(ValueError, match="budget"):
             hypercircle(L1, 2 * 10**6)
