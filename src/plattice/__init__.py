@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # home module -> the names it exports through the package
 _HOMES = {
     "arith": ("gamma0_index",),
-    "exact": ("ProjectiveMatrix", "pdet", "primitive_rep"),
+    "exact": ("ProjectiveMatrix",),
     "lattice": ("LatticeName", "act", "hyperdistance", "reduce_matrix"),
     "tree": ("HyperCircle", "Thread", "hypercircle", "is_cell", "padic_projection", "thread"),
     "descriptors": (

@@ -84,10 +84,8 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         return cls(1, n)
 
     @classmethod
-    def gamma0_plus(cls, n: int, labels=None) -> "GroupDescriptor":
-        if labels is None:
-            labels = set(exact_divisors(n)) - {1}
-        return cls(1, n, frozenset(labels))
+    def gamma0_plus(cls, n: int) -> "GroupDescriptor":
+        return cls(1, n, frozenset(exact_divisors(n)) - {1})
 
     @classmethod
     def kernel(cls, h: int, n: int, labels=()) -> "GroupDescriptor":

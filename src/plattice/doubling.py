@@ -77,12 +77,12 @@ def invariant_under_gamma0(fs: FrameShape, level: int) -> bool:
     return math.isqrt(s) ** 2 == s
 
 
-def eta_value(tau: complex, terms: int = 200) -> complex:
+def eta_value(tau: complex) -> complex:
     """Dedekind eta at a point of the upper half-plane.
 
     Reduces the argument with the shift and inversion transformations
-    until its imaginary part is at least 0.8, then multiplies the
-    q-product directly.
+    until its imaginary part is at least 0.8, then multiplies the first
+    200 factors of the q-product.
     """
     import cmath
 
@@ -102,7 +102,7 @@ def eta_value(tau: complex, terms: int = 200) -> complex:
     q = q24**24
     prod = complex(1)
     qn = q
-    for _ in range(terms):
+    for _ in range(200):
         prod *= 1 - qn
         qn *= q
     return factor * q24 * prod
@@ -117,7 +117,7 @@ def eta_quotient_value(fs: FrameShape, tau: complex) -> complex:
 
 
 def mobius(g: ProjectiveMatrix, tau: complex) -> complex:
-    a, b, c, d = g.entries()
+    a, b, c, d = g
     return (a * tau + b) / (c * tau + d)
 
 

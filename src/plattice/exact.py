@@ -4,10 +4,11 @@ There is no floating point anywhere in this module.  A ``ProjectiveMatrix``
 is a nonzero 2x2 matrix with positive determinant, considered up to scaling
 by nonzero rationals.  It is stored as its unique primitive integral
 representative (content 1, first nonzero entry positive), a named tuple
-(a, b, c, d) that is compared and hashed as a tuple.  Products and inverses
-are integer arithmetic through the one normaliser ``from_ints``.  A
-rational is read as an integer pair (p, q) with q > 0, and
-``clear_denominators`` is the one place such pairs become integers.
+(a, b, c, d) that is compared and hashed as a tuple.  ``from_ints``, the
+one constructor, takes integers; products and inverses go through it.
+Rationals enter only as text: ``parse_rational`` reads one as an integer
+pair (p, q) with q > 0, and ``clear_denominators`` is the one place such
+pairs become integers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from math import gcd, lcm
-from typing import Iterable
 
 _RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
@@ -32,19 +32,6 @@ def clear_denominators(pairs) -> tuple[int, ...]:
     if content == 0:
         raise ValueError("zero matrix has no primitive representative")
     return tuple(x // content for x in ints)
-
-
-def primitive_rep(entries: Iterable) -> tuple[int, int, int, int]:
-    """Scale a nonzero rational 2x2 matrix to its primitive integral form.
-
-    Returns the unique positive-rational multiple of the input that is
-    integral with content 1 (gcd of absolute entries equal to 1).  This is
-    total on nonzero matrices, including those with zero entries.  The
-    entries are ints or ``Fraction``s, read through their ``numerator``
-    and ``denominator``.
-    """
-    a, b, c, d = entries
-    return clear_denominators([(x.numerator, x.denominator) for x in (a, b, c, d)])
 
 
 class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
@@ -72,49 +59,29 @@ class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
             content = -content
         return cls(a // content, b // content, c // content, d // content)
 
-    @classmethod
-    def from_entries(cls, a, b, c, d) -> "ProjectiveMatrix":
-        """The class of a rational matrix, through ``primitive_rep``."""
-        return cls.from_ints(*primitive_rep((a, b, c, d)))
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return self
-
     def pdet(self) -> int:
         """The rational projective determinant (a positive integer)."""
         return self.a * self.d - self.b * self.c
 
     def __mul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
+        a, b, c, d = self
+        e, f, g, h = other
         return ProjectiveMatrix.from_ints(
             a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         )
 
     def inv(self) -> "ProjectiveMatrix":
         # adjugate; projectively this is the inverse since det > 0
-        a, b, c, d = self.entries()
+        a, b, c, d = self
         return ProjectiveMatrix.from_ints(d, -b, -c, a)
 
-    def is_identity(self) -> bool:
-        return self == (1, 0, 0, 1)
-
     def __str__(self) -> str:
-        return "[[%d,%d],[%d,%d]]" % self.entries()
-
-
-def pdet(m) -> int:
-    """Projective determinant of a matrix given in any accepted form."""
-    if not isinstance(m, ProjectiveMatrix):
-        m = ProjectiveMatrix.from_entries(*m)
-    return m.pdet()
+        return "[[%d,%d],[%d,%d]]" % self
 
 
 # Standard elements ----------------------------------------------------------
 
 IDENTITY = ProjectiveMatrix.from_ints(1, 0, 0, 1)
-S = ProjectiveMatrix.from_ints(0, -1, 1, 0)
-T = ProjectiveMatrix.from_ints(1, 1, 0, 1)
 
 
 # Text serialization ---------------------------------------------------------

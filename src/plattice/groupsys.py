@@ -40,7 +40,7 @@ QUOTIENT_ELEMENT_BOUND = 10000
 
 def _conjugate_by_scale(g: ProjectiveMatrix, h: int) -> ProjectiveMatrix:
     # h * (g_h g g_h^-1) stays integral
-    a, b, c, d = g.entries()
+    a, b, c, d = g
     return ProjectiveMatrix.from_ints(h * a, h * h * b, c, h * d)
 
 
@@ -49,7 +49,7 @@ def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
     w = _conjugate_by_scale(g, desc.h)
     e = w.pdet()
     m = desc.n // desc.h
-    a, b, c, d = w.entries()
+    a, b, c, d = w
     if e == 1:
         if c % m:
             return False
@@ -88,7 +88,7 @@ def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
         u = pow(e, -1, n // e)
         v = (u * e - 1) // (n // e)
         rep = ProjectiveMatrix.from_ints(e, v, n, u * e)
-    a, b, c, d = rep.entries()
+    a, b, c, d = rep
     if rep.pdet() != e or a % e or d % e or c % n:
         raise AssertionError("%s is not in the label-%d coset over level %d" % (rep, e, n))
     return rep
@@ -96,9 +96,9 @@ def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
 
 def conjugated_al_representative(desc_h: int, m: int, e: int) -> ProjectiveMatrix:
     """Representative of the label-e coset inside the (h, n) family, n = h*m."""
-    rep = al_coset_representative(m, e)
-    gh = ProjectiveMatrix.from_ints(desc_h, 0, 0, 1)
-    return gh.inv() * rep * gh
+    # h * (g_h^-1 rep g_h) stays integral
+    a, b, c, d = al_coset_representative(m, e)
+    return ProjectiveMatrix.from_ints(desc_h * a, b, desc_h * desc_h * c, desc_h * d)
 
 
 # finite quotients -------------------------------------------------------------

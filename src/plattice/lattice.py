@@ -86,11 +86,6 @@ def _name_of_pairs(m: tuple[int, int], b: tuple[int, int]) -> LatticeName:
     return LatticeName(a, s, d)
 
 
-def lattice(m, b=0) -> LatticeName:
-    """The name of rational M > 0 and 0 <= b < 1 (ints or ``Fraction``s)."""
-    return _name_of_pairs((m.numerator, m.denominator), (b.numerator, b.denominator))
-
-
 def reduce_matrix(g: ProjectiveMatrix) -> LatticeName:
     """Reduce a coset of the modular group to its canonical name.
 
@@ -99,7 +94,7 @@ def reduce_matrix(g: ProjectiveMatrix) -> LatticeName:
     entry into [0, d).  Unimodular row operations keep the content at one,
     so the result is already primitive.
     """
-    a, b, c, d = g.entries()
+    a, b, c, d = g
     # d ends positive with no sign fix: the stored a is positive when c == 0,
     # and otherwise the new lower-right entry s*b + t*d is pdet/g0
     if c != 0:

@@ -1,5 +1,6 @@
-"""Reference code that only the tests use: the upper and lower translations
-and the dilation, series
+"""Reference code that only the tests use: the modular generators S and T,
+matrices and names built from rationals the way the command line reads
+them, the upper and lower translations and the dilation, series
 coefficients, a name's pair (M, b) as Fractions and the dual (reverse)
 names, element orders, lattice-set actions and whole subgroup lattices of
 finite quotients, the lattice-set rule for kernel membership, characters
@@ -24,7 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from plattice.classify import name_subgroup
-from plattice.exact import IDENTITY, S, T, ProjectiveMatrix
+from plattice.exact import IDENTITY, ProjectiveMatrix, parse_matrix
 from plattice.doubling import double_coset_label, invariant_under
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0, width_at_infinity
@@ -36,26 +37,40 @@ from plattice.groupsys import (
     normalizer_quotient,
     quotient_generators,
 )
-from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice
+from plattice.lattice import L1, LatticeName, act, hyperdistance
 from plattice.arith import divisors, gamma0_index, hypercircle_size, is_prime
 from plattice.tree import hypercircle, thread
 
 
+S = ProjectiveMatrix.from_ints(0, -1, 1, 0)
+T = ProjectiveMatrix.from_ints(1, 1, 0, 1)
+
+
+def rational_matrix(a, b, c, d) -> ProjectiveMatrix:
+    """The class of [[a, b], [c, d]] for ints or ``Fraction``s, read from its text."""
+    return parse_matrix("[[%s,%s],[%s,%s]]" % (a, b, c, d))
+
+
+def lattice(m, b=0) -> LatticeName:
+    """The name of rational M > 0 and 0 <= b < 1 (ints or ``Fraction``s), read from its text."""
+    return LatticeName.parse("%s,%s" % (m, b))
+
+
 def translation(amount) -> ProjectiveMatrix:
     """Upper-triangular unipotent [[1, A], [0, 1]] for rational A."""
-    return ProjectiveMatrix.from_entries(1, amount, 0, 1)
+    return rational_matrix(1, amount, 0, 1)
 
 
 def lower_translation(amount) -> ProjectiveMatrix:
     """Lower-triangular unipotent [[1, 0], [n, 1]]."""
-    return ProjectiveMatrix.from_entries(1, 0, amount, 1)
+    return rational_matrix(1, 0, amount, 1)
 
 
 def dilation(m) -> ProjectiveMatrix:
     """Diagonal [[M, 0], [0, 1]] for a positive rational M."""
     if m <= 0:
         raise ValueError("dilation requires a positive rational, got %s" % m)
-    return ProjectiveMatrix.from_entries(m, 0, 0, 1)
+    return rational_matrix(m, 0, 0, 1)
 
 
 def coefficient(series: IntegerPowerSeries, exponent: int) -> int:
@@ -93,7 +108,7 @@ class ReverseName(namedtuple("ReverseName", "b m")):
         return super().__new__(cls, b, m)
 
     def matrix(self) -> ProjectiveMatrix:
-        return ProjectiveMatrix.from_entries(1, 0, self.b, self.m)
+        return rational_matrix(1, 0, self.b, self.m)
 
 
 def reverse_name(name: LatticeName) -> ReverseName:
@@ -495,7 +510,7 @@ def schreier_generators(n: int) -> tuple[ProjectiveMatrix, ...]:
     for point, rep in transversal.items():
         for g in (S, T):
             elem = rep * g * transversal[act(point, g)].inv()
-            if not elem.is_identity() and elem not in seen:
+            if elem != IDENTITY and elem not in seen:
                 seen.add(elem)
                 out.append(elem)
     desc = GroupDescriptor.gamma0(n)

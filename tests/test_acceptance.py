@@ -11,16 +11,18 @@ from plattice.arith import gamma0_index
 from plattice.classify import classify
 from plattice.cusps import cusps_of_gamma0
 from plattice.diagram import NODE_GROUPS, build_graph, node_vertex_data
-from plattice.exact import S, T
 from plattice.doubling import double_group, invariant_under
 from plattice.frames import FRAME_SHAPES, eta_quotient_series, frame_shape, numeric_invariance_check
 from plattice.descriptors import GroupDescriptor
 from plattice.groupsys import finite_quotient
-from plattice.lattice import L1, act, hyperdistance, lattice, reduce_matrix
+from plattice.lattice import L1, act, hyperdistance, reduce_matrix
 from plattice.tree import hypercircle
 
 from .helpers import (
+    S,
+    T,
     edge_displays,
+    lattice,
     lower_translation,
     max_part,
     name_of,

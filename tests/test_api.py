@@ -15,7 +15,7 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 # every name the package exports, by the module that defines it
 HOMES = {
     "arith": ["gamma0_index"],
-    "exact": ["ProjectiveMatrix", "pdet", "primitive_rep"],
+    "exact": ["ProjectiveMatrix"],
     "lattice": ["LatticeName", "act", "hyperdistance", "reduce_matrix"],
     "tree": ["HyperCircle", "Thread", "hypercircle", "is_cell", "padic_projection", "thread"],
     "descriptors": [

@@ -7,11 +7,12 @@ from plattice import cli, cusps, tree
 from plattice.arith import gamma0_index
 from plattice.cusps import CuspReport, cusps_of_gamma0
 from plattice.descriptors import GroupDescriptor, width_at_infinity
-from plattice.lattice import L1, act, lattice
+from plattice.lattice import L1, act
 from plattice.tree import hypercircle
 
 from .helpers import (
     cusp_count,
+    lattice,
     orbit_cusp_outputs,
     scanned_width_at_infinity,
     translation,

@@ -23,12 +23,13 @@ from plattice.diagram import (
 )
 from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0
 from plattice.groupsys import _member_cosets, member, normalizer_quotient
-from plattice.lattice import L1, act, lattice
+from plattice.lattice import L1, act
 
 from .helpers import (
     backtracking_graph_solutions,
     edge_displays,
     group_generators,
+    lattice,
     named_core_group,
     neighbors,
     searched_envelope_level,

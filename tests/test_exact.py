@@ -4,17 +4,9 @@ from math import gcd, lcm
 
 import pytest
 
-from plattice.exact import (
-    IDENTITY,
-    S,
-    T,
-    ProjectiveMatrix,
-    parse_matrix,
-    pdet,
-    primitive_rep,
-)
+from plattice.exact import IDENTITY, ProjectiveMatrix, clear_denominators, parse_matrix
 
-from .helpers import dilation, lower_translation, translation
+from .helpers import S, T, dilation, lower_translation, rational_matrix, translation
 
 
 def rand_psl2z(rng, length=12):
@@ -37,31 +29,36 @@ def rand_pgl2q(rng, bound=9):
     while True:
         a, b, c, d = (rng.randrange(-bound, bound + 1) for _ in range(4))
         if a * d - b * c > 0:
-            return ProjectiveMatrix.from_entries(a, b, c, d)
+            return ProjectiveMatrix.from_ints(a, b, c, d)
+
+
+def primitive(entries) -> tuple[int, ...]:
+    """``clear_denominators`` of ints or ``Fraction``s, each read as its pair (p, q)."""
+    return clear_denominators([x.as_integer_ratio() for x in entries])
 
 
 class TestPrimitiveRep:
     def test_scalar_multiple_of_identity(self):
-        assert primitive_rep((2, 0, 0, 2)) == (1, 0, 0, 1)
+        assert primitive((2, 0, 0, 2)) == (1, 0, 0, 1)
 
     def test_clears_denominators(self):
-        assert primitive_rep((1, Fraction(1, 2), 0, 1)) == (2, 1, 0, 2)
+        assert primitive((1, Fraction(1, 2), 0, 1)) == (2, 1, 0, 2)
 
     def test_divides_out_content(self):
-        assert primitive_rep((4, 6, 2, 8)) == (2, 3, 1, 4)
+        assert primitive((4, 6, 2, 8)) == (2, 3, 1, 4)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix has no primitive representative"):
-            primitive_rep((0, 0, 0, 0))
+            primitive((0, 0, 0, 0))
 
     def test_idempotent_and_scale_invariant(self):
         rng = random.Random(101)
         for _ in range(1000):
             m = rand_pgl2q(rng)
             q = Fraction(rng.randrange(1, 40), rng.randrange(1, 40))
-            scaled = tuple(q * x for x in m.entries())
-            assert primitive_rep(scaled) == primitive_rep(m.entries())
-            assert primitive_rep(primitive_rep(scaled)) == primitive_rep(scaled)
+            scaled = tuple(q * x for x in m)
+            assert primitive(scaled) == primitive(m)
+            assert primitive(primitive(scaled)) == primitive(scaled)
 
 
 class TestPdet:
@@ -69,10 +66,10 @@ class TestPdet:
         assert IDENTITY.pdet() == 1
 
     def test_diagonal(self):
-        assert pdet((2, 0, 0, 1)) == 2
+        assert rational_matrix(2, 0, 0, 1).pdet() == 2
 
     def test_half_translation(self):
-        assert pdet((1, Fraction(1, 2), 0, 1)) == 4
+        assert rational_matrix(1, Fraction(1, 2), 0, 1).pdet() == 4
 
     def test_positive_integer_valued(self):
         rng = random.Random(7)
@@ -114,21 +111,19 @@ class TestGroupLaw:
 
     def test_negative_determinant_rejected(self):
         with pytest.raises(ValueError):
-            ProjectiveMatrix.from_entries(1, 0, 0, -1)
+            rational_matrix(1, 0, 0, -1)
 
     def test_lower_translation(self):
-        assert lower_translation(3).entries() == (1, 0, 3, 1)
+        assert tuple(lower_translation(3)) == (1, 0, 3, 1)
 
 
 class TestSerialization:
     def test_round_trip(self):
-        m = ProjectiveMatrix.from_entries(2, Fraction(1, 2), 0, 1)
+        m = rational_matrix(2, Fraction(1, 2), 0, 1)
         assert parse_matrix(str(m)) == m
 
     def test_parse_fractions(self):
-        assert parse_matrix("[[1,1/2],[0,1]]") == ProjectiveMatrix.from_entries(
-            1, Fraction(1, 2), 0, 1
-        )
+        assert parse_matrix("[[1,1/2],[0,1]]") == ProjectiveMatrix.from_ints(2, 1, 0, 2)
 
     def test_parse_agrees_with_fraction_oracle(self):
         # the oracle reads each token with Fraction and scales by Fraction
@@ -145,7 +140,7 @@ class TestSerialization:
             den = lcm(*(x.denominator for x in entries))
             ints = [int(x * den) for x in entries]
             content = gcd(*ints) * (-1 if ints[0] < 0 or ints[0] == 0 and ints[1] < 0 else 1)
-            assert parse_matrix(text).entries() == tuple(x // content for x in ints)
+            assert tuple(parse_matrix(text)) == tuple(x // content for x in ints)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 
 from plattice import frames
 from plattice.diagram import NODE_GROUPS, node_vertex_data
-from plattice.exact import S, T, ProjectiveMatrix
+from plattice.exact import ProjectiveMatrix
 from plattice.doubling import (
     double_coset_label,
     double_group,
@@ -35,6 +35,8 @@ from plattice.descriptors import GroupDescriptor, width_at_infinity
 from plattice.groupsys import member, quotient_generators
 
 from .helpers import (
+    S,
+    T,
     coefficient,
     dense_eta_series,
     float_invariance_check,
@@ -438,7 +440,7 @@ class TestNumericCheck:
     def test_fricke_of_two_scales_instead(self):
         # eta(t)^24/eta(2t)^24 is not itself invariant under the level-two
         # involution; the involution sends it to 4096 over itself
-        w2 = ProjectiveMatrix.from_entries(0, -1, 2, 0)
+        w2 = ProjectiveMatrix.from_ints(0, -1, 2, 0)
         tau = 0.1 + 0.8j
         f0 = eta_quotient_value(FRAME_SHAPES[0], tau)
         f1 = eta_quotient_value(FRAME_SHAPES[0], mobius(w2, tau))
@@ -496,9 +498,6 @@ class TestNumericCheck:
             eta_value(0.3 - 1j)
         with pytest.raises(ValueError):
             invariant_under(FRAME_SHAPES[0], T, 0.5 - 0.5j)
-        # also where no generator is left for the float check
-        with pytest.raises(ValueError, match="upper half-plane"):
-            numeric_invariance_check(FRAME_SHAPES[0], GroupDescriptor.gamma0(2), 0.5 - 0.5j)
 
     def test_eta_against_fixed_point(self):
         # eta(i) = Gamma(1/4) / (2 pi^(3/4))

@@ -6,9 +6,9 @@ from math import gcd
 
 import pytest
 
-from plattice.arith import factorize, gamma0_index
-from plattice.exact import IDENTITY, S, T, ProjectiveMatrix
-from plattice.lattice import L1, act, lattice
+from plattice.arith import divisors, factorize, gamma0_index
+from plattice.exact import IDENTITY, ProjectiveMatrix
+from plattice.lattice import L1, act
 from plattice import descriptors, groupsys, tree
 from plattice.descriptors import (
     GroupDescriptor,
@@ -30,6 +30,8 @@ from plattice.groupsys import (
 from plattice.classify import descriptor_catalog
 from plattice.tree import hypercircle
 from .helpers import (
+    S,
+    T,
     action_perm,
     all_subgroups,
     character_lambda,
@@ -37,6 +39,7 @@ from .helpers import (
     group_generators,
     kernel_action_set,
     kernel_condition,
+    lattice,
     lower_translation,
     order_profile,
     perm_sign,
@@ -81,7 +84,7 @@ def _image_subgroup_order(generators, m: int) -> int:
         return 1
     elems = {_psl2_key(1, 0, 0, 1, m)}
     frontier = list(elems)
-    gens = [g.entries() for g in generators]
+    gens = [tuple(g) for g in generators]
     while frontier:
         a, b, c, d = frontier.pop()
         for e, f, g2, h2 in gens:
@@ -212,7 +215,7 @@ class TestMember:
             assert member(T, GroupDescriptor.gamma0(n))
 
     def test_fricke_in_plus_four(self):
-        w4 = ProjectiveMatrix.from_entries(0, -1, 4, 0)
+        w4 = ProjectiveMatrix.from_ints(0, -1, 4, 0)
         assert member(w4, GroupDescriptor.gamma0_plus(4))
         assert not member(w4, GroupDescriptor.gamma0(4))
 
@@ -256,11 +259,11 @@ class TestAtkinLehner:
         assert al_coset_representative(5, 1) == IDENTITY
 
     def test_fricke(self):
-        assert al_coset_representative(6, 6) == ProjectiveMatrix.from_entries(0, -1, 6, 0)
+        assert al_coset_representative(6, 6) == ProjectiveMatrix.from_ints(0, -1, 6, 0)
 
     def test_defining_equation_level_six(self):
         w = al_coset_representative(6, 2)
-        a, b, c, d = w.entries()
+        a, b, c, d = w
         assert w.pdet() == 2
         assert a % 2 == 0 and d % 2 == 0 and c % 6 == 0
         assert (a // 2) * (d // 2) * 4 - b * c == 2
@@ -268,6 +271,19 @@ class TestAtkinLehner:
     def test_rejects_non_exact(self):
         with pytest.raises(ValueError, match="exact divisor"):
             al_coset_representative(4, 2)
+
+    def test_conjugation_matches_the_product_form(self):
+        # the one from_ints of the conjugated representative is the product
+        # g_h^-1 * rep * g_h with g_h = [[h, 0], [0, 1]]
+        triples = 0
+        for h in divisors(24):
+            gh = ProjectiveMatrix.from_ints(h, 0, 0, 1)
+            for m in range(1, 400):
+                for e in exact_divisors(m):
+                    expected = gh.inv() * al_coset_representative(m, e) * gh
+                    assert conjugated_al_representative(h, m, e) == expected
+                    triples += 1
+        assert triples == 14136
 
     def test_coset_product_rule(self):
         # the product of labels e and f lands in the coset e*f/gcd^2
@@ -598,7 +614,7 @@ class TestActionKernel:
         for _ in range(60):
             u = rand_psl2z(rng)
             fixes_all = all(act(x, u) == x for x in circle)
-            a, b, c, d = u.entries()
+            a, b, c, d = u
             is_principal = (
                 b % n == 0 and c % n == 0 and (a % n == d % n) and (a % n) in (1 % n, n - 1)
             )

@@ -6,12 +6,15 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plattice.exact import IDENTITY, S, T, ProjectiveMatrix
-from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
+from plattice.exact import IDENTITY, ProjectiveMatrix
+from plattice.lattice import L1, LatticeName, act, hyperdistance, reduce_matrix
 from plattice.tree import hypercircle
 from .helpers import (
+    S,
+    T,
     ReverseName,
     dilation,
+    lattice,
     lower_translation,
     name_b,
     name_m,
@@ -44,7 +47,7 @@ class TestReduce:
         assert reduce_matrix(S) == L1
 
     def test_fricke_level_four(self):
-        w4 = ProjectiveMatrix.from_entries(0, -1, 4, 0)
+        w4 = ProjectiveMatrix.from_ints(0, -1, 4, 0)
         # row reduction by hand: [[0,-1],[4,0]] ~ [[4,0],[0,1]]
         assert reduce_matrix(w4) == lattice(4)
 

@@ -84,6 +84,19 @@ def test_integer_path_builds_no_rationals():
     assert offenders == []
 
 
+def test_no_module_reads_rational_objects():
+    # rationals enter as text read into integer pairs, so nothing in the
+    # package reads a numerator or a denominator off a number object
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += [
+            "%s:%d %s" % (path.name, node.lineno, node.attr)
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+        ]
+    assert offenders == []
+
+
 def _importers(module: str) -> list[str]:
     # every import statement of the package that names ``module``
     offenders = []

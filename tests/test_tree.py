@@ -6,10 +6,10 @@ import pytest
 
 from plattice import arith, tree
 from plattice.arith import divisors, factorize, gamma0_index
-from plattice.exact import T, ProjectiveMatrix
-from plattice.lattice import L1, LatticeName, act, hyperdistance, lattice, reduce_matrix
+from plattice.exact import ProjectiveMatrix
+from plattice.lattice import L1, LatticeName, act, hyperdistance, reduce_matrix
 from plattice.tree import hypercircle, is_cell, padic_projection, thread
-from .helpers import acted_hypercircle, lower_translation, tree_ball_edges
+from .helpers import T, acted_hypercircle, lattice, lower_translation, tree_ball_edges
 from .test_exact import rand_pgl2q
 
 
