@@ -1,6 +1,6 @@
 """Handlers of reduce, hyperdistance, hypercircle, thread, cell, project and
 index; ``index`` loads ``arith`` alone, and none of them a group layer.
-``hypercircle`` prints its members as they are generated, except in JSON."""
+``hypercircle`` prints its members as they are generated, in every format."""
 
 from .output import json_wanted, print_json, write
 
@@ -23,11 +23,10 @@ def cmd_hypercircle(args):
     from .tree import hypercircle, hypercircle_dot
 
     circle = hypercircle(LatticeName.parse(args.center), args.radius)
-    if args.format == "dot":
+    if json_wanted(args):
+        print_json({"center": str(circle.center), "radius": circle.radius, "members": map(str, circle)})
+    elif args.format == "dot":
         write(hypercircle_dot(circle))
-    elif json_wanted(args):
-        members = [str(x) for x in circle]
-        print_json({"center": str(circle.center), "radius": circle.radius, "members": members})
     else:
         write(str(x) + "\n" for x in circle)
 
@@ -38,7 +37,7 @@ def cmd_thread(args):
 
     t = thread(LatticeName.parse(args.left), LatticeName.parse(args.right))
     if json_wanted(args):
-        print_json({"left": str(t.left), "right": str(t.right), "members": [str(x) for x in t]})
+        print_json({"left": str(t.left), "right": str(t.right), "members": map(str, t)})
     else:
         print("\n".join(str(x) for x in t.members))
 

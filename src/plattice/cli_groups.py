@@ -84,11 +84,11 @@ def cmd_diagram(args):
 
     data = node_vertex_data()
     graph = build_graph(data)
-    if args.format == "dot":
-        print(emit_dot(graph), end="")
-        return
     if json_wanted(args):
         print_json(graph.to_json())
+        return
+    if args.format == "dot":
+        print(emit_dot(graph), end="")
         return
     print("group\tscale\tlevel0\tvalency\tfaithful")
     for v in data:

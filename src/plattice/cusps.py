@@ -23,6 +23,7 @@ class CuspReport(namedtuple("CuspReport", "level cusps")):
     The representative (a, r, d) is the least name of the cusp's orbit
     under the unit shear, which is (a, r + k*a mod d, d) for k < width in
     walk order; the JSON lists it, printed straight from the integers.
+    ``to_json`` gives the cusps and each orbit as generators for ``print_json``.
     """
 
     __slots__ = ()
@@ -42,10 +43,7 @@ class CuspReport(namedtuple("CuspReport", "level cusps")):
         return {
             "group": GroupDescriptor.gamma0(self.level).to_json(),
             "width_at_infinity": "1",
-            "cusps": [
-                {"orbit": [name_text(a, (r + k * a) % d, d) for k in range(w)], "width": str(w)}
-                for (a, r, d), w in self.cusps
-            ],
+            "cusps": ({"orbit": _orbit(a, r, d, w), "width": str(w)} for (a, r, d), w in self.cusps),
         }
 
     @classmethod
@@ -54,6 +52,11 @@ class CuspReport(namedtuple("CuspReport", "level cusps")):
             (LatticeName.parse(entry["orbit"][0]), int(entry["width"])) for entry in data["cusps"]
         )
         return cls(data["group"]["n"], cusps)
+
+
+def _orbit(a: int, r: int, d: int, width: int):
+    # its own scope binds (a, r, d): the writer takes cusps ahead of their orbits
+    return (name_text(a, (r + k * a) % d, d) for k in range(width))
 
 
 def gamma0_cusps(n: int) -> tuple[tuple[LatticeName, int], ...]:

@@ -1,0 +1,67 @@
+"""The text of ``json.dumps(value, indent=2, sort_keys=True)``, in pieces.
+
+A dict is written as an object, a list or tuple as an array, and any other
+iterator (a generator, a ``map``) as an array while it is consumed, so a
+long array is never held.  Only ``output.print_json`` imports this module.
+"""
+
+from itertools import islice
+
+# array items are taken this many at a time; a batch of strings is checked
+# once and written as one piece
+BATCH = 512
+# json's escapes under ensure_ascii; other characters outside printable
+# ASCII are written as \uXXXX, those above U+FFFF as a surrogate pair
+ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _plain(text: str) -> bool:
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _escaped(char: str) -> str:
+    code = ord(char)
+    if code > 0xFFFF:
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return ESCAPES.get(char) or (char if " " <= char <= "~" else "\\u%04x" % code)
+
+
+def _string(text: str) -> str:
+    # joined, so that a long string is copied once: '"' + text + '"' copies it twice
+    return "".join(('"', text if _plain(text) else "".join(map(_escaped, text)), '"'))
+
+
+def pieces(value, newline="\n"):
+    """The pieces of ``value``'s JSON text, nested below the line start ``newline``."""
+    if isinstance(value, str):
+        yield _string(value)
+    elif value is None:
+        yield "null"
+    elif isinstance(value, bool):
+        yield "true" if value else "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            yield sep + inner + _string(key) + ": "
+            yield from pieces(value[key], inner)
+            sep = ","
+        yield "{}" if sep == "{" else newline + "}"
+    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
+        inner, sep, items = newline + "  ", "[", iter(value)
+        while batch := list(islice(items, BATCH)):
+            if all(type(x) is str for x in batch) and _plain("".join(batch)):
+                yield sep + inner + '"' + ('",' + inner + '"').join(batch) + '"'
+                sep = ","
+                continue
+            for item in batch:
+                yield sep + inner
+                yield from pieces(item, inner)
+                sep = ","
+        yield "[]" if sep == "[" else newline + "]"
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)

@@ -22,11 +22,11 @@ def write(chunks):
 
 
 def print_json(payload):
-    import json
+    from .jsonwriter import pieces
 
     # the bytes of print(json.dumps(payload, indent=2, sort_keys=True)),
-    # never held as one string
-    write(chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), "\n"))
+    # never held as one string; iterators in the payload are consumed as printed
+    write(chain(pieces(payload), "\n"))
 
 
 def json_wanted(args) -> bool:

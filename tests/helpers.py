@@ -5,7 +5,8 @@ coefficients, a name's pair (M, b) as Fractions and the dual (reverse)
 names, element orders, lattice-set actions and whole subgroup lattices of
 finite quotients, the lattice-set rule for kernel membership, characters
 spread from generator values, the two instantiated characters, shear
-orbits, cusp counts and the cusp report they give, the hypercircle by
+orbits, cusp counts and the cusp report they give, a payload's printed
+JSON read back, the hypercircle by
 the group action and a sort, balls of the p-adic trees, graph edges by
 group name, graph neighbours, the Frame-shape predictions of the vertex
 invariants and the dense eta-series recurrence;
@@ -18,8 +19,11 @@ the orbit of the pair {L1, L2}, the backtracking graph solver, and the
 Schreier generators of the level groups with the invariance check in
 floating point over every generator."""
 
+import io
+import json
 import operator
 from collections import namedtuple
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -38,6 +42,7 @@ from plattice.groupsys import (
     quotient_generators,
 )
 from plattice.lattice import L1, LatticeName, act, hyperdistance
+from plattice.output import print_json
 from plattice.arith import divisors, gamma0_index, hypercircle_size, is_prime
 from plattice.tree import hypercircle, thread
 
@@ -360,6 +365,15 @@ def orbit_cusp_outputs(n: int) -> tuple[str, dict]:
         "cusps": [{"orbit": [str(x) for x in orbit], "width": str(len(orbit))} for orbit in orbits],
     }
     return "\n".join(lines) + "\n", payload
+
+
+def printed_json(payload):
+    """``payload`` as ``print_json`` prints it, read back: each iterator in
+    it, consumed once by the printing, comes back as a list."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        print_json(payload)
+    return json.loads(out.getvalue())
 
 
 def cusp_count(ambient: GroupDescriptor, orbit) -> int:

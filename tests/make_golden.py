@@ -18,7 +18,8 @@ The corpus:
   without ``--relax-width``, as text and JSON;
 - ``classify --ratio-bound`` 6, 8 and 12, which exit 1 on a level-9
   subgroup that matches no descriptor;
-- ``diagram`` and ``super`` in every format and flag set;
+- ``diagram`` and ``super`` in every format and flag set, and with
+  ``--format dot --json``, which prints JSON;
 - one command line for each domain-error and usage-error text;
 - ``eta`` of the nine vertex names and the nine catalog Frame shapes at
   orders on both sides of the series engine's 128-term blocks, and of the
@@ -27,7 +28,8 @@ The corpus:
 - ``cusps`` of every level 1-200, as text and JSON;
 - ``hypercircle`` at three centres and four radii, and at four centres
   whose moved Hermite triples can lose a common factor and six radii, in
-  all three formats;
+  all three formats, and at the three centres and radius 30 with
+  ``--format dot --json``;
 - ten fixed command lines each of ``reduce``, ``hyperdistance``,
   ``thread``, ``cell``, ``project`` and ``index``.
 """
@@ -49,7 +51,8 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
 README = HERE.parent / "README.md"
 
-FORMATS = [[], ["--format", "text"], ["--format", "json"], ["--format", "dot"], ["--json"]]
+# the last one prints JSON: --json wins over --format
+FORMATS = [[], ["--format", "text"], ["--format", "json"], ["--format", "dot"], ["--json"], ["--format", "dot", "--json"]]
 
 # each exits 1 with its own domain-error text; README's
 # ``hyperdistance -2/4,0 1,0`` gives "lattice name needs M > 0"
@@ -225,6 +228,7 @@ def corpus() -> list:
         out.append(["hypercircle", centre, str(radius), "--format", fmt])
     for centre, radius, fmt in product(CONTENT_CENTRES, CONTENT_RADII, ("text", "json", "dot")):
         out.append(["hypercircle", centre, str(radius), "--format", fmt])
+    out += [["hypercircle", centre, "30", "--format", "dot", "--json"] for centre in HYPERCIRCLE_CENTRES]
     out += CALCULUS
     # README's lines recur in the format sweeps
     return list(dict.fromkeys(map(shlex.join, out)))

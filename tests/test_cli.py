@@ -505,33 +505,74 @@ class CountingStdout:
         pass
 
 
+class ByteCountingStdout:
+    """A stdout stand-in that keeps only the number of bytes written (the
+    output is ASCII, one byte a character)."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 class TestPrintJson:
     @staticmethod
     def payloads():
+        """(name, payload, the payload's value with its iterators as lists)"""
         from plattice.cusps import cusps_of_gamma0
         from plattice.diagram import build_graph, node_vertex_data
         from plattice.lattice import L1
         from plattice.tree import hypercircle
 
+        from .helpers import orbit_cusp_outputs
+
         circle = hypercircle(L1, 5000)
-        yield "classify", None
-        yield "diagram", build_graph(node_vertex_data()).to_json()
-        yield "cusps", cusps_of_gamma0(3218).to_json()
-        yield "hypercircle", {"center": "1,0", "radius": 5000, "members": [str(x) for x in circle]}
+        yield "classify", None, None
+        graph = build_graph(node_vertex_data()).to_json()
+        yield "diagram", graph, graph
+        yield "cusps", cusps_of_gamma0(3218).to_json(), orbit_cusp_outputs(3218)[1]
+        head = {"center": "1,0", "radius": 5000}
+        members = [str(x) for x in circle]
+        yield "hypercircle", dict(head, members=map(str, circle)), dict(head, members=members)
 
     def test_bytes_and_writes(self, capsys, monkeypatch):
-        for name, payload in self.payloads():
+        for name, payload, value in self.payloads():
             if payload is None:
                 # the classify payload is assembled inside its command
                 assert main(["classify", "--json"]) == 0
-                payload = json.loads(capsys.readouterr().out)
+                payload = value = json.loads(capsys.readouterr().out)
             stdout = CountingStdout()
             monkeypatch.setattr(sys, "stdout", stdout)
             output.print_json(payload)
             monkeypatch.undo()
             out = "".join(stdout.parts)
-            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
+            assert out == json.dumps(value, indent=2, sort_keys=True) + "\n", name
             assert len(stdout.parts) <= len(out.encode()) // 65536 + 2, name
+
+    @pytest.mark.parametrize(
+        "argv", [["cusps", "27720", "--json"], ["hypercircle", "2/3,1/7", "99991", "--json"]], ids=lambda a: a[0]
+    )
+    def test_json_holds_no_list_of_names(self, monkeypatch, argv):
+        # the orbits and the members are printed as they are generated: the
+        # peak is the write batch, a small fraction of the output
+        import tracemalloc
+
+        monkeypatch.setattr(sys, "stdout", ByteCountingStdout())
+        assert main(argv) == 0  # loads the modules and fills the caches
+        stdout = ByteCountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stdout.size > 2_000_000
+        assert peak < stdout.size / 4, (peak, stdout.size)
 
     def test_large_outputs_are_written_in_batches(self, monkeypatch):
         stdout = CountingStdout()

@@ -14,6 +14,7 @@ from .helpers import (
     cusp_count,
     lattice,
     orbit_cusp_outputs,
+    printed_json,
     scanned_width_at_infinity,
     translation,
     translation_orbits,
@@ -70,7 +71,7 @@ class TestGamma0Cusps:
         # the orbit of L_n is the width-1 infinity cusp; the orbit through
         # L_{1/n} has size n (the zero cusp)
         for n in range(2, 31):
-            for cusp in cusps_of_gamma0(n).to_json()["cusps"]:
+            for cusp in printed_json(cusps_of_gamma0(n).to_json())["cusps"]:
                 if str(lattice(n)) in cusp["orbit"]:
                     assert cusp["width"] == "1"
                 if str(lattice(Fraction(1, n))) in cusp["orbit"]:
@@ -118,7 +119,7 @@ class TestOrbits:
         assert sorted(flat) == sorted(points)
 
     def test_json_shape(self):
-        data = cusps_of_gamma0(6).to_json()
+        data = printed_json(cusps_of_gamma0(6).to_json())
         assert data["group"]["display"] == "6"
         assert len(data["cusps"]) == 4
 
@@ -126,7 +127,7 @@ class TestOrbits:
         assert cusps_of_gamma0(9).level == 9
         for n in range(1, 61):
             report = cusps_of_gamma0(n)
-            assert CuspReport.from_json(json.loads(json.dumps(report.to_json()))) == report
+            assert CuspReport.from_json(printed_json(report.to_json())) == report
 
     @pytest.mark.parametrize(
         "amount", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(3)], ids=str

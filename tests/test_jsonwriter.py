@@ -1,0 +1,119 @@
+"""The JSON writer against ``json.dumps(value, indent=2, sort_keys=True)``:
+nested dicts, lists, tuples and iterators of strings, integers, booleans
+and None print the same text, and any other type is refused."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from plattice.jsonwriter import BATCH, pieces
+
+# fixed examples (derandomize) and no example database keep the suite
+# deterministic from run to run
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+class Streamed(list):
+    """A list that the writer is given as a generator: json.dumps reads it
+    as a list, and ``payload`` hands it over as an iterator."""
+
+
+def payload(value):
+    # the value the writer gets: each Streamed list becomes a fresh generator
+    if isinstance(value, Streamed):
+        return (payload(x) for x in value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(payload(x) for x in value)
+    if isinstance(value, dict):
+        return {key: payload(x) for key, x in value.items()}
+    return value
+
+
+def written(value) -> str:
+    return "".join(pieces(payload(value)))
+
+
+def expected(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# quotes, backslashes, json's short escapes, other control characters,
+# DEL, non-ASCII text, an astral character and a lone surrogate
+SPECIAL = '"\\\n\r\t\b\f\x00\x1f\x7f éß€ \U0001f600\ud800az'
+texts = st.text() | st.text(st.sampled_from(SPECIAL)) | st.text("abc/,019")
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | texts
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.lists(inner, max_size=6).map(tuple)
+    | st.lists(inner, max_size=6).map(Streamed)
+    | st.dictionaries(texts, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@PROPERTY
+@given(values)
+def test_writes_the_text_of_json_dumps(value):
+    assert written(value) == expected(value)
+
+
+@PROPERTY
+@given(texts)
+def test_strings_and_keys_are_escaped_as_json_escapes_them(text):
+    assert written(text) == expected(text)
+    assert written({text: [text]}) == expected({text: [text]})
+
+
+@pytest.mark.parametrize("size", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3])
+@pytest.mark.parametrize("container", [list, tuple, Streamed])
+def test_long_arrays_across_batches(size, container):
+    names = ["%d/%d,0" % (i, i + 1) for i in range(size)]
+    assert written(container(names)) == expected(names)
+    # one string that needs escaping, or a non-string, sends its batch item by item
+    for odd in ('a"b', 7, None, ["x"], {"k": "v"}):
+        mixed = names[: size // 2] + [odd] + names[size // 2 :]
+        assert written({"members": container(mixed)}) == expected({"members": mixed})
+
+
+def test_iterators_are_consumed_as_written():
+    drawn = []
+    members = map(lambda i: drawn.append(i) or str(i), range(3 * BATCH))
+    stream = pieces({"members": members, "radius": 5})
+    assert next(stream) == '{\n  "members": ' and drawn == []
+    assert next(stream).startswith("[\n    ") and drawn == list(range(BATCH))
+    assert "".join(stream).endswith('\n  ],\n  "radius": 5\n}')
+    assert len(drawn) == 3 * BATCH
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, float("nan"), {1, 2}, frozenset(), b"bytes", {"a": [1, 2.5]}, [{"k": {0.5}}], {1: "a"}],
+    ids=repr,
+)
+def test_other_types_are_refused(value):
+    with pytest.raises(TypeError):
+        "".join(pieces(value))
+
+
+def test_a_long_string_is_copied_once():
+    # a series of super --series 11999 is about 3.5 MB, and a second copy
+    # raised that command's peak by as much
+    import tracemalloc
+
+    text = "1 + q" * 2**20
+    tracemalloc.start()
+    try:
+        piece = next(pieces(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert piece == '"' + text + '"'
+    assert peak < 1.5 * len(text)

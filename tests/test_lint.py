@@ -125,6 +125,20 @@ def test_no_module_imports_fractions():
     assert _importers("fractions") == []
 
 
+def test_no_module_imports_json():
+    # print_json writes the text of json.dumps through plattice.jsonwriter:
+    # importing json, whose decoder compiles regexes, cost every JSON
+    # command about 0.1 MB of peak memory
+    assert _importers("json") == []
+
+
+def test_only_output_imports_the_json_writer():
+    # and only inside print_json, so that text commands compile none of it
+    assert [offender.split(":")[0] for offender in _importers("jsonwriter")] == ["output.py"]
+    output = ast.parse((SRC / "output.py").read_text())
+    assert "jsonwriter" not in [getattr(node, "module", None) for node in _module_scope_imports(output)]
+
+
 def _taken_from(filename: str) -> dict:
     # module -> the names ``filename`` imports from it, for plattice modules
     path = SRC / filename
@@ -371,6 +385,74 @@ def test_group_commands_load_no_tree(argv):
     assert "tree" not in _loaded_layers(argv)
 
 
+# main(argv) in a fresh interpreter with stdout discarded; prints its exit
+# code and the loaded modules with repr, so that the script loads no json
+BARE_SCRIPT = r"""
+import contextlib, io, sys
+from plattice.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(repr([code, sorted(sys.modules)]))
+"""
+
+# one JSON form of each command that prints through print_json
+JSON_FORMS = [
+    ["hypercircle", "3,0", "3", "--json"],
+    ["thread", "1,0", "6,0", "--json"],
+    ["cell", "1,0", "2,0", "--json"],
+    ["cusps", "9", "--json"],
+    ["groups", "4|2+", "--json"],
+    ["classify", "--json"],
+    ["diagram", "--format", "dot", "--json"],
+    ["super", "--json"],
+]
+# these print their text in every format
+TEXT_ONLY = [
+    ["reduce", "[[0,-1],[4,0]]", "--json"],
+    ["hyperdistance", "1,0", "2,0", "--json"],
+    ["project", "6,0", "2", "--json"],
+    ["index", "8", "--json"],
+    ["level", "8|2+", "--json"],
+    ["groups", "4|2+", "--member", "[[1,1],[0,1]]", "--json"],
+    ["eta", "6+", "--order", "20", "--json"],
+]
+
+
+def _bare_loaded_modules(argv) -> set:
+    code, loaded = ast.literal_eval(fresh_python("-c", BARE_SCRIPT, *argv).stdout)
+    assert code == 0
+    return set(loaded)
+
+
+def test_json_forms_cover_every_command_that_prints_json():
+    printing = set()
+    for path in sorted(SRC.glob("cli_*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(child, ast.Name) and child.id == "print_json" for child in ast.walk(node)
+            ):
+                printing.add(node.name.removeprefix("cmd_"))
+    assert printing == {argv[0] for argv in JSON_FORMS}
+
+
+@pytest.mark.parametrize("argv", JSON_FORMS, ids=lambda argv: argv[0])
+def test_json_is_printed_without_the_json_package(argv):
+    # the writer module streams the text of json.dumps(indent=2, sort_keys=True)
+    loaded = _bare_loaded_modules(argv)
+    assert "plattice.jsonwriter" in loaded
+    assert "json" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[word for word in argv if word != "--json"] for argv in JSON_FORMS] + TEXT_ONLY,
+    ids=" ".join,
+)
+def test_text_loads_no_json_writer(argv):
+    loaded = _bare_loaded_modules(argv)
+    assert loaded & {"plattice.jsonwriter", "json"} == set()
+
+
 # What ``python -m plattice.cli ARGV...`` runs, with the loaded modules
 # printed to stderr at the end.
 MAIN_SCRIPT = r"""
@@ -408,6 +490,7 @@ STARTUP_ROWS = {
     "`groups`": ["groups", "4|2+"],
     "`groups --member`": ["groups", "4|2+", "--member", "[[1,1],[0,1]]"],
     "`cusps`": ["cusps", "9"],
+    "`hypercircle --json`, `thread --json`, `cell --json`": ["thread", "1,0", "6,0", "--json"],
     "`cusps --json`": ["cusps", "9", "--json"],
     "`eta` of a Frame shape (text with `^` or `/`)": ["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"],
     "`eta` of a vertex name (`2+`, `6+`, ...)": ["eta", "6+", "--order", "20"],
