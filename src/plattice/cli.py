@@ -13,6 +13,7 @@ on a usage error, 3 on an internal error (a failed consistency check).
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import types
@@ -193,5 +194,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """The program: ``main`` on ``sys.argv``, then exit with its status; the
+    collector is frozen first, so the shutdown collections traverse nothing."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,27 +11,27 @@ def cmd_super(args):
     if not 0 < args.tol < float("inf"):
         raise ValueError("tolerance must be a positive finite number, not %s" % args.tol)
 
-    from .descriptors import NODE_GROUPS
-    from .doubling import double_group
-    from .frames import eta_quotient_series, frame_shape, numeric_invariance_check
+    from . import descriptors, doubling, frames
 
-    rows = []
-    for desc in NODE_GROUPS:
-        doubled = double_group(desc)
-        shape = frame_shape(desc)
-        row = {"group": desc.display, "double": doubled.display}
-        if args.frame_shapes:
-            row["frame_shape"] = shape.display
-        if args.series is not None:
-            row["series"] = str(eta_quotient_series(shape, args.series))
-        if args.check_invariance:
-            row["invariant"] = numeric_invariance_check(shape, doubled, tol=args.tol)
-        rows.append(row)
+    def rows():
+        for desc in descriptors.NODE_GROUPS:
+            doubled = doubling.double_group(desc)
+            shape = frames.frame_shape(desc)
+            row = {"group": desc.display, "double": doubled.display}
+            if args.frame_shapes:
+                row["frame_shape"] = shape.display
+            if args.series is not None:
+                row["series"] = frames.eta_quotient_series(shape, args.series)
+            if args.check_invariance:
+                row["invariant"] = frames.numeric_invariance_check(shape, doubled, tol=args.tol)
+            yield row
+            row.clear()  # printed: the series goes before the next is expanded
+
     if json_wanted(args):
-        print_json(rows)
-        return
-    for row in rows:
-        print("\t".join(str(row[k]) for k in row))
+        return print_json(rows())
+    for row in rows():
+        cells = (value.text() if key == "series" else [str(value)] for key, value in row.items())
+        write(chain(next(cells), *(chain("\t", cell) for cell in cells), "\n"))
 
 
 def cmd_eta(args):

@@ -2,13 +2,16 @@
 
 A dict is written as an object, a list or tuple as an array, and any other
 iterator (a generator, a ``map``) as an array while it is consumed, so a
-long array is never held.  Only ``output.print_json`` imports this module.
+long array is never held: an item that is not a string is written before
+the next is taken.  An object with a ``text()`` method (a power series) is
+written as the string of the pieces that method yields, so its text is
+never held either.  Only ``output.print_json`` imports this module.
 """
 
 from itertools import islice
 
-# array items are taken this many at a time; a batch of strings is checked
-# once and written as one piece
+# strings in an array are taken this many at a time; a batch of them is
+# checked once and written as one piece
 BATCH = 512
 # json's escapes under ensure_ascii; other characters outside printable
 # ASCII are written as \uXXXX, those above U+FFFF as a surrogate pair
@@ -27,9 +30,14 @@ def _escaped(char: str) -> str:
     return ESCAPES.get(char) or (char if " " <= char <= "~" else "\\u%04x" % code)
 
 
+def _inside(text: str) -> str:
+    # the text between the quotes of text's JSON string
+    return text if _plain(text) else "".join(map(_escaped, text))
+
+
 def _string(text: str) -> str:
     # joined, so that a long string is copied once: '"' + text + '"' copies it twice
-    return "".join(('"', text if _plain(text) else "".join(map(_escaped, text)), '"'))
+    return "".join(('"', _inside(text), '"'))
 
 
 def pieces(value, newline="\n"):
@@ -51,9 +59,16 @@ def pieces(value, newline="\n"):
             yield from pieces(value[key], inner)
             sep = ","
         yield "{}" if sep == "{" else newline + "}"
+    elif hasattr(value, "text"):
+        # before the tuples: a power series is a named tuple
+        yield '"'
+        yield from map(_inside, value.text())
+        yield '"'
     elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
         inner, sep, items = newline + "  ", "[", iter(value)
-        while batch := list(islice(items, BATCH)):
+        for item in items:
+            # a string starts a batch; any other item is written alone
+            batch = [item, *islice(items, BATCH - 1)] if type(item) is str else [item]
             if all(type(x) is str for x in batch) and _plain("".join(batch)):
                 yield sep + inner + '"' + ('",' + inner + '"').join(batch) + '"'
                 sep = ","

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from plattice.descriptors import NODE_GROUPS, GroupDescriptor
 from plattice.lattice import LatticeName
 from plattice.tree import hypercircle
 
+from .make_golden import GOLDEN
 from .test_api import SRC_ROOT, fresh_python
 
 
@@ -653,6 +655,21 @@ class TestHypercircleCollector:
             (gc.enable if was_enabled else gc.disable)()
 
 
+class TestMainLeavesTheCollector:
+    @pytest.mark.parametrize(
+        "argv",
+        [["index", "1"], ["super", "--series", "5", "--json"], ["hypercircle", "1,0", "1000000"], ["index", "x"]],
+        ids=["success", "json", "domain-error", "usage-error"],
+    )
+    def test_no_freeze_and_no_switch(self, capsys, argv):
+        # only the program, cli.run, freezes the collector before its exit;
+        # the in-process API, which the tests call thousands of times, never does
+        enabled = gc.isenabled()
+        main(argv)
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+
+
 class TestHypercircleStream:
     def test_text_holds_no_list_of_names(self, monkeypatch):
         import tracemalloc
@@ -771,6 +788,35 @@ class TestSuper:
         # these printed the series 1 with exit 0; so did exponents that cancel
         assert run(capsys, "eta", text) == (1, "", "error: Frame shape %r has no parts\n" % text)
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_series_rows_are_printed_one_at_a_time(self, monkeypatch, fmt):
+        # each row is printed, its series in pieces, before the next row is
+        # made, so the command never holds the rows' text: with the nine
+        # series expanded beforehand, it takes less than a quarter of it
+        import tracemalloc
+
+        from plattice import frames
+
+        class NullStdout:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        expanded = {shape: frames.eta_quotient_series(shape, 3000) for shape in frames.FRAME_SHAPES}
+        text = sum(len(str(series)) for series in expanded.values())
+        monkeypatch.setattr(frames, "eta_quotient_series", lambda shape, order: expanded[shape])
+        monkeypatch.setattr(sys, "stdout", NullStdout())
+        assert main(["super", "--series", "5"] + fmt) == 0  # loads the layers untraced
+        tracemalloc.start()
+        try:
+            assert main(["super", "--series", "3000"] + fmt) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < text / 4, (peak, text)
+
     def test_eta_is_written_in_batches(self, monkeypatch):
         from plattice.frames import FrameShape, eta_quotient_series
 
@@ -864,3 +910,64 @@ class TestBrokenPipe:
         proc.stdout.close()
         _, err = proc.communicate(timeout=30)
         assert (proc.returncode, err) == (1, b"")
+
+
+def _format(words):
+    if "--json" in words:
+        return "json"
+    return words[words.index("--format") + 1] if "--format" in words else "text"
+
+
+GOLDEN_RECORDS = json.loads(GOLDEN.read_text())
+
+
+def program_sample() -> list:
+    """The first golden record of each command and format that exits 0,
+    then the first that exits 1 (a domain error) and 2 (a usage error)."""
+    sample = {}
+    for line, record in GOLDEN_RECORDS.items():
+        words = shlex.split(line)
+        sample.setdefault((words[0], _format(words)) if record["exit"] == 0 else record["exit"], line)
+    return list(sample.values())
+
+
+class TestProgram:
+    """``python -m plattice.cli``, which runs ``cli.run``, in a fresh interpreter."""
+
+    @pytest.mark.parametrize("line", program_sample())
+    def test_prints_the_golden_bytes(self, line):
+        env = dict(os.environ, COLUMNS="80", PYTHONIOENCODING="utf-8")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plattice.cli", *shlex.split(line)], env=env, capture_output=True, timeout=60
+        )
+        found = {
+            "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr": hashlib.sha256(proc.stderr).hexdigest(),
+            "exit": proc.returncode,
+        }
+        assert found == GOLDEN_RECORDS[line]
+
+    def test_the_sample_reaches_every_command_and_exit(self):
+        lines = program_sample()
+        assert {shlex.split(line)[0] for line in lines if line} == set(cli.COMMANDS)
+        assert {GOLDEN_RECORDS[line]["exit"] for line in lines} == {0, 1, 2}
+
+    @pytest.mark.parametrize("argv, code, out", [(["index", "7"], 0, "8\n"), (["index", "0"], 1, "")])
+    def test_run_freezes_the_collector_and_still_runs_atexit(self, argv, code, out):
+        # an atexit handler registered before the command sees the frozen,
+        # still enabled collector, and the exit status is main's
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))\n"
+            "from plattice.cli import run\n"
+            "run()\n"
+        )
+        proc = fresh_python("-c", script, *argv, check=False)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert proc.stderr.endswith("True True\n")
+
+    def test_the_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC_ROOT.parent / "pyproject.toml", "rb") as config:
+            assert tomllib.load(config)["project"]["scripts"] == {"plattice": "plattice.cli:run"}

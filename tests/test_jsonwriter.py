@@ -3,10 +3,13 @@ nested dicts, lists, tuples and iterators of strings, integers, booleans
 and None print the same text, and any other type is refused."""
 
 import json
+import re
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plattice.frames import FRAME_SHAPES, eta_quotient_series
 from plattice.jsonwriter import BATCH, pieces
 
 # fixed examples (derandomize) and no example database keep the suite
@@ -91,6 +94,44 @@ def test_iterators_are_consumed_as_written():
     assert next(stream).startswith("[\n    ") and drawn == list(range(BATCH))
     assert "".join(stream).endswith('\n  ],\n  "radius": 5\n}')
     assert len(drawn) == 3 * BATCH
+
+
+def test_rows_are_taken_one_at_a_time():
+    # row k+1 is taken only once the text of row k is out, so a generator of
+    # rows that each hold a long series keeps one of them alive
+    out, before = [], []
+
+    def rows():
+        for k in range(3):
+            before.append("".join(out))
+            yield {"k": k, "series": "q - 24 q^2"}
+
+    for piece in pieces(rows()):
+        out.append(piece)
+    text = "".join(out)
+    assert text == expected([{"k": k, "series": "q - 24 q^2"} for k in range(3)])
+    ends = [match.end() for match in re.finditer(r"\n  \}", text)]
+    assert before == ["", text[: ends[0]], text[: ends[1]]]
+
+
+class Pieces(namedtuple("Pieces", "parts")):
+    """A named tuple whose printed text comes in pieces, as a power series' does."""
+
+    def text(self):
+        yield from self.parts
+
+
+@pytest.mark.parametrize("parts", [[], ["q"], ["q", " - 24 q^2"], ['a"b', "\n", "\u00e9\U0001f600"]])
+def test_an_object_with_a_text_method_is_one_string(parts):
+    # given as is: ``payload`` would rebuild the named tuple from its items
+    assert "".join(pieces({"series": Pieces(parts)})) == expected({"series": "".join(parts)})
+    assert "".join(pieces([Pieces(parts)])) == expected(["".join(parts)])
+
+
+def test_a_series_is_written_in_its_pieces():
+    series = eta_quotient_series(FRAME_SHAPES[0], 300)
+    assert list(pieces(series)) == ['"', *series.text(), '"']
+    assert "".join(pieces(series)) == expected(str(series))
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,50 @@ def test_group_layers_import_nothing_from_tree(filename):
     assert "tree" not in _taken_from(filename)
 
 
+# Only the program skips the interpreter's shutdown collections: cli.run
+# freezes the collector after main returns.  Nothing else may stop, tune or
+# freeze it, nor leave the process without its exit.
+COLLECTOR_CALLS = {("gc", "freeze"), ("gc", "disable"), ("gc", "set_threshold"), ("os", "_exit")}
+
+
+def _collector_uses(node, filename, function="<module>"):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+            used = [(child.value.id, child.attr)]
+        elif isinstance(child, ast.ImportFrom):
+            used = [(child.module, alias.name) for alias in child.names]
+        else:
+            used = []
+        yield from ("%s:%s %s.%s" % (filename, function, *pair) for pair in used if pair in COLLECTOR_CALLS)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _collector_uses(child, filename, inner)
+
+
+def test_only_run_freezes_the_collector():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _collector_uses(ast.parse(path.read_text(), filename=str(path)), path.name)
+    assert found == ["cli.py:run gc.freeze"]
+
+
+# Imports every plattice module in a fresh interpreter and prints the
+# collector's state before and after
+COLLECTOR_SCRIPT = r"""
+import gc, importlib, sys
+state = lambda: [gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()]
+before = state()
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(repr([before, state()]))
+"""
+
+
+def test_importing_the_package_leaves_the_collector_alone():
+    modules = ["plattice", "plattice.cli"] + ["plattice." + path.stem for path in sorted(SRC.glob("[!_]*.py"))]
+    before, after = ast.literal_eval(fresh_python("-c", COLLECTOR_SCRIPT, *modules).stdout)
+    assert after == before and before[2] == 0
+
+
 def test_no_module_imports_the_cli():
     # under ``python -m plattice.cli`` the CLI runs as __main__, so importing
     # plattice.cli would compile it a second time
