@@ -16,44 +16,30 @@ from __future__ import annotations
 import math
 
 
-def double_coset_label(e: int, n: int) -> tuple[int, int]:
-    """Where the label-e coset over level n goes when the level doubles.
-
-    The label doubles exactly when 2e is still an exact divisor of 2n,
-    which happens when n/e is odd; the trivial coset always stays trivial.
-    """
-    if n % e or math.gcd(e, n // e) != 1:
-        raise ValueError("%d is not an exact divisor of %d" % (e, n))
-    if e == 1:
-        return (1, 2 * n)
-    if (n // e) % 2:
-        return (2 * e, 2 * n)
-    return (e, 2 * n)
-
-
 def double_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The level-doubled group attached to a vertex group, read off its name.
 
     The level n doubles, each label e, an exact divisor of n/h, doubles
-    when it stays one, and h and the character stay as they are.
+    when it stays one, which is when (n/h)/e is odd, and h and the
+    character stay as they are.
     """
     from .descriptors import NODE_GROUPS, GroupDescriptor
 
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
-    labels = {double_coset_label(e, desc.n // desc.h)[0] for e in desc.plus}
+    labels = {2 * e if (desc.n // desc.h // e) % 2 else e for e in desc.plus}
     return GroupDescriptor(desc.h, 2 * desc.n, labels, desc.character)
 
 
 def invariant_under_gamma0(fs: FrameShape, level: int) -> bool:
     """Whether the eta quotient of fs is invariant under the level group.
 
-    The quotient is the product of eta(d*tau)**r_d with r_d the doubled
-    exponents (alpha at each part a, -alpha at 2a), so the r_d sum to
-    zero.  By Ligozat's criterion (Ligozat 1975; Ono, *The Web of
-    Modularity*, Thm 1.64) it is invariant when every d with r_d != 0
-    divides N = level, sum d*r_d and sum (N/d)*r_d are 0 mod 24, and
-    prod d**|r_d| is a square.  Each condition is also necessary:
+    The quotient is the product of eta(d*tau)**r_d over the shape's
+    ``eta_exponents``, so the r_d sum to zero.  By Ligozat's criterion
+    (Ligozat 1975; Ono, *The Web of Modularity*, Thm 1.64) it is
+    invariant when every d with r_d != 0 divides N = level, sum d*r_d and
+    sum (N/d)*r_d are 0 mod 24, and prod d**|r_d| is a square.  Each
+    condition is also necessary:
 
     - sum d*r_d = 0 mod 24 is invariance under T;
     - if some d does not divide N, take the largest: f|S has a q^(1/d)
@@ -64,11 +50,7 @@ def invariant_under_gamma0(fs: FrameShape, level: int) -> bool:
     - f then transforms under the level group by the character
       d -> (s/d), s = prod d**r_d, which is trivial exactly when s is a square.
     """
-    r: dict[int, int] = {}
-    for a, alpha in fs.parts:
-        r[a] = r.get(a, 0) + alpha
-        r[2 * a] = r.get(2 * a, 0) - alpha
-    r = {d: e for d, e in r.items() if e}
+    r = dict(fs.eta_exponents)
     if any(level % d for d in r):
         return False
     if sum(d * e for d, e in r.items()) % 24 or sum(level // d * e for d, e in r.items()) % 24:
@@ -109,11 +91,7 @@ def eta_value(tau: complex) -> complex:
 
 
 def eta_quotient_value(fs: FrameShape, tau: complex) -> complex:
-    out = complex(1)
-    for a, alpha in fs.parts:
-        out *= eta_value(a * tau) ** alpha
-        out *= eta_value(2 * a * tau) ** (-alpha)
-    return out
+    return math.prod(eta_value(d * tau) ** r for d, r in fs.eta_exponents)
 
 
 def mobius(g: ProjectiveMatrix, tau: complex) -> complex:

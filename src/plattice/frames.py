@@ -58,14 +58,22 @@ class FrameShape(namedtuple("FrameShape", "parts")):
     def __str__(self) -> str:
         return self.display
 
+    @property
+    def eta_exponents(self) -> tuple[tuple[int, int], ...]:
+        """The (d, r_d) with r_d != 0, in increasing d, of the doubled eta
+        quotient, the product of eta(d*tau)**r_d: alpha at each part a and
+        -alpha at 2a, summed."""
+        r: dict[int, int] = {}
+        for a, alpha in self.parts:
+            r[a] = r.get(a, 0) + alpha
+            r[2 * a] = r.get(2 * a, 0) - alpha
+        return tuple(sorted((d, e) for d, e in r.items() if e))
+
     @classmethod
     def parse(cls, text: str) -> "FrameShape":
         num, _, den = text.partition("/")
-        if not (num + " " + den).split():
-            raise ValueError("Frame shape %r has no parts" % text)
-
-        def side(chunk, sign):
-            out = {}
+        exps: dict[int, int] = {}
+        for chunk, sign in ((num, 1), (den, -1)):
             for token in chunk.split():
                 base, caret, exp = token.partition("^")
                 try:
@@ -73,12 +81,7 @@ class FrameShape(namedtuple("FrameShape", "parts")):
                     alpha = int(exp) if caret else 1
                 except ValueError as exc:
                     raise ValueError("bad Frame shape %r" % text) from exc
-                out[a] = out.get(a, 0) + sign * alpha
-            return out
-
-        exps = side(num, 1)
-        for a, alpha in side(den, 1).items():
-            exps[a] = exps.get(a, 0) - alpha
+                exps[a] = exps.get(a, 0) + sign * alpha
         parts = tuple(sorted((a, alpha) for a, alpha in exps.items() if alpha))
         if not parts:
             raise ValueError("Frame shape %r has no parts" % text)
@@ -170,13 +173,14 @@ class IntegerPowerSeries(namedtuple("IntegerPowerSeries", "leading coeffs")):
 def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
     """Exact q-expansion of the eta quotient attached to a Frame shape.
 
-    The quotient multiplies eta at each part against eta at twice the
-    part, so the fractional exponents cancel into the integer -deg/24;
-    a shape whose exponent does not cancel is rejected.  What is left is
-    a product of powers (1 - q^d)^c_d, expanded by the Euler transform:
-    with b_k the sum of d*c_d over the divisors d of k, the coefficients
-    satisfy m*f_m = -(b_1 f_(m-1) + ... + b_m f_0), an exact division
-    (checked: a remainder is an internal error).
+    The quotient is the product of eta(d*tau)**r_d over the shape's
+    ``eta_exponents``, so the fractional exponents sum to the integer
+    -deg/24; a shape whose exponent is not an integer is rejected.  What
+    is left is a product of powers (1 - q^j)^c_j, c_j the sum of the r_d
+    over the d dividing j, expanded by the Euler transform: with b_k the
+    sum of j*c_j over the divisors j of k, the coefficients satisfy
+    m*f_m = -(b_1 f_(m-1) + ... + b_m f_0), an exact division (checked:
+    a remainder is an internal error).
 
     The terms are found in blocks of ``_BLOCK``.  Inside a block the sum
     runs over the block's own earlier terms; ``pending[m]`` holds the
@@ -206,15 +210,15 @@ def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
             "cannot expand to order %d: %d terms after q^%d, above the budget of %d"
             % (order, top, leading, SERIES_TERM_BUDGET)
         )
-    # when every base is a multiple of s the product is a series in q^s:
+    # when every d is a multiple of s the product is a series in q^s:
     # expand it in q^s to top // s terms, about s**2 less work, and spread it
-    s = math.gcd(*(a for a, _ in fs.parts)) or 1
+    exps = fs.eta_exponents
+    s = math.gcd(*(d for d, _ in exps)) or 1
     n = top // s
     c = [0] * (n + 1)
-    for a, alpha in fs.parts:
-        for step, sign in ((a // s, alpha), (2 * a // s, -alpha)):
-            for d in range(step, n + 1, step):
-                c[d] += sign
+    for d, r in exps:
+        for k in range(d // s, n + 1, d // s):
+            c[k] += r
     b = [0] * (n + 1)
     for d in range(1, n + 1):
         if c[d]:

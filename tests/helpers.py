@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from plattice.classify import name_subgroup
 from plattice.exact import IDENTITY, ProjectiveMatrix, parse_matrix
-from plattice.doubling import double_coset_label, invariant_under
+from plattice.doubling import invariant_under
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0, width_at_infinity
 from plattice.groupsys import (
@@ -609,7 +609,10 @@ def searched_double_group(desc: GroupDescriptor) -> GroupDescriptor:
     labels double over level n/a**2, and the base group is (a, 2n/a)."""
     a = searched_scale_factor(desc)
     n = searched_envelope_level(desc)
-    labels = frozenset(double_coset_label(e, n // (a * a))[0] for e in desc.plus)
+    # a label e over level m = n/a**2 doubles when 2e is still an exact
+    # divisor of 2m, that is when 2e and 2m/2e are coprime
+    m = n // (a * a)
+    labels = frozenset(2 * e if gcd(2 * e, m // e) == 1 else e for e in desc.plus)
     if a == 1:
         return GroupDescriptor(1, 2 * n, labels)
     return GroupDescriptor.kernel(a, 2 * n // a, labels)

@@ -13,7 +13,6 @@ from plattice import frames
 from plattice.diagram import NODE_GROUPS, node_vertex_data
 from plattice.exact import ProjectiveMatrix
 from plattice.doubling import (
-    double_coset_label,
     double_group,
     eta_quotient_value,
     eta_value,
@@ -114,24 +113,16 @@ def two_part_shape(rng):
             return FrameShape(tuple(sorted([(a, alpha), (b, rest // b)])))
 
 
+def doubled_exponents(parts) -> dict:
+    """The nonzero exponents r_d of the doubled eta quotient of the parts,
+    read at each d: r_d = alpha_d - alpha_(d/2), where a missing part has
+    alpha 0 and d/2 counts only for even d."""
+    alpha = dict(parts)
+    r = {d: alpha.get(d, 0) - (0 if d % 2 else alpha.get(d // 2, 0)) for d in {*alpha, *(2 * a for a in alpha)}}
+    return {d: e for d, e in r.items() if e}
+
+
 class TestDoubling:
-    def test_trivial_label(self):
-        assert double_coset_label(1, 5) == (1, 10)
-
-    def test_fricke_of_two(self):
-        assert double_coset_label(2, 2) == (4, 4)
-
-    def test_odd_label_even_cofactor(self):
-        assert double_coset_label(3, 6) == (3, 12)
-
-    def test_odd_fricke_doubles(self):
-        assert double_coset_label(3, 3) == (6, 6)
-        assert double_coset_label(5, 5) == (10, 10)
-
-    def test_rejects_inexact(self):
-        with pytest.raises(ValueError):
-            double_coset_label(2, 4)
-
     def test_all_nine_groups(self):
         assert [double_group(d).display for d in NODE_GROUPS] == DOUBLED_DISPLAYS
 
@@ -202,6 +193,22 @@ class TestFrameShapes:
             FrameShape(((2, 1), (2, 3)))
         with pytest.raises(ValueError):
             FrameShape(((1, 0),))
+
+    def test_eta_exponents_examples(self):
+        # in 1^8 2^8 the -8 at twice the part 1 cancels the part 2
+        assert FrameShape.parse("1^8 2^8").eta_exponents == ((1, 8), (4, -8))
+        assert FrameShape.parse("2^6 6^6 / 1^6 3^6").eta_exponents == (
+            (1, -6),
+            (2, 12),
+            (3, -6),
+            (4, -6),
+            (6, 12),
+            (12, -6),
+        )
+
+    def test_eta_exponents_match_the_rule_read_at_each_d(self):
+        for fs in INVARIANCE_SHAPES:
+            assert fs.eta_exponents == tuple(sorted(doubled_exponents(fs.parts).items()))
 
     def test_catalog_names_are_the_vertex_displays(self):
         assert [name for name, _ in VERTEX_SHAPES] == [d.display for d in NODE_GROUPS]
@@ -400,11 +407,7 @@ def broken_ligozat_conditions(parts, level: int) -> set:
     """Which conditions of Ligozat's criterion the doubled eta quotient of
     the parts breaks at the level: every base divides it, the translation
     and Fricke sums are 0 mod 24, and the product is a square."""
-    r = {}
-    for a, alpha in parts:
-        r[a] = r.get(a, 0) + alpha
-        r[2 * a] = r.get(2 * a, 0) - alpha
-    r = {d: e for d, e in r.items() if e}
+    r = doubled_exponents(parts)
     s = math.prod(d ** abs(e) for d, e in r.items())
     broken = {
         "divides": any(level % d for d in r),

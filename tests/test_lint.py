@@ -208,6 +208,26 @@ def test_frames_imports_doubling_only_inside_the_invariance_check():
     assert _frames_importers_of("doubling") == ["numeric_invariance_check"]
 
 
+def test_only_frame_shape_reads_its_parts():
+    # the doubled exponents are written once, in FrameShape.eta_exponents,
+    # and every other reader of a shape takes them from there
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(child)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "FrameShape"
+            for child in ast.walk(node)
+        }
+        readers += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "parts" and id(node) not in inside
+        ]
+    assert readers == []
+
+
 def test_arith_imports_no_plattice_module():
     assert _taken_from("arith.py") == {}
 
