@@ -81,8 +81,8 @@ COMMANDS = {
         [
             ("--frame-shapes", {"action": "store_true"}),
             ("--series", {"type": int, "metavar": "K"}),
-            ("--check-invariance", {"action": "store_true"}),
-            ("--tol", {"type": float, "default": 1e-6}),
+            ("--check-invariance", {"action": "store_true", "help": "False means not shown invariant"}),
+            ("--tol", {"type": float, "default": 1e-6, "help": "ignored: the invariance verdict is exact"}),
         ],
     ),
     "eta": (

@@ -23,7 +23,7 @@ def cmd_super(args):
             if args.series is not None:
                 row["series"] = frames.eta_quotient_series(shape, args.series)
             if args.check_invariance:
-                row["invariant"] = frames.numeric_invariance_check(shape, doubled, tol=args.tol)
+                row["invariant"] = frames.numeric_invariance_check(shape, doubled)
             yield row
             row.clear()  # printed: the series goes before the next is expanded
 

@@ -1,14 +1,14 @@
-"""Level-doubled groups, and the two halves of the invariance check.
+"""Level-doubled groups, and the invariance check of their eta quotients.
 
 Each of the nine vertex groups doubles to another arithmetic group: the
 core scales its level by two and every adjoined coset label doubles
 exactly when doubling keeps it an exact divisor.  The eta quotient of a
-vertex's Frame shape is checked for invariance under the doubled group:
-exactly, in integers, on its level group by Ligozat's criterion, and in
-floating point, the only floating point in the package, on the group's
-generators over that level group.  Only ``super`` loads this module, and
-it loads descriptors only inside ``double_group``; the annotations that
-name other modules' types are never evaluated.
+vertex's Frame shape is checked for invariance under the doubled group,
+in integers throughout: on its level group by Ligozat's criterion, and on
+the group's generators over that level group by the multiplier of eta.
+Only ``super`` loads this module, and it loads descriptors only inside
+``double_group``; the annotations that name other modules' types are
+never evaluated.
 """
 
 from __future__ import annotations
@@ -59,50 +59,60 @@ def invariant_under_gamma0(fs: FrameShape, level: int) -> bool:
     return math.isqrt(s) ** 2 == s
 
 
-def eta_value(tau: complex) -> complex:
-    """Dedekind eta at a point of the upper half-plane.
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n), n odd and positive."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
-    Reduces the argument with the shift and inversion transformations
-    until its imaginary part is at least 0.8, then multiplies the first
-    200 factors of the q-product.
+
+def eta_multiplier(a: int, b: int, c: int, d: int) -> int:
+    """Petersson's multiplier of eta at [[a, b], [c, d]] in SL2(Z), c > 0 or
+    a = d = 1, as the m mod 24 of eta(g tau) = e^(pi i m/12) (c tau + d)^(1/2)
+    eta(tau), principal root (Knopp, *Modular Functions in Analytic Number
+    Theory*, 1970, ch. 4, Thm 2).  A Jacobi symbol of -1 adds 12."""
+    m = (a + d) * c - b * d * (c * c - 1)
+    if c % 2:
+        m, symbol = m - 3 * c, _jacobi(d, c)
+    else:
+        m, symbol = m + 3 * d - 3 - 3 * c * d, _jacobi(c, abs(d))
+    return (m + 12 * (symbol < 0)) % 24
+
+
+def invariant_under(fs: FrameShape, g: ProjectiveMatrix) -> bool | None:
+    """Whether the eta quotient f of fs is invariant under g, or None when
+    some z below does not divide its y.  With c >= 0, write diag(delta, 1) g
+    = gamma [[x, y], [0, z]] for each (delta, r) of ``eta_exponents``, gamma
+    in SL2(Z) and x, z > 0.  The r sum to 0, so the automorphy factors leave
+    prod z^(-r/2), and when every z divides y, f|g is that times
+    e^(pi i sum r (m + y/z)/12) prod eta((x/z) tau)^r, m gamma's multiplier.
+    Eta quotients with other exponents differ in order at some cusp, so
+    f|g = f exactly when the reduced x/z carry the (delta, r) and the sum
+    is 0 mod 24.  prod z^r = 1 then follows from x z = delta det g, so it
+    is not tested.  None is no answer: eta((tau + 1)/2) = e^(pi i/24)
+    eta(tau)^3 / (eta(tau/2) eta(2 tau)), so a z that misses y can still give f.
     """
-    import cmath
-
-    if tau.imag <= 0:
-        raise ValueError("eta needs a point of the upper half-plane")
-    factor = complex(1)
-    while True:
-        shift = round(tau.real)
-        if shift:
-            tau -= shift
-            factor *= cmath.exp(1j * math.pi * shift / 12)
-        if tau.imag >= 0.8:
-            break
-        tau = -1 / tau
-        factor *= cmath.sqrt(-1j * tau)
-    q24 = cmath.exp(2j * math.pi * tau / 24)
-    q = q24**24
-    prod = complex(1)
-    qn = q
-    for _ in range(200):
-        prod *= 1 - qn
-        qn *= q
-    return factor * q24 * prod
-
-
-def eta_quotient_value(fs: FrameShape, tau: complex) -> complex:
-    return math.prod(eta_value(d * tau) ** r for d, r in fs.eta_exponents)
-
-
-def mobius(g: ProjectiveMatrix, tau: complex) -> complex:
     a, b, c, d = g
-    return (a * tau + b) / (c * tau + d)
-
-
-def invariant_under(fs: FrameShape, g: ProjectiveMatrix, tau: complex, tol: float = 1e-6) -> bool:
-    """Whether the eta quotient takes the same value at tau and g(tau)."""
-    if tau.imag <= 0:
-        raise ValueError("invariance check needs a point of the upper half-plane")
-    base = eta_quotient_value(fs, tau)
-    moved = eta_quotient_value(fs, mobius(g, tau))
-    return abs(moved - base) <= tol * (1 + abs(base))
+    if c < 0:
+        a, b, c, d = -a, -b, -c, -d
+    image, phase = {(delta, 1): -r for delta, r in fs.eta_exponents}, 0
+    for delta, r in fs.eta_exponents:
+        x = math.gcd(delta * a, c)
+        p, q = delta * a // x, c // x
+        # gamma = [[p, u], [q, v]], the identity when c = 0
+        v = pow(p, -1, q) if q else 1
+        u = (p * v - 1) // q if q else 0
+        y, z = v * delta * b - u * d, p * d - q * delta * b
+        if y % z:
+            return None
+        k = math.gcd(x, z)
+        image[x // k, z // k] = image.get((x // k, z // k), 0) + r
+        phase += r * (eta_multiplier(p, u, q, v) + y // z)
+    return not any(image.values()) and phase % 24 == 0

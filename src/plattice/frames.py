@@ -5,9 +5,9 @@ integer parts encoding a conjugacy class of the automorphism group of the
 Leech lattice); the quotient of eta functions it determines is an exact
 integer Laurent series with a simple pole in q, computed by the Euler
 transform of its product formula.  The doubled groups and both halves of
-the invariance check, Ligozat's criterion on the level group and the eta
-values at the other generators, are in ``doubling``, which only ``super``
-loads.
+the invariance check, Ligozat's criterion on the level group and the
+multiplier of eta at the other generators, are in ``doubling``, which only
+``super`` loads.
 
 The Euler transform runs in blocks of terms.  Each finished block reaches
 every later term through one big-integer product (Kronecker substitution)
@@ -285,13 +285,13 @@ def _slots(values: list[int], width: int) -> tuple[bytes, bytes]:
     return pos, neg
 
 
-def numeric_invariance_check(fs: FrameShape, desc: GroupDescriptor, tol: float = 1e-6) -> bool:
-    """Invariance of the eta quotient under the group: exact on its level
-    group, the level-n*h group, by Ligozat's criterion, and in floating
-    point at 0.1 + 0.8i on its generators over that group."""
+def numeric_invariance_check(fs: FrameShape, desc: GroupDescriptor) -> bool:
+    """Invariance of the eta quotient under the group, in integers: Ligozat's criterion
+    on its level group, the level-n*h group, and the eta multiplier on its generators
+    over it.  An undecided generator gives False: not shown invariant, not a proof."""
     from .doubling import invariant_under, invariant_under_gamma0
     from .groupsys import quotient_generators
 
     return invariant_under_gamma0(fs, desc.n * desc.h) and all(
-        invariant_under(fs, g, 0.1 + 0.8j, tol) for g in quotient_generators(desc)
+        invariant_under(fs, g) for g in quotient_generators(desc)
     )

@@ -1,3 +1,5 @@
+import cmath
+import collections
 import itertools
 import math
 import random
@@ -12,14 +14,8 @@ import pytest
 from plattice import frames
 from plattice.diagram import NODE_GROUPS, node_vertex_data
 from plattice.exact import ProjectiveMatrix
-from plattice.doubling import (
-    double_group,
-    eta_quotient_value,
-    eta_value,
-    invariant_under,
-    invariant_under_gamma0,
-    mobius,
-)
+from plattice.classify import descriptor_catalog
+from plattice.doubling import double_group, eta_multiplier, invariant_under, invariant_under_gamma0
 from plattice.frames import (
     FRAME_SHAPES,
     SERIES_TERM_BUDGET,
@@ -38,8 +34,12 @@ from .helpers import (
     T,
     coefficient,
     dense_eta_series,
+    eta_quotient_value,
+    eta_value,
     float_invariance_check,
+    float_invariant_under,
     max_part,
+    mobius,
     predicted_valency,
     schreier_generators,
     searched_double_group,
@@ -437,14 +437,14 @@ DOUBLED_GROUPS = [double_group(d) for d in NODE_GROUPS]
 
 class TestNumericCheck:
     def test_translation_always_invariant(self):
-        assert invariant_under(FRAME_SHAPES[0], T, 0.1 + 0.8j)
+        assert float_invariant_under(FRAME_SHAPES[0], T, 0.1 + 0.8j)
 
     def test_all_nine_invariant(self):
         for d in NODE_GROUPS:
             assert numeric_invariance_check(frame_shape(d), double_group(d))
 
     def test_negative_control(self):
-        assert not invariant_under(FRAME_SHAPES[0], S, 0.1 + 0.8j)
+        assert not float_invariant_under(FRAME_SHAPES[0], S, 0.1 + 0.8j)
 
     def test_fricke_of_two_scales_instead(self):
         # eta(t)^24/eta(2t)^24 is not itself invariant under the level-two
@@ -454,7 +454,7 @@ class TestNumericCheck:
         f0 = eta_quotient_value(FRAME_SHAPES[0], tau)
         f1 = eta_quotient_value(FRAME_SHAPES[0], mobius(w2, tau))
         assert abs(f1 - 4096 / f0) < 1e-6 * (1 + abs(f1))
-        assert not invariant_under(FRAME_SHAPES[0], w2, tau)
+        assert not float_invariant_under(FRAME_SHAPES[0], w2, tau)
 
     def test_verdict_matches_the_float_oracle(self):
         # the nine catalog shapes and 60 of the benchmark's random shapes,
@@ -468,7 +468,7 @@ class TestNumericCheck:
         for fs in INVARIANCE_SHAPES:
             for g in DOUBLED_GROUPS:
                 level = g.n * g.h
-                oracle = all(invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(level))
+                oracle = all(float_invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(level))
                 assert invariant_under_gamma0(fs, level) == oracle
 
     @pytest.mark.parametrize("condition", ["divides", "translation", "fricke"])
@@ -484,7 +484,7 @@ class TestNumericCheck:
                 break
         fs = FrameShape(tuple(parts))
         assert not invariant_under_gamma0(fs, level)
-        assert not all(invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(level))
+        assert not all(float_invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(level))
 
     def test_square_condition_is_necessary_from_level_32(self):
         # no two-part shape breaks the square condition alone at a level up
@@ -500,13 +500,13 @@ class TestNumericCheck:
         fs = FrameShape(((1, -2), (2, 1)))
         assert broken_ligozat_conditions(fs.parts, 32) == {"square"}
         assert not invariant_under_gamma0(fs, 32)
-        assert not all(invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(32))
+        assert not all(float_invariant_under(fs, x, 0.1 + 0.8j) for x in schreier_generators(32))
 
     def test_upper_half_plane_required(self):
         with pytest.raises(ValueError):
             eta_value(0.3 - 1j)
         with pytest.raises(ValueError):
-            invariant_under(FRAME_SHAPES[0], T, 0.5 - 0.5j)
+            float_invariant_under(FRAME_SHAPES[0], T, 0.5 - 0.5j)
 
     def test_eta_against_fixed_point(self):
         # eta(i) = Gamma(1/4) / (2 pi^(3/4))
@@ -514,3 +514,102 @@ class TestNumericCheck:
 
         expected = math.gamma(0.25) / (2 * math.pi**0.75)
         assert abs(eta_value(1j) - expected) < 1e-12
+
+
+class TestExactVerdict:
+    def test_multiplier_matches_the_float_oracle(self):
+        # eta(g tau) = e^(pi i m/12) (c tau + d)^(1/2) eta(tau) on 3000
+        # seeded elements of SL2(Z) with c <= 60 and |d| <= 80
+        rng = random.Random(1970)
+        worst = 0.0
+        for _ in range(3000):
+            c, d = rng.randint(1, 60), rng.randint(-80, 80)
+            while math.gcd(c, d) != 1:
+                c, d = rng.randint(1, 60), rng.randint(-80, 80)
+            k = rng.randint(-3, 3)
+            a = pow(d, -1, c) + k * c
+            b = (a * d - 1) // c
+            tau = complex(rng.uniform(-1, 1), rng.uniform(0.3, 1.5))
+            moved = eta_value((a * tau + b) / (c * tau + d))
+            m = eta_multiplier(a, b, c, d)
+            assert 0 <= m < 24
+            expected = cmath.exp(1j * math.pi * m / 12) * cmath.sqrt(c * tau + d) * eta_value(tau)
+            worst = max(worst, abs(moved - expected) / abs(moved))
+        assert worst < 1e-9
+        # and the translations, eta(tau + b) = e^(pi i b/12) eta(tau)
+        assert [eta_multiplier(1, b, 0, 1) for b in range(-30, 30)] == [b % 24 for b in range(-30, 30)]
+
+    def test_the_thirteen_generators_are_invariant(self):
+        # the generators over the level group of the nine doubled groups,
+        # five of them not Atkin-Lehner involutions
+        verdicts = [
+            invariant_under(frame_shape(d), g) for d in NODE_GROUPS for g in quotient_generators(double_group(d))
+        ]
+        assert verdicts == [True] * 13
+
+    @pytest.mark.parametrize(
+        "entries, verdict",
+        [((1, 1, 0, 1), True), ((0, -1, 1, 0), False), ((0, -1, 2, 0), False), ((2, 1, 0, 2), None)],
+        ids=["T", "S", "W2", "shear"],
+    )
+    def test_cases_on_1_24(self, entries, verdict):
+        # eta(t)^24 / eta(2t)^24 under T, S, the level-two involution (which
+        # sends it to 4096 over itself) and a shear the multiplier cannot decide
+        assert invariant_under(FRAME_SHAPES[0], ProjectiveMatrix.from_ints(*entries)) is verdict
+
+    def test_an_undecided_generator_is_not_shown_invariant(self):
+        # 1^24 passes Ligozat's criterion at level 4, but the full group 2|2
+        # adds the shear [[2,1],[0,2]], which is undecided: the check says
+        # False, as floats did
+        desc = GroupDescriptor(2, 2)
+        assert invariant_under_gamma0(FRAME_SHAPES[0], 4)
+        assert ProjectiveMatrix.from_ints(2, 1, 0, 2) in quotient_generators(desc)
+        assert numeric_invariance_check(FRAME_SHAPES[0], desc) is False
+        assert float_invariance_check(FRAME_SHAPES[0], desc) is False
+
+    def test_an_undecided_factor_can_still_be_an_eta_quotient(self):
+        # why None is no answer: eta((t + 1)/2), whose z = 2 misses y = 1, is
+        # e^(pi i/24) eta(t)^3 / (eta(t/2) eta(2t))
+        for tau in (0.1 + 0.8j, -0.3 + 0.5j, 0.45 + 1.2j):
+            found = eta_value((tau + 1) / 2)
+            expected = cmath.exp(1j * math.pi / 24) * eta_value(tau) ** 3 / (eta_value(tau / 2) * eta_value(2 * tau))
+            assert abs(found - expected) <= 1e-9 * abs(expected)
+
+    @pytest.mark.parametrize(
+        "text, entries, error",
+        [("2^24 / 1^24", (0, 1, -160, 0), ZeroDivisionError), ("9^3 / 1^3", (0, 1, -1152, 0), OverflowError)],
+    )
+    def test_decided_where_the_float_oracle_fails(self, text, entries, error):
+        # these images of 0.1 + 0.8i lie so near the real line that eta
+        # underflows and its negative powers fail in floating point
+        fs, g = FrameShape.parse(text), ProjectiveMatrix.from_ints(*entries)
+        with pytest.raises(error):
+            float_invariant_under(fs, g, 0.1 + 0.8j)
+        assert invariant_under(fs, g) is False
+
+    def test_verdict_agrees_with_the_float_oracle_on_the_catalog(self):
+        # every generator over the level group of the catalog descriptors up
+        # to level 24, with the nine shapes, 2^16 / 1^8 and 200 of the
+        # benchmark's random shapes, wherever Ligozat's criterion holds: the
+        # float check agrees wherever the exact verdict decides, says False
+        # wherever it does not, and fails only where the verdict is False
+        rng = random.Random(7)
+        shapes = list(FRAME_SHAPES) + [FrameShape.parse("2^16 / 1^8")]
+        shapes += [FrameShape(tuple(_WORKLOADS["random_frame_shape"](rng))) for _ in range(200)]
+        counts = collections.Counter()
+        for desc in sorted({d for level in range(1, 25) for d in descriptor_catalog(level)}):
+            gens = quotient_generators(desc)
+            for fs in shapes:
+                if not invariant_under_gamma0(fs, desc.n * desc.h):
+                    continue
+                for g in gens:
+                    verdict = invariant_under(fs, g)
+                    try:
+                        oracle = float_invariant_under(fs, g, 0.1 + 0.8j)
+                    except (ZeroDivisionError, OverflowError):
+                        assert verdict is False, (fs, g)
+                        counts["raised"] += 1
+                        continue
+                    assert oracle == bool(verdict), (fs, g, verdict)
+                    counts[verdict] += 1
+        assert counts == {True: 899, False: 2106, None: 2533, "raised": 2}

@@ -132,6 +132,22 @@ def test_no_module_imports_json():
     assert _importers("json") == []
 
 
+def test_no_floating_point_outside_the_tolerance_option():
+    # every invariance generator is decided in integers: no module imports
+    # cmath, and the only float names and constants left are the type and
+    # default of the accepted and ignored --tol in cli and its bound in
+    # cli_series
+    assert _importers("cmath") == []
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id in ("float", "complex"):
+                found.append((path.name, node.id))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((path.name, repr(node.value)))
+    assert sorted(found) == [("cli.py", "1e-06"), ("cli.py", "float"), ("cli_series.py", "float")]
+
+
 def test_only_output_imports_the_json_writer():
     # and only inside print_json, so that text commands compile none of it
     assert [offender.split(":")[0] for offender in _importers("jsonwriter")] == ["output.py"]
@@ -204,7 +220,8 @@ def test_frames_imports_groupsys_only_inside_the_invariance_check():
 
 
 def test_frames_imports_doubling_only_inside_the_invariance_check():
-    # the series engine compiles no doubling and no float helpers
+    # the series engine compiles no doubling: no group doubling, no
+    # Ligozat criterion and no multiplier of eta
     assert _frames_importers_of("doubling") == ["numeric_invariance_check"]
 
 
