@@ -82,7 +82,6 @@ COMMANDS = {
             ("--frame-shapes", {"action": "store_true"}),
             ("--series", {"type": int, "metavar": "K"}),
             ("--check-invariance", {"action": "store_true", "help": "False means not shown invariant"}),
-            ("--tol", {"type": float, "default": 1e-6, "help": "ignored: the invariance verdict is exact"}),
         ],
     ),
     "eta": (

@@ -8,9 +8,6 @@ from .output import json_wanted, print_json, write
 
 
 def cmd_super(args):
-    if not 0 < args.tol < float("inf"):
-        raise ValueError("tolerance must be a positive finite number, not %s" % args.tol)
-
     from . import descriptors, doubling, frames
 
     def rows():

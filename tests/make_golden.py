@@ -83,7 +83,6 @@ DOMAIN_ERRORS = [
     ["level", "3|3", "--max-n", "-9"],  # bound must be positive
     ["classify", "--index-bound", "100001"],  # cannot sweep above the budget
     ["classify", "--index-bound", "0"],  # bounds must be positive
-    ["super", "--tol", "0"],  # tolerance must be a positive finite number
     ["super", "--series", "0"],  # order must be positive
     ["super", "--series", "20000"],  # cannot expand above the budget
     ["eta", "1^x"],  # bad Frame shape
@@ -192,7 +191,10 @@ USAGE_ERRORS = [
     ["frobnicate"],  # invalid choice of command
     ["index"],  # a required argument is missing
     ["index", "x"],  # invalid int value
-    ["super", "--tol", "x"],  # invalid float value
+    ["super", "--tol", "0"],  # unrecognized arguments: super has no --tol
+    ["super", "--tol", "x"],  # the same, whatever its value
+    ["super", "--check-invariance", "--tol", "1e-3"],  # the same after a valid flag
+    ["super", "--check-invariance", "--tol", "1e-300"],
     ["diagram", "--format", "xml"],  # invalid choice of format
     ["diagram", "extra"],  # unrecognized arguments
     ["eta", "1^24", "--order"],  # expected one argument
@@ -222,7 +224,6 @@ def corpus() -> list:
         flags = ["--frame-shapes"] * frame_shapes + ["--series", "5"] * series
         flags += ["--check-invariance"] * check
         out += [["super"] + flags + fmt for fmt in FORMATS]
-    out += [["super", "--check-invariance", "--tol", tol] for tol in ("1e-3", "1e-300")]
     out += DOMAIN_ERRORS + USAGE_ERRORS
     for shape in VERTEX_NAMES + CATALOG_SHAPES:
         out += [["eta", shape, "--order", str(order)] for order in ETA_ORDERS]

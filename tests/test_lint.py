@@ -132,11 +132,10 @@ def test_no_module_imports_json():
     assert _importers("json") == []
 
 
-def test_no_floating_point_outside_the_tolerance_option():
-    # every invariance generator is decided in integers: no module imports
-    # cmath, and the only float names and constants left are the type and
-    # default of the accepted and ignored --tol in cli and its bound in
-    # cli_series
+def test_no_floating_point():
+    # every invariance generator is decided in integers, and no option reads
+    # a float: no module imports cmath, and src/ has no float or complex
+    # name and no float or complex constant
     assert _importers("cmath") == []
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -145,7 +144,7 @@ def test_no_floating_point_outside_the_tolerance_option():
                 found.append((path.name, node.id))
             elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
                 found.append((path.name, repr(node.value)))
-    assert sorted(found) == [("cli.py", "1e-06"), ("cli.py", "float"), ("cli_series.py", "float")]
+    assert found == []
 
 
 def test_only_output_imports_the_json_writer():

@@ -338,9 +338,22 @@ class TestInputBudgets:
         with pytest.raises(ValueError, match="budget"):
             factorize(10**15 + 1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_factorize_refuses_below_one(self, n):
+        with pytest.raises(ValueError, match="^cannot factorize %d$" % n):
+            factorize(n)
+
     def test_hypercircle_refuses_above_the_bound(self):
         with pytest.raises(ValueError, match="1800000 members"):
             hypercircle(L1, 10**6)
+        # 1000003 is prime: one member over the bound, where 11**6 would pass it
+        with pytest.raises(ValueError, match="1000004 members"):
+            hypercircle(L1, 1000003)
+
+    def test_hypercircle_accepts_the_bound(self):
+        # 499 and 1999 are prime: (499 + 1) * (1999 + 1) members, counted
+        # without enumerating them
+        assert len(hypercircle(L1, 499 * 1999)) == 10**6
 
     def test_hypercircle_bound_is_on_the_member_count(self, monkeypatch):
         # 9 and 10 have 12 and 18 members
