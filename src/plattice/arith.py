@@ -3,8 +3,6 @@ the hypercircle size it counts, with their input budgets.  Nothing here
 imports another plattice module, so no caller compiles matrix code for them.
 """
 
-from __future__ import annotations
-
 # Input budgets, checked before any work starts; on a 2-vCPU host (median of 3
 # cold runs) trial division to FACTORIZE_BOUND takes 1.3 s at a prime near it,
 # a hypercircle of HYPERCIRCLE_BOUND members 1.4 s, half that at half as many.

@@ -12,8 +12,6 @@ prose case analysis becomes assertions in the test suite, not control flow
 here.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations

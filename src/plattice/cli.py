@@ -11,8 +11,6 @@ when the reader of stdout goes away (a broken pipe, reported silently), 2
 on a usage error, 3 on an internal error (a failed consistency check).
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -66,7 +64,7 @@ COMMANDS = {
     # the bounds default to None, which means the defaults of plattice.classify,
     # read when the command runs
     "classify": (
-        "cli_groups",
+        "cli_classify",
         "search for the nine vertex groups",
         [
             ("--relax-width", {"action": "store_true"}),
@@ -96,13 +94,15 @@ def build_parser(command=None):
     """The parser of every command, or of ``command`` alone with the same texts."""
     import argparse
 
+    # the usage line as argparse 3.10-3.12 wraps it at 80 columns, fixed so
+    # that 3.13 prints it too; it lists every command in one command's parser
+    indent = "\n" + " " * 16
     parser = argparse.ArgumentParser(
         prog="plattice",
+        usage="%(prog)s [-h]" + indent + "{%s}" % ",".join(COMMANDS) + indent + "...",
         description="exact projective-lattice calculus for arithmetic groups",
     )
-    # one command's parser still lists every command in its usage line
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True, prog="plattice")
     for name in COMMANDS if command is None else [command]:
         _, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)

@@ -8,8 +8,6 @@ the hyperradius-n circle about L1 have a closed form, one family per
 divisor of n, so no orbit is walked and no member is built unless printed.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 

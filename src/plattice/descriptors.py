@@ -11,8 +11,6 @@ this module builds no matrix; membership and the finite quotients are in
 ``groupsys``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 

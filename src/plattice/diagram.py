@@ -10,8 +10,6 @@ A degree- and weight-constrained search then recovers the unique graph on
 the nine vertices: the extended E8 diagram.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations

@@ -8,15 +8,13 @@ in integers throughout: on its level group by Ligozat's criterion, and on
 the group's generators over that level group by the multiplier of eta.
 Only ``super`` loads this module, and it loads descriptors only inside
 ``double_group``; the annotations that name other modules' types are
-never evaluated.
+strings, so they import nothing.
 """
-
-from __future__ import annotations
 
 import math
 
 
-def double_group(desc: GroupDescriptor) -> GroupDescriptor:
+def double_group(desc: "GroupDescriptor") -> "GroupDescriptor":
     """The level-doubled group attached to a vertex group, read off its name.
 
     The level n doubles, each label e, an exact divisor of n/h, doubles
@@ -31,7 +29,7 @@ def double_group(desc: GroupDescriptor) -> GroupDescriptor:
     return GroupDescriptor(desc.h, 2 * desc.n, labels, desc.character)
 
 
-def invariant_under_gamma0(fs: FrameShape, level: int) -> bool:
+def invariant_under_gamma0(fs: "FrameShape", level: int) -> bool:
     """Whether the eta quotient of fs is invariant under the level group.
 
     The quotient is the product of eta(d*tau)**r_d over the shape's
@@ -86,7 +84,7 @@ def eta_multiplier(a: int, b: int, c: int, d: int) -> int:
     return (m + 12 * (symbol < 0)) % 24
 
 
-def invariant_under(fs: FrameShape, g: ProjectiveMatrix) -> bool | None:
+def invariant_under(fs: "FrameShape", g: "ProjectiveMatrix") -> bool | None:
     """Whether the eta quotient f of fs is invariant under g, or None when
     some z below does not divide its y.  With c >= 0, write diag(delta, 1) g
     = gamma [[x, y], [0, z]] for each (delta, r) of ``eta_exponents``, gamma

@@ -11,13 +11,12 @@ pair (p, q) with q > 0, and ``clear_denominators`` is the one place such
 pairs become integers.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from math import gcd, lcm
 
-_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+# compiled by the first parse, through the cache of ``re``
+_RATIONAL = r"\s*([+-]?\d+)(?:/(\d+))?\s*"
 
 
 def clear_denominators(pairs) -> tuple[int, ...]:
@@ -89,7 +88,7 @@ IDENTITY = ProjectiveMatrix.from_ints(1, 0, 0, 1)
 
 def parse_rational(token: str) -> tuple[int, int]:
     """Read ``p`` or ``p/q`` (decimal digits, ``p`` signed) as the pair (p, q), q > 0."""
-    match = _RATIONAL.fullmatch(token)
+    match = re.fullmatch(_RATIONAL, token)
     if match is None or match[2] is not None and int(match[2]) == 0:
         raise ValueError("bad rational literal %r" % token)
     return int(match[1]), int(match[2] or 1)

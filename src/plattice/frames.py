@@ -19,8 +19,6 @@ internal error, not a wrong series, unless its error is a multiple of
 the term's index.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple
@@ -28,7 +26,7 @@ from collections import namedtuple
 # descriptors loads only inside frame_shape, and doubling and groupsys, with
 # exact and lattice, only inside the invariance check, so a Frame shape
 # given as text loads none of them; the annotations that name their types
-# are never evaluated
+# are strings, so they import nothing
 
 # Frame shapes -----------------------------------------------------------------
 
@@ -115,7 +113,7 @@ for _fs in FRAME_SHAPES:
         raise AssertionError("catalog shape %s has degree %d" % (_fs, _fs.degree))
 
 
-def frame_shape(desc: GroupDescriptor) -> FrameShape:
+def frame_shape(desc: "GroupDescriptor") -> FrameShape:
     """The catalog shape of a vertex group."""
     from .descriptors import NODE_GROUPS
 
@@ -285,7 +283,7 @@ def _slots(values: list[int], width: int) -> tuple[bytes, bytes]:
     return pos, neg
 
 
-def numeric_invariance_check(fs: FrameShape, desc: GroupDescriptor) -> bool:
+def numeric_invariance_check(fs: FrameShape, desc: "GroupDescriptor") -> bool:
     """Invariance of the eta quotient under the group, in integers: Ligozat's criterion
     on its level group, the level-n*h group, and the eta multiplier on its generators
     over it.  An undecided generator gives False: not shown invariant, not a proof."""

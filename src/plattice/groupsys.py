@@ -18,8 +18,6 @@ enumerated breadth-first; the table is then composed from the generators'
 permutations along the enumeration tree.
 """
 
-from __future__ import annotations
-
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -30,7 +28,7 @@ from .descriptors import (
     normalizer_quotient_orders,
 )
 from .exact import IDENTITY, ProjectiveMatrix
-from .lattice import LatticeName, act, reduce_matrix
+from .lattice import reduce_matrix
 
 QUOTIENT_ELEMENT_BOUND = 10000
 
@@ -64,7 +62,7 @@ def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
     return True
 
 
-def _member_cosets(q: FiniteQuotient, desc: GroupDescriptor) -> frozenset[int]:
+def _member_cosets(q: "FiniteQuotient", desc: GroupDescriptor) -> frozenset[int]:
     """Indices of the quotient's representatives that lie in the described group."""
     return frozenset(i for i, rep in enumerate(q.reps) if member(rep, desc))
 
@@ -133,7 +131,9 @@ class FiniteQuotient:
 
 
 def _coset_key(g: ProjectiveMatrix, n: int):
-    return (reduce_matrix(g), act(LatticeName(n, 0, 1), g))
+    # the second name is that of [[n, 0], [0, 1]] g, the action of g on the name (n, 0)
+    a, b, c, d = g
+    return (reduce_matrix(g), reduce_matrix(ProjectiveMatrix.from_ints(n * a, n * b, c, d)))
 
 
 def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuotient:

@@ -12,8 +12,6 @@ is integer arithmetic, and so are reading and printing a name: M and b are
 read as integer pairs (p, q).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 

@@ -9,8 +9,6 @@ in closed form, and tests the cell property.  The index formula that
 counts a hypercircle is in ``arith``.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from math import gcd
 

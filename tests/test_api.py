@@ -39,7 +39,7 @@ HOMES = {
     ],
     "doubling": ["double_group"],
 }
-SUBMODULES = list(HOMES) + ["cli", "cli_calculus", "cli_groups", "cli_series", "output"]
+SUBMODULES = list(HOMES) + ["cli", "cli_calculus", "cli_classify", "cli_groups", "cli_series", "output"]
 
 # Run in a fresh interpreter: argv[1] is "before" (no submodule imported
 # yet) or "after" (all of SUBMODULES imported first).  Prints what it found as JSON.

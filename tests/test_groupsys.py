@@ -8,7 +8,7 @@ import pytest
 
 from plattice.arith import divisors, factorize, gamma0_index
 from plattice.exact import IDENTITY, ProjectiveMatrix
-from plattice.lattice import L1, act
+from plattice.lattice import L1, LatticeName, act, reduce_matrix
 from plattice import descriptors, groupsys, tree
 from plattice.descriptors import (
     GroupDescriptor,
@@ -27,7 +27,7 @@ from plattice.groupsys import (
     normalizer_quotient,
     quotient_generators,
 )
-from plattice.classify import descriptor_catalog
+from plattice.classify import candidate_levels, descriptor_catalog
 from plattice.tree import hypercircle
 from .helpers import (
     S,
@@ -47,7 +47,7 @@ from .helpers import (
     schreier_generators,
     translation,
 )
-from .test_exact import rand_psl2z
+from .test_exact import rand_pgl2q, rand_psl2z
 from .test_lattice import assert_comparisons_follow_sort
 
 G1 = GroupDescriptor.gamma0(1)
@@ -459,6 +459,17 @@ class TestFiniteQuotient:
         q = finite_quotient(normalizer_of_gamma0(64), GroupDescriptor.gamma0(64))
         assert q.order == 96
         assert len(calls) == 1 + q.order * len(quotient_generators(q.big))
+
+    def test_coset_key_is_the_action_on_the_name_of_the_level(self):
+        # the key's second name is [[n, 0], [0, 1]] g reduced, which act
+        # computes through the name (n, 0); at every level the classify
+        # sweep builds to index bound 40, and at 1152
+        levels = sorted({n * h for n, h in candidate_levels(40)} | {64, 144, 1152})
+        rng = random.Random(1152)
+        for _ in range(300):
+            g = rand_pgl2q(rng, 50)
+            for n in levels:
+                assert _coset_key(g, n) == (reduce_matrix(g), act(LatticeName(n, 0, 1), g)), (g, n)
 
     def test_width_cosets_are_the_fractional_shears(self):
         q = normalizer_quotient(64)

@@ -147,6 +147,40 @@ def test_no_floating_point():
     assert found == []
 
 
+def test_no_module_imports_from_future():
+    # ``from __future__ import annotations`` imports the __future__ module
+    # when it runs, about 0.12 ms of every cold command; forward references
+    # are quoted instead
+    assert _importers("__future__") == []
+
+
+def _import_time_nodes(node):
+    # the nodes a module runs when it is imported: not the bodies of its
+    # functions and lambdas, which run when they are called
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_regex_is_compiled_at_import():
+    # a pattern compiled at module scope costs every command that loads its
+    # module, about 0.12 ms for the rational reader of exact, whether or not
+    # it parses; ``re``'s own cache compiles a pattern at its first use
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in _import_time_nodes(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "compile"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+        ]
+    assert found == []
+
+
 def test_only_output_imports_the_json_writer():
     # and only inside print_json, so that text commands compile none of it
     assert [offender.split(":")[0] for offender in _importers("jsonwriter")] == ["output.py"]
@@ -174,6 +208,12 @@ def test_groupsys_takes_nothing_from_arith_or_tree():
     # a kernel is decided on a finite quotient, not by acting on lattice
     # sets, and the normalizer is read off its descriptor
     assert sorted(_taken_from("groupsys.py")) == ["descriptors", "exact", "lattice"]
+
+
+def test_groupsys_takes_only_reduce_matrix_from_lattice():
+    # a coset key reduces [[n, 0], [0, 1]] g itself, so no lattice name is
+    # built to act on
+    assert _taken_from("groupsys.py")["lattice"] == ["reduce_matrix"]
 
 
 def test_descriptors_take_only_divisors_and_the_index_from_arith():
@@ -319,7 +359,7 @@ def test_no_module_imports_the_cli():
 # A cold command loads only the layers it uses: the package, the CLI and
 # the command handlers import plattice modules lazily, inside the code that
 # needs them.  A handler module may import ``output`` at module scope.
-LAZY_IMPORTERS = ("__init__.py", "cli.py", "cli_calculus.py", "cli_groups.py", "cli_series.py")
+LAZY_IMPORTERS = ("__init__.py", "cli.py", "cli_calculus.py", "cli_classify.py", "cli_groups.py", "cli_series.py")
 SHARED_BY_HANDLERS = "output"
 
 
