@@ -13,19 +13,11 @@ here.
 """
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import combinations
 from math import gcd
 
 from .arith import divisors, gamma0_index
-from .descriptors import (
-    GroupDescriptor,
-    exact_divisors,
-    normalizer_quotient_orders,
-    unclosed_label_product,
-    unsupported_kernel,
-)
-from .groupsys import FiniteQuotient, _member_cosets, normalizer_quotient
+from .descriptors import GroupDescriptor, normalizer_quotient_orders
+from .groupsys import FiniteQuotient, _conjugate_by_scale, _member_cosets, normalizer_quotient
 
 INDEX_BOUND = 12
 RATIO_BOUND = 3
@@ -82,6 +74,8 @@ class Candidate(namedtuple("Candidate", "n h quotient subgroup")):
         return self.n * self.h
 
     def __init__(self, n: int, h: int, quotient: FiniteQuotient, subgroup: frozenset[int]):
+        if 0 not in subgroup:
+            raise ValueError("subgroup does not contain the identity")
         mult = quotient.mult
         for i in subgroup:
             if quotient.inverse[i] not in subgroup:
@@ -114,29 +108,6 @@ def check_conditions(
 # naming discovered subgroups --------------------------------------------------
 
 
-def _closed_label_sets(pool: list[int]) -> list[frozenset[int]]:
-    out = []
-    for r in range(len(pool) + 1):
-        for combo in combinations(pool, r):
-            if unclosed_label_product(combo) is None:
-                out.append(frozenset(combo))
-    return out
-
-
-@lru_cache(maxsize=None)
-def descriptor_catalog(level: int) -> tuple[GroupDescriptor, ...]:
-    """Every descriptor denoting a group containing the level group."""
-    out = []
-    for n2 in divisors(level):
-        for h2 in divisors(gcd(n2, 24)):
-            label_pool = sorted(set(exact_divisors(n2 // h2)) - {1})
-            for labels in _closed_label_sets(label_pool):
-                out.append(GroupDescriptor(h2, n2, labels))
-                if unsupported_kernel(h2, n2, labels) is None and level % (n2 * h2) == 0:
-                    out.append(GroupDescriptor(h2, n2, labels, h2))
-    return tuple(out)
-
-
 def _index_over_modular_part(desc: GroupDescriptor) -> int:
     """Index of the group over its modular-group intersection, in closed form.
 
@@ -153,27 +124,39 @@ def _index_over_modular_part(desc: GroupDescriptor) -> int:
 
 
 def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int]) -> GroupDescriptor:
-    """Match a quotient subgroup against the descriptor catalog.
+    """Name a quotient subgroup by the descriptor accepting exactly its cosets.
 
-    A descriptor matches when its membership predicate accepts exactly the
-    subgroup's representatives and both of its index invariants agree with
-    the measured ones.  Set equality makes the union of the subgroup's
-    cosets a subgroup of the descriptor's group; the matching modular part
-    and matching index over it then force the two groups equal, so at most
-    one descriptor can survive.
+    For each n | level and h | gcd(n, 24) the labels are read off the
+    cosets: their determinants after scaling by h, other than 1.  A member
+    has determinant 1 or a label there, constant on each coset of the level
+    group since h divides the level, and a matching group holds the
+    Atkin-Lehner coset of each label; so only the labels read can match,
+    and a pair whose labels are not closed, or have no kernel, names
+    nothing.  The base group, and its index-h kernel where n*h divides the
+    level, must accept the same cosets and agree on both index invariants.
+    Set equality makes the subgroup's union a subgroup of the descriptor's
+    group, and the equal invariants force the two equal, so at most one
+    descriptor survives.
     """
     level = q.small.n
     modular_part = sum(1 for i in subgroup if q.reps[i].pdet() == 1)
     target_in = gamma0_index(level) // modular_part
     target_over = len(subgroup) // modular_part
     matches = []
-    for desc in descriptor_catalog(level):
-        if gamma0_index(desc.intersection_level()) != target_in:
-            continue
-        if _index_over_modular_part(desc) != target_over:
-            continue
-        if _member_cosets(q, desc) == subgroup:
-            matches.append(desc)
+    for n in divisors(level):
+        for h in divisors(gcd(n, 24)):
+            labels = {_conjugate_by_scale(q.reps[i], h).pdet() for i in subgroup} - {1}
+            for character in (None, h) if level % (n * h) == 0 else (None,):
+                try:
+                    desc = GroupDescriptor(h, n, labels, character)
+                except ValueError:
+                    continue
+                if gamma0_index(desc.intersection_level()) != target_in:
+                    continue
+                if _index_over_modular_part(desc) != target_over:
+                    continue
+                if _member_cosets(q, desc) == subgroup:
+                    matches.append(desc)
     if len(matches) != 1:
         raise ValueError(
             "subgroup of the level-%d quotient matched %d descriptors: %s"

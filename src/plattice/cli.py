@@ -15,7 +15,6 @@ import gc
 import os
 import sys
 import types
-from importlib import import_module
 
 
 def _is_value(word: str) -> bool:
@@ -174,7 +173,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-    handlers = import_module("." + COMMANDS[args.command][0], __package__)
+    module = COMMANDS[args.command][0]
+    # the call ``from . import <module>`` makes, so -X importtime logs it
+    handlers = getattr(__import__(__package__, fromlist=[module]), module)
     try:
         getattr(handlers, "cmd_" + args.command)(args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown

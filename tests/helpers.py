@@ -14,7 +14,8 @@ and the searches that worked out what a name now fixes: the width at
 infinity by a shear scan, the envelope level by normalizer membership, the
 scale by comparing scaled base groups, the valency by the order of the
 quotient by the core, the doubled group by the envelope level and the
-scale, the core by naming a quotient subgroup, the faithfulness bit by walking
+scale, the core by naming a quotient subgroup, a subgroup's name by a
+search through every descriptor of its level, the faithfulness bit by walking
 the orbit of the pair {L1, L2}, the backtracking graph solver, and the
 Schreier generators of the level groups with the invariance check in
 floating point over every generator: eta by its 200-term product, the eta
@@ -28,12 +29,20 @@ from collections import namedtuple
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 
-from plattice.classify import name_subgroup
+from plattice.classify import _index_over_modular_part, name_subgroup
 from plattice.exact import IDENTITY, ProjectiveMatrix, parse_matrix
 from plattice.frames import FrameShape, IntegerPowerSeries
-from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0, width_at_infinity
+from plattice.descriptors import (
+    GroupDescriptor,
+    exact_divisors,
+    normalizer_of_gamma0,
+    unclosed_label_product,
+    unsupported_kernel,
+    width_at_infinity,
+)
 from plattice.groupsys import (
     FiniteQuotient,
     _member_cosets,
@@ -670,9 +679,49 @@ def searched_double_group(desc: GroupDescriptor) -> GroupDescriptor:
 
 def named_core_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The group met with its scaled base group on the normalizer quotient
-    at its envelope level, named by the classify catalog."""
+    at its envelope level, named by ``name_subgroup``."""
     q, _, met = _core_cosets(desc)
     return name_subgroup(q, met)
+
+
+def _closed_label_sets(pool: list[int]) -> list[frozenset[int]]:
+    out = []
+    for r in range(len(pool) + 1):
+        for combo in combinations(pool, r):
+            if unclosed_label_product(combo) is None:
+                out.append(frozenset(combo))
+    return out
+
+
+@lru_cache(maxsize=None)
+def descriptor_catalog(level: int) -> tuple[GroupDescriptor, ...]:
+    """Every descriptor denoting a group containing the level group."""
+    out = []
+    for n2 in divisors(level):
+        for h2 in divisors(gcd(n2, 24)):
+            label_pool = sorted(set(exact_divisors(n2 // h2)) - {1})
+            for labels in _closed_label_sets(label_pool):
+                out.append(GroupDescriptor(h2, n2, labels))
+                if unsupported_kernel(h2, n2, labels) is None and level % (n2 * h2) == 0:
+                    out.append(GroupDescriptor(h2, n2, labels, h2))
+    return tuple(out)
+
+
+def searched_subgroup_names(q: FiniteQuotient, subgroup: frozenset[int]) -> list[GroupDescriptor]:
+    """The catalog descriptors of the level, in catalog order, that accept
+    exactly the subgroup's cosets and agree on both index invariants: the
+    search ``name_subgroup`` made before it read the labels off the cosets."""
+    level = q.small.n
+    modular_part = sum(1 for i in subgroup if q.reps[i].pdet() == 1)
+    target_in = gamma0_index(level) // modular_part
+    target_over = len(subgroup) // modular_part
+    return [
+        desc
+        for desc in descriptor_catalog(level)
+        if gamma0_index(desc.intersection_level()) == target_in
+        and _index_over_modular_part(desc) == target_over
+        and _member_cosets(q, desc) == subgroup
+    ]
 
 
 PAIR_BASE = frozenset({L1, LatticeName(2, 0, 1)})

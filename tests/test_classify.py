@@ -14,7 +14,6 @@ from plattice.classify import (
     check_conditions,
     classify,
     classify_hits,
-    descriptor_catalog,
     elementary_two_subgroups,
     may_pass,
     name_subgroup,
@@ -27,7 +26,15 @@ from plattice.descriptors import (
 )
 from plattice.groupsys import member, normalizer_quotient
 
-from .helpers import all_subgroups, cyclic, element_order, lower_translation, translation
+from .helpers import (
+    all_subgroups,
+    cyclic,
+    descriptor_catalog,
+    element_order,
+    lower_translation,
+    searched_subgroup_names,
+    translation,
+)
 from .test_api import fresh_python
 from .test_groupsys import outcome
 
@@ -116,6 +123,11 @@ class TestConditions:
         with pytest.raises(ValueError):
             Candidate(4, 2, q, frozenset([0, bad]))
 
+    def test_the_empty_set_is_refused(self):
+        # it passes both closure tests vacuously, and its modular part is 0
+        with pytest.raises(ValueError, match="subgroup does not contain the identity"):
+            Candidate(2, 2, normalizer_quotient(4), frozenset())
+
 
 class TestClassify:
     def test_exactly_the_nine_groups(self):
@@ -167,16 +179,26 @@ class TestNaming:
         assert GroupDescriptor.gamma0(8) in cat
         assert GroupDescriptor(2, 4, frozenset({2})) in cat
 
-    def test_catalog_is_built_once_per_named_level(self, capsys):
-        # naming built the whole catalog of the level again for every hit
-        from plattice import cli
-
-        descriptor_catalog.cache_clear()
-        assert cli.main(["classify", "--index-bound", "17", "--ratio-bound", "4"]) == 0
-        capsys.readouterr()
-        hits = classify_hits(17, 4)
-        assert (len(hits), len({hit.candidate.level for hit in hits})) == (12, 9)
-        assert descriptor_catalog.cache_info().misses == 9
+    def test_reading_the_labels_names_as_the_catalog_search(self):
+        # every exponent-two subgroup of every level the sweep at index
+        # bound 40 builds: the name, or the refusal with its text, is the
+        # one the search through the level's whole catalog gives
+        counts = {"named": 0, "unnamed": 0}
+        for level in sorted({n * h for n, h in candidate_levels(40)}):
+            q = normalizer_quotient(level)
+            for sub in elementary_two_subgroups(q):
+                matches = searched_subgroup_names(q, sub)
+                try:
+                    assert [name_subgroup(q, sub)] == matches
+                    counts["named"] += 1
+                except ValueError as exc:
+                    displays = [d.display for d in matches]
+                    assert len(matches) != 1
+                    assert str(exc) == "subgroup of the level-%d quotient matched %d descriptors: %s" % (
+                        level, len(matches), displays
+                    )
+                    counts["unnamed"] += 1
+        assert counts == {"named": 238, "unnamed": 591}
 
     def test_membership_separates_descriptor_from_subgroup(self):
         # bidirectional check: the named descriptor accepts exactly the

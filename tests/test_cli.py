@@ -959,6 +959,13 @@ class TestProgram:
         assert (proc.returncode, proc.stdout) == (code, out)
         assert proc.stderr.endswith("True True\n")
 
+    def test_importtime_logs_the_handler_module(self):
+        # -X importtime logs only what an import statement loads, so the
+        # handler module has a line only if main imports it as one does
+        proc = fresh_python("-X", "importtime", "-m", "plattice.cli", "classify")
+        logged = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "plattice.cli_classify" in logged
+
     def test_the_console_script_is_run(self):
         tomllib = pytest.importorskip("tomllib")
         with open(SRC_ROOT.parent / "pyproject.toml", "rb") as config:

@@ -14,7 +14,6 @@ import pytest
 from plattice import frames
 from plattice.diagram import NODE_GROUPS, node_vertex_data
 from plattice.exact import ProjectiveMatrix
-from plattice.classify import descriptor_catalog
 from plattice.doubling import double_group, eta_multiplier, invariant_under, invariant_under_gamma0
 from plattice.frames import (
     FRAME_SHAPES,
@@ -34,6 +33,7 @@ from .helpers import (
     T,
     coefficient,
     dense_eta_series,
+    descriptor_catalog,
     eta_quotient_value,
     eta_value,
     float_invariance_check,

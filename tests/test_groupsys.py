@@ -27,7 +27,7 @@ from plattice.groupsys import (
     normalizer_quotient,
     quotient_generators,
 )
-from plattice.classify import candidate_levels, descriptor_catalog
+from plattice.classify import candidate_levels
 from plattice.tree import hypercircle
 from .helpers import (
     S,
@@ -36,6 +36,7 @@ from .helpers import (
     all_subgroups,
     character_lambda,
     character_values,
+    descriptor_catalog,
     group_generators,
     kernel_action_set,
     kernel_condition,
