@@ -6,8 +6,7 @@ from .output import json_wanted, print_json, write
 
 
 def cmd_reduce(args):
-    from .exact import parse_matrix
-    from .lattice import reduce_matrix
+    from .lattice import parse_matrix, reduce_matrix
 
     print(reduce_matrix(parse_matrix(args.matrix)))
 

@@ -21,8 +21,8 @@ def cmd_groups(args):
 
     desc = GroupDescriptor.parse(args.name)
     if args.member:
-        from .exact import parse_matrix
         from .groupsys import member
+        from .lattice import parse_matrix
 
         print("true" if member(parse_matrix(args.member), desc) else "false")
         return

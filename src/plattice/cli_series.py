@@ -1,7 +1,6 @@
 """Handlers of super and eta; an ``eta`` of a Frame shape or a vertex name
 loads ``frames`` alone."""
 
-import re
 from itertools import chain
 
 from .output import json_wanted, print_json, write
@@ -47,9 +46,12 @@ def cmd_eta(args):
             shape = frame_shape(GroupDescriptor.parse(text))
         except ValueError:
             # a bare number is also a Frame shape (24 is 24^1), but a group name
-            # with "|" or "+" is not, so the group's own error stands
-            if ("|" in text or "+" in text) and re.fullmatch(r"\d+(\|\d+)?(\+(\d+(,\d+)*)?)?", text):
-                raise
+            # with "|" or "+" is not, so the group's own error stands (only it loads re)
+            if "|" in text or "+" in text:
+                import re
+
+                if re.fullmatch(r"\d+(\|\d+)?(\+(\d+(,\d+)*)?)?", text):
+                    raise
             shape = FrameShape.parse(args.shape)
     # the series is written in batches as it is printed, never held whole
     write(chain(eta_quotient_series(shape, args.order).text(), "\n"))

@@ -6,31 +6,13 @@ by nonzero rationals.  It is stored as its unique primitive integral
 representative (content 1, first nonzero entry positive), a named tuple
 (a, b, c, d) that is compared and hashed as a tuple.  ``from_ints``, the
 one constructor, takes integers; products and inverses go through it.
-Rationals enter only as text: ``parse_rational`` reads one as an integer
-pair (p, q) with q > 0, and ``clear_denominators`` is the one place such
-pairs become integers.
+``hermite`` reduces a matrix to the Hermite triple of its coset of the
+modular group.  This module reads no text: rationals enter through the
+readers of ``lattice``.
 """
 
-import re
 from collections import namedtuple
-from math import gcd, lcm
-
-# compiled by the first parse, through the cache of ``re``
-_RATIONAL = r"\s*([+-]?\d+)(?:/(\d+))?\s*"
-
-
-def clear_denominators(pairs) -> tuple[int, ...]:
-    """The rationals p/q of ``pairs`` (q > 0) scaled to integers with content 1.
-
-    The scale is the positive one that clears every denominator and then
-    divides out the gcd of the results; not every p may be zero.
-    """
-    den = lcm(*(q for _, q in pairs))
-    ints = [p * (den // q) for p, q in pairs]
-    content = gcd(*ints)
-    if content == 0:
-        raise ValueError("zero matrix has no primitive representative")
-    return tuple(x // content for x in ints)
+from math import gcd
 
 
 class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
@@ -78,35 +60,21 @@ class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
         return "[[%d,%d],[%d,%d]]" % self
 
 
+def hermite(g: ProjectiveMatrix) -> tuple[int, int, int]:
+    """The Hermite triple (a, s, d) of SL2(Z) g: [[a, s], [0, d]] primitive with 0 <= s < d."""
+    a, b, c, d = g
+    # d ends positive with no sign fix: the stored a is positive when c == 0,
+    # and otherwise the new lower-right entry s*b + t*d is pdet/g0
+    if c != 0:
+        # (s, t) coprime with s*a + t*c == 0; complete to det-1 [[m,n],[s,t]]
+        g0 = gcd(a, c)
+        s, t = -c // g0, a // g0
+        m = pow(t, -1, abs(s))
+        n = (m * t - 1) // s
+        a, b, d = m * a + n * c, m * b + n * d, s * b + t * d
+    return a, b % d, d
+
+
 # Standard elements ----------------------------------------------------------
 
 IDENTITY = ProjectiveMatrix.from_ints(1, 0, 0, 1)
-
-
-# Text serialization ---------------------------------------------------------
-
-
-def parse_rational(token: str) -> tuple[int, int]:
-    """Read ``p`` or ``p/q`` (decimal digits, ``p`` signed) as the pair (p, q), q > 0."""
-    match = re.fullmatch(_RATIONAL, token)
-    if match is None or match[2] is not None and int(match[2]) == 0:
-        raise ValueError("bad rational literal %r" % token)
-    return int(match[1]), int(match[2] or 1)
-
-
-def parse_matrix(text: str) -> ProjectiveMatrix:
-    """Parse ``[[a,b],[c,d]]`` with entries written as ``p/q`` or integers."""
-    s = text.strip().replace(" ", "")
-    if not (s.startswith("[[") and s.endswith("]]")):
-        raise ValueError("bad matrix literal %r" % text)
-    body = s[2:-2]
-    rows = body.split("],[")
-    if len(rows) != 2:
-        raise ValueError("bad matrix literal %r" % text)
-    entries = []
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ValueError("bad matrix literal %r" % text)
-        entries.extend(parse_rational(p) for p in parts)
-    return ProjectiveMatrix.from_ints(*clear_denominators(entries))

@@ -27,8 +27,7 @@ from .descriptors import (
     normalizer_of_gamma0,
     normalizer_quotient_orders,
 )
-from .exact import IDENTITY, ProjectiveMatrix
-from .lattice import reduce_matrix
+from .exact import IDENTITY, ProjectiveMatrix, hermite
 
 QUOTIENT_ELEMENT_BOUND = 10000
 
@@ -131,9 +130,9 @@ class FiniteQuotient:
 
 
 def _coset_key(g: ProjectiveMatrix, n: int):
-    # the second name is that of [[n, 0], [0, 1]] g, the action of g on the name (n, 0)
+    # the names of g and of [[n, 0], [0, 1]] g, the action of g on (n, 0), as Hermite triples
     a, b, c, d = g
-    return (reduce_matrix(g), reduce_matrix(ProjectiveMatrix.from_ints(n * a, n * b, c, d)))
+    return hermite(g), hermite(ProjectiveMatrix.from_ints(n * a, n * b, c, d))
 
 
 def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuotient:

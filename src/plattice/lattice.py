@@ -7,15 +7,16 @@ lattice's name.  A name is stored as the named tuple (a, s, d) of the
 primitive integral form [[a, s], [0, d]] of that representative, so
 M = a/d and b = s/d; it hashes as that tuple but orders by (M, b).  This
 module implements the reduction of an arbitrary positive-determinant matrix
-to its name, the right group action on names and hyperdistance.  All of it
-is integer arithmetic, and so are reading and printing a name: M and b are
-read as integer pairs (p, q).
+to its name, the right group action on names, hyperdistance, and every
+reader of text, a matrix's too.  All of it is integer arithmetic:
+``parse_rational`` reads a rational as the pair (p, q) with q > 0, and
+``clear_denominators`` is the one place such pairs become integers.
 """
 
 from collections import namedtuple
-from math import gcd
+from math import gcd, lcm
 
-from .exact import ProjectiveMatrix, clear_denominators, parse_rational
+from .exact import ProjectiveMatrix, hermite
 
 
 class LatticeName(namedtuple("LatticeName", "a s d")):
@@ -92,17 +93,7 @@ def reduce_matrix(g: ProjectiveMatrix) -> LatticeName:
     entry into [0, d).  Unimodular row operations keep the content at one,
     so the result is already primitive.
     """
-    a, b, c, d = g
-    # d ends positive with no sign fix: the stored a is positive when c == 0,
-    # and otherwise the new lower-right entry s*b + t*d is pdet/g0
-    if c != 0:
-        # (s, t) coprime with s*a + t*c == 0; complete to det-1 [[m,n],[s,t]]
-        g0 = gcd(a, c)
-        s, t = -c // g0, a // g0
-        m = pow(t, -1, abs(s))
-        n = (m * t - 1) // s
-        a, b, d = m * a + n * c, m * b + n * d, s * b + t * d
-    return LatticeName(a, b % d, d)
+    return LatticeName(*hermite(g))
 
 
 def act(name: LatticeName, g: ProjectiveMatrix) -> LatticeName:
@@ -113,3 +104,35 @@ def act(name: LatticeName, g: ProjectiveMatrix) -> LatticeName:
 def hyperdistance(x: LatticeName, y: LatticeName) -> int:
     """Projective determinant of the transition matrix between two names."""
     return (y.matrix() * x.matrix().inv()).pdet()
+
+
+def clear_denominators(pairs) -> tuple[int, ...]:
+    """The rationals p/q of ``pairs`` (q > 0) scaled to integers with content 1.
+
+    The scale is the positive one that clears every denominator and then
+    divides out the gcd of the results; not every p may be zero.
+    """
+    den = lcm(*(q for _, q in pairs))
+    ints = [p * (den // q) for p, q in pairs]
+    content = gcd(*ints)
+    if content == 0:
+        raise ValueError("zero matrix has no primitive representative")
+    return tuple(x // content for x in ints)
+
+
+def parse_rational(token: str) -> tuple[int, int]:
+    """Read ``p`` or ``p/q`` (decimal digits, ``p`` signed) as the pair (p, q), q > 0."""
+    # whitespace is str.isspace and a digit str.isdecimal; int alone would also read "_"
+    p, slash, q = token.strip().partition("/")
+    if not (p[1:] if p[:1] in "+-" else p).isdecimal() or slash and not (q.isdecimal() and int(q)):
+        raise ValueError("bad rational literal %r" % token)
+    return int(p), int(q) if slash else 1
+
+
+def parse_matrix(text: str) -> ProjectiveMatrix:
+    """Parse ``[[a,b],[c,d]]`` with entries written as ``p/q`` or integers."""
+    s = text.strip().replace(" ", "")
+    rows = [row.split(",") for row in s[2:-2].split("],[")]
+    if not (s.startswith("[[") and s.endswith("]]")) or [len(row) for row in rows] != [2, 2]:
+        raise ValueError("bad matrix literal %r" % text)
+    return ProjectiveMatrix.from_ints(*clear_denominators([parse_rational(p) for row in rows for p in row]))

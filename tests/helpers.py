@@ -1,6 +1,7 @@
 """Reference code that only the tests use: the modular generators S and T,
 matrices and names built from rationals the way the command line reads
-them, the upper and lower translations and the dilation, series
+them, the rational reader by a regular expression, the upper and lower
+translations and the dilation, series
 coefficients, a name's pair (M, b) as Fractions and the dual (reverse)
 names, element orders, lattice-set actions and whole subgroup lattices of
 finite quotients, the lattice-set rule for kernel membership, characters
@@ -25,6 +26,7 @@ import io
 import json
 import math
 import operator
+import re
 from collections import namedtuple
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -33,7 +35,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from plattice.classify import _index_over_modular_part, name_subgroup
-from plattice.exact import IDENTITY, ProjectiveMatrix, parse_matrix
+from plattice.exact import IDENTITY, ProjectiveMatrix
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import (
     GroupDescriptor,
@@ -51,7 +53,7 @@ from plattice.groupsys import (
     normalizer_quotient,
     quotient_generators,
 )
-from plattice.lattice import L1, LatticeName, act, hyperdistance
+from plattice.lattice import L1, LatticeName, act, hyperdistance, parse_matrix
 from plattice.output import print_json
 from plattice.arith import divisors, gamma0_index, hypercircle_size, is_prime
 from plattice.tree import hypercircle, thread
@@ -64,6 +66,18 @@ T = ProjectiveMatrix.from_ints(1, 1, 0, 1)
 def rational_matrix(a, b, c, d) -> ProjectiveMatrix:
     """The class of [[a, b], [c, d]] for ints or ``Fraction``s, read from its text."""
     return parse_matrix("[[%s,%s],[%s,%s]]" % (a, b, c, d))
+
+
+# the grammar of ``lattice.parse_rational``, which reads it with str methods
+RATIONAL_PATTERN = r"\s*([+-]?\d+)(?:/(\d+))?\s*"
+
+
+def regex_rational(token: str) -> tuple[int, int]:
+    """``parse_rational`` by the regular expression: the pair (p, q), q > 0, or ValueError."""
+    match = re.fullmatch(RATIONAL_PATTERN, token)
+    if match is None or match[2] is not None and int(match[2]) == 0:
+        raise ValueError("bad rational literal %r" % token)
+    return int(match[1]), int(match[2] or 1)
 
 
 def lattice(m, b=0) -> LatticeName:

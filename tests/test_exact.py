@@ -4,7 +4,8 @@ from math import gcd, lcm
 
 import pytest
 
-from plattice.exact import IDENTITY, ProjectiveMatrix, clear_denominators, parse_matrix
+from plattice.exact import IDENTITY, ProjectiveMatrix, hermite
+from plattice.lattice import LatticeName, clear_denominators, parse_matrix, reduce_matrix
 
 from .helpers import S, T, dilation, lower_translation, rational_matrix, translation
 
@@ -115,6 +116,27 @@ class TestGroupLaw:
 
     def test_lower_translation(self):
         assert tuple(lower_translation(3)) == (1, 0, 3, 1)
+
+
+class TestHermite:
+    def test_triple_is_in_the_coset(self):
+        # independent of the row operation: g * adj([[a, s], [0, d]]) is a
+        # rational multiple of an SL2(Z) matrix exactly when its determinant
+        # is the square of its content (the benchmark's check of ``reduce``)
+        rng = random.Random(500)
+        checked = 0
+        while checked < 500:
+            entries = [rng.randint(-60, 60) for _ in range(4)]
+            if entries[0] * entries[3] - entries[1] * entries[2] <= 0 or gcd(*entries) != 1:
+                continue
+            g = ProjectiveMatrix.from_ints(*entries)
+            a, s, d = triple = hermite(g)
+            assert a > 0 and 0 <= s < d and gcd(a, s, d) == 1, (g, triple)
+            ga, gb, gc, gd = g
+            product = (ga * d, gb * a - ga * s, gc * d, gd * a - gc * s)
+            assert product[0] * product[3] - product[1] * product[2] == gcd(*product) ** 2, (g, triple)
+            assert reduce_matrix(g) == LatticeName(*triple)
+            checked += 1
 
 
 class TestSerialization:

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plattice.exact import IDENTITY, ProjectiveMatrix
-from plattice.lattice import L1, LatticeName, act, hyperdistance, reduce_matrix
+from plattice.lattice import L1, LatticeName, act, hyperdistance, parse_rational, reduce_matrix
 from plattice.tree import hypercircle
 from .helpers import (
     S,
@@ -19,6 +20,7 @@ from .helpers import (
     name_b,
     name_m,
     name_of,
+    regex_rational,
     reverse_name,
     translation,
 )
@@ -309,3 +311,25 @@ class TestIntegerNameProperties:
     def test_reduce_ignores_modular_left_factor(self, m, b, u):
         name = lattice(m, b)
         assert reduce_matrix(u * name.matrix()) == name
+
+
+# whitespace (a no-break space too), the signs, the slash, ASCII digits and
+# an Arabic-Indic three, "_" (which int alone would read) and a letter
+READER_ALPHABET = " \t\n\u00a0+-/0123_x\u0663"
+
+
+def _read(reader, token):
+    try:
+        return reader(token)
+    except ValueError as error:
+        return str(error)
+
+
+def test_rational_reader_agrees_with_the_regex():
+    # on every token of length <= 4 over the alphabet: the same pair, or the
+    # same refusal
+    tokens = [""] + ["".join(t) for n in range(1, 5) for t in product(READER_ALPHABET, repeat=n)]
+    read = [_read(parse_rational, token) for token in tokens]
+    assert [t for t, got in zip(tokens, read) if got != _read(regex_rational, t)] == []
+    accepted = [got for got in read if isinstance(got, tuple)]
+    assert (-3, 1) in accepted and (3, 12) in accepted and 1000 < len(accepted) < len(tokens) // 2

@@ -32,7 +32,7 @@ def test_no_bare_asserts_in_package():
 # product, reduction, coset-key, cusp and name-printing paths must build no
 # rationals
 INTEGER_ONLY = {
-    "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints"),
+    "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints", "hermite"),
     "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
     "arith.py": ("divisors",),
     "tree.py": ("thread", "_lattice_sum"),
@@ -181,6 +181,22 @@ def test_no_regex_is_compiled_at_import():
     assert found == []
 
 
+def test_no_module_imports_re_at_module_scope():
+    # rationals are read with str methods, and only an eta of text that may
+    # be a group name imports re, inside its branch: ``re`` and ``enum``
+    # cost a cold ``eta 2 --order 363`` 2.2 ms under python -S, where no
+    # site-packages .pth file has imported them first
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in _module_scope_imports(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Import) and "re" in [alias.name for alias in node.names]
+            or isinstance(node, ast.ImportFrom) and node.module == "re"
+        ]
+    assert found == []
+
+
 def test_only_output_imports_the_json_writer():
     # and only inside print_json, so that text commands compile none of it
     assert [offender.split(":")[0] for offender in _importers("jsonwriter")] == ["output.py"]
@@ -207,13 +223,23 @@ def _taken_from(filename: str) -> dict:
 def test_groupsys_takes_nothing_from_arith_or_tree():
     # a kernel is decided on a finite quotient, not by acting on lattice
     # sets, and the normalizer is read off its descriptor
-    assert sorted(_taken_from("groupsys.py")) == ["descriptors", "exact", "lattice"]
+    assert sorted(_taken_from("groupsys.py")) == ["descriptors", "exact"]
 
 
-def test_groupsys_takes_only_reduce_matrix_from_lattice():
-    # a coset key reduces [[n, 0], [0, 1]] g itself, so no lattice name is
-    # built to act on
-    assert _taken_from("groupsys.py")["lattice"] == ["reduce_matrix"]
+def test_group_layers_import_nothing_from_lattice():
+    # a coset key is the pair of Hermite triples of exact.hermite, so no
+    # lattice name is built, and classify, diagram and super --check-invariance
+    # compile no name or text code
+    files = ["descriptors.py", "groupsys.py", "classify.py", "diagram.py", "doubling.py", "frames.py"]
+    assert [filename for filename in files if "lattice" in _taken_from(filename)] == []
+
+
+def test_exact_is_integer_matrices_only():
+    # every reader of text is in lattice, so exact imports no plattice
+    # module and parses nothing
+    assert _taken_from("exact.py") == {}
+    tree = ast.parse((SRC / "exact.py").read_text())
+    assert [name for name in _definitions(tree) if name.split(".")[-1].startswith("parse")] == []
 
 
 def test_descriptors_take_only_divisors_and_the_index_from_arith():
@@ -641,6 +667,15 @@ def test_startup_table_row_loads_its_layers(row):
     loaded = _loaded_layers(STARTUP_ROWS[row])
     assert {"cli", "output"} <= loaded
     assert loaded - {"cli", "output"} == _startup_table()[row]
+
+
+@pytest.mark.parametrize("row", list(STARTUP_ROWS))
+def test_startup_table_row_loads_no_re_without_site(row):
+    # under -S no site-packages .pth file has imported re before the command
+    # runs, so the set of loaded modules shows what the command itself loads
+    code, loaded = ast.literal_eval(fresh_python("-S", "-c", BARE_SCRIPT, *STARTUP_ROWS[row]).stdout)
+    assert code == 0
+    assert "re" not in loaded
 
 
 # argparse, with gettext and the locale that its first translated text
