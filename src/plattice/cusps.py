@@ -44,13 +44,6 @@ class CuspReport(namedtuple("CuspReport", "level cusps")):
             "cusps": ({"orbit": _orbit(a, r, d, w), "width": str(w)} for (a, r, d), w in self.cusps),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CuspReport":
-        cusps = tuple(
-            (LatticeName.parse(entry["orbit"][0]), int(entry["width"])) for entry in data["cusps"]
-        )
-        return cls(data["group"]["n"], cusps)
-
 
 def _orbit(a: int, r: int, d: int, width: int):
     # its own scope binds (a, r, d): the writer takes cusps ahead of their orbits

@@ -132,10 +132,6 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         out["display"] = self.display
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupDescriptor":
-        return cls(*(data[name] for name in cls._fields))
-
     def _key(self) -> tuple:
         # a total order: the field order compares label sets as subsets
         return (self.h, self.n, len(self.plus), sorted(self.plus), self.character or 0)

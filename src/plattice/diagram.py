@@ -31,13 +31,6 @@ class VertexData(
         out["core"] = self.core.to_json()
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "VertexData":
-        fields = {name: data[name] for name in cls._fields}
-        fields["group"] = GroupDescriptor.from_json(data["group"])
-        fields["core"] = GroupDescriptor.from_json(data["core"])
-        return cls(**fields)
-
 
 def _pair_orbit(desc: GroupDescriptor, index: int) -> int:
     """Size of the orbit of {L1, L2} under a group of ``index`` cosets over
@@ -97,13 +90,6 @@ class LabeledGraph(namedtuple("LabeledGraph", "vertices edges")):
             "vertices": [v.to_json() for v in self.vertices],
             "edges": sorted(sorted(e) for e in self.edges),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LabeledGraph":
-        return cls(
-            tuple(VertexData.from_json(v) for v in data["vertices"]),
-            frozenset(tuple(e) for e in data["edges"]),
-        )
 
 
 def graph_solutions(data) -> list[frozenset[tuple[int, int]]]:

@@ -7,7 +7,8 @@ names, element orders, lattice-set actions and whole subgroup lattices of
 finite quotients, the lattice-set rule for kernel membership, characters
 spread from generator values, the two instantiated characters, shear
 orbits, cusp counts and the cusp report they give, a payload's printed
-JSON read back, the hypercircle by
+JSON read back, the readers of the JSON records (no command reads JSON),
+the hypercircle by
 the group action and a sort, balls of the p-adic trees, graph edges by
 group name, graph neighbours, the Frame-shape predictions of the vertex
 invariants and the dense eta-series recurrence;
@@ -35,6 +36,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from plattice.classify import _index_over_modular_part, name_subgroup
+from plattice.cusps import CuspReport
 from plattice.exact import IDENTITY, ProjectiveMatrix
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import (
@@ -45,6 +47,7 @@ from plattice.descriptors import (
     unsupported_kernel,
     width_at_infinity,
 )
+from plattice.diagram import LabeledGraph, VertexData
 from plattice.groupsys import (
     FiniteQuotient,
     _member_cosets,
@@ -398,6 +401,34 @@ def printed_json(payload):
     with redirect_stdout(out):
         print_json(payload)
     return json.loads(out.getvalue())
+
+
+def descriptor_from_json(data: dict) -> GroupDescriptor:
+    """The descriptor of a ``GroupDescriptor.to_json`` record."""
+    return GroupDescriptor(*(data[name] for name in GroupDescriptor._fields))
+
+
+def vertex_data_from_json(data: dict) -> VertexData:
+    """The vertex of a ``VertexData.to_json`` record."""
+    fields = {name: data[name] for name in VertexData._fields}
+    fields["group"] = descriptor_from_json(data["group"])
+    fields["core"] = descriptor_from_json(data["core"])
+    return VertexData(**fields)
+
+
+def graph_from_json(data: dict) -> LabeledGraph:
+    """The graph of a ``LabeledGraph.to_json`` record."""
+    return LabeledGraph(
+        tuple(vertex_data_from_json(v) for v in data["vertices"]),
+        frozenset(tuple(e) for e in data["edges"]),
+    )
+
+
+def cusp_report_from_json(data: dict) -> CuspReport:
+    """The report of a ``CuspReport.to_json`` record: each orbit's first
+    name is its representative."""
+    cusps = tuple((LatticeName.parse(entry["orbit"][0]), int(entry["width"])) for entry in data["cusps"])
+    return CuspReport(data["group"]["n"], cusps)
 
 
 def cusp_count(ambient: GroupDescriptor, orbit) -> int:

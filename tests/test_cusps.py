@@ -5,13 +5,14 @@ import pytest
 
 from plattice import cli, cusps, tree
 from plattice.arith import gamma0_index
-from plattice.cusps import CuspReport, cusps_of_gamma0
+from plattice.cusps import cusps_of_gamma0
 from plattice.descriptors import GroupDescriptor, width_at_infinity
 from plattice.lattice import L1, act
 from plattice.tree import hypercircle
 
 from .helpers import (
     cusp_count,
+    cusp_report_from_json,
     lattice,
     orbit_cusp_outputs,
     printed_json,
@@ -127,7 +128,7 @@ class TestOrbits:
         assert cusps_of_gamma0(9).level == 9
         for n in range(1, 61):
             report = cusps_of_gamma0(n)
-            assert CuspReport.from_json(printed_json(report.to_json())) == report
+            assert cusp_report_from_json(printed_json(report.to_json())) == report
 
     @pytest.mark.parametrize(
         "amount", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(3)], ids=str

@@ -12,7 +12,6 @@ import pytest
 from plattice import cli, diagram
 from plattice.diagram import (
     NODE_GROUPS,
-    LabeledGraph,
     VertexData,
     _pair_orbit,
     build_graph,
@@ -28,6 +27,7 @@ from plattice.lattice import L1, act
 from .helpers import (
     backtracking_graph_solutions,
     edge_displays,
+    graph_from_json,
     group_generators,
     lattice,
     named_core_group,
@@ -36,6 +36,7 @@ from .helpers import (
     searched_scale_factor,
     searched_valency,
     schreier_generators,
+    vertex_data_from_json,
     walked_pair_orbit_size,
 )
 from .test_groupsys import CATALOG_48, outcome
@@ -193,9 +194,9 @@ class TestVertexData:
     def test_json_round_trips(self):
         # through JSON text, as the diagram command prints it
         graph = build_graph(node_vertex_data())
-        assert LabeledGraph.from_json(json.loads(json.dumps(graph.to_json()))) == graph
+        assert graph_from_json(json.loads(json.dumps(graph.to_json()))) == graph
         for v in graph.vertices:
-            assert VertexData.from_json(json.loads(json.dumps(v.to_json()))) == v
+            assert vertex_data_from_json(json.loads(json.dumps(v.to_json()))) == v
 
     def test_valency_sum(self):
         assert sum(v.valency for v in node_vertex_data()) == 16
