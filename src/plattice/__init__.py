@@ -25,13 +25,7 @@ _HOMES = {
     "exact": ("ProjectiveMatrix",),
     "lattice": ("LatticeName", "act", "hyperdistance", "reduce_matrix"),
     "tree": ("HyperCircle", "hypercircle", "is_cell", "padic_projection", "thread"),
-    "descriptors": (
-        "GroupDescriptor",
-        "NODE_GROUPS",
-        "congruence_level",
-        "normalizer_of_gamma0",
-        "width_at_infinity",
-    ),
+    "descriptors": ("GroupDescriptor", "NODE_GROUPS", "normalizer_of_gamma0", "width_at_infinity"),
     "groupsys": ("FiniteQuotient", "al_coset_representative", "finite_quotient", "member"),
     "cusps": ("CuspReport", "cusps_of_gamma0"),
     "classify": ("Candidate", "candidate_levels", "check_conditions", "classify"),

@@ -36,9 +36,14 @@ EXPONENT_TWO_ORDER = {1: 1, 2: 2, 3: 4, 4: 4, 6: 8, 8: 4, 12: 16, 24: 16}
 def candidate_levels(index_bound: int = INDEX_BOUND) -> list[tuple[int, int]]:
     """All (n, h) with the level-n index within bound and h admissible.
 
-    h must divide gcd(n, 24) with neither 4h nor 9h dividing n (otherwise
-    h would not be the maximal square divisor bound for n*h).  An index
-    bound above INDEX_BOUND_BUDGET is a ValueError.
+    h must divide gcd(n, 24) with neither 4h nor 9h dividing n.  Each pair
+    is then (h, n) of its level's normalizer, ``normalizer_of_gamma0(n*h)``,
+    so no level repeats; left out are the levels with 256 or 81 dividing
+    n*h, where h is capped by the divisors of 24 (level 256 is (32, 8)).
+    That changes no output: ``may_pass`` rejects each such level up to
+    2*10**5 below ratio bound 48 (level 256 passes at 48), and from ratio
+    bound 6 up naming a level-9 subgroup fails first.  An index bound
+    above INDEX_BOUND_BUDGET is a ValueError.
     """
     if index_bound > INDEX_BOUND_BUDGET:
         raise ValueError("cannot sweep index bound %d: above the budget of 10**5" % index_bound)
@@ -76,10 +81,9 @@ class Candidate(namedtuple("Candidate", "n h quotient subgroup")):
     def __init__(self, n: int, h: int, quotient: FiniteQuotient, subgroup: frozenset[int]):
         if 0 not in subgroup:
             raise ValueError("subgroup does not contain the identity")
+        # closed under the product, it holds each inverse, a power of its element
         mult = quotient.mult
         for i in subgroup:
-            if quotient.inverse[i] not in subgroup:
-                raise ValueError("subgroup is not inverse-closed")
             for j in subgroup:
                 if mult[i][j] not in subgroup:
                     raise ValueError("subgroup is not multiplicatively closed")

@@ -55,11 +55,7 @@ COMMANDS = {
         "inspect a group descriptor",
         ["name", ("--member", {"help": "matrix to test for membership"})],
     ),
-    "level": (
-        "cli_groups",
-        "congruence level of a group",
-        ["name", ("--max-n", {"type": int, "help": "a bound the level must divide"})],
-    ),
+    "level": ("cli_groups", "congruence level of a group", ["name"]),
     # the bounds default to None, which means the defaults of plattice.classify,
     # read when the command runs
     "classify": (
@@ -173,6 +169,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+    if args.as_json:
+        args.format = "json"  # the shorthand wins over any --format
     module = COMMANDS[args.command][0]
     # the call ``from . import <module>`` makes, so -X importtime logs it
     handlers = getattr(__import__(__package__, fromlist=[module]), module)

@@ -2,7 +2,7 @@
 index; ``index`` loads ``arith`` alone, and none of them a group layer.
 ``hypercircle`` prints its members as they are generated, in every format."""
 
-from .output import json_wanted, print_json, write
+from .output import print_json, write
 
 
 def cmd_reduce(args):
@@ -22,7 +22,7 @@ def cmd_hypercircle(args):
     from .tree import hypercircle, hypercircle_dot
 
     circle = hypercircle(LatticeName.parse(args.center), args.radius)
-    if json_wanted(args):
+    if args.format == "json":
         print_json({"center": str(circle.center), "radius": circle.radius, "members": map(str, circle)})
     elif args.format == "dot":
         write(hypercircle_dot(circle))
@@ -36,7 +36,7 @@ def cmd_thread(args):
 
     left, right = LatticeName.parse(args.left), LatticeName.parse(args.right)
     members = thread(left, right)
-    if json_wanted(args):
+    if args.format == "json":
         print_json({"left": str(left), "right": str(right), "members": map(str, members)})
     else:
         print("\n".join(map(str, members)))
@@ -48,7 +48,7 @@ def cmd_cell(args):
 
     names = [LatticeName.parse(x) for x in args.names]
     result = is_cell(names)
-    if json_wanted(args):
+    if args.format == "json":
         print_json({"cell": result})
     else:
         print("true" if result else "false")

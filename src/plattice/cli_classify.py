@@ -1,6 +1,6 @@
 """Handler of classify, apart so that a classify run compiles no other handler."""
 
-from .output import json_wanted, print_json
+from .output import print_json
 
 
 def cmd_classify(args):
@@ -12,7 +12,7 @@ def cmd_classify(args):
     for hit in classify_hits(index_bound, ratio_bound, args.relax_width):
         sightings.setdefault(hit.descriptor, []).append(hit)
     found = sorted(sightings)
-    if json_wanted(args):
+    if args.format == "json":
         payload = [
             {
                 "group": desc.to_json(),

@@ -1,13 +1,13 @@
 """Handlers of cusps, groups, level and diagram."""
 
-from .output import json_wanted, print_json
+from .output import print_json
 
 
 def cmd_cusps(args):
     from .cusps import cusps_of_gamma0
 
     report = cusps_of_gamma0(args.level)
-    if json_wanted(args):
+    if args.format == "json":
         print_json(report.to_json())
         return
     lines = ["representative\twidth"]
@@ -30,16 +30,16 @@ def cmd_groups(args):
     info = desc.to_json()
     info["width_at_infinity"] = "%d" % k if h == 1 else "%d/%d" % (k, h)
     info["intersection_level"] = desc.intersection_level()
-    if json_wanted(args):
+    if args.format == "json":
         print_json(info)
     else:
         print("\n".join("%s: %s" % (k, v) for k, v in sorted(info.items())))
 
 
 def cmd_level(args):
-    from .descriptors import GroupDescriptor, congruence_level
+    from .descriptors import GroupDescriptor
 
-    print(congruence_level(GroupDescriptor.parse(args.name), args.max_n))
+    print(GroupDescriptor.parse(args.name).intersection_level())
 
 
 def cmd_diagram(args):
@@ -47,7 +47,7 @@ def cmd_diagram(args):
 
     data = node_vertex_data()
     graph = build_graph(data)
-    if json_wanted(args):
+    if args.format == "json":
         print_json(graph.to_json())
         return
     if args.format == "dot":

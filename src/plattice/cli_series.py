@@ -3,7 +3,7 @@ loads ``frames`` alone."""
 
 from itertools import chain
 
-from .output import json_wanted, print_json, write
+from .output import print_json, write
 
 
 def cmd_super(args):
@@ -23,7 +23,7 @@ def cmd_super(args):
             yield row
             row.clear()  # printed: the series goes before the next is expanded
 
-    if json_wanted(args):
+    if args.format == "json":
         return print_json(rows())
     for row in rows():
         cells = (value.text() if key == "series" else [str(value)] for key, value in row.items())

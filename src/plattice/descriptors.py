@@ -123,7 +123,11 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
     # structure ------------------------------------------------------------
 
     def intersection_level(self) -> int:
-        """K with the group's modular-group intersection equal to level K."""
+        """K with the group's modular-group intersection equal to level K.
+
+        K is the congruence level: the principal congruence group of level
+        M lies in the group exactly when it lies in that intersection, so
+        exactly when K | M."""
         return self.n * self.h if self.character else self.n
 
     def to_json(self) -> dict:
@@ -194,7 +198,7 @@ def normalizer_quotient_orders(n: int) -> tuple[int, int]:
     return total // gamma0_index(m) * len(exact_divisors(m)), total // gamma0_index(n // h)
 
 
-# width and congruence level ---------------------------------------------------
+# width at infinity ------------------------------------------------------------
 
 
 def width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
@@ -206,25 +210,3 @@ def width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
     """
     return (1, 1) if desc.character else (1, desc.h)
 
-
-# congruence level -------------------------------------------------------------
-
-
-def congruence_level(desc: GroupDescriptor, bound: int | None = None) -> int:
-    """Least M with the principal congruence group of level M inside the group.
-
-    Containment depends only on the modular-group intersection, the level-K
-    group with K = ``intersection_level()``, and the level-M principal
-    group lies in it exactly when K | M.  So the answer is K whenever K
-    divides ``bound`` (default four times n*h, which K always divides);
-    otherwise no divisor of ``bound`` qualifies, a ValueError, as is a
-    bound below 1.
-    """
-    k = desc.intersection_level()
-    if bound is None:
-        bound = 4 * desc.n * desc.h
-    if bound < 1:
-        raise ValueError("bound must be positive, got %d" % bound)
-    if bound % k:
-        raise ValueError("no congruence level of %s divides %d" % (desc, bound))
-    return k

@@ -104,12 +104,11 @@ def conjugated_al_representative(desc_h: int, m: int, e: int) -> ProjectiveMatri
 class FiniteQuotient:
     """A finite group of coset representatives with exact multiplication."""
 
-    def __init__(self, big, small, reps, mult, inverse, keys):
+    def __init__(self, big, small, reps, mult, keys):
         self.big: GroupDescriptor = big
         self.small: GroupDescriptor = small
         self.reps: tuple[ProjectiveMatrix, ...] = reps
         self.mult: tuple[tuple[int, ...], ...] = mult
-        self.inverse: tuple[int, ...] = inverse
         self._keys: dict = keys
 
     @property
@@ -190,8 +189,7 @@ def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuoti
     # entries all lie in range(order), so a line without repeats is a permutation
     if any(len(set(line)) != order for lines in (columns, mult) for line in lines):
         raise ValueError("quotient is not closed under multiplication")
-    inverse = tuple(row.index(0) for row in mult)
-    return FiniteQuotient(big, small, tuple(reps), mult, inverse, keys)
+    return FiniteQuotient(big, small, tuple(reps), mult, keys)
 
 
 def quotient_generators(big: GroupDescriptor) -> list[ProjectiveMatrix]:

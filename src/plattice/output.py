@@ -27,7 +27,3 @@ def print_json(payload):
     # the bytes of print(json.dumps(payload, indent=2, sort_keys=True)),
     # never held as one string; iterators in the payload are consumed as printed
     write(chain(pieces(payload), "\n"))
-
-
-def json_wanted(args) -> bool:
-    return args.as_json or args.format == "json"

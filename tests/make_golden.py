@@ -78,9 +78,6 @@ DOMAIN_ERRORS = [
     ["groups", "6+5"],  # labels are not exact divisors
     ["groups", "30+2,3"],  # label set is not closed
     ["groups", "5|5"],  # kernel subgroup not implemented
-    ["level", "3|3", "--max-n", "10"],  # no congruence level divides the bound
-    ["level", "2+", "--max-n", "0"],  # bound must be positive
-    ["level", "3|3", "--max-n", "-9"],  # bound must be positive
     ["classify", "--index-bound", "100001"],  # cannot sweep above the budget
     ["classify", "--index-bound", "0"],  # bounds must be positive
     ["super", "--series", "0"],  # order must be positive
@@ -195,6 +192,11 @@ USAGE_ERRORS = [
     ["super", "--tol", "x"],  # the same, whatever its value
     ["super", "--check-invariance", "--tol", "1e-3"],  # the same after a valid flag
     ["super", "--check-invariance", "--tol", "1e-300"],
+    # unrecognized arguments: level prints the congruence level, which no
+    # bound can change, so it has no --max-n, whatever the bound
+    ["level", "3|3", "--max-n", "10"],
+    ["level", "2+", "--max-n", "0"],
+    ["level", "3|3", "--max-n", "-9"],
     ["diagram", "--format", "xml"],  # invalid choice of format
     ["diagram", "extra"],  # unrecognized arguments
     ["eta", "1^24", "--order"],  # expected one argument

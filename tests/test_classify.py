@@ -8,6 +8,7 @@ import pytest
 from plattice.arith import divisors
 from plattice.classify import (
     EXPONENT_TWO_ORDER,
+    INDEX_BOUND_BUDGET,
     Candidate,
     Hit,
     candidate_levels,
@@ -71,6 +72,18 @@ class TestCandidateLevels:
         pairs = set(candidate_levels())
         assert {(4, 2), (4, 4), (6, 1), (6, 2), (6, 3), (9, 3), (8, 4), (8, 8)} <= pairs
 
+    def test_pairs_are_normalizer_parameters_of_distinct_levels(self):
+        pairs = candidate_levels(INDEX_BOUND_BUDGET)
+        levels = [n * h for n, h in pairs]
+        assert len(set(levels)) == len(levels)
+        assert all(normalizer_of_gamma0(n * h)[:2] == (h, n) for n, h in pairs)
+        # left out: the levels whose normalizer h is capped by the divisors of 24
+        capped = [level for level in range(1, 2 * 10**5 + 1) if level % 256 == 0 or level % 81 == 0]
+        assert set(range(1, 20001)) - set(levels) == {level for level in capped if level <= 20000}
+        assert normalizer_of_gamma0(256)[:2] == (8, 32)
+        assert not any(may_pass(level, 10**5, 47) for level in capped)
+        assert [level for level in capped if may_pass(level, 10**5, 48)] == [256]
+
 
 class TestCaseDiagramIndices:
     def test_quotient_orders_match_case_diagrams(self):
@@ -124,9 +137,22 @@ class TestConditions:
             Candidate(4, 2, q, frozenset([0, bad]))
 
     def test_the_empty_set_is_refused(self):
-        # it passes both closure tests vacuously, and its modular part is 0
+        # it passes the closure test vacuously, and its modular part is 0
         with pytest.raises(ValueError, match="subgroup does not contain the identity"):
             Candidate(2, 2, normalizer_quotient(4), frozenset())
+
+    def test_accepts_exactly_the_subgroups(self):
+        # a product-closed set with the identity holds each inverse, a power
+        # of its element, so only the brute-force reference reads inverses
+        q = normalizer_quotient(8)
+        subgroups = 0
+        for bits in range(1 << q.order):
+            subset = frozenset(i for i in range(q.order) if bits >> i & 1)
+            closed = all(q.mult[i][j] in subset for i in subset for j in subset)
+            is_subgroup = 0 in subset and closed and all(q.mult[i].index(0) in subset for i in subset)
+            assert isinstance(outcome(Candidate, 4, 2, q, subset), Candidate) == is_subgroup, sorted(subset)
+            subgroups += is_subgroup
+        assert (q.order, subgroups) == (8, 10)
 
 
 class TestClassify:

@@ -8,6 +8,8 @@ records, and exits with the recorded code.
 import json
 import shlex
 
+from plattice import cli
+
 from .make_golden import GOLDEN, corpus, differences, run
 
 RECORDS = json.loads(GOLDEN.read_text())
@@ -28,3 +30,21 @@ def test_diff_names_each_changed_added_and_removed_line():
     new = {"index 1": {"exit": 0}, "index 2": {"exit": 1}, "index 4": {"exit": 0}}
     assert differences(old, old) == []
     assert differences(old, new) == ["changed\tindex 2", "added\tindex 4", "removed\tindex 3"]
+
+
+def test_every_own_option_is_in_an_answered_record():
+    # an option that no exit-0 record gives can only be seen refusing; the
+    # shared --format and --json are not a command's own
+    given = {}
+    for line, record in RECORDS.items():
+        words = shlex.split(line)
+        if record["exit"] == 0:
+            given.setdefault(words[0], set()).update(word for word in words if word.startswith("--"))
+    unanswered = [
+        "%s %s" % (command, argument[0])
+        for command, (_, _, arguments) in cli.COMMANDS.items()
+        for argument in arguments
+        if isinstance(argument, tuple) and argument[0].startswith("--")
+        and argument[0] not in given.get(command, ())
+    ]
+    assert unanswered == []

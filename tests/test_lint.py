@@ -36,7 +36,7 @@ INTEGER_ONLY = {
     "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
     "arith.py": ("divisors",),
     "tree.py": ("thread", "_lattice_sum"),
-    "descriptors.py": ("congruence_level", "normalizer_quotient_orders"),
+    "descriptors.py": ("GroupDescriptor.intersection_level", "normalizer_quotient_orders"),
     "groupsys.py": (
         "_coset_key",
         "_conjugate_by_scale",
@@ -229,6 +229,11 @@ def _taken_from(filename: str) -> dict:
             else:
                 taken.setdefault(module, []).append(alias.name)
     return {module: sorted(names) for module, names in taken.items()}
+
+
+def test_only_the_cli_reads_the_json_shorthand():
+    # main turns --json into --format json, so the handlers read --format alone
+    assert [path.name for path in sorted(SRC.glob("*.py")) if "as_json" in path.read_text()] == ["cli.py"]
 
 
 def test_groupsys_takes_nothing_from_arith_or_tree():
@@ -777,9 +782,9 @@ def test_cusps_text_loads_no_groupsys():
     assert "descriptors" in loaded and "groupsys" not in loaded
 
 
-def test_level_with_a_bound_loads_no_groupsys():
+def test_level_loads_no_groupsys():
     # the congruence level is read off the name, never its matrices
-    loaded = _loaded_layers(["level", "6+2", "--max-n", "12"])
+    loaded = _loaded_layers(["level", "6+2"])
     assert "descriptors" in loaded and "groupsys" not in loaded
 
 
