@@ -114,8 +114,6 @@ def graph_solutions(data) -> list[frozenset[tuple[int, int]]]:
             solutions.append(frozenset(edges))
             return
         need = degrees[i] - len(adjacency[i])
-        if need < 0:
-            return
         candidates = [
             j
             for j in range(i + 1, count)

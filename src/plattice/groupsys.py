@@ -73,7 +73,8 @@ def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
     """A matrix in the Atkin-Lehner coset labeled e over level n.
 
     The defining shape is [[a*e, b], [c*n, d*e]] with a*d*e^2 - b*c*n == e,
-    solved with an extended gcd; checked before returning.
+    solved with an extended gcd; checked before returning.  The labelled
+    kernels depend on this matrix, not only on its coset (``_kernel_cosets``).
     """
     if n % e or gcd(e, n // e) != 1:
         raise ValueError("%d is not an exact divisor of %d" % (e, n))
@@ -214,6 +215,8 @@ def _kernel_cosets(h: int, n: int, labels: frozenset) -> tuple[FiniteQuotient, f
     The character's values on the walk's generators spread over the table:
     in walk order every coset is an earlier one times a generator.  Every
     such product must agree with the values, and the kernel must have index h.
+    A label's 0 is on its generator, not on its Atkin-Lehner coset: with
+    (h, n) = (2, 8) and label 4, [[0,1],[-16,0]] takes 0, [[8,-1],[16,0]] 1.
     """
     q = finite_quotient(GroupDescriptor(h, n, labels), GroupDescriptor.gamma0(n * h))
     values = [1, KERNEL_CHARACTER_VALUES[h, n]] + [0] * len(labels)

@@ -5,7 +5,9 @@ iterator (a generator, a ``map``) as an array while it is consumed, so a
 long array is never held: an item that is not a string is written before
 the next is taken.  An object with a ``text()`` method (a power series) is
 written as the string of the pieces that method yields, so its text is
-never held either.  Only ``output.print_json`` imports this module.
+never held either.  Strings are written as ``json.dumps`` writes plain
+ones, printable ASCII with no quote or backslash; no command writes another,
+and one is an internal error.  Only ``output.print_json`` imports this module.
 """
 
 from itertools import islice
@@ -13,26 +15,16 @@ from itertools import islice
 # strings in an array are taken this many at a time; a batch of them is
 # checked once and written as one piece
 BATCH = 512
-# json's escapes under ensure_ascii; other characters outside printable
-# ASCII are written as \uXXXX, those above U+FFFF as a surrogate pair
-ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 
 
 def _plain(text: str) -> bool:
     return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
-def _escaped(char: str) -> str:
-    code = ord(char)
-    if code > 0xFFFF:
-        code -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-    return ESCAPES.get(char) or (char if " " <= char <= "~" else "\\u%04x" % code)
-
-
 def _inside(text: str) -> str:
-    # the text between the quotes of text's JSON string
-    return text if _plain(text) else "".join(map(_escaped, text))
+    if not _plain(text):
+        raise AssertionError("JSON string %r needs escapes" % text[:40])
+    return text
 
 
 def _string(text: str) -> str:

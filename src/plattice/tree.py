@@ -9,7 +9,7 @@ in closed form, and tests the cell property.  The index formula that
 counts a hypercircle is in ``arith``.
 """
 
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd
 
 from .arith import divisors, factorize, hypercircle_size, is_prime
@@ -126,24 +126,18 @@ def thread(left: LatticeName, right: LatticeName) -> tuple[LatticeName, ...]:
 def is_cell(names) -> bool:
     """Whether a finite lattice set projects to a point or an edge in every tree.
 
-    A subtree spanned by projections is a point iff they all coincide, and
-    an edge iff there are exactly two distinct projections at hyperdistance
-    p; anything else spans a larger subtree.
+    It is a point in each tree whose prime divides no pairwise hyperdistance,
+    and never in the others (p | delta(x, y) gives p | delta(pi_p x, pi_p y)):
+    there it must be two projections at hyperdistance p, an edge.
     """
     names = sorted(set(names))
     if not names:
         raise ValueError("cell test needs a nonempty set")
-    primes: set[int] = set()
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            primes.update(factorize(hyperdistance(x, y)))
+    primes = {p for x, y in combinations(names, 2) for p in factorize(hyperdistance(x, y))}
     for p in sorted(primes):
         proj = sorted(set(padic_projection(x, p) for x in names))
-        if len(proj) == 1:
-            continue
-        if len(proj) == 2 and hyperdistance(proj[0], proj[1]) == p:
-            continue
-        return False
+        if len(proj) != 2 or hyperdistance(proj[0], proj[1]) != p:
+            return False
     return True
 
 

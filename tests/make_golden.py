@@ -78,6 +78,7 @@ DOMAIN_ERRORS = [
     ["groups", "6+5"],  # labels are not exact divisors
     ["groups", "30+2,3"],  # label set is not closed
     ["groups", "5|5"],  # kernel subgroup not implemented
+    ["groups", "6|3+2"],  # not implemented with labels: 6|3 has no labelled kernel
     ["classify", "--index-bound", "100001"],  # cannot sweep above the budget
     ["classify", "--index-bound", "0"],  # bounds must be positive
     ["super", "--series", "0"],  # order must be positive

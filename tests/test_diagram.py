@@ -302,10 +302,22 @@ class TestBuildGraph:
         assert strict[0] in relaxed
 
     def test_matches_the_backtracking_solver(self):
-        data = node_vertex_data()
-        relaxed = [v._replace(faithful=False) for v in data]
-        assert graph_solutions(data) == backtracking_graph_solutions(data, True)
-        assert graph_solutions(relaxed) == backtracking_graph_solutions(data, False)
+        # the nine, then seeded shuffles of them with random faithful bits:
+        # the weights still balance, and the order decides which vertex
+        # takes its edges first
+        nine = node_vertex_data()
+        rng = random.Random(9)
+        lists = [nine]
+        lists += [[v._replace(faithful=rng.random() < 0.3) for v in rng.sample(nine, 9)] for _ in range(40)]
+        found = set()
+        for data in lists:
+            relaxed = [v._replace(faithful=False) for v in data]
+            strict = graph_solutions(data)
+            assert strict == backtracking_graph_solutions(data, True)
+            assert graph_solutions(relaxed) == backtracking_graph_solutions(data, False)
+            found.add(len(strict))
+        # some shuffles keep the one graph, and some bits forbid it
+        assert 1 in found and 0 in found
 
     def test_random_vertex_lists_match_the_backtracking_solver(self):
         # (weight, valency) lists of balanced graphs: cycles of equal

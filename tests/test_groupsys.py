@@ -593,6 +593,18 @@ class TestKernelCharacter:
             found = sum(member(rep, desc) for rep in q.reps)
             assert found * desc.h == q.order
 
+    def test_a_label_takes_zero_on_its_representative_not_on_its_coset(self):
+        # both matrices lie in the label-4 coset of the full group of 8|2+,
+        # and differ by the shear [[1, 1/2], [0, 1]], on which the character
+        # is 1: the kernel depends on which matrix the label's 0 is put on
+        w = conjugated_al_representative(2, 4, 4)
+        shifted = ProjectiveMatrix.from_ints(8, -1, 16, 0)
+        assert w == ProjectiveMatrix.from_ints(0, 1, -16, 0)
+        assert shifted == translation(Fraction(1, 2)) * w
+        assert member(w, GroupDescriptor(2, 8, {4})) and member(shifted, GroupDescriptor(2, 8, {4}))
+        assert member(w, GroupDescriptor.kernel(2, 8, {4}))
+        assert not member(shifted, GroupDescriptor.kernel(2, 8, {4}))
+
     def test_disagreeing_generator_values_are_refused(self, monkeypatch):
         # y*x lies in the kernel of 3|3, so y cannot take the value 0 with x at 1
         monkeypatch.setitem(descriptors.KERNEL_CHARACTER_VALUES, (3, 3), 0)

@@ -829,3 +829,72 @@ def test_benchmark_trace_hooks_find_what_they_read():
     assert found["groupsys.finite_quotient"](normalizer_of_gamma0(4), small).order == 6
     assert len(found["tree.hypercircle"](L1, 6).members) == 12
     assert len(found["frames.eta_quotient_series"](FRAME_SHAPES[0], 5).coeffs) == 7
+
+
+def test_reach_ledger_names_existing_statements():
+    # tests.reach runs the golden corpus under a tracer (about 20 s); this
+    # reads only the source, so a renamed or deleted statement fails fast
+    from . import reach
+
+    keys = {stmt.key for path in SRC.glob("*.py") for stmt in reach.statements(path) if stmt.counted}
+    ledger = json.loads(reach.LEDGER.read_text())
+    assert [entry for entry in ledger if reach.entry_key(entry) not in keys] == []
+    assert {entry["category"] for entry in ledger} <= set(reach.CATEGORIES)
+    assert len({reach.entry_key(entry) for entry in ledger}) == len(ledger)
+
+
+REACH_SAMPLE = '''"""A module."""
+import os
+
+LIMIT = 3
+
+
+def f(x):
+    """Docstring."""
+    if x > LIMIT:  # a comment
+        raise ValueError(
+            "big"
+        )
+    for y in range(x):
+        x += y
+        x += y
+    return x
+'''
+
+
+def test_reach_keys_statements_by_name_text_and_occurrence(tmp_path):
+    from . import reach
+
+    path = tmp_path / "sample.py"
+    path.write_text(REACH_SAMPLE)
+    keys = [stmt.key for stmt in reach.statements(path) if stmt.counted]
+    assert keys == [
+        ("sample", "<module>", "LIMIT = 3", 1),
+        ("sample", "f", "if x > LIMIT:", 1),
+        ("sample", "f", 'raise ValueError( "big" )', 1),
+        ("sample", "f", "for y in range(x):", 1),
+        ("sample", "f", "x += y", 1),
+        ("sample", "f", "x += y", 2),
+        ("sample", "f", "return x", 1),
+    ]
+    # a statement ran if one of its own lines ran or a statement inside it
+    # did: the raise ran from its second line, and the loop from its body
+    assert reach.unrun(path, {4, 9, 11, 15}) == [keys[4], keys[6]]
+    assert reach.unrun(path, {4, 9, 16}) == [keys[2], keys[3], keys[4], keys[5]]
+
+
+def test_reach_fails_on_an_unlisted_statement_and_a_stale_entry():
+    from . import reach
+
+    keys = [("tree", "is_cell", "continue", 1), ("cli", "run", "gc.freeze()", 1)]
+    ledger = [dict(zip(("module", "name", "text", "occurrence"), key), category="subprocess") for key in keys]
+    assert reach.differences(keys, ledger) == []
+    # an entry taken out of the ledger, or a new statement no command runs
+    assert reach.differences(keys, ledger[1:]) == ["unlisted\ttree\tis_cell\tcontinue\t#1"]
+    assert reach.differences(keys + [("tree", "is_cell", "continue", 2)], ledger) == [
+        "unlisted\ttree\tis_cell\tcontinue\t#2"
+    ]
+    # an entry for a statement that now runs, and one with no category of the five
+    assert reach.differences(keys[1:], ledger) == ["stale\ttree\tis_cell\tcontinue\t#1"]
+    ledger[1]["category"] = "unreachable"
+    assert reach.differences(keys, ledger) == ["category\tcli\trun\tgc.freeze()\t#1"]

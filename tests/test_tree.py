@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -281,6 +282,22 @@ class TestCell:
     def test_edge(self):
         assert is_cell([L1, lattice(2)])
         assert is_cell([lattice(2), lattice(6)])
+
+    def test_a_prime_of_a_pairwise_hyperdistance_splits_the_projections(self):
+        # p | delta(x, y) gives p | delta(pi_p x, pi_p y), so is_cell never
+        # meets a prime at which the whole set projects to one point
+        rng = random.Random(97)
+        primes_seen = set()
+        for _ in range(120):
+            centre = reduce_matrix(rand_pgl2q(rng))
+            near = [list(hypercircle(centre, rng.choice([2, 3, 4, 6, 12]))) for _ in range(2)]
+            names = {centre, *(rng.choice(circle) for circle in near), reduce_matrix(rand_pgl2q(rng))}
+            for x, y in combinations(sorted(names), 2):
+                for p in factorize(hyperdistance(x, y)):
+                    assert padic_projection(x, p) != padic_projection(y, p)
+                    assert len({padic_projection(z, p) for z in names}) >= 2
+                    primes_seen.add(p)
+        assert {2, 3, 5, 7} <= primes_seen and len(primes_seen) > 10
 
 
 class TestTransitivity:
