@@ -16,7 +16,7 @@ from collections import namedtuple
 from math import gcd
 
 from .arith import divisors, gamma0_index
-from .descriptors import GroupDescriptor, normalizer_quotient_orders
+from .descriptors import GroupDescriptor, normalizer_of_gamma0, normalizer_quotient_order
 from .groupsys import FiniteQuotient, _conjugate_by_scale, _member_cosets, normalizer_quotient
 
 INDEX_BOUND = 12
@@ -71,14 +71,14 @@ class ConditionReport(namedtuple("ConditionReport", _REPORT_FIELDS)):
         return self._asdict()
 
 
-class Candidate(namedtuple("Candidate", "n h quotient subgroup")):
+class Candidate(namedtuple("Candidate", "quotient subgroup")):
     __slots__ = ()
 
     @property
     def level(self) -> int:
-        return self.n * self.h
+        return self.quotient.small.n
 
-    def __init__(self, n: int, h: int, quotient: FiniteQuotient, subgroup: frozenset[int]):
+    def __init__(self, quotient: FiniteQuotient, subgroup: frozenset[int]):
         if 0 not in subgroup:
             raise ValueError("subgroup does not contain the identity")
         # closed under the product, it holds each inverse, a power of its element
@@ -127,37 +127,37 @@ def _index_over_modular_part(desc: GroupDescriptor) -> int:
     return base * labels
 
 
-def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int]) -> GroupDescriptor:
+def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int], report: ConditionReport) -> GroupDescriptor:
     """Name a quotient subgroup by the descriptor accepting exactly its cosets.
 
     For each n | level and h | gcd(n, 24) the labels are read off the
-    cosets: their determinants after scaling by h, other than 1.  A member
-    has determinant 1 or a label there, constant on each coset of the level
-    group since h divides the level, and a matching group holds the
-    Atkin-Lehner coset of each label; so only the labels read can match,
-    and a pair whose labels are not closed, or have no kernel, names
+    cosets, once per h: their determinants after scaling by h, other than
+    1.  A member has determinant 1 or a label there, constant on each coset
+    of the level group since h divides the level, and a matching group
+    holds the Atkin-Lehner coset of each label; so only the labels read can
+    match, and a pair whose labels are not closed, or have no kernel, names
     nothing.  The base group, and its index-h kernel where n*h divides the
-    level, must accept the same cosets and agree on both index invariants.
-    Set equality makes the subgroup's union a subgroup of the descriptor's
-    group, and the equal invariants force the two equal, so at most one
-    descriptor survives.
+    level, must accept the same cosets and agree on both index invariants
+    of ``report``, the subgroup's ``check_conditions``.  Set equality makes
+    the subgroup's union a subgroup of the descriptor's group, and the
+    equal invariants force the two equal, so at most one descriptor survives.
     """
     level = q.small.n
-    modular_part = sum(1 for i in subgroup if q.reps[i].pdet() == 1)
-    target_in = gamma0_index(level) // modular_part
-    target_over = len(subgroup) // modular_part
+    scaled_labels = {
+        h: {_conjugate_by_scale(q.reps[i], h).pdet() for i in subgroup} - {1}
+        for h in divisors(gcd(level, 24))
+    }
     matches = []
     for n in divisors(level):
         for h in divisors(gcd(n, 24)):
-            labels = {_conjugate_by_scale(q.reps[i], h).pdet() for i in subgroup} - {1}
             for character in (None, h) if level % (n * h) == 0 else (None,):
                 try:
-                    desc = GroupDescriptor(h, n, labels, character)
+                    desc = GroupDescriptor(h, n, scaled_labels[h], character)
                 except ValueError:
                     continue
-                if gamma0_index(desc.intersection_level()) != target_in:
+                if gamma0_index(desc.intersection_level()) != report.index_in_modular:
                     continue
-                if _index_over_modular_part(desc) != target_over:
+                if _index_over_modular_part(desc) != report.index_over_modular:
                     continue
                 if _member_cosets(q, desc) == subgroup:
                     matches.append(desc)
@@ -195,11 +195,12 @@ def may_pass(level: int, index_bound: int, ratio_bound: int) -> bool:
 
     ``check_conditions`` rejects every subgroup at a level where this is False.
     """
-    order, h = normalizer_quotient_orders(level)  # the modular part has order h
-    total = gamma0_index(level)
+    normalizer = normalizer_of_gamma0(level)
+    h, total = normalizer.h, gamma0_index(level)
+    order = normalizer_quotient_order(normalizer)
     if total > index_bound * gcd(2, h) or total > ratio_bound * (order & -order):
         return False
-    atkin_lehner = order * gamma0_index(level // (h * h)) // total  # 2**omega(m)
+    atkin_lehner = len(normalizer.plus) + 1  # 2**omega(m)
     return total <= ratio_bound * EXPONENT_TWO_ORDER[h] * atkin_lehner
 
 
@@ -239,10 +240,10 @@ def classify_hits(
             continue
         q = normalizer_quotient(n * h)
         for sub in sorted(elementary_two_subgroups(q), key=lambda s: (len(s), sorted(s))):
-            cand = Candidate(n, h, q, sub)
+            cand = Candidate(q, sub)
             report = check_conditions(cand, index_bound, ratio_bound, relax_width)
             if report.passed:
-                hits.append(Hit(cand, report, name_subgroup(q, sub)))
+                hits.append(Hit(cand, report, name_subgroup(q, sub, report)))
     return hits
 
 

@@ -5,7 +5,7 @@ needed here: the Hecke-type base group with parameters (h, n) (h = 1 gives
 the classical level-n congruence group), adjoined Atkin-Lehner cosets
 labeled by the exact divisors of n/h in ``plus``, and an optional index-h
 kernel subgroup cut out by a character.  Parsing, display, ordering, the
-normalizer of a level group with the orders of its quotient, the width at
+normalizer of a level group with the order of its quotient, the width at
 infinity and the congruence level are all read off these four integers, so
 this module builds no matrix; membership and the finite quotients are in
 ``groupsys``.
@@ -108,6 +108,8 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
     @classmethod
     def parse(cls, text: str) -> "GroupDescriptor":
         """Parse names like ``6``, ``6+``, ``6+6``, ``3|3``, ``8|2+``."""
+        if "_" in text:  # int would read it as a digit separator
+            raise ValueError("bad group name %r" % text)
         base, plus, tail = text.strip().partition("+")
         kernel = "|" in base
         # only the integer conversions; the constructor gives its own reasons
@@ -140,7 +142,7 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         # a total order: the field order compares label sets as subsets
         return (self.h, self.n, len(self.plus), sorted(self.plus), self.character or 0)
 
-    # a tuple's own comparisons would use the field order, so all four are here
+    # all four, as a tuple has its own: total_ordering adds none, and > would compare fields
     def __lt__(self, other: "GroupDescriptor") -> bool:
         if not isinstance(other, GroupDescriptor):
             return NotImplemented
@@ -183,19 +185,15 @@ def normalizer_of_gamma0(n: int) -> GroupDescriptor:
     return GroupDescriptor(h, m, labels)
 
 
-def normalizer_quotient_orders(n: int) -> tuple[int, int]:
-    """Orders of the normalizer quotient at level n and of its modular part.
+def normalizer_quotient_order(normalizer: GroupDescriptor) -> int:
+    """Order of the quotient of ``normalizer_of_gamma0(N)`` by the level-N group.
 
-    With h the normalizer's parameter and m = n/h**2, the base group of the
-    normalizer sits over the level-n group with index psi(n)/psi(m), and
-    each exact divisor of m labels one Atkin-Lehner coset.  The modular
-    part, the cosets of determinant one, is the image of the level-n/h
-    group (Atkin-Lehner 1970; Conway-Norton 1979).
+    With h and n the normalizer's parameters (N = h*n), its base group sits
+    over the level-N group with index psi(N)/psi(n/h), and 1 and each label
+    mark one Atkin-Lehner coset (Atkin-Lehner 1970; Conway-Norton 1979).
     """
-    h = normalizer_of_gamma0(n).h
-    m = n // (h * h)
-    total = gamma0_index(n)
-    return total // gamma0_index(m) * len(exact_divisors(m)), total // gamma0_index(n // h)
+    h, n = normalizer.h, normalizer.n
+    return gamma0_index(h * n) // gamma0_index(n // h) * (len(normalizer.plus) + 1)
 
 
 # width at infinity ------------------------------------------------------------

@@ -11,7 +11,6 @@ the nine vertices: the extended E8 diagram.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -45,7 +44,6 @@ def _pair_orbit(desc: GroupDescriptor, index: int) -> int:
     return orbit
 
 
-@lru_cache(maxsize=None)
 def vertex_data(desc: GroupDescriptor) -> VertexData:
     """The invariants of a vertex group, read off its name and checked on
     the normalizer quotient Q(K) at its envelope level K.

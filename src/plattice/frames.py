@@ -71,6 +71,8 @@ class FrameShape(namedtuple("FrameShape", "parts")):
 
     @classmethod
     def parse(cls, text: str) -> "FrameShape":
+        if "_" in text:  # int would read it as a digit separator
+            raise ValueError("bad Frame shape %r" % text)
         num, _, den = text.partition("/")
         exps: dict[int, int] = {}
         for chunk, sign in ((num, 1), (den, -1)):

@@ -25,7 +25,7 @@ from .descriptors import (
     KERNEL_CHARACTER_VALUES,
     GroupDescriptor,
     normalizer_of_gamma0,
-    normalizer_quotient_orders,
+    normalizer_quotient_order,
 )
 from .exact import IDENTITY, ProjectiveMatrix, hermite
 
@@ -242,7 +242,7 @@ def _kernel_cosets(h: int, n: int, labels: frozenset) -> tuple[FiniteQuotient, f
 def normalizer_quotient(n: int) -> FiniteQuotient:
     """The normalizer of the level-n group modulo that group."""
     q = finite_quotient(normalizer_of_gamma0(n), GroupDescriptor.gamma0(n))
-    expected = normalizer_quotient_orders(n)[0]
+    expected = normalizer_quotient_order(q.big)
     if q.order != expected:
         raise AssertionError(
             "normalizer quotient at level %d has %d cosets, not %d" % (n, q.order, expected)

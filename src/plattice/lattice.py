@@ -32,7 +32,7 @@ class LatticeName(namedtuple("LatticeName", "a s d")):
         if not (a > 0 and 0 <= s < d) or gcd(a, s, d) != 1:
             raise ValueError("(%s, %s, %s) is not a primitive Hermite triple" % (a, s, d))
 
-    # a tuple's own comparisons would order by (a, s, d), so all four are here
+    # all four, as a tuple has its own: total_ordering adds none, and > would order by (a, s, d)
     def __lt__(self, other: "LatticeName") -> bool:
         if not isinstance(other, LatticeName):
             return NotImplemented

@@ -17,7 +17,8 @@ infinity by a shear scan, the envelope level by normalizer membership, the
 scale by comparing scaled base groups, the valency by the order of the
 quotient by the core, the doubled group by the envelope level and the
 scale, the core by naming a quotient subgroup, a subgroup's name by a
-search through every descriptor of its level, the faithfulness bit by walking
+search through every descriptor of its level, the classify skip by the
+two closed-form orders at a level, the faithfulness bit by walking
 the orbit of the pair {L1, L2}, the backtracking graph solver, and the
 Schreier generators of the level groups with the invariance check in
 floating point over every generator: eta by its 200-term product, the eta
@@ -35,7 +36,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from plattice.classify import _index_over_modular_part, name_subgroup
+from plattice.classify import (
+    EXPONENT_TWO_ORDER,
+    Candidate,
+    _index_over_modular_part,
+    check_conditions,
+    name_subgroup,
+)
 from plattice.cusps import CuspReport
 from plattice.exact import IDENTITY, ProjectiveMatrix
 from plattice.frames import FrameShape, IntegerPowerSeries
@@ -726,7 +733,7 @@ def named_core_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The group met with its scaled base group on the normalizer quotient
     at its envelope level, named by ``name_subgroup``."""
     q, _, met = _core_cosets(desc)
-    return name_subgroup(q, met)
+    return name_subgroup(q, met, check_conditions(Candidate(q, met)))
 
 
 def _closed_label_sets(pool: list[int]) -> list[frozenset[int]]:
@@ -767,6 +774,31 @@ def searched_subgroup_names(q: FiniteQuotient, subgroup: frozenset[int]) -> list
         and _index_over_modular_part(desc) == target_over
         and _member_cosets(q, desc) == subgroup
     ]
+
+
+def normalizer_quotient_orders(n: int) -> tuple[int, int]:
+    """Orders of the normalizer quotient at level n and of its modular part.
+
+    With h the normalizer's parameter and m = n/h**2, the base group of the
+    normalizer sits over the level-n group with index psi(n)/psi(m), and
+    each exact divisor of m labels one Atkin-Lehner coset.  The modular
+    part is the image of the level-n/h group.
+    """
+    h = normalizer_of_gamma0(n).h
+    m = n // (h * h)
+    total = gamma0_index(n)
+    return total // gamma0_index(m) * len(exact_divisors(m)), total // gamma0_index(n // h)
+
+
+def may_pass_by_orders(level: int, index_bound: int, ratio_bound: int) -> bool:
+    """``classify.may_pass`` from the two orders at the level, with 2**omega(m)
+    recovered by dividing |Q| back by psi(level)/psi(m)."""
+    order, h = normalizer_quotient_orders(level)  # the modular part has order h
+    total = gamma0_index(level)
+    if total > index_bound * gcd(2, h) or total > ratio_bound * (order & -order):
+        return False
+    atkin_lehner = order * gamma0_index(level // (h * h)) // total  # 2**omega(m)
+    return total <= ratio_bound * EXPONENT_TWO_ORDER[h] * atkin_lehner
 
 
 PAIR_BASE = frozenset({L1, LatticeName(2, 0, 1)})

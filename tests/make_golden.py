@@ -79,11 +79,14 @@ DOMAIN_ERRORS = [
     ["groups", "30+2,3"],  # label set is not closed
     ["groups", "5|5"],  # kernel subgroup not implemented
     ["groups", "6|3+2"],  # not implemented with labels: 6|3 has no labelled kernel
+    ["groups", "1_0"],  # bad group name: int would read "_" as a digit separator
+    ["level", "1_0"],  # bad group name
     ["classify", "--index-bound", "100001"],  # cannot sweep above the budget
     ["classify", "--index-bound", "0"],  # bounds must be positive
     ["super", "--series", "0"],  # order must be positive
     ["super", "--series", "20000"],  # cannot expand above the budget
     ["eta", "1^x"],  # bad Frame shape
+    ["eta", "1^2_4"],  # bad Frame shape: int would read "_" as a digit separator
     ["eta", ""],  # Frame shape has no parts
     ["eta", "0^24"],  # base is below 1
     ["eta", "1^1"],  # fractional leading exponent

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -5,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from plattice.arith import divisors
+from plattice.arith import divisors, gamma0_index
 from plattice.classify import (
     EXPONENT_TWO_ORDER,
     INDEX_BOUND_BUDGET,
@@ -23,16 +24,17 @@ from plattice.descriptors import (
     GroupDescriptor,
     exact_divisors,
     normalizer_of_gamma0,
-    normalizer_quotient_orders,
 )
 from plattice.groupsys import member, normalizer_quotient
 
+from . import helpers
 from .helpers import (
     all_subgroups,
     cyclic,
     descriptor_catalog,
     element_order,
     lower_translation,
+    may_pass_by_orders,
     searched_subgroup_names,
     translation,
 )
@@ -113,33 +115,33 @@ class TestSubgroupSearch:
 class TestConditions:
     def test_trivial_subgroup_at_level_one(self):
         q = normalizer_quotient(1)
-        report = check_conditions(Candidate(1, 1, q, frozenset([0])))
+        report = check_conditions(Candidate(q, frozenset([0])))
         assert report.passed
         assert report.index_in_modular == 1
 
     def test_full_normalizer_at_eight_fails_width(self):
         q = normalizer_quotient(8)
         full = frozenset(range(q.order))
-        report = check_conditions(Candidate(4, 2, q, full))
+        report = check_conditions(Candidate(q, full))
         assert not report.width_one
 
     def test_cyclic_order_four_fails_exponent(self):
         q = normalizer_quotient(8)
         gen = next(i for i in range(q.order) if element_order(q, i) == 4)
         sub = frozenset(cyclic(q, gen))
-        report = check_conditions(Candidate(4, 2, q, sub))
+        report = check_conditions(Candidate(q, sub))
         assert not report.exponent_two
 
     def test_subgroup_validation(self):
         q = normalizer_quotient(8)
         bad = next(i for i in range(q.order) if element_order(q, i) == 4)
         with pytest.raises(ValueError):
-            Candidate(4, 2, q, frozenset([0, bad]))
+            Candidate(q, frozenset([0, bad]))
 
     def test_the_empty_set_is_refused(self):
         # it passes the closure test vacuously, and its modular part is 0
         with pytest.raises(ValueError, match="subgroup does not contain the identity"):
-            Candidate(2, 2, normalizer_quotient(4), frozenset())
+            Candidate(normalizer_quotient(4), frozenset())
 
     def test_accepts_exactly_the_subgroups(self):
         # a product-closed set with the identity holds each inverse, a power
@@ -150,7 +152,7 @@ class TestConditions:
             subset = frozenset(i for i in range(q.order) if bits >> i & 1)
             closed = all(q.mult[i][j] in subset for i in subset for j in subset)
             is_subgroup = 0 in subset and closed and all(q.mult[i].index(0) in subset for i in subset)
-            assert isinstance(outcome(Candidate, 4, 2, q, subset), Candidate) == is_subgroup, sorted(subset)
+            assert isinstance(outcome(Candidate, q, subset), Candidate) == is_subgroup, sorted(subset)
             subgroups += is_subgroup
         assert (q.order, subgroups) == (8, 10)
 
@@ -169,13 +171,20 @@ class TestClassify:
         assert len(hits) > 9
         assert len({h.descriptor for h in hits}) == 9
 
+    def test_a_candidate_level_is_its_quotients(self):
+        hits = classify_hits(40, 5, True)
+        assert len(hits) > 9
+        for hit in hits:
+            q = hit.candidate.quotient
+            assert hit.candidate.level == q.small.n == q.big.n * q.big.h
+
     def test_level_two_group_found_twice(self):
         hits = classify_hits()
         levels = {h.candidate.level for h in hits if h.descriptor == GroupDescriptor.gamma0(2)}
         assert levels == {2, 4}
 
     def test_restricted_to_n_one(self):
-        hits = [h for h in classify_hits() if h.candidate.n == 1]
+        hits = [h for h in classify_hits() if h.candidate.quotient.big.n == 1]
         assert [h.descriptor for h in hits] == [GroupDescriptor.gamma0(1)]
 
     def test_relaxed_width_is_strict_superset(self):
@@ -215,7 +224,7 @@ class TestNaming:
             for sub in elementary_two_subgroups(q):
                 matches = searched_subgroup_names(q, sub)
                 try:
-                    assert [name_subgroup(q, sub)] == matches
+                    assert [name_subgroup(q, sub, check_conditions(Candidate(q, sub)))] == matches
                     counts["named"] += 1
                 except ValueError as exc:
                     displays = [d.display for d in matches]
@@ -239,7 +248,7 @@ class TestNaming:
     def test_unique_names(self):
         q = normalizer_quotient(4)
         sub = frozenset([0])
-        assert name_subgroup(q, sub) == GroupDescriptor.gamma0(4)
+        assert name_subgroup(q, sub, check_conditions(Candidate(q, sub))) == GroupDescriptor.gamma0(4)
 
 
 # the pruned sweep against the sweep that builds every level ------------------
@@ -249,7 +258,7 @@ class TestNaming:
 def level_candidates(n: int, h: int) -> list:
     q = normalizer_quotient(n * h)
     subs = sorted(elementary_two_subgroups(q), key=lambda s: (len(s), sorted(s)))
-    return [Candidate(n, h, q, sub) for sub in subs]
+    return [Candidate(q, sub) for sub in subs]
 
 
 def unpruned_hits(index_bound: int, ratio_bound: int, relax_width: bool) -> list:
@@ -259,7 +268,7 @@ def unpruned_hits(index_bound: int, ratio_bound: int, relax_width: bool) -> list
         for cand in level_candidates(n, h):
             report = check_conditions(cand, index_bound, ratio_bound, relax_width)
             if report.passed:
-                hits.append(Hit(cand, report, name_subgroup(cand.quotient, cand.subgroup)))
+                hits.append(Hit(cand, report, name_subgroup(cand.quotient, cand.subgroup, report)))
     return hits
 
 
@@ -297,6 +306,28 @@ class TestPrune:
             candidates = candidate_levels(bounds[0])
             assert len(candidates) == levels
             assert sum(may_pass(n * h, *bounds) for n, h in candidates) == built
+
+    def test_skip_agrees_with_the_orders_at_the_level(self, monkeypatch):
+        # may_pass reads h, |Q| and 2**omega(m) off the normalizer; before,
+        # it read |Q| and h by level and divided |Q| back by psi(N)/psi(m).
+        # Both sides share one normalizer, one set of orders and the indices
+        # per level across its four ratio bounds: about 11 s on a 2-vCPU
+        # host, against 43 s with each computed at every call.
+        psi = lru_cache(maxsize=4)(gamma0_index)
+        one_level = lru_cache(maxsize=1)(normalizer_of_gamma0)
+        for module in (sys.modules["plattice.classify"], sys.modules["plattice.descriptors"], helpers):
+            monkeypatch.setattr(module, "gamma0_index", psi)
+        for module in (sys.modules["plattice.classify"], helpers):
+            monkeypatch.setattr(module, "normalizer_of_gamma0", one_level)
+        orders = lru_cache(maxsize=1)(helpers.normalizer_quotient_orders)
+        monkeypatch.setattr(helpers, "normalizer_quotient_orders", orders)
+        passed = 0
+        for level in range(1, 2 * 10**5 + 1):
+            for ratio_bound in (3, 5, 47, 48):
+                verdict = may_pass(level, 10**5, ratio_bound)
+                assert verdict == may_pass_by_orders(level, 10**5, ratio_bound), (level, ratio_bound)
+                passed += verdict
+        assert passed == 370
 
     def test_index_bound_one_thousand_completes(self):
         # the unpruned sweep builds every one of the 1058 quotients here,
@@ -340,7 +371,7 @@ class TestSkipBounds:
             q = normalizer_quotient.__wrapped__(n)  # uncached: 500 tables
             h = normalizer_of_gamma0(n).h
             modular = [i for i in range(q.order) if q.reps[i].pdet() == 1]
-            assert len(modular) == normalizer_quotient_orders(n)[1] == h, n
+            assert len(modular) == h, n
             assert max(element_order(q, i) for i in modular) == h, n
             involutions = [i for i in modular if i and q.mult[i][i] == 0]
             assert len(involutions) + 1 == gcd(2, h), n

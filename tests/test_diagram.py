@@ -228,7 +228,6 @@ class TestVertexData:
         assert not hasattr(diagram, "group_generators")
         recorded = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
         digests = json.loads(recorded.read_text())
-        vertex_data.cache_clear()
         out = io.StringIO()
         with redirect_stdout(out):
             code = cli.main(["diagram", "--format", fmt])

@@ -14,7 +14,7 @@ from plattice.descriptors import (
     GroupDescriptor,
     exact_divisors,
     normalizer_of_gamma0,
-    normalizer_quotient_orders,
+    normalizer_quotient_order,
     unclosed_label_product,
 )
 from plattice.groupsys import (
@@ -496,10 +496,10 @@ class TestFiniteQuotient:
         for n in range(1, 201):
             q = normalizer_quotient(n)
             modular = sum(1 for rep in q.reps if rep.pdet() == 1)
-            assert normalizer_quotient_orders(n) == (q.order, modular), n
+            assert (normalizer_quotient_order(q.big), modular) == (q.order, q.big.h), n
 
     def test_order_mismatch_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(groupsys, "normalizer_quotient_orders", lambda n: (7, 1))
+        monkeypatch.setattr(groupsys, "normalizer_quotient_order", lambda normalizer: 7)
         with pytest.raises(AssertionError, match="level 8 has 8 cosets, not 7"):
             normalizer_quotient.__wrapped__(8)
 

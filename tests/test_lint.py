@@ -36,7 +36,7 @@ INTEGER_ONLY = {
     "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
     "arith.py": ("divisors",),
     "tree.py": ("thread", "_lattice_sum"),
-    "descriptors.py": ("GroupDescriptor.intersection_level", "normalizer_quotient_orders"),
+    "descriptors.py": ("GroupDescriptor.intersection_level", "normalizer_quotient_order"),
     "groupsys.py": (
         "_coset_key",
         "_conjugate_by_scale",
@@ -48,6 +48,25 @@ INTEGER_ONLY = {
     "cusps.py": ("gamma0_cusps", "CuspReport.to_json"),
 }
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}
+
+
+def test_a_named_tuple_with_its_own_order_defines_all_four_comparisons():
+    # a tuple compares by its fields with all four operators, and
+    # functools.total_ordering fills in only the ones a class lacks, so a
+    # named tuple with __lt__ alone would answer > and <= by its fields
+    missing = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            calls = [base.func for base in node.bases if isinstance(base, ast.Call)]
+            if not any(getattr(f, "id", getattr(f, "attr", None)) == "namedtuple" for f in calls):
+                continue
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if "__lt__" in methods:
+                missing[node.name] = sorted({"__gt__", "__le__", "__ge__"} - methods)
+    assert missing == dict.fromkeys(missing, [])
+    assert {"GroupDescriptor", "LatticeName"} <= missing.keys()
 
 
 def _definitions(tree: ast.Module) -> dict:
