@@ -16,7 +16,7 @@ from collections import namedtuple
 from math import gcd
 
 from .arith import divisors, gamma0_index
-from .descriptors import GroupDescriptor, normalizer_of_gamma0, normalizer_quotient_order
+from .descriptors import GroupDescriptor, normalizer_of_gamma0
 from .groupsys import FiniteQuotient, _conjugate_by_scale, _member_cosets, normalizer_quotient
 
 INDEX_BOUND = 12
@@ -112,22 +112,7 @@ def check_conditions(
 # naming discovered subgroups --------------------------------------------------
 
 
-def _index_over_modular_part(desc: GroupDescriptor) -> int:
-    """Index of the group over its modular-group intersection, in closed form.
-
-    A closed label set of size k adjoins k cosets, and the scaled base
-    group sits over its integral part with index given by a ratio of the
-    index formula; kernels divide the whole count by h.
-    """
-    labels = len(desc.plus) + 1
-    if desc.character:
-        base = gamma0_index(desc.n * desc.h) // gamma0_index(desc.n // desc.h)
-        return base * labels // desc.h
-    base = gamma0_index(desc.n) // gamma0_index(desc.n // desc.h)
-    return base * labels
-
-
-def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int], report: ConditionReport) -> GroupDescriptor:
+def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int]) -> GroupDescriptor:
     """Name a quotient subgroup by the descriptor accepting exactly its cosets.
 
     For each n | level and h | gcd(n, 24) the labels are read off the
@@ -136,11 +121,12 @@ def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int], report: Condition
     of the level group since h divides the level, and a matching group
     holds the Atkin-Lehner coset of each label; so only the labels read can
     match, and a pair whose labels are not closed, or have no kernel, names
-    nothing.  The base group, and its index-h kernel where n*h divides the
-    level, must accept the same cosets and agree on both index invariants
-    of ``report``, the subgroup's ``check_conditions``.  Set equality makes
-    the subgroup's union a subgroup of the descriptor's group, and the
-    equal invariants force the two equal, so at most one descriptor survives.
+    nothing.  Each group tried, the base group and its index-h kernel
+    where n*h divides the level, contains the level group.  If it accepts
+    exactly the subgroup's cosets, they make up its part inside the
+    normalizer; if its index over the level group is also the subgroup's
+    order, that part is all of it.  So the group is the subgroup's union,
+    and at most one descriptor survives.
     """
     level = q.small.n
     scaled_labels = {
@@ -155,11 +141,7 @@ def name_subgroup(q: FiniteQuotient, subgroup: frozenset[int], report: Condition
                     desc = GroupDescriptor(h, n, scaled_labels[h], character)
                 except ValueError:
                     continue
-                if gamma0_index(desc.intersection_level()) != report.index_in_modular:
-                    continue
-                if _index_over_modular_part(desc) != report.index_over_modular:
-                    continue
-                if _member_cosets(q, desc) == subgroup:
+                if desc.index_over(level) == len(subgroup) and _member_cosets(q, desc) == subgroup:
                     matches.append(desc)
     if len(matches) != 1:
         raise ValueError(
@@ -197,8 +179,10 @@ def may_pass(level: int, index_bound: int, ratio_bound: int) -> bool:
     """
     normalizer = normalizer_of_gamma0(level)
     h, total = normalizer.h, gamma0_index(level)
-    order = normalizer_quotient_order(normalizer)
-    if total > index_bound * gcd(2, h) or total > ratio_bound * (order & -order):
+    if total > index_bound * gcd(2, h):
+        return False
+    order = normalizer.index_over(level)
+    if total > ratio_bound * (order & -order):
         return False
     atkin_lehner = len(normalizer.plus) + 1  # 2**omega(m)
     return total <= ratio_bound * EXPONENT_TWO_ORDER[h] * atkin_lehner
@@ -243,7 +227,7 @@ def classify_hits(
             cand = Candidate(q, sub)
             report = check_conditions(cand, index_bound, ratio_bound, relax_width)
             if report.passed:
-                hits.append(Hit(cand, report, name_subgroup(q, sub, report)))
+                hits.append(Hit(cand, report, name_subgroup(q, sub)))
     return hits
 
 

@@ -12,7 +12,7 @@ def cmd_cusps(args):
         return
     lines = ["representative\twidth"]
     lines.extend("%s\t%s" % cusp for cusp in report.cusps)
-    lines.append("cusps: %d  total width: %s" % (report.count, report.total_width))
+    lines.append("cusps: %d  total width: %s" % (len(report.cusps), report.total_width))
     print("\n".join(lines))
 
 

@@ -27,10 +27,6 @@ class CuspReport(namedtuple("CuspReport", "level cusps")):
     __slots__ = ()
 
     @property
-    def count(self) -> int:
-        return len(self.cusps)
-
-    @property
     def total_width(self) -> int:
         return sum(w for _, w in self.cusps)
 

@@ -22,9 +22,9 @@ from .arith import divisors, gamma0_index
 KERNEL_CHARACTER_VALUES = {(3, 3): 2, (2, 4): 1, (3, 6): 1, (2, 8): 1}
 
 
-def exact_divisors(n: int) -> list[int]:
-    """Divisors e of n with gcd(e, n/e) == 1; none for n < 1."""
-    return [e for e in divisors(n) if gcd(e, n // e) == 1] if n >= 1 else []
+def all_labels(m: int) -> frozenset[int]:
+    """The labels over m: its divisors e > 1 with gcd(e, m/e) == 1; none for m < 1."""
+    return frozenset(e for e in divisors(m) if e > 1 and gcd(e, m // e) == 1) if m >= 1 else frozenset()
 
 
 def unclosed_label_product(labels) -> tuple[int, int, int] | None:
@@ -61,9 +61,9 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         plus = frozenset(plus)
         if h < 1 or n < 1 or n % h:
             raise ValueError("descriptor needs h | n, got h=%d n=%d" % (h, n))
-        ok = set(exact_divisors(n // h)) - {1}
-        if not plus <= ok:
-            raise ValueError("labels %s are not exact divisors of %d" % (sorted(plus), n // h))
+        m = n // h
+        if not all(e > 1 and m % e == 0 and gcd(e, m // e) == 1 for e in plus):
+            raise ValueError("labels %s are not exact divisors of %d" % (sorted(plus), m))
         gap = unclosed_label_product(plus)
         if gap is not None:
             raise ValueError("label set %s is not closed: %d*%d gives %d" % (sorted(plus), *gap))
@@ -83,7 +83,7 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
 
     @classmethod
     def gamma0_plus(cls, n: int) -> "GroupDescriptor":
-        return cls(1, n, frozenset(exact_divisors(n)) - {1})
+        return cls(1, n, all_labels(n))
 
     @classmethod
     def kernel(cls, h: int, n: int, labels=()) -> "GroupDescriptor":
@@ -97,8 +97,7 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         base = str(self.n) if self.h == 1 else "%d|%d" % (self.n, self.h)
         if not self.plus:
             return base
-        full = set(exact_divisors(self.n // self.h)) - {1}
-        if self.plus == full:
+        if self.plus == all_labels(self.n // self.h):
             return base + "+"
         return base + "+" + ",".join(str(e) for e in sorted(self.plus))
 
@@ -119,7 +118,7 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         except ValueError as exc:
             raise ValueError("bad group name %r" % text) from exc
         if plus and not tail:  # a bare "+" adjoins every label
-            labels = frozenset(exact_divisors(nn // hh if hh else 0)) - {1}
+            labels = all_labels(nn // hh if hh else 0)
         return cls.kernel(hh, nn, labels) if kernel else cls(1, nn, labels)
 
     # structure ------------------------------------------------------------
@@ -131,6 +130,19 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         M lies in the group exactly when it lies in that intersection, so
         exactly when K | M."""
         return self.n * self.h if self.character else self.n
+
+    def index_over(self, level: int) -> int:
+        """The index of the level group in the group, which must contain it.
+
+        The base group sits over the level group with index
+        psi(level)/psi(n/h), 1 and each label mark one Atkin-Lehner coset,
+        and a kernel has index h in its full group (Atkin-Lehner 1970;
+        Conway-Norton 1979).  The group contains the level group exactly
+        when the intersection level divides the level."""
+        if level % self.intersection_level():
+            raise ValueError("%s does not contain the level-%d group" % (self.display, level))
+        index = gamma0_index(level) // gamma0_index(self.n // self.h) * (len(self.plus) + 1)
+        return index // self.h if self.character else index
 
     def to_json(self) -> dict:
         out = self._asdict()
@@ -180,20 +192,7 @@ def normalizer_of_gamma0(n: int) -> GroupDescriptor:
     if n < 1:
         raise ValueError("level must be positive")
     h = max(d for d in divisors(24) if n % (d * d) == 0)
-    m = n // h
-    labels = frozenset(set(exact_divisors(m // h)) - {1})
-    return GroupDescriptor(h, m, labels)
-
-
-def normalizer_quotient_order(normalizer: GroupDescriptor) -> int:
-    """Order of the quotient of ``normalizer_of_gamma0(N)`` by the level-N group.
-
-    With h and n the normalizer's parameters (N = h*n), its base group sits
-    over the level-N group with index psi(N)/psi(n/h), and 1 and each label
-    mark one Atkin-Lehner coset (Atkin-Lehner 1970; Conway-Norton 1979).
-    """
-    h, n = normalizer.h, normalizer.n
-    return gamma0_index(h * n) // gamma0_index(n // h) * (len(normalizer.plus) + 1)
+    return GroupDescriptor(h, n // h, all_labels(n // (h * h)))
 
 
 # width at infinity ------------------------------------------------------------

@@ -14,7 +14,6 @@ from collections import namedtuple
 from itertools import combinations
 from math import lcm
 
-from .arith import gamma0_index
 from .descriptors import NODE_GROUPS, GroupDescriptor
 from .groupsys import _member_cosets, normalizer_quotient
 
@@ -31,14 +30,12 @@ class VertexData(
         return out
 
 
-def _pair_orbit(desc: GroupDescriptor, index: int) -> int:
-    """Size of the orbit of {L1, L2} under a group of ``index`` cosets over
-    its level-K group, K the intersection level (see ``vertex_data``)."""
-    k = desc.intersection_level()
-    wide = lcm(k, 2)
+def _pair_orbit(desc: GroupDescriptor) -> int:
+    """Size of the orbit of {L1, L2} under the group (see ``vertex_data``)."""
+    wide = lcm(desc.intersection_level(), 2)
     q = normalizer_quotient(wide)
     meet = _member_cosets(q, desc) & _member_cosets(q, GroupDescriptor.gamma0_plus(2))
-    orbit, rest = divmod(index * gamma0_index(wide), gamma0_index(k) * len(meet))
+    orbit, rest = divmod(desc.index_over(wide), len(meet))
     if rest:
         raise AssertionError("pair orbit of %s is not a whole number" % desc.display)
     return orbit
@@ -51,8 +48,8 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
     The vertex is faithful when the pair {L1, L2} has at most two images
     under the group G.  The pair's stabilizer is 2+, and its meet with G
     normalizes the level-L group, L = lcm(K, 2).  So the orbit, the index
-    of that meet in G, is |G/level K| * psi(L)/psi(K) over the number of
-    cosets of Q(L) in both G and 2+; a fraction is an internal error.
+    of that meet in G, is [G : level L] over the number of cosets of Q(L)
+    in both G and 2+; a fraction is an internal error.
     """
     if desc not in NODE_GROUPS:
         raise ValueError("%s is not one of the nine vertex groups" % desc.display)
@@ -73,7 +70,7 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
         if q.mult[i][i] not in core_set:
             raise AssertionError("core quotient has exponent above two for %s" % desc.display)
     valency = (len(desc.plus) + 1).bit_length()
-    faithful = _pair_orbit(desc, len(mine)) <= 2
+    faithful = _pair_orbit(desc) <= 2
     return VertexData(desc, n, a, core, n, n // a, valency, faithful)
 
 

@@ -21,12 +21,7 @@ permutations along the enumeration tree.
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .descriptors import (
-    KERNEL_CHARACTER_VALUES,
-    GroupDescriptor,
-    normalizer_of_gamma0,
-    normalizer_quotient_order,
-)
+from .descriptors import KERNEL_CHARACTER_VALUES, GroupDescriptor, normalizer_of_gamma0
 from .exact import IDENTITY, ProjectiveMatrix, hermite
 
 QUOTIENT_ELEMENT_BOUND = 10000
@@ -242,7 +237,7 @@ def _kernel_cosets(h: int, n: int, labels: frozenset) -> tuple[FiniteQuotient, f
 def normalizer_quotient(n: int) -> FiniteQuotient:
     """The normalizer of the level-n group modulo that group."""
     q = finite_quotient(normalizer_of_gamma0(n), GroupDescriptor.gamma0(n))
-    expected = normalizer_quotient_order(q.big)
+    expected = q.big.index_over(n)
     if q.order != expected:
         raise AssertionError(
             "normalizer quotient at level %d has %d cosets, not %d" % (n, q.order, expected)

@@ -36,19 +36,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from plattice.classify import (
-    EXPONENT_TWO_ORDER,
-    Candidate,
-    _index_over_modular_part,
-    check_conditions,
-    name_subgroup,
-)
+from plattice.classify import EXPONENT_TWO_ORDER, name_subgroup
 from plattice.cusps import CuspReport
 from plattice.exact import IDENTITY, ProjectiveMatrix
 from plattice.frames import FrameShape, IntegerPowerSeries
 from plattice.descriptors import (
     GroupDescriptor,
-    exact_divisors,
+    all_labels,
     normalizer_of_gamma0,
     unclosed_label_product,
     unsupported_kernel,
@@ -733,7 +727,7 @@ def named_core_group(desc: GroupDescriptor) -> GroupDescriptor:
     """The group met with its scaled base group on the normalizer quotient
     at its envelope level, named by ``name_subgroup``."""
     q, _, met = _core_cosets(desc)
-    return name_subgroup(q, met, check_conditions(Candidate(q, met)))
+    return name_subgroup(q, met)
 
 
 def _closed_label_sets(pool: list[int]) -> list[frozenset[int]]:
@@ -751,7 +745,7 @@ def descriptor_catalog(level: int) -> tuple[GroupDescriptor, ...]:
     out = []
     for n2 in divisors(level):
         for h2 in divisors(gcd(n2, 24)):
-            label_pool = sorted(set(exact_divisors(n2 // h2)) - {1})
+            label_pool = sorted(all_labels(n2 // h2))
             for labels in _closed_label_sets(label_pool):
                 out.append(GroupDescriptor(h2, n2, labels))
                 if unsupported_kernel(h2, n2, labels) is None and level % (n2 * h2) == 0:
@@ -759,10 +753,28 @@ def descriptor_catalog(level: int) -> tuple[GroupDescriptor, ...]:
     return tuple(out)
 
 
+def index_over_modular_part(desc: GroupDescriptor) -> int:
+    """Index of the group over its modular-group intersection, in closed form.
+
+    A closed label set of size k adjoins k cosets, and the scaled base
+    group sits over its integral part with index given by a ratio of the
+    index formula; kernels divide the whole count by h.  Written out apart
+    from ``GroupDescriptor.index_over``, so the search below checks it.
+    """
+    labels = len(desc.plus) + 1
+    if desc.character:
+        base = gamma0_index(desc.n * desc.h) // gamma0_index(desc.n // desc.h)
+        return base * labels // desc.h
+    base = gamma0_index(desc.n) // gamma0_index(desc.n // desc.h)
+    return base * labels
+
+
 def searched_subgroup_names(q: FiniteQuotient, subgroup: frozenset[int]) -> list[GroupDescriptor]:
     """The catalog descriptors of the level, in catalog order, that accept
-    exactly the subgroup's cosets and agree on both index invariants: the
-    search ``name_subgroup`` made before it read the labels off the cosets."""
+    exactly the subgroup's cosets and agree on both index invariants, the
+    index of the modular intersection and the index over it: the search
+    ``name_subgroup`` made before it read the labels off the cosets and
+    checked the one index over the level group."""
     level = q.small.n
     modular_part = sum(1 for i in subgroup if q.reps[i].pdet() == 1)
     target_in = gamma0_index(level) // modular_part
@@ -771,7 +783,7 @@ def searched_subgroup_names(q: FiniteQuotient, subgroup: frozenset[int]) -> list
         desc
         for desc in descriptor_catalog(level)
         if gamma0_index(desc.intersection_level()) == target_in
-        and _index_over_modular_part(desc) == target_over
+        and index_over_modular_part(desc) == target_over
         and _member_cosets(q, desc) == subgroup
     ]
 
@@ -787,7 +799,7 @@ def normalizer_quotient_orders(n: int) -> tuple[int, int]:
     h = normalizer_of_gamma0(n).h
     m = n // (h * h)
     total = gamma0_index(n)
-    return total // gamma0_index(m) * len(exact_divisors(m)), total // gamma0_index(n // h)
+    return total // gamma0_index(m) * (len(all_labels(m)) + 1), total // gamma0_index(n // h)
 
 
 def may_pass_by_orders(level: int, index_bound: int, ratio_bound: int) -> bool:

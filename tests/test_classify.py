@@ -22,7 +22,7 @@ from plattice.classify import (
 )
 from plattice.descriptors import (
     GroupDescriptor,
-    exact_divisors,
+    all_labels,
     normalizer_of_gamma0,
 )
 from plattice.groupsys import member, normalizer_quotient
@@ -224,7 +224,7 @@ class TestNaming:
             for sub in elementary_two_subgroups(q):
                 matches = searched_subgroup_names(q, sub)
                 try:
-                    assert [name_subgroup(q, sub, check_conditions(Candidate(q, sub)))] == matches
+                    assert [name_subgroup(q, sub)] == matches
                     counts["named"] += 1
                 except ValueError as exc:
                     displays = [d.display for d in matches]
@@ -248,7 +248,7 @@ class TestNaming:
     def test_unique_names(self):
         q = normalizer_quotient(4)
         sub = frozenset([0])
-        assert name_subgroup(q, sub, check_conditions(Candidate(q, sub))) == GroupDescriptor.gamma0(4)
+        assert name_subgroup(q, sub) == GroupDescriptor.gamma0(4)
 
 
 # the pruned sweep against the sweep that builds every level ------------------
@@ -268,7 +268,7 @@ def unpruned_hits(index_bound: int, ratio_bound: int, relax_width: bool) -> list
         for cand in level_candidates(n, h):
             report = check_conditions(cand, index_bound, ratio_bound, relax_width)
             if report.passed:
-                hits.append(Hit(cand, report, name_subgroup(cand.quotient, cand.subgroup, report)))
+                hits.append(Hit(cand, report, name_subgroup(cand.quotient, cand.subgroup)))
     return hits
 
 
@@ -384,6 +384,6 @@ class TestSkipBounds:
     def test_exponent_two_subgroups_within_the_second_bound(self):
         for n in range(1, 201):
             h = normalizer_of_gamma0(n).h
-            atkin_lehner = len(exact_divisors(n // (h * h)))
+            atkin_lehner = len(all_labels(n // (h * h))) + 1
             q = normalizer_quotient.__wrapped__(n)
             assert largest_exponent_two_order(q) <= atkin_lehner * EXPONENT_TWO_ORDER[h], n

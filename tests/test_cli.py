@@ -861,14 +861,29 @@ class TestInputBudgets:
         assert "budget" in proc.stderr
 
     # These ran past their timeouts while levels, threads and divisors were
-    # found by searches and linear scans instead of closed forms.
+    # found by searches and linear scans instead of closed forms.  A plain
+    # name above the factorizing budget is answered: its labels, none, are
+    # checked one at a time, with no factorization.
     @pytest.mark.parametrize(
         "argv, lines",
         [
             (["level", "100000000000"], ["100000000000"]),
             (["thread", "1,0", "1099511627776,0"], ["%d,0" % 2**k for k in range(41)]),
+            (["level", "1000000000000000003"], ["1000000000000000003"]),
+            (
+                ["groups", "1000000000000000003"],
+                [
+                    "character: None",
+                    "display: 1000000000000000003",
+                    "h: 1",
+                    "intersection_level: 1000000000000000003",
+                    "n: 1000000000000000003",
+                    "plus: []",
+                    "width_at_infinity: 1",
+                ],
+            ),
         ],
-        ids=["level-huge", "thread-2^40"],
+        ids=["level-huge", "thread-2^40", "level-above-budget", "groups-above-budget"],
     )
     def test_large_input_answers(self, argv, lines):
         proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)
@@ -884,7 +899,8 @@ class TestInputBudgets:
         "argv, number",
         [
             (["thread", "1,0", "10000000000000000,0"], "10000000000000000"),
-            (["groups", "1000000000000000003"], "1000000000000000003"),
+            # a bare "+" adjoins every label, which needs the factorization
+            (["groups", "1000000000000000003+"], "1000000000000000003"),
         ],
         ids=["thread-huge", "groups-huge"],
     )

@@ -49,14 +49,14 @@ class TestWidthAtInfinity:
 class TestGamma0Cusps:
     def test_level_one(self):
         report = cusps_of_gamma0(1)
-        assert report.count == 1
+        assert len(report.cusps) == 1
         assert report.total_width == 1
 
     def test_level_nine(self):
         report = cusps_of_gamma0(9)
         widths = sorted(w for _, w in report.cusps)
         assert widths == [1, 1, 1, 9]
-        assert report.count == 4
+        assert len(report.cusps) == 4
         assert report.total_width == 12
 
     def test_level_four(self):

@@ -212,9 +212,10 @@ class TestVertexData:
     def test_pair_orbit_index_matches_the_walk(self):
         orbits = []
         for d in NODE_GROUPS:
-            index = len(_member_cosets(normalizer_quotient(d.intersection_level()), d))
+            k = d.intersection_level()
+            assert d.index_over(k) == len(_member_cosets(normalizer_quotient(k), d))
             orbit = walked_pair_orbit_size(d)
-            assert _pair_orbit(d, index) == orbit
+            assert _pair_orbit(d) == orbit
             assert vertex_data(d).faithful == (orbit <= 2)
             orbits.append(orbit)
         assert orbits == [3, 1, 6, 2, 6, 2, 12, 4, 1]

@@ -12,13 +12,13 @@ from plattice.lattice import L1, LatticeName, act, reduce_matrix
 from plattice import descriptors, groupsys, tree
 from plattice.descriptors import (
     GroupDescriptor,
-    exact_divisors,
+    all_labels,
     normalizer_of_gamma0,
-    normalizer_quotient_order,
     unclosed_label_product,
 )
 from plattice.groupsys import (
     _coset_key,
+    _member_cosets,
     al_coset_representative,
     conjugated_al_representative,
     finite_quotient,
@@ -132,6 +132,12 @@ class TestDescriptor:
             GroupDescriptor(2, 4, character=3)
         with pytest.raises(ValueError):
             GroupDescriptor(2, 6, character=2)  # kernel not implemented
+        # labels are checked one at a time, with the refusal of the label set
+        for labels in ({2}, {1}, {0}, {-3}, {4, 6}):
+            with pytest.raises(ValueError, match=r"labels \[.*\] are not exact divisors of 12$"):
+                GroupDescriptor(1, 12, labels)
+        with pytest.raises(ValueError, match=r"^3\|3 does not contain the level-3 group$"):
+            KERNEL_33.index_over(3)  # the kernel's intersection level is 9
 
     def test_display_names(self):
         assert GroupDescriptor.gamma0(2).display == "2"
@@ -277,7 +283,7 @@ class TestAtkinLehner:
         for h in divisors(24):
             gh = ProjectiveMatrix.from_ints(h, 0, 0, 1)
             for m in range(1, 400):
-                for e in exact_divisors(m):
+                for e in [1, *all_labels(m)]:
                     expected = gh.inv() * al_coset_representative(m, e) * gh
                     assert conjugated_al_representative(h, m, e) == expected
                     triples += 1
@@ -286,7 +292,7 @@ class TestAtkinLehner:
     def test_coset_product_rule(self):
         # the product of labels e and f lands in the coset e*f/gcd^2
         for n in range(2, 31):
-            labels = exact_divisors(n)
+            labels = [1, *all_labels(n)]
             plus = GroupDescriptor.gamma0_plus(n)
             for e in labels:
                 for f in labels:
@@ -496,10 +502,18 @@ class TestFiniteQuotient:
         for n in range(1, 201):
             q = normalizer_quotient(n)
             modular = sum(1 for rep in q.reps if rep.pdet() == 1)
-            assert (normalizer_quotient_order(q.big), modular) == (q.order, q.big.h), n
+            assert (q.big.index_over(n), modular) == (q.order, q.big.h), n
+
+    def test_index_over_the_level_counts_the_built_cosets(self):
+        # each catalog group over its own level n*h, which every normalizer
+        # quotient there holds whole
+        for d in CATALOG_48:
+            level = d.n * d.h
+            assert d.index_over(level) == len(_member_cosets(normalizer_quotient(level), d)), d
+        assert len(CATALOG_48) == 395
 
     def test_order_mismatch_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(groupsys, "normalizer_quotient_order", lambda normalizer: 7)
+        monkeypatch.setattr(GroupDescriptor, "index_over", lambda desc, level: 7)
         with pytest.raises(AssertionError, match="level 8 has 8 cosets, not 7"):
             normalizer_quotient.__wrapped__(8)
 

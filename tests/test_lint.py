@@ -36,7 +36,7 @@ INTEGER_ONLY = {
     "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
     "arith.py": ("divisors",),
     "tree.py": ("thread", "_lattice_sum"),
-    "descriptors.py": ("GroupDescriptor.intersection_level", "normalizer_quotient_order"),
+    "descriptors.py": ("GroupDescriptor.intersection_level", "GroupDescriptor.index_over"),
     "groupsys.py": (
         "_coset_key",
         "_conjugate_by_scale",
@@ -50,6 +50,12 @@ INTEGER_ONLY = {
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}
 
 
+def _is_named_tuple(node) -> bool:
+    # a class statement whose bases call namedtuple
+    calls = [base.func for base in node.bases if isinstance(base, ast.Call)]
+    return any(getattr(f, "id", getattr(f, "attr", None)) == "namedtuple" for f in calls)
+
+
 def test_a_named_tuple_with_its_own_order_defines_all_four_comparisons():
     # a tuple compares by its fields with all four operators, and
     # functools.total_ordering fills in only the ones a class lacks, so a
@@ -57,16 +63,41 @@ def test_a_named_tuple_with_its_own_order_defines_all_four_comparisons():
     missing = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            calls = [base.func for base in node.bases if isinstance(base, ast.Call)]
-            if not any(getattr(f, "id", getattr(f, "attr", None)) == "namedtuple" for f in calls):
+            if not (isinstance(node, ast.ClassDef) and _is_named_tuple(node)):
                 continue
             methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
             if "__lt__" in methods:
                 missing[node.name] = sorted({"__gt__", "__le__", "__ge__"} - methods)
     assert missing == dict.fromkeys(missing, [])
     assert {"GroupDescriptor", "LatticeName"} <= missing.keys()
+
+
+def _calls_the_index(node) -> bool:
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "gamma0_index" for n in ast.walk(node))
+
+
+def test_the_index_of_a_named_group_is_written_once():
+    # [G : level M] is GroupDescriptor.index_over, the one quotient of two
+    # index-formula values in the package; and no named tuple defines index
+    # or count, which would change tuple.index and tuple.count for every caller
+    quotients, shadows = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
+                sides = [node.left, node.right]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod":
+                sides = node.args
+            else:
+                sides = []
+            if len(sides) == 2 and all(_calls_the_index(side) for side in sides):
+                quotients.append(path.name)
+            if isinstance(node, ast.ClassDef) and _is_named_tuple(node):
+                for item in node.body:
+                    targets = item.targets if isinstance(item, ast.Assign) else [item]
+                    names = {getattr(t, "name", getattr(t, "id", None)) for t in targets}
+                    shadows += ["%s.%s" % (node.name, name) for name in sorted(names & {"index", "count"})]
+    assert quotients == ["descriptors.py"]
+    assert shadows == []
 
 
 def _definitions(tree: ast.Module) -> dict:
@@ -291,7 +322,7 @@ def test_diagram_imports_nothing_from_classify():
 def test_diagram_takes_nothing_from_exact_or_lattice():
     # the vertex table is read off the name and checked on quotients, and
     # the Schreier walk that acted on lattices is a test oracle
-    assert sorted(_taken_from("diagram.py")) == ["arith", "descriptors", "groupsys"]
+    assert sorted(_taken_from("diagram.py")) == ["descriptors", "groupsys"]
 
 
 def _frames_importers_of(module: str) -> list[str]:
