@@ -28,7 +28,7 @@ _HOMES = {
     "descriptors": ("GroupDescriptor", "NODE_GROUPS", "normalizer_of_gamma0", "width_at_infinity"),
     "groupsys": ("FiniteQuotient", "al_coset_representative", "finite_quotient", "member"),
     "cusps": ("CuspReport", "cusps_of_gamma0"),
-    "classify": ("Candidate", "candidate_levels", "check_conditions", "classify"),
+    "classify": ("Candidate", "check_conditions", "classify"),
     "diagram": ("LabeledGraph", "VertexData", "build_graph", "emit_dot", "vertex_data"),
     "frames": (
         "FRAME_SHAPES",

@@ -1,15 +1,16 @@
 """The finite search that recovers the nine diagram-labeling groups.
 
-Candidate parameter pairs (n, h) are those allowed by the index bound.  A
-level n*h at which no exponent-two subgroup of the quotient can meet both
-index bounds is skipped: ``may_pass`` bounds such subgroups in closed form
-and proves the bounds.  At every other level the quotient of the
-normalizer of the level group by that group is enumerated, its exponent-two
-subgroups (the only ones that can pass) are screened against four
-conditions (width one at infinity, exponent-two quotient, and two index
-bounds), and every survivor is mapped back to a symbolic descriptor.  The
-prose case analysis becomes assertions in the test suite, not control flow
-here.
+The sweep walks the levels N up to twice the index bound.  That range is
+complete: a level passes ``may_pass`` only when psi(N) is at most twice
+the index bound, and psi(N) >= N.  A level at which no exponent-two
+subgroup of the quotient can meet both index bounds is skipped:
+``may_pass`` bounds such subgroups in closed form and proves the bounds.
+At every other level the quotient of the normalizer of the level group by
+that group is enumerated, its exponent-two subgroups (the only ones that
+can pass) are screened against four conditions (width one at infinity,
+exponent-two quotient, and two index bounds), and every survivor is mapped
+back to a symbolic descriptor.  The prose case analysis becomes assertions
+in the test suite, not control flow here.
 """
 
 from collections import namedtuple
@@ -22,39 +23,15 @@ from .groupsys import FiniteQuotient, _conjugate_by_scale, _member_cosets, norma
 INDEX_BOUND = 12
 RATIO_BOUND = 3
 
-# The sweep's cost grows with the index bound through the candidate list,
-# about 2.2-fold per doubling: 3.6 s at the budget on a 2-vCPU host (median
-# of 3 cold runs), so larger bounds are refused before any work starts.
+# The sweep's cost grows with the index bound through the levels it walks,
+# about twofold per doubling: 3.3-3.5 s at the budget on a 2-vCPU host (medians
+# of 6 cold runs), so larger bounds are refused before any work starts.
 INDEX_BOUND_BUDGET = 10**5
 
 # The order of the largest exponent-two subgroup of the level-h**2 quotient,
 # for each divisor h of 24, found by enumerating its subgroups (checked in
 # the tests); ``may_pass`` reads it.
 EXPONENT_TWO_ORDER = {1: 1, 2: 2, 3: 4, 4: 4, 6: 8, 8: 4, 12: 16, 24: 16}
-
-
-def candidate_levels(index_bound: int = INDEX_BOUND) -> list[tuple[int, int]]:
-    """All (n, h) with the level-n index within bound and h admissible.
-
-    h must divide gcd(n, 24) with neither 4h nor 9h dividing n.  Each pair
-    is then (h, n) of its level's normalizer, ``normalizer_of_gamma0(n*h)``,
-    so no level repeats; left out are the levels with 256 or 81 dividing
-    n*h, where h is capped by the divisors of 24 (level 256 is (32, 8)).
-    That changes no output: ``may_pass`` rejects each such level up to
-    2*10**5 below ratio bound 48 (level 256 passes at 48), and from ratio
-    bound 6 up naming a level-9 subgroup fails first.  An index bound
-    above INDEX_BOUND_BUDGET is a ValueError.
-    """
-    if index_bound > INDEX_BOUND_BUDGET:
-        raise ValueError("cannot sweep index bound %d: above the budget of 10**5" % index_bound)
-    out = []
-    for n in range(1, index_bound + 1):  # the index always exceeds n
-        if gamma0_index(n) > index_bound:
-            continue
-        for h in divisors(gcd(n, 24)):
-            if n % (4 * h) and n % (9 * h):
-                out.append((n, h))
-    return out
 
 
 _REPORT_FIELDS = "width_one exponent_two index_ok index_in_modular index_over_modular"
@@ -166,7 +143,10 @@ def may_pass(level: int, index_bound: int, ratio_bound: int) -> bool:
       the level group, because h divides level/h and every unit modulo a
       divisor of 24 squares to one.  So a subgroup meets it in at most
       gcd(2, h) cosets, and passes the index bound only if psi(level) is
-      at most gcd(2, h) times that bound.
+      at most gcd(2, h) times that bound.  h is even exactly when 4
+      divides the level, so this bound is read before the normalizer is
+      built, and as psi(level) >= level no level above twice the index
+      bound passes: the sweep's range of levels is complete.
     - The cosets with no Atkin-Lehner factor, the base group over the level
       group, have index 2**omega(m) in Q with an elementary abelian
       quotient.  Conjugation by diag(h, 1) embeds them in the modular group
@@ -177,15 +157,15 @@ def may_pass(level: int, index_bound: int, ratio_bound: int) -> bool:
 
     ``check_conditions`` rejects every subgroup at a level where this is False.
     """
-    normalizer = normalizer_of_gamma0(level)
-    h, total = normalizer.h, gamma0_index(level)
-    if total > index_bound * gcd(2, h):
+    total = gamma0_index(level)
+    if total > index_bound * (2 if level % 4 == 0 else 1):
         return False
+    normalizer = normalizer_of_gamma0(level)
     order = normalizer.index_over(level)
     if total > ratio_bound * (order & -order):
         return False
     atkin_lehner = len(normalizer.plus) + 1  # 2**omega(m)
-    return total <= ratio_bound * EXPONENT_TWO_ORDER[h] * atkin_lehner
+    return total <= ratio_bound * EXPONENT_TWO_ORDER[normalizer.h] * atkin_lehner
 
 
 def elementary_two_subgroups(q: FiniteQuotient) -> set[frozenset[int]]:
@@ -218,11 +198,13 @@ def classify_hits(
     """Every (candidate, subgroup) pair passing the screening, with names."""
     if index_bound < 1 or ratio_bound < 1:
         raise ValueError("bounds must be positive, got index %d and ratio %d" % (index_bound, ratio_bound))
+    if index_bound > INDEX_BOUND_BUDGET:
+        raise ValueError("cannot sweep index bound %d: above the budget of 10**5" % index_bound)
     hits = []
-    for n, h in candidate_levels(index_bound):
-        if not may_pass(n * h, index_bound, ratio_bound):
+    for level in range(1, 2 * index_bound + 1):
+        if not may_pass(level, index_bound, ratio_bound):
             continue
-        q = normalizer_quotient(n * h)
+        q = normalizer_quotient(level)
         for sub in sorted(elementary_two_subgroups(q), key=lambda s: (len(s), sorted(s))):
             cand = Candidate(q, sub)
             report = check_conditions(cand, index_bound, ratio_bound, relax_width)

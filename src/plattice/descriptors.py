@@ -97,7 +97,8 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         base = str(self.n) if self.h == 1 else "%d|%d" % (self.n, self.h)
         if not self.plus:
             return base
-        if self.plus == all_labels(self.n // self.h):
+        m = self.n // self.h  # the full label set holds m: m is factored only then
+        if m in self.plus and self.plus == all_labels(m):
             return base + "+"
         return base + "+" + ",".join(str(e) for e in sorted(self.plus))
 

@@ -17,7 +17,8 @@ infinity by a shear scan, the envelope level by normalizer membership, the
 scale by comparing scaled base groups, the valency by the order of the
 quotient by the core, the doubled group by the envelope level and the
 scale, the core by naming a quotient subgroup, a subgroup's name by a
-search through every descriptor of its level, the classify skip by the
+search through every descriptor of its level, the parameter pairs the
+classify sweep walked before it walked the levels, the classify skip by the
 two closed-form orders at a level, the faithfulness bit by walking
 the orbit of the pair {L1, L2}, the backtracking graph solver, and the
 Schreier generators of the level groups with the invariance check in
@@ -800,6 +801,22 @@ def normalizer_quotient_orders(n: int) -> tuple[int, int]:
     m = n // (h * h)
     total = gamma0_index(n)
     return total // gamma0_index(m) * (len(all_labels(m)) + 1), total // gamma0_index(n // h)
+
+
+def candidate_pairs(index_bound: int) -> list[tuple[int, int]]:
+    """The (n, h) the classify sweep walked before it walked the levels:
+    the level-n index within bound, and h | gcd(n, 24) with neither 4h nor
+    9h dividing n, in increasing n.  Each pair is (h, n) of the normalizer
+    of level n*h, so no level repeats; left out are the levels that 256 or
+    81 divides, where the divisors of 24 cap h (level 256 is (32, 8))."""
+    out = []
+    for n in range(1, index_bound + 1):  # the index always exceeds n
+        if gamma0_index(n) > index_bound:
+            continue
+        for h in divisors(gcd(n, 24)):
+            if n % (4 * h) and n % (9 * h):
+                out.append((n, h))
+    return out
 
 
 def may_pass_by_orders(level: int, index_bound: int, ratio_bound: int) -> bool:

@@ -16,7 +16,7 @@ The corpus:
 - the command lines of README.md;
 - ``classify`` over index bounds 12-40 and ratio bounds 3-5, with and
   without ``--relax-width``, as text and JSON;
-- ``classify --ratio-bound`` 6, 8 and 12, which exit 1 on a level-9
+- ``classify --ratio-bound`` 6, 8 and 12, which exit 1 on a level-8
   subgroup that matches no descriptor;
 - ``diagram`` and ``super`` in every format and flag set, and with
   ``--format dot --json``, which prints JSON;
@@ -34,7 +34,9 @@ The corpus:
   ``thread``, ``cell``, ``project`` and ``index``, and two threads whose
   left end is not ``1,0`` as JSON and as DOT;
 - the benchmark's fixed ``groups``, ``groups --member`` and ``level``
-  command lines, read from ``perfbench/workloads.py``.
+  command lines, read from ``perfbench/workloads.py``;
+- ``groups`` of a labelled name whose n/h is above the factorizing budget
+  and not among its labels, which is answered.
 """
 
 import argparse
@@ -249,6 +251,7 @@ def corpus() -> list:
     # runpy so the benchmark's files are only read
     fixed = runpy.run_path(str(HERE.parent / "perfbench" / "workloads.py"))["fixed_argvs"]()
     out += [argv for argv in fixed if argv[0] in ("groups", "level")]
+    out.append(["groups", "2000000000000000006+2"])
     # README's lines recur in the format sweeps
     return list(dict.fromkeys(map(shlex.join, out)))
 

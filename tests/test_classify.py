@@ -9,10 +9,10 @@ import pytest
 from plattice.arith import divisors, gamma0_index
 from plattice.classify import (
     EXPONENT_TWO_ORDER,
+    INDEX_BOUND,
     INDEX_BOUND_BUDGET,
     Candidate,
     Hit,
-    candidate_levels,
     check_conditions,
     classify,
     classify_hits,
@@ -30,6 +30,7 @@ from plattice.groupsys import member, normalizer_quotient
 from . import helpers
 from .helpers import (
     all_subgroups,
+    candidate_pairs,
     cyclic,
     descriptor_catalog,
     element_order,
@@ -56,35 +57,35 @@ E8_GROUPS = {
 }
 
 
+# the parameter pairs the sweep walked before it walked the levels, kept in
+# the helpers as the reference for the levels the sweep builds
 class TestCandidateLevels:
     def test_n_list(self):
-        assert sorted({n for n, _ in candidate_levels()}) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
+        assert sorted({n for n, _ in candidate_pairs(INDEX_BOUND)}) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
 
     def test_two_two_admissible(self):
-        assert (2, 2) in candidate_levels()
+        assert (2, 2) in candidate_pairs(INDEX_BOUND)
 
     def test_four_three_not_admissible(self):
-        assert (4, 3) not in candidate_levels()
+        assert (4, 3) not in candidate_pairs(INDEX_BOUND)
 
     def test_four_one_not_admissible(self):
         # h = 1 is not maximal for n = 4 since 4 | n
-        assert (4, 1) not in candidate_levels()
+        assert (4, 1) not in candidate_pairs(INDEX_BOUND)
 
     def test_scaled_case_pairs_present(self):
-        pairs = set(candidate_levels())
+        pairs = set(candidate_pairs(INDEX_BOUND))
         assert {(4, 2), (4, 4), (6, 1), (6, 2), (6, 3), (9, 3), (8, 4), (8, 8)} <= pairs
 
     def test_pairs_are_normalizer_parameters_of_distinct_levels(self):
-        pairs = candidate_levels(INDEX_BOUND_BUDGET)
+        pairs = candidate_pairs(INDEX_BOUND_BUDGET)
         levels = [n * h for n, h in pairs]
         assert len(set(levels)) == len(levels)
         assert all(normalizer_of_gamma0(n * h)[:2] == (h, n) for n, h in pairs)
         # left out: the levels whose normalizer h is capped by the divisors of 24
-        capped = [level for level in range(1, 2 * 10**5 + 1) if level % 256 == 0 or level % 81 == 0]
-        assert set(range(1, 20001)) - set(levels) == {level for level in capped if level <= 20000}
+        capped = {level for level in range(1, 20001) if level % 256 == 0 or level % 81 == 0}
+        assert set(range(1, 20001)) - set(levels) == capped
         assert normalizer_of_gamma0(256)[:2] == (8, 32)
-        assert not any(may_pass(level, 10**5, 47) for level in capped)
-        assert [level for level in capped if may_pass(level, 10**5, 48)] == [256]
 
 
 class TestCaseDiagramIndices:
@@ -100,7 +101,7 @@ class TestSubgroupSearch:
         # only exponent-two subgroups can pass, so the sweep searches those
         # alone; the full lattice is the reference at every small quotient
         checked = 0
-        for n, h in candidate_levels():
+        for n, h in candidate_pairs(INDEX_BOUND):
             q = normalizer_quotient(n * h)
             if q.order > 32:
                 continue
@@ -215,11 +216,11 @@ class TestNaming:
         assert GroupDescriptor(2, 4, frozenset({2})) in cat
 
     def test_reading_the_labels_names_as_the_catalog_search(self):
-        # every exponent-two subgroup of every level the sweep at index
-        # bound 40 builds: the name, or the refusal with its text, is the
+        # every exponent-two subgroup at the level of every parameter pair
+        # to index bound 40: the name, or the refusal with its text, is the
         # one the search through the level's whole catalog gives
         counts = {"named": 0, "unnamed": 0}
-        for level in sorted({n * h for n, h in candidate_levels(40)}):
+        for level in sorted({n * h for n, h in candidate_pairs(40)}):
             q = normalizer_quotient(level)
             for sub in elementary_two_subgroups(q):
                 matches = searched_subgroup_names(q, sub)
@@ -255,17 +256,18 @@ class TestNaming:
 
 
 @lru_cache(maxsize=None)
-def level_candidates(n: int, h: int) -> list:
-    q = normalizer_quotient(n * h)
+def level_candidates(level: int) -> list:
+    q = normalizer_quotient(level)
     subs = sorted(elementary_two_subgroups(q), key=lambda s: (len(s), sorted(s)))
     return [Candidate(q, sub) for sub in subs]
 
 
 def unpruned_hits(index_bound: int, ratio_bound: int, relax_width: bool) -> list:
-    """The reference sweep: every candidate level is built and screened."""
+    """The reference sweep: the level of every parameter pair is built and
+    screened, in increasing level."""
     hits = []
-    for n, h in candidate_levels(index_bound):
-        for cand in level_candidates(n, h):
+    for level in sorted(n * h for n, h in candidate_pairs(index_bound)):
+        for cand in level_candidates(level):
             report = check_conditions(cand, index_bound, ratio_bound, relax_width)
             if report.passed:
                 hits.append(Hit(cand, report, name_subgroup(cand.quotient, cand.subgroup)))
@@ -276,7 +278,7 @@ class TestPrune:
     @pytest.mark.parametrize("relax_width", [False, True], ids=["strict", "relaxed"])
     def test_pruned_sweep_matches_the_unpruned_one(self, relax_width):
         # equal hit lists, or the same error (ratio bounds 6 and up meet the
-        # naming gap at level 9 or 8), over the whole grid
+        # naming gap at level 8), over the whole grid
         compared = 0
         for index_bound in range(1, 61):
             for ratio_bound in range(1, 13):
@@ -289,23 +291,61 @@ class TestPrune:
         # the grid above stops at the naming error for ratio bounds of 6 and
         # up, so the skipped levels behind it are checked here directly
         pruned = 0
-        for n, h in candidate_levels(60):
+        for level in sorted(n * h for n, h in candidate_pairs(60)):
             for index_bound, ratio_bound in [(60, 3), (60, 12), (24, 5), (12, 3)]:
-                if may_pass(n * h, index_bound, ratio_bound):
+                if may_pass(level, index_bound, ratio_bound):
                     continue
                 pruned += 1
-                for cand in level_candidates(n, h):
+                for cand in level_candidates(level):
                     report = check_conditions(cand, index_bound, ratio_bound, relax_width=True)
-                    assert not report.index_ok, (n, h, index_bound, ratio_bound)
+                    assert not report.index_ok, (level, index_bound, ratio_bound)
         assert pruned > 100
 
     def test_levels_built_at_wide_bounds(self):
         # a weaker skip (dropping a two-part) gives the same hits; only the
-        # count of levels built shows it
-        for bounds, built, levels in [((40, 5), 11, 44), ((400, 3), 8, 433), ((1000, 12), 39, 1058)]:
-            candidates = candidate_levels(bounds[0])
-            assert len(candidates) == levels
-            assert sum(may_pass(n * h, *bounds) for n, h in candidates) == built
+        # count of levels built, out of the 2*index_bound walked, shows it
+        for bounds, built in [((40, 5), 11), ((400, 3), 8), ((1000, 12), 39)]:
+            assert sum(may_pass(level, *bounds) for level in range(1, 2 * bounds[0] + 1)) == built
+
+    @pytest.mark.parametrize("ratio_bound", [3, 5, 12, 47, 48])
+    def test_the_sweep_builds_the_levels_that_may_pass(self, monkeypatch, ratio_bound):
+        # each level's quotient is recorded and replaced by the level-1
+        # quotient, so the sweep runs past the naming gap; the walk builds
+        # the levels the parameter pairs built, and level 256, which they
+        # left out, at ratio bound 48
+        built = []
+
+        def recording_quotient(level):
+            built.append(level)
+            return normalizer_quotient(1)
+
+        monkeypatch.setattr(sys.modules["plattice.classify"], "normalizer_quotient", recording_quotient)
+        classify_hits(1000, ratio_bound)
+        assert built == [level for level in range(1, 2001) if may_pass(level, 1000, ratio_bound)]
+        paired = {n * h for n, h in candidate_pairs(1000) if may_pass(n * h, 1000, ratio_bound)}
+        assert set(built) == paired | ({256} if ratio_bound == 48 else set())
+
+    def test_no_level_above_twice_the_index_bound_passes(self):
+        # psi(N) >= N, and the first bound admits psi(N) up to twice the
+        # index bound, so the sweep's range holds every level that passes
+        assert all(gamma0_index(level) >= level for level in range(1, 1201))
+        for index_bound in range(1, 301):
+            for level in range(2 * index_bound + 1, 4 * index_bound + 1):
+                assert not may_pass(level, index_bound, 10**9), (level, index_bound)
+
+    def test_the_first_bound_reads_h_off_the_level(self):
+        # may_pass doubles the index bound before it builds the normalizer,
+        # when 4 divides the level: exactly when h is even
+        for level in range(1, 2 * 10**4 + 1):
+            assert (level % 4 == 0) == (normalizer_of_gamma0(level).h % 2 == 0), level
+
+    def test_levels_that_256_or_81_divides(self):
+        # the levels the parameter pairs left out, where the divisors of 24
+        # cap the normalizer's h: none passes at ratio bound 47, and only
+        # level 256 at 48
+        capped = [level for level in range(1, 2 * 10**5 + 1) if level % 256 == 0 or level % 81 == 0]
+        assert not any(may_pass(level, 10**5, 47) for level in capped)
+        assert [level for level in capped if may_pass(level, 10**5, 48)] == [256]
 
     def test_skip_agrees_with_the_orders_at_the_level(self, monkeypatch):
         # may_pass reads h, |Q| and 2**omega(m) off the normalizer; before,

@@ -882,8 +882,28 @@ class TestInputBudgets:
                     "width_at_infinity: 1",
                 ],
             ),
+            (
+                # its display compares the labels with every label only
+                # when they hold n/h, so n/h is not factorized here
+                ["groups", "2000000000000000006+2"],
+                [
+                    "character: None",
+                    "display: 2000000000000000006+2",
+                    "h: 1",
+                    "intersection_level: 2000000000000000006",
+                    "n: 2000000000000000006",
+                    "plus: [2]",
+                    "width_at_infinity: 1",
+                ],
+            ),
         ],
-        ids=["level-huge", "thread-2^40", "level-above-budget", "groups-above-budget"],
+        ids=[
+            "level-huge",
+            "thread-2^40",
+            "level-above-budget",
+            "groups-above-budget",
+            "groups-labelled-above-budget",
+        ],
     )
     def test_large_input_answers(self, argv, lines):
         proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)
@@ -901,8 +921,10 @@ class TestInputBudgets:
             (["thread", "1,0", "10000000000000000,0"], "10000000000000000"),
             # a bare "+" adjoins every label, which needs the factorization
             (["groups", "1000000000000000003+"], "1000000000000000003"),
+            # so does the display of a label set holding n/h, compared with it
+            (["groups", "2000000000000000006+2000000000000000006"], "2000000000000000006"),
         ],
-        ids=["thread-huge", "groups-huge"],
+        ids=["thread-huge", "groups-huge", "groups-label-n"],
     )
     def test_over_the_factorize_budget(self, argv, number):
         proc = fresh_python("-m", "plattice.cli", *argv, timeout=30, check=False)

@@ -26,13 +26,13 @@ from plattice.groupsys import (
     normalizer_quotient,
     quotient_generators,
 )
-from plattice.classify import candidate_levels
 from plattice.tree import hypercircle
 from .helpers import (
     S,
     T,
     action_perm,
     all_subgroups,
+    candidate_pairs,
     character_lambda,
     character_values,
     descriptor_catalog,
@@ -467,9 +467,9 @@ class TestFiniteQuotient:
 
     def test_coset_key_is_the_action_on_the_name_of_the_level(self):
         # the key's second name is [[n, 0], [0, 1]] g reduced, which act
-        # computes through the name (n, 0); at every level the classify
-        # sweep builds to index bound 40, and at 1152
-        levels = sorted({n * h for n, h in candidate_levels(40)} | {64, 144, 1152})
+        # computes through the name (n, 0); at the level of every parameter
+        # pair to index bound 40, and at 1152
+        levels = sorted({n * h for n, h in candidate_pairs(40)} | {64, 144, 1152})
         rng = random.Random(1152)
         for _ in range(300):
             g = rand_pgl2q(rng, 50)
