@@ -80,7 +80,11 @@ COMMANDS = {
     "eta": (
         "cli_series",
         "eta-quotient q-expansion of a Frame shape",
-        ["shape", ("--order", {"type": int, "default": 50})],
+        [
+            ("shape", {"help": "a vertex name such as 3|3, else a group name if it has | or + and neither ^"
+                       " nor /, else a Frame shape such as '2^6 6^6 / 1^6 3^6' or 24"}),
+            ("--order", {"type": int, "default": 50}),
+        ],
     ),
 }
 

@@ -1,5 +1,5 @@
-"""Handlers of super and eta; an ``eta`` of a Frame shape or a vertex name
-loads ``frames`` alone."""
+"""Handlers of super and eta; an ``eta`` loads ``frames`` alone unless its
+text is a group name other than a vertex name."""
 
 from itertools import chain
 
@@ -33,25 +33,17 @@ def cmd_super(args):
 def cmd_eta(args):
     from .frames import VERTEX_SHAPES, FrameShape, eta_quotient_series, frame_shape
 
+    # README's rule (Command line): the group parser alone reads a group
+    # name, so its errors are the parser's, and only a group name loads descriptors
     text = args.shape.strip()
     catalog = dict(VERTEX_SHAPES)
-    if text in catalog or "^" in text or "/" in text:
-        # a vertex name is read from the catalog, and no group name survives
-        # its integer conversions with "^" or "/" in it, so descriptors need not load
-        shape = catalog[text] if text in catalog else FrameShape.parse(args.shape)
-    else:
+    if text in catalog:
+        shape = catalog[text]
+    elif ("|" in text or "+" in text) and "^" not in text and "/" not in text:
         from .descriptors import GroupDescriptor
 
-        try:
-            shape = frame_shape(GroupDescriptor.parse(text))
-        except ValueError:
-            # a bare number is also a Frame shape (24 is 24^1), but a group name
-            # with "|" or "+" is not, so the group's own error stands (only it loads re)
-            if "|" in text or "+" in text:
-                import re
-
-                if re.fullmatch(r"\d+(\|\d+)?(\+(\d+(,\d+)*)?)?", text):
-                    raise
-            shape = FrameShape.parse(args.shape)
+        shape = frame_shape(GroupDescriptor.parse(text))
+    else:
+        shape = FrameShape.parse(args.shape)
     # the series is written in batches as it is printed, never held whole
     write(chain(eta_quotient_series(shape, args.order).text(), "\n"))

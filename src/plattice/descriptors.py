@@ -192,7 +192,7 @@ def normalizer_of_gamma0(n: int) -> GroupDescriptor:
     """Descriptor of the normalizer: h is the largest divisor of 24 with h^2 | n."""
     if n < 1:
         raise ValueError("level must be positive")
-    h = max(d for d in divisors(24) if n % (d * d) == 0)
+    h = max(d for d in (1, 2, 3, 4, 6, 8, 12, 24) if n % (d * d) == 0)
     return GroupDescriptor(h, n // h, all_labels(n // (h * h)))
 
 

@@ -25,6 +25,9 @@ The corpus:
   orders on both sides of the series engine's 128-term blocks, and of the
   two dilated shapes where their series in q^s crosses a block, and of the
   nine shapes at every order 1-300;
+- ``eta`` of three texts that its reading rule decides: ``3||3`` and
+  ``+24`` are group names, which the group parser refuses, and ``01`` is
+  the Frame shape ``1^1``, not the vertex name ``1``;
 - ``cusps`` of every level 1-200, as text and JSON;
 - ``hypercircle`` at three centres and four radii, and at four centres
   whose moved Hermite triples can lose a common factor and six radii, in
@@ -113,6 +116,8 @@ ETA_ORDERS = [1, 2, 50, 127, 128, 129, 255, 256, 257]
 # 3^8 is a series in q^3 and 4^12 / 2^12 one in q^2: their n = top // s
 # crosses 128 at s * 128 terms after the pole, order s * 128 - 1
 DILATED_ORDERS = {"3^8": range(381, 386), "4^12 / 2^12": range(253, 258)}
+
+ETA_READINGS = [["eta", "3||3"], ["eta", "01"], ["eta", "+24"]]
 
 HYPERCIRCLE_CENTRES = ["1,0", "2/3,1/7", "5/2,1/2"]
 HYPERCIRCLE_RADII = [1, 6, 30, 210]
@@ -239,6 +244,7 @@ def corpus() -> list:
         out += [["eta", shape, "--order", str(order)] for order in orders]
     for shape in CATALOG_SHAPES:
         out += [["eta", shape, "--order", str(order)] for order in range(1, 301)]
+    out += ETA_READINGS
     for level, as_json in product(range(1, 201), (False, True)):
         out.append(["cusps", str(level)] + ["--json"] * as_json)
     for centre, radius, fmt in product(HYPERCIRCLE_CENTRES, HYPERCIRCLE_RADII, ("text", "json", "dot")):

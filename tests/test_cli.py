@@ -764,10 +764,33 @@ class TestSuper:
         ids=["bare-number", "group-name", "signed-exponent", "bad-exponent"],
     )
     def test_eta_text_forms_print_pinned_bytes(self, capsys, text, expected):
-        # text with "^" or "/" goes straight to the Frame-shape parser, and
-        # the other forms still try the group name first
         order = "50" if text == "24" else "3"
         assert run(capsys, "eta", text, "--order", order) == expected
+
+    @pytest.mark.parametrize(
+        "text, read_as",
+        [
+            ("3+3", "3+"),
+            ("02+", "2+"),
+            ("24", "24^1"),
+            ("1 23", "1^1 23^1"),
+            ("7+", "error: 7+ is not one of the nine vertex groups\n"),
+            ("6|2", "error: kernel subgroup not implemented for (h, n) = (2, 6)\n"),
+            ("3||3", "error: bad group name '3||3'\n"),
+            # these printed the series of the vertex name 1 and of 24^1
+            ("01", "error: fractional leading exponent for 1^1\n"),
+            ("+24", "error: bad group name '+24'\n"),
+        ],
+    )
+    def test_eta_reads_its_text_by_one_rule(self, capsys, text, read_as):
+        # README's rule (Command line): a group name's errors are the group
+        # parser's, and a bare number is a Frame shape
+        found = run(capsys, "eta", text, "--order", "6")
+        if read_as.startswith("error: "):
+            assert found == (1, "", read_as)
+        else:
+            assert found == run(capsys, "eta", read_as, "--order", "6")
+            assert found[0] == 0
 
     def test_check_invariance(self, capsys):
         code, out, _ = run(capsys, "super", "--check-invariance")

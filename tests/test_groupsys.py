@@ -320,6 +320,13 @@ class TestNormalizer:
     def test_squarefree_is_plus(self):
         assert normalizer_of_gamma0(6) == GroupDescriptor.gamma0_plus(6)
 
+    def test_h_is_the_largest_divisor_of_24_whose_square_divides_the_level(self):
+        # the normalizer reads h from the divisors of 24 written out; every
+        # one of them is some level's h
+        found = {n: normalizer_of_gamma0(n).h for n in range(1, 20001)}
+        assert found == {n: max(d for d in divisors(24) if n % (d * d) == 0) for n in found}
+        assert set(found.values()) == set(divisors(24))
+
     def test_normalizes_numerically(self):
         # conjugation by normalizer generators preserves membership
         rng = random.Random(97)

@@ -215,6 +215,15 @@ def test_no_module_imports_from_future():
     assert _importers("__future__") == []
 
 
+def test_no_module_imports_re():
+    # rationals and Frame shapes are read with str methods and group names
+    # by GroupDescriptor.parse alone, so no module imports re, in a function
+    # or at module scope: ``re`` and ``enum`` cost a cold
+    # ``eta 2 --order 363`` 2.2 ms under python -S, where no site-packages
+    # .pth file has imported them first
+    assert _importers("re") == []
+
+
 def _import_time_nodes(node):
     # the nodes a module runs when it is imported: not the bodies of its
     # functions and lambdas, which run when they are called
@@ -227,7 +236,8 @@ def _import_time_nodes(node):
 def test_no_regex_is_compiled_at_import():
     # a pattern compiled at module scope costs every command that loads its
     # module, about 0.12 ms for the rational reader of exact, whether or not
-    # it parses; ``re``'s own cache compiles a pattern at its first use
+    # it parses; test_no_module_imports_re keeps ``re`` out of src/ as a
+    # whole, and this test still holds if that one is ever relaxed
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += [
@@ -243,10 +253,9 @@ def test_no_regex_is_compiled_at_import():
 
 
 def test_no_module_imports_re_at_module_scope():
-    # rationals are read with str methods, and only an eta of text that may
-    # be a group name imports re, inside its branch: ``re`` and ``enum``
-    # cost a cold ``eta 2 --order 363`` 2.2 ms under python -S, where no
-    # site-packages .pth file has imported them first
+    # the weaker form of test_no_module_imports_re: were ``re`` ever needed
+    # again, it would be imported inside the branch that uses it, never at
+    # module scope, where every command that loads the module pays for it
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += [
@@ -706,8 +715,9 @@ STARTUP_ROWS = {
     "`hypercircle --json`, `thread --json`, `cell --json`": ["thread", "1,0", "6,0", "--json"],
     "`cusps --json`": ["cusps", "9", "--json"],
     "`eta` of a Frame shape (text with `^` or `/`)": ["eta", "2^6 6^6 / 1^6 3^6", "--order", "20"],
+    "`eta` of a bare number (a Frame shape: `24` is `24^1`)": ["eta", "24", "--order", "20"],
     "`eta` of a vertex name (`2+`, `6+`, ...)": ["eta", "6+", "--order", "20"],
-    "`eta` of another group name or a bare number": ["eta", "24", "--order", "20"],
+    "`eta` of another group name (`3+3`, `02+`, ...)": ["eta", "3+3", "--order", "20"],
     "`classify`": ["classify"],
     "`diagram`": ["diagram"],
     "`super`": ["super"],
