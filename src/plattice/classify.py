@@ -1,31 +1,31 @@
 """The finite search that recovers the nine diagram-labeling groups.
 
-The sweep walks the levels N up to twice the index bound.  That range is
-complete: a level passes ``may_pass`` only when psi(N) is at most twice
-the index bound, and psi(N) >= N.  A level at which no exponent-two
-subgroup of the quotient can meet both index bounds is skipped:
-``may_pass`` bounds such subgroups in closed form and proves the bounds.
-At every other level the quotient of the normalizer of the level group by
-that group is enumerated, its exponent-two subgroups (the only ones that
-can pass) are screened against four conditions (width one at infinity,
-exponent-two quotient, and two index bounds), and every survivor is mapped
-back to a symbolic descriptor.  The prose case analysis becomes assertions
-in the test suite, not control flow here.
+The sweep walks the levels N up to the lower of twice the index bound and
+``level_cap(ratio_bound)``; no level above either passes ``may_pass``,
+which bounds in closed form the exponent-two subgroups of a level's
+quotient, the only ones that can pass, and skips a level where none can
+meet both index bounds.  At every other level the quotient of the
+normalizer of the level group by that group is enumerated, its
+exponent-two subgroups are screened against four conditions (width one at
+infinity, exponent-two quotient, and two index bounds), and every survivor
+is mapped back to a symbolic descriptor.  The prose case analysis becomes
+assertions in the test suite, not control flow here.
 """
 
 from collections import namedtuple
+from itertools import count
 from math import gcd
 
-from .arith import divisors, gamma0_index
+from .arith import divisors, gamma0_index, is_prime
 from .descriptors import GroupDescriptor, normalizer_of_gamma0
 from .groupsys import FiniteQuotient, _conjugate_by_scale, _member_cosets, normalizer_quotient
 
 INDEX_BOUND = 12
 RATIO_BOUND = 3
 
-# The sweep's cost grows with the index bound through the levels it walks,
-# about twofold per doubling: 3.3-3.5 s at the budget on a 2-vCPU host (medians
-# of 6 cold runs), so larger bounds are refused before any work starts.
+# At the budget the walk stops at ``level_cap``, 0.05 s cold at ratio bound 3
+# on a 2-vCPU host; from ratio bound 196 on it walks all 2*10**5 levels, 3.5-4 s
+# in ``may_pass`` alone, so larger index bounds are refused before any work.
 INDEX_BOUND_BUDGET = 10**5
 
 # The order of the largest exponent-two subgroup of the level-h**2 quotient,
@@ -59,11 +59,8 @@ class Candidate(namedtuple("Candidate", "quotient subgroup")):
         if 0 not in subgroup:
             raise ValueError("subgroup does not contain the identity")
         # closed under the product, it holds each inverse, a power of its element
-        mult = quotient.mult
-        for i in subgroup:
-            for j in subgroup:
-                if mult[i][j] not in subgroup:
-                    raise ValueError("subgroup is not multiplicatively closed")
+        if {quotient.mult[i][j] for i in subgroup for j in subgroup} - subgroup:
+            raise ValueError("subgroup is not multiplicatively closed")
 
 
 def check_conditions(
@@ -168,6 +165,22 @@ def may_pass(level: int, index_bound: int, ratio_bound: int) -> bool:
     return total <= ratio_bound * EXPONENT_TWO_ORDER[normalizer.h] * atkin_lehner
 
 
+def level_cap(ratio_bound: int) -> int:
+    """16r * 2**k, with k the largest integer such that p_1 ... p_k <= 16r * 2**k.
+
+    No level N above it passes ``may_pass`` at ratio bound r, whatever the
+    index bound.  The last test there admits N only when psi(N) <= r * E *
+    2**omega(m), where E = EXPONENT_TWO_ORDER[h] <= 16 and omega(m) <= omega(N)
+    = j, and p_1 ... p_j <= N <= psi(N).  So p_1 ... p_j <= 16r * 2**j, and as
+    p_1 ... p_j / 2**j does not decrease in j, j <= k and N <= 16r * 2**k.
+    """
+    cap, primorial = 16 * ratio_bound, 1
+    for p in filter(is_prime, count(2)):
+        if primorial * p > 2 * cap:
+            return cap
+        cap, primorial = 2 * cap, primorial * p
+
+
 def elementary_two_subgroups(q: FiniteQuotient) -> set[frozenset[int]]:
     """Subgroups in which every element squares to the identity."""
     involutions = [i for i in range(1, q.order) if q.mult[i][i] == 0]
@@ -201,7 +214,7 @@ def classify_hits(
     if index_bound > INDEX_BOUND_BUDGET:
         raise ValueError("cannot sweep index bound %d: above the budget of 10**5" % index_bound)
     hits = []
-    for level in range(1, 2 * index_bound + 1):
+    for level in range(1, min(2 * index_bound, level_cap(ratio_bound)) + 1):
         if not may_pass(level, index_bound, ratio_bound):
             continue
         q = normalizer_quotient(level)

@@ -27,17 +27,6 @@ def all_labels(m: int) -> frozenset[int]:
     return frozenset(e for e in divisors(m) if e > 1 and gcd(e, m // e) == 1) if m >= 1 else frozenset()
 
 
-def unclosed_label_product(labels) -> tuple[int, int, int] | None:
-    """The first (e, f, e*f/gcd(e, f)**2) with the product neither 1 nor a
-    label; adjoined cosets multiply by that rule, so None means a group."""
-    for e in labels:
-        for f in labels:
-            prod = e * f // gcd(e, f) ** 2
-            if prod != 1 and prod not in labels:
-                return e, f, prod
-    return None
-
-
 def unsupported_kernel(h: int, n: int, labels) -> str | None:
     """Why the index-h kernel with these labels is not implemented; None if it is."""
     if (h, n) not in KERNEL_CHARACTER_VALUES:
@@ -64,9 +53,10 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "h n plus character")):
         m = n // h
         if not all(e > 1 and m % e == 0 and gcd(e, m // e) == 1 for e in plus):
             raise ValueError("labels %s are not exact divisors of %d" % (sorted(plus), m))
-        gap = unclosed_label_product(plus)
-        if gap is not None:
-            raise ValueError("label set %s is not closed: %d*%d gives %d" % (sorted(plus), *gap))
+        # the cosets of labels e and f multiply into that of e*f/gcd(e, f)**2
+        lacking = {e * f // gcd(e, f) ** 2 for e in plus for f in plus} - plus - {1}
+        if lacking:
+            raise ValueError("label set %s is not closed: it lacks %s" % (sorted(plus), sorted(lacking)))
         if character is not None:
             if character != h:
                 raise ValueError("only the index-h kernel is supported")

@@ -110,10 +110,6 @@ VERTEX_SHAPES: tuple[tuple[str, FrameShape], ...] = tuple(
 )
 FRAME_SHAPES: tuple[FrameShape, ...] = tuple(shape for _, shape in VERTEX_SHAPES)
 
-for _fs in FRAME_SHAPES:
-    if _fs.degree != 24:
-        raise AssertionError("catalog shape %s has degree %d" % (_fs, _fs.degree))
-
 
 def frame_shape(desc: "GroupDescriptor") -> FrameShape:
     """The catalog shape of a vertex group."""

@@ -34,7 +34,7 @@ from collections import namedtuple
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from plattice.classify import EXPONENT_TWO_ORDER, name_subgroup
@@ -45,7 +45,6 @@ from plattice.descriptors import (
     GroupDescriptor,
     all_labels,
     normalizer_of_gamma0,
-    unclosed_label_product,
     unsupported_kernel,
     width_at_infinity,
 )
@@ -731,24 +730,21 @@ def named_core_group(desc: GroupDescriptor) -> GroupDescriptor:
     return name_subgroup(q, met)
 
 
-def _closed_label_sets(pool: list[int]) -> list[frozenset[int]]:
-    out = []
-    for r in range(len(pool) + 1):
-        for combo in combinations(pool, r):
-            if unclosed_label_product(combo) is None:
-                out.append(frozenset(combo))
-    return out
-
-
 @lru_cache(maxsize=None)
 def descriptor_catalog(level: int) -> tuple[GroupDescriptor, ...]:
-    """Every descriptor denoting a group containing the level group."""
+    """Every descriptor denoting a group containing the level group.
+
+    The label sets are those the constructor accepts: the closed subsets
+    of the labels over n/h."""
     out = []
     for n2 in divisors(level):
         for h2 in divisors(gcd(n2, 24)):
             label_pool = sorted(all_labels(n2 // h2))
-            for labels in _closed_label_sets(label_pool):
-                out.append(GroupDescriptor(h2, n2, labels))
+            for labels in chain.from_iterable(combinations(label_pool, r) for r in range(len(label_pool) + 1)):
+                try:
+                    out.append(GroupDescriptor(h2, n2, labels))
+                except ValueError:
+                    continue
                 if unsupported_kernel(h2, n2, labels) is None and level % (n2 * h2) == 0:
                     out.append(GroupDescriptor(h2, n2, labels, h2))
     return tuple(out)

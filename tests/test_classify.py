@@ -11,12 +11,14 @@ from plattice.classify import (
     EXPONENT_TWO_ORDER,
     INDEX_BOUND,
     INDEX_BOUND_BUDGET,
+    RATIO_BOUND,
     Candidate,
     Hit,
     check_conditions,
     classify,
     classify_hits,
     elementary_two_subgroups,
+    level_cap,
     may_pass,
     name_subgroup,
 )
@@ -208,6 +210,82 @@ class TestClassify:
         assert GroupDescriptor(3, 6, frozenset({2})) not in relaxed
 
 
+# the search with conditions dropped ---------------------------------------
+
+W, E, R = "width one", "exponent two", "ratio bound"
+
+# what joins the nine at the defaults when conditions are dropped, by
+# descriptor: the full group 4|2 joins without width one and the kernel 4|2
+# without the ratio bound, and without both width one and exponent two the
+# full groups 3|3 and 4|2+ join, which share their display names with two of
+# the nine.  A subgroup no descriptor names is given as (level, order).
+DROPPED_JOINS = {
+    (W,): {GroupDescriptor(2, 4)},
+    (E,): {(4, 3), (8, 4)},
+    (R,): {
+        *(GroupDescriptor.gamma0(n) for n in (3, 4, 5, 6, 7, 8, 9, 11)),
+        *(GroupDescriptor.gamma0_plus(n) for n in (7, 8, 9, 11)),
+        *(GroupDescriptor(1, 6, {e}) for e in (2, 3, 6)),
+        GroupDescriptor.kernel(2, 4),
+        (8, 2),
+        (9, 2),
+    },
+    (W, E): {
+        GroupDescriptor(2, 2),
+        GroupDescriptor(2, 4),
+        GroupDescriptor(2, 4, {2}),
+        GroupDescriptor(2, 6, {3}),
+        GroupDescriptor(2, 8, {4}),
+        GroupDescriptor(3, 3),
+        GroupDescriptor(3, 6),
+        GroupDescriptor(3, 6, {2}),
+        GroupDescriptor(4, 4),
+        GroupDescriptor(4, 8),
+        (4, 3),
+        (8, 4),
+        (16, 12),
+    },
+}
+
+
+def dropped_condition_search(dropped: tuple[str, ...]) -> set:
+    """The groups the search at the defaults keeps with the named conditions
+    dropped, over every level up to twice the index bound (``may_pass``
+    assumes exponent two, so no level is skipped).  Without exponent two a
+    subgroup may hold up to h modular cosets, so levels above 24 could pass
+    as well; this is the search at the levels the sweep walks."""
+    found = set()
+    for level in range(1, 2 * INDEX_BOUND + 1):
+        q = normalizer_quotient(level)
+        # a ratio bound of psi(level) admits every subgroup
+        ratio_bound = gamma0_index(level) if R in dropped else RATIO_BOUND
+        for sub in all_subgroups(q) if E in dropped else elementary_two_subgroups(q):
+            report = check_conditions(Candidate(q, sub), INDEX_BOUND, ratio_bound, W in dropped)
+            if report.width_one and report.index_ok and (report.exponent_two or E in dropped):
+                try:
+                    found.add(name_subgroup(q, sub))
+                except ValueError:
+                    found.add((level, len(sub)))
+    return found
+
+
+class TestDroppedConditions:
+    def test_with_every_condition_the_search_is_classify(self):
+        assert dropped_condition_search(()) == classify() == E8_GROUPS
+
+    @pytest.mark.parametrize("dropped", list(DROPPED_JOINS), ids=["-".join(d) for d in DROPPED_JOINS])
+    def test_each_condition_excludes_something_and_none_of_the_nine_leaves(self, dropped):
+        found = dropped_condition_search(dropped)
+        assert E8_GROUPS <= found
+        assert found - E8_GROUPS == DROPPED_JOINS[dropped]
+
+    def test_the_four_cases_take_under_a_second(self):
+        start = time.perf_counter()
+        for dropped in DROPPED_JOINS:
+            dropped_condition_search(dropped)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestNaming:
     def test_catalog_contains_expected_entries(self):
         cat = descriptor_catalog(8)
@@ -332,6 +410,23 @@ class TestPrune:
         for index_bound in range(1, 301):
             for level in range(2 * index_bound + 1, 4 * index_bound + 1):
                 assert not may_pass(level, index_bound, 10**9), (level, index_bound)
+
+    def test_level_cap(self):
+        caps = {1: 256, 2: 512, 3: 768, 4: 1024, 5: 2560, 12: 6144, 48: 49152, 195: 199680, 196: 200704}
+        assert {r: level_cap(r) for r in caps} == caps
+
+    def test_no_level_above_the_cap_passes(self):
+        # whatever the index bound: the cap is read off the ratio bound alone
+        for ratio_bound in range(1, 13):
+            cap = level_cap(ratio_bound)
+            for level in range(cap + 1, 2 * cap + 1):
+                assert not may_pass(level, 10**9, ratio_bound), (level, ratio_bound)
+
+    @pytest.mark.parametrize("index_bound", [12, 40, 385, 10**5])
+    def test_the_nine_at_ratio_three_for_every_index_bound(self, index_bound):
+        # no level above level_cap(3) = 768 passes, so from 384 on the walk is
+        # the same; 10**5 is the budget
+        assert classify(index_bound, 3) == classify()
 
     def test_the_first_bound_reads_h_off_the_level(self):
         # may_pass doubles the index bound before it builds the normalizer,

@@ -2,7 +2,8 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -14,7 +15,6 @@ from plattice.descriptors import (
     GroupDescriptor,
     all_labels,
     normalizer_of_gamma0,
-    unclosed_label_product,
 )
 from plattice.groupsys import (
     _coset_key,
@@ -206,11 +206,31 @@ class TestDescriptor:
         assert all(d.plus == frozenset() for d in kernels if d.h == 3)
 
     def test_label_closure_rule(self):
-        assert unclosed_label_product((2, 3)) == (2, 3, 6)
-        assert unclosed_label_product((2, 3, 6)) is None
-        assert unclosed_label_product(()) is None
-        with pytest.raises(ValueError, match=r"label set \[2, 3\] is not closed: 2\*3 gives 6"):
-            GroupDescriptor(1, 6, {2, 3})
+        # the refusal names every missing label, not the first pair tried
+        assert outcome(GroupDescriptor, 1, 6, {2, 3}) == "ValueError: label set [2, 3] is not closed: it lacks [6]"
+        assert outcome(GroupDescriptor, 1, 30, {2, 3, 5}) == (
+            "ValueError: label set [2, 3, 5] is not closed: it lacks [6, 10, 15]"
+        )
+        assert outcome(GroupDescriptor, 1, 30, {6, 10}) == "ValueError: label set [6, 10] is not closed: it lacks [15]"
+        assert GroupDescriptor(1, 6, {2, 3, 6}).plus == {2, 3, 6}
+        assert GroupDescriptor(1, 6).plus == frozenset()
+
+    def test_label_closure_is_symmetric_difference_of_prime_sets(self):
+        # an independent picture over F_2: a label over m is the set of primes
+        # it holds, e*f/gcd(e, f)**2 holds their symmetric difference and 1
+        # holds none, so a label set with 1 is closed exactly when its prime
+        # sets are closed under symmetric difference
+        for m in range(1, 211):
+            power = factorize(m)
+            label_of = {frozenset(factorize(e)): e for e in all_labels(m)}
+            assert all(e == prod(p ** power[p] for p in primes) for primes, e in label_of.items())
+            for r in range(5):
+                for combo in combinations(sorted(label_of.values()), r):
+                    sets = {frozenset(factorize(e)) for e in combo} | {frozenset()}
+                    lacking = sorted({label_of[a ^ b] for a in sets for b in sets if a ^ b not in sets})
+                    expected = "ValueError: label set %s is not closed: it lacks %s" % (list(combo), lacking)
+                    got = outcome(GroupDescriptor, 1, m, combo)
+                    assert got == expected if lacking else got.plus == frozenset(combo), (m, combo)
 
 
 class TestMember:

@@ -44,7 +44,7 @@ INTEGER_ONLY = {
         "finite_quotient",
         "FiniteQuotient.width_cosets",
     ),
-    "classify.py": ("may_pass",),
+    "classify.py": ("may_pass", "level_cap"),
     "cusps.py": ("gamma0_cusps", "CuspReport.to_json"),
 }
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}
