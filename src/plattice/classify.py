@@ -23,10 +23,8 @@ from .groupsys import FiniteQuotient, _conjugate_by_scale, _member_cosets, norma
 INDEX_BOUND = 12
 RATIO_BOUND = 3
 
-# At the budget the walk stops at ``level_cap``, 0.05 s cold at ratio bound 3
-# on a 2-vCPU host; from ratio bound 196 on it walks all 2*10**5 levels, 3.5-4 s
-# in ``may_pass`` alone, so larger index bounds are refused before any work.
-INDEX_BOUND_BUDGET = 10**5
+# The most levels a sweep walks; ``may_pass`` alone takes 3.5-4 s over them on 2 vCPU.
+LEVEL_BUDGET = 2 * 10**5
 
 # The order of the largest exponent-two subgroup of the level-h**2 quotient,
 # for each divisor h of 24, found by enumerating its subgroups (checked in
@@ -211,10 +209,11 @@ def classify_hits(
     """Every (candidate, subgroup) pair passing the screening, with names."""
     if index_bound < 1 or ratio_bound < 1:
         raise ValueError("bounds must be positive, got index %d and ratio %d" % (index_bound, ratio_bound))
-    if index_bound > INDEX_BOUND_BUDGET:
-        raise ValueError("cannot sweep index bound %d: above the budget of 10**5" % index_bound)
+    last = min(2 * index_bound, level_cap(ratio_bound))
+    if last > LEVEL_BUDGET:
+        raise ValueError("cannot sweep %d levels: above the budget of 2*10**5" % last)
     hits = []
-    for level in range(1, min(2 * index_bound, level_cap(ratio_bound)) + 1):
+    for level in range(1, last + 1):
         if not may_pass(level, index_bound, ratio_bound):
             continue
         q = normalizer_quotient(level)

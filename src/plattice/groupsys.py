@@ -13,8 +13,9 @@ representative, and the kernel is the set of cosets where it is 0.
 
 Finite quotients of a group by the plain level group under its base level
 are materialized as coset representative lists with an exact
-multiplication table.  Matrix products are taken only while the cosets are
-enumerated breadth-first; the table is then composed from the generators'
+multiplication table, their order read off the group's name before the
+walk.  Matrix products are taken only while the cosets are enumerated
+breadth-first; the table is then composed from the generators'
 permutations along the enumeration tree.
 """
 
@@ -147,8 +148,8 @@ def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuoti
     permutation: the table is composed along the walk's tree, with no
     matrix arithmetic after the walk.  Every row and column of the table
     must then be a permutation of the cosets, which fails when ``small`` is
-    not normal in ``big``.  A walk that passes ``QUOTIENT_ELEMENT_BOUND``
-    cosets stops with a ValueError.
+    not normal in ``big``.  The order, ``big.index_over(small.n)``, is known
+    before the walk: above ``QUOTIENT_ELEMENT_BOUND`` it is refused at once.
     """
     base = GroupDescriptor.gamma0(big.n * big.h)
     if small != base:
@@ -156,6 +157,9 @@ def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuoti
             "quotients of %s are taken by the plain level group %s, not %s"
             % (big.display, base.display, small.display)
         )
+    order, bound = big.index_over(small.n), QUOTIENT_ELEMENT_BOUND
+    if order > bound:
+        raise ValueError("quotient of %s has %d cosets: above the budget of %d" % (big.display, order, bound))
     generators = quotient_generators(big)
     reps = [IDENTITY]
     keys = {_coset_key(IDENTITY, small.n): 0}
@@ -170,14 +174,15 @@ def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuoti
             key = _coset_key(nxt, small.n)
             k = keys.get(key)
             if k is None:
-                if len(reps) >= QUOTIENT_ELEMENT_BOUND:
-                    raise ValueError("quotient not finite within bound %d" % QUOTIENT_ELEMENT_BOUND)
+                if len(reps) == order:
+                    raise AssertionError("quotient of %s has more than %d cosets" % (big.display, order))
                 k = keys[key] = len(reps)
                 reps.append(nxt)
                 parents.append((head, g))
             right[g].append(k)
         head += 1
-    order = len(reps)
+    if len(reps) != order:
+        raise AssertionError("quotient of %s has %d cosets, not %d" % (big.display, len(reps), order))
     columns = [tuple(range(order))]
     for p, g in parents[1:]:
         columns.append(tuple(map(right[g].__getitem__, columns[p])))
@@ -236,10 +241,4 @@ def _kernel_cosets(h: int, n: int, labels: frozenset) -> tuple[FiniteQuotient, f
 @lru_cache(maxsize=None)
 def normalizer_quotient(n: int) -> FiniteQuotient:
     """The normalizer of the level-n group modulo that group."""
-    q = finite_quotient(normalizer_of_gamma0(n), GroupDescriptor.gamma0(n))
-    expected = q.big.index_over(n)
-    if q.order != expected:
-        raise AssertionError(
-            "normalizer quotient at level %d has %d cosets, not %d" % (n, q.order, expected)
-        )
-    return q
+    return finite_quotient(normalizer_of_gamma0(n), GroupDescriptor.gamma0(n))

@@ -18,6 +18,7 @@ The corpus:
   without ``--relax-width``, as text and JSON;
 - ``classify --ratio-bound`` 6, 8 and 12, which exit 1 on a level-8
   subgroup that matches no descriptor;
+- ``classify --index-bound 100001``, whose walk stops at ``level_cap(3)``;
 - ``diagram`` and ``super`` in every format and flag set, and with
   ``--format dot --json``, which prints JSON;
 - one command line for each domain-error and usage-error text;
@@ -86,7 +87,7 @@ DOMAIN_ERRORS = [
     ["groups", "6|3+2"],  # not implemented with labels: 6|3 has no labelled kernel
     ["groups", "1_0"],  # bad group name: int would read "_" as a digit separator
     ["level", "1_0"],  # bad group name
-    ["classify", "--index-bound", "100001"],  # cannot sweep above the budget
+    ["classify", "--index-bound", "100001", "--ratio-bound", "196"],  # cannot sweep above the budget
     ["classify", "--index-bound", "0"],  # bounds must be positive
     ["super", "--series", "0"],  # order must be positive
     ["super", "--series", "20000"],  # cannot expand above the budget
@@ -232,6 +233,7 @@ def corpus() -> list:
         argv = ["classify", "--index-bound", str(index_bound), "--ratio-bound", str(ratio_bound)]
         out.append(argv + ["--relax-width"] * relax + ["--json"] * as_json)
     out += [["classify", "--ratio-bound", str(bound)] for bound in (6, 8, 12)]
+    out.append(["classify", "--index-bound", "100001"])
     out += [["diagram"] + fmt for fmt in FORMATS]
     for frame_shapes, series, check in product((False, True), repeat=3):
         flags = ["--frame-shapes"] * frame_shapes + ["--series", "5"] * series

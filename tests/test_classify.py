@@ -1,7 +1,9 @@
+import re
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,7 +12,7 @@ from plattice.arith import divisors, gamma0_index
 from plattice.classify import (
     EXPONENT_TWO_ORDER,
     INDEX_BOUND,
-    INDEX_BOUND_BUDGET,
+    LEVEL_BUDGET,
     RATIO_BOUND,
     Candidate,
     Hit,
@@ -80,7 +82,7 @@ class TestCandidateLevels:
         assert {(4, 2), (4, 4), (6, 1), (6, 2), (6, 3), (9, 3), (8, 4), (8, 8)} <= pairs
 
     def test_pairs_are_normalizer_parameters_of_distinct_levels(self):
-        pairs = candidate_pairs(INDEX_BOUND_BUDGET)
+        pairs = candidate_pairs(LEVEL_BUDGET // 2)
         levels = [n * h for n, h in pairs]
         assert len(set(levels)) == len(levels)
         assert all(normalizer_of_gamma0(n * h)[:2] == (h, n) for n, h in pairs)
@@ -286,6 +288,55 @@ class TestDroppedConditions:
         assert time.perf_counter() - start < 1.0
 
 
+# the bound map: the least index bound at which each group joins the
+# answer, by ratio bound, with width one; each row adds to the one before
+JOINS = {1: {GroupDescriptor.gamma0(1): 1}}
+JOINS[2] = {**JOINS[1], GroupDescriptor.gamma0_plus(2): 3, GroupDescriptor.gamma0_plus(3): 4}
+JOINS[3] = {
+    **JOINS[2],
+    GroupDescriptor.gamma0(2): 3,
+    GroupDescriptor.gamma0_plus(4): 6,
+    GroupDescriptor.gamma0_plus(5): 6,
+    GroupDescriptor.gamma0_plus(6): 12,
+    GroupDescriptor.kernel(3, 3): 12,
+    GroupDescriptor.kernel(2, 4, {2}): 12,
+}
+JOINS[4] = {**JOINS[3], GroupDescriptor.gamma0(3): 4, GroupDescriptor.gamma0_plus(7): 8}
+JOINS[5] = {**JOINS[4], GroupDescriptor.gamma0_plus(10): 18}
+
+
+@lru_cache(maxsize=None)
+def bound_map() -> dict:
+    """``classify(i, r, w)`` for index bounds 1-40, ratio bounds 1-5 and both widths."""
+    cells = product(range(1, 41), range(1, 6), (False, True))
+    return {(i, r, w): classify(i, r, w) for i, r, w in cells}
+
+
+class TestBoundMap:
+    def test_the_answer_grows_with_both_bounds(self):
+        cells = bound_map()
+        for (i, r, w), found in cells.items():
+            assert found <= cells.get((i + 1, r, w), found), (i, r, w)
+            assert found <= cells.get((i, r + 1, w), found), (i, r, w)
+
+    def test_relaxing_the_width_only_adds(self):
+        cells = bound_map()
+        for i, r in product(range(1, 41), range(1, 6)):
+            assert cells[i, r, False] <= cells[i, r, True], (i, r)
+
+    @pytest.mark.parametrize("ratio_bound", sorted(JOINS))
+    def test_where_each_group_joins(self, ratio_bound):
+        cells = bound_map()
+        for index_bound in range(1, 41):
+            expected = {d for d, join in JOINS[ratio_bound].items() if join <= index_bound}
+            assert cells[index_bound, ratio_bound, False] == expected, index_bound
+
+    @pytest.mark.parametrize("ratio_bound", sorted(JOINS))
+    def test_index_bound_forty_is_every_index_bound(self, ratio_bound):
+        # index bound 10**9 walks every level up to level_cap(r), and finds no more
+        assert classify(10**9, ratio_bound) == bound_map()[40, ratio_bound, False]
+
+
 class TestNaming:
     def test_catalog_contains_expected_entries(self):
         cat = descriptor_catalog(8)
@@ -425,7 +476,7 @@ class TestPrune:
     @pytest.mark.parametrize("index_bound", [12, 40, 385, 10**5])
     def test_the_nine_at_ratio_three_for_every_index_bound(self, index_bound):
         # no level above level_cap(3) = 768 passes, so from 384 on the walk is
-        # the same; 10**5 is the budget
+        # the same
         assert classify(index_bound, 3) == classify()
 
     def test_the_first_bound_reads_h_off_the_level(self):
@@ -474,11 +525,31 @@ class TestPrune:
         assert proc.stdout.splitlines()[-1] == "total: 9"
 
     def test_index_bound_above_the_budget_exits_one(self):
+        # min(2 * 100001, level_cap(196)) = 200002 levels
         proc = fresh_python(
-            "-m", "plattice.cli", "classify", "--index-bound", "100001", timeout=30, check=False
+            "-m", "plattice.cli", "classify", "--index-bound", "100001", "--ratio-bound", "196",
+            timeout=30, check=False,
         )
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: cannot sweep index bound 100001: above the budget of 10**5\n"
+        assert proc.stderr == "error: cannot sweep 200002 levels: above the budget of 2*10**5\n"
+
+    @pytest.mark.parametrize(
+        "index_bound, ratio_bound", [(10**5, 196), (100001, 195), (100001, 196), (10**9, 196), (10**9, 3)]
+    )
+    def test_the_walk_is_refused_before_any_level(self, monkeypatch, index_bound, ratio_bound):
+        # the walk is min(2 * index bound, level_cap(ratio bound)) levels,
+        # refused above the budget before may_pass reads one of them
+        calls = []
+        monkeypatch.setattr(sys.modules["plattice.classify"], "may_pass", lambda *args: calls.append(args))
+        last = min(2 * index_bound, level_cap(ratio_bound))
+        if last > LEVEL_BUDGET:
+            message = "cannot sweep %d levels: above the budget of 2*10**5" % last
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                classify_hits(index_bound, ratio_bound)
+            assert calls == []
+        else:
+            assert classify_hits(index_bound, ratio_bound) == []
+            assert len(calls) == last
 
     @pytest.mark.parametrize("bounds", [(0, 3), (-3, 3), (12, 0), (12, -1)])
     def test_non_positive_bounds_are_refused(self, bounds):

@@ -38,6 +38,7 @@ from .helpers import (
     eta_value,
     float_invariance_check,
     float_invariant_under,
+    group_generators,
     max_part,
     mobius,
     predicted_valency,
@@ -445,6 +446,21 @@ class TestNumericCheck:
 
     def test_negative_control(self):
         assert not float_invariant_under(FRAME_SHAPES[0], S, 0.1 + 0.8j)
+
+    def test_each_doubled_group_is_the_largest_that_fixes_its_quotient(self):
+        # a group containing D contains D's base level group, so the catalog
+        # at that level lists every descriptor that could; inclusion is read
+        # on generators, since cosets inside the normalizer miss the rest
+        fixing_counts = []
+        for d in NODE_GROUPS:
+            doubled, shape = double_group(d), frame_shape(d)
+            fixing = [g for g in descriptor_catalog(doubled.n * doubled.h) if numeric_invariance_check(shape, g)]
+            maximal = [
+                g for g in fixing if not any(b != g and all(member(x, b) for x in group_generators(g)) for b in fixing)
+            ]
+            assert maximal == [doubled], d
+            fixing_counts.append(len(fixing))
+        assert fixing_counts == [1, 2, 2, 2, 2, 5, 3, 4, 1]
 
     def test_fricke_of_two_scales_instead(self):
         # eta(t)^24/eta(2t)^24 is not itself invariant under the level-two

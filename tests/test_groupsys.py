@@ -427,10 +427,23 @@ class TestFiniteQuotient:
             assert q.mult[q.mult[i].index(0)][i] == 0
 
     def test_bound_trips(self, monkeypatch):
-        # the level-9 quotient has 12 cosets; the walk reads the bound when it runs
-        monkeypatch.setattr(groupsys, "QUOTIENT_ELEMENT_BOUND", 2)
-        with pytest.raises(ValueError, match="quotient not finite within bound 2"):
+        # the level-9 quotient has 12 cosets, known before the walk: above the
+        # bound it is refused with no coset computed, and at the bound it is built
+        keys = []
+        monkeypatch.setattr(groupsys, "_coset_key", lambda g, n: keys.append(g))
+        monkeypatch.setattr(groupsys, "QUOTIENT_ELEMENT_BOUND", 11)
+        with pytest.raises(ValueError, match=r"^quotient of 3\|3 has 12 cosets: above the budget of 11$"):
             finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9))
+        assert keys == []
+        monkeypatch.undo()
+        monkeypatch.setattr(groupsys, "QUOTIENT_ELEMENT_BOUND", 12)
+        assert finite_quotient(GroupDescriptor(3, 3), GroupDescriptor.gamma0(9)).order == 12
+
+    def test_a_large_quotient_is_refused_before_the_walk(self, monkeypatch):
+        big = GroupDescriptor(24, 120120, all_labels(5005))
+        monkeypatch.setattr(groupsys, "_coset_key", None)
+        with pytest.raises(ValueError, match="has 18432 cosets: above the budget of 10000"):
+            finite_quotient(big, GroupDescriptor.gamma0(24 * 120120))
 
     @pytest.mark.parametrize(
         "big, small",
@@ -539,9 +552,21 @@ class TestFiniteQuotient:
             assert d.index_over(level) == len(_member_cosets(normalizer_quotient(level), d)), d
         assert len(CATALOG_48) == 395
 
+    def test_catalog_quotients_have_their_closed_form_orders(self):
+        # each catalog group over its own level n*h, kernels included
+        for d in CATALOG_48:
+            level = d.n * d.h
+            assert finite_quotient(d, GroupDescriptor.gamma0(level)).order == d.index_over(level), d
+
     def test_order_mismatch_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(GroupDescriptor, "index_over", lambda desc, level: 7)
-        with pytest.raises(AssertionError, match="level 8 has 8 cosets, not 7"):
+        # the level-8 quotient has 8 cosets: one order too few is caught when
+        # the walk finds the eighth, one too many when the walk ends
+        index_over = GroupDescriptor.index_over
+        monkeypatch.setattr(GroupDescriptor, "index_over", lambda desc, level: index_over(desc, level) - 1)
+        with pytest.raises(AssertionError, match=r"^quotient of 4\|2\+ has more than 7 cosets$"):
+            normalizer_quotient.__wrapped__(8)
+        monkeypatch.setattr(GroupDescriptor, "index_over", lambda desc, level: index_over(desc, level) + 1)
+        with pytest.raises(AssertionError, match=r"^quotient of 4\|2\+ has 8 cosets, not 9$"):
             normalizer_quotient.__wrapped__(8)
 
 
