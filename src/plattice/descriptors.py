@@ -175,6 +175,13 @@ NODE_GROUPS: tuple[GroupDescriptor, ...] = (
 )
 
 
+def node_index(desc: GroupDescriptor) -> int:
+    """The place of a vertex group in NODE_GROUPS; any other group is a ValueError."""
+    if desc not in NODE_GROUPS:
+        raise ValueError("%s is not one of the nine vertex groups" % desc.display)
+    return NODE_GROUPS.index(desc)
+
+
 # the normalizer ---------------------------------------------------------------
 
 

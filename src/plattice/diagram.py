@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import lcm
 
-from .descriptors import NODE_GROUPS, GroupDescriptor
+from .descriptors import NODE_GROUPS, GroupDescriptor, node_index
 from .groupsys import _member_cosets, normalizer_quotient
 
 
@@ -51,8 +51,7 @@ def vertex_data(desc: GroupDescriptor) -> VertexData:
     of that meet in G, is [G : level L] over the number of cosets of Q(L)
     in both G and 2+; a fraction is an internal error.
     """
-    if desc not in NODE_GROUPS:
-        raise ValueError("%s is not one of the nine vertex groups" % desc.display)
+    node_index(desc)
     # the envelope level is the intersection level, the scale is h, and the
     # core drops the adjoined involutions; on the normalizer quotient the
     # core must be where the group meets its scaled base group

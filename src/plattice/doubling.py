@@ -21,10 +21,9 @@ def double_group(desc: "GroupDescriptor") -> "GroupDescriptor":
     when it stays one, which is when (n/h)/e is odd, and h and the
     character stay as they are.
     """
-    from .descriptors import NODE_GROUPS, GroupDescriptor
+    from .descriptors import GroupDescriptor, node_index
 
-    if desc not in NODE_GROUPS:
-        raise ValueError("%s is not one of the nine vertex groups" % desc.display)
+    node_index(desc)
     labels = {2 * e if (desc.n // desc.h // e) % 2 else e for e in desc.plus}
     return GroupDescriptor(desc.h, 2 * desc.n, labels, desc.character)
 

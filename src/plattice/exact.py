@@ -3,9 +3,9 @@
 There is no floating point anywhere in this module.  A ``ProjectiveMatrix``
 is a nonzero 2x2 matrix with positive determinant, considered up to scaling
 by nonzero rationals.  It is stored as its unique primitive integral
-representative (content 1, first nonzero entry positive), a named tuple
-(a, b, c, d) that is compared and hashed as a tuple.  ``from_ints``, the
-one constructor, takes integers; products and inverses go through it.
+representative (content 1, first nonzero entry positive), which the one
+constructor ``ProjectiveMatrix(a, b, c, d)`` computes from any integers: a
+named tuple (a, b, c, d) that is compared and hashed as a tuple.
 ``hermite`` reduces a matrix to the Hermite triple of its coset of the
 modular group.  This module reads no text: rationals enter through the
 readers of ``lattice``.
@@ -27,8 +27,7 @@ class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
 
     __slots__ = ()
 
-    @classmethod
-    def from_ints(cls, a: int, b: int, c: int, d: int) -> "ProjectiveMatrix":
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "ProjectiveMatrix":
         """The class of an integer matrix: content divided out, sign fixed."""
         if a * d - b * c <= 0:
             raise ValueError(
@@ -38,7 +37,7 @@ class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
         content = gcd(a, b, c, d)
         if a < 0 or (a == 0 and b < 0):
             content = -content
-        return cls(a // content, b // content, c // content, d // content)
+        return tuple.__new__(cls, (a // content, b // content, c // content, d // content))
 
     def pdet(self) -> int:
         """The rational projective determinant (a positive integer)."""
@@ -47,14 +46,12 @@ class ProjectiveMatrix(namedtuple("ProjectiveMatrix", "a b c d")):
     def __mul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
         a, b, c, d = self
         e, f, g, h = other
-        return ProjectiveMatrix.from_ints(
-            a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        )
+        return ProjectiveMatrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inv(self) -> "ProjectiveMatrix":
         # adjugate; projectively this is the inverse since det > 0
         a, b, c, d = self
-        return ProjectiveMatrix.from_ints(d, -b, -c, a)
+        return ProjectiveMatrix(d, -b, -c, a)
 
     def __str__(self) -> str:
         return "[[%d,%d],[%d,%d]]" % self
@@ -77,4 +74,4 @@ def hermite(g: ProjectiveMatrix) -> tuple[int, int, int]:
 
 # Standard elements ----------------------------------------------------------
 
-IDENTITY = ProjectiveMatrix.from_ints(1, 0, 0, 1)
+IDENTITY = ProjectiveMatrix(1, 0, 0, 1)

@@ -113,11 +113,9 @@ FRAME_SHAPES: tuple[FrameShape, ...] = tuple(shape for _, shape in VERTEX_SHAPES
 
 def frame_shape(desc: "GroupDescriptor") -> FrameShape:
     """The catalog shape of a vertex group."""
-    from .descriptors import NODE_GROUPS
+    from .descriptors import node_index
 
-    if desc not in NODE_GROUPS:
-        raise ValueError("%s is not one of the nine vertex groups" % desc.display)
-    return dict(VERTEX_SHAPES)[desc.display]
+    return FRAME_SHAPES[node_index(desc)]
 
 
 # exact Laurent series ---------------------------------------------------------

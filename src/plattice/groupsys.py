@@ -34,7 +34,7 @@ QUOTIENT_ELEMENT_BOUND = 10000
 def _conjugate_by_scale(g: ProjectiveMatrix, h: int) -> ProjectiveMatrix:
     # h * (g_h g g_h^-1) stays integral
     a, b, c, d = g
-    return ProjectiveMatrix.from_ints(h * a, h * h * b, c, h * d)
+    return ProjectiveMatrix(h * a, h * h * b, c, h * d)
 
 
 def member(g: ProjectiveMatrix, desc: GroupDescriptor) -> bool:
@@ -77,11 +77,11 @@ def al_coset_representative(n: int, e: int) -> ProjectiveMatrix:
     if e == 1:
         return IDENTITY
     if e == n:
-        rep = ProjectiveMatrix.from_ints(0, -1, n, 0)
+        rep = ProjectiveMatrix(0, -1, n, 0)
     else:
         u = pow(e, -1, n // e)
         v = (u * e - 1) // (n // e)
-        rep = ProjectiveMatrix.from_ints(e, v, n, u * e)
+        rep = ProjectiveMatrix(e, v, n, u * e)
     a, b, c, d = rep
     if rep.pdet() != e or a % e or d % e or c % n:
         raise AssertionError("%s is not in the label-%d coset over level %d" % (rep, e, n))
@@ -92,7 +92,7 @@ def conjugated_al_representative(desc_h: int, m: int, e: int) -> ProjectiveMatri
     """Representative of the label-e coset inside the (h, n) family, n = h*m."""
     # h * (g_h^-1 rep g_h) stays integral
     a, b, c, d = al_coset_representative(m, e)
-    return ProjectiveMatrix.from_ints(desc_h * a, b, desc_h * desc_h * c, desc_h * d)
+    return ProjectiveMatrix(desc_h * a, b, desc_h * desc_h * c, desc_h * d)
 
 
 # finite quotients -------------------------------------------------------------
@@ -122,13 +122,13 @@ class FiniteQuotient:
     def width_cosets(self) -> tuple[int, ...]:
         """Cosets of the shears [[1, k/h], [0, 1]], 0 < k < h, which break width one."""
         h = self.big.h
-        return tuple(self.coset_of(ProjectiveMatrix.from_ints(h, k, 0, h)) for k in range(1, h))
+        return tuple(self.coset_of(ProjectiveMatrix(h, k, 0, h)) for k in range(1, h))
 
 
 def _coset_key(g: ProjectiveMatrix, n: int):
     # the names of g and of [[n, 0], [0, 1]] g, the action of g on (n, 0), as Hermite triples
     a, b, c, d = g
-    return hermite(g), hermite(ProjectiveMatrix.from_ints(n * a, n * b, c, d))
+    return hermite(g), hermite(ProjectiveMatrix(n * a, n * b, c, d))
 
 
 def finite_quotient(big: GroupDescriptor, small: GroupDescriptor) -> FiniteQuotient:
@@ -200,8 +200,8 @@ def quotient_generators(big: GroupDescriptor) -> list[ProjectiveMatrix]:
         return [q.reps[i] for i in sorted(kernel) if i]
     gens = []
     if big.h > 1:
-        gens.append(ProjectiveMatrix.from_ints(big.h, 1, 0, big.h))
-        gens.append(ProjectiveMatrix.from_ints(1, 0, big.n, 1))
+        gens.append(ProjectiveMatrix(big.h, 1, 0, big.h))
+        gens.append(ProjectiveMatrix(1, 0, big.n, 1))
     gens.extend(
         conjugated_al_representative(big.h, big.n // big.h, e) for e in sorted(big.plus)
     )

@@ -48,7 +48,7 @@ class LatticeName(namedtuple("LatticeName", "a s d")):
         return not self < other if isinstance(other, LatticeName) else NotImplemented
 
     def matrix(self) -> ProjectiveMatrix:
-        return ProjectiveMatrix.from_ints(self.a, self.s, 0, self.d)
+        return ProjectiveMatrix(self.a, self.s, 0, self.d)
 
     def __str__(self) -> str:
         return name_text(*self)
@@ -135,4 +135,4 @@ def parse_matrix(text: str) -> ProjectiveMatrix:
     rows = [row.split(",") for row in s[2:-2].split("],[")]
     if not (s.startswith("[[") and s.endswith("]]")) or [len(row) for row in rows] != [2, 2]:
         raise ValueError("bad matrix literal %r" % text)
-    return ProjectiveMatrix.from_ints(*clear_denominators([parse_rational(p) for row in rows for p in row]))
+    return ProjectiveMatrix(*clear_denominators([parse_rational(p) for row in rows for p in row]))

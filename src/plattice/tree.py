@@ -18,17 +18,18 @@ from .lattice import L1, LatticeName, act, hyperdistance, reduce_matrix
 
 
 class HyperCircle:
-    """The members at hyperdistance ``radius`` from ``center``, generated in
-    name order on each iteration; ``len`` counts them without enumerating."""
+    """The ``size`` members at hyperdistance ``radius`` from ``center``, in name
+    order on each iteration; more than HYPERCIRCLE_BOUND is refused when made."""
 
-    __slots__ = ("center", "radius")
+    __slots__ = ("center", "radius", "size")
 
     def __init__(self, center: LatticeName, radius: int):
+        self.size = hypercircle_size(radius)
         self.center = center
         self.radius = radius
 
     def __len__(self) -> int:
-        return hypercircle_size(self.radius)
+        return self.size
 
     def __iter__(self):
         # at L1 the members are the Hermite triples (a, s, d) with a*d == n
@@ -61,10 +62,8 @@ def hypercircle(center: LatticeName, radius: int) -> HyperCircle:
     """All lattices at hyperdistance exactly ``radius`` from ``center``.
 
     Iterating the circle generates its members sorted by name, straight
-    from the integers.  More than HYPERCIRCLE_BOUND members is a
-    ValueError, raised here, before any member is enumerated.
+    from the integers.
     """
-    hypercircle_size(radius)
     return HyperCircle(center, radius)
 
 
@@ -100,7 +99,7 @@ def _lattice_sum(name: LatticeName, e: int) -> LatticeName:
     a, s, d = name
     x = gcd(a, e)
     u = pow(a // x, -1, e // x)
-    return reduce_matrix(ProjectiveMatrix.from_ints(x, u * s, 0, gcd(d, e, e * s // x)))
+    return reduce_matrix(ProjectiveMatrix(x, u * s, 0, gcd(d, e, e * s // x)))
 
 
 def thread(left: LatticeName, right: LatticeName) -> tuple[LatticeName, ...]:

@@ -11,7 +11,8 @@ JSON read back, the readers of the JSON records (no command reads JSON),
 the hypercircle by
 the group action and a sort, balls of the p-adic trees, graph edges by
 group name, graph neighbours, the Frame-shape predictions of the vertex
-invariants and the dense eta-series recurrence;
+invariants, the dense eta-series recurrence and McKay's graph of the
+binary icosahedral group over Q(sqrt 5), which derives the diagram again;
 and the searches that worked out what a name now fixes: the width at
 infinity by a shear scan, the envelope level by normalizer membership, the
 scale by comparing scaled base groups, the valency by the order of the
@@ -63,8 +64,8 @@ from plattice.arith import divisors, gamma0_index, hypercircle_size, is_prime
 from plattice.tree import hypercircle, thread
 
 
-S = ProjectiveMatrix.from_ints(0, -1, 1, 0)
-T = ProjectiveMatrix.from_ints(1, 1, 0, 1)
+S = ProjectiveMatrix(0, -1, 1, 0)
+T = ProjectiveMatrix(1, 1, 0, 1)
 
 
 def rational_matrix(a, b, c, d) -> ProjectiveMatrix:
@@ -510,6 +511,136 @@ def edge_displays(graph) -> set[tuple[str, str]]:
     }
 
 
+# McKay's correspondence (McKay 1980, "Graphs, singularities, and finite
+# groups"): the binary icosahedral group 2I in SU(2) has order 120, and its
+# McKay graph joins the irreducibles rho and sigma when sigma occurs in
+# V (x) rho, V the natural 2-dimensional representation.  Its characters
+# take values in Q(sqrt 5); x + y*sqrt(5) is the pair (x, y) of Fractions.
+McKayGraph = namedtuple("McKayGraph", "characters edges")
+BINARY_ICOSAHEDRAL_ORDER = 120
+
+
+def q5_conjugate(u):
+    """The Galois conjugate sqrt(5) -> -sqrt(5) of x + y*sqrt(5)."""
+    return (u[0], -u[1])
+
+
+def _q5_sum(terms):
+    # the sum of k * u * v over the triples (k, u, v), k an integer
+    x = y = Fraction(0)
+    for k, (a, b), (c, d) in terms:
+        x += k * (a * c + 5 * b * d)
+        y += k * (a * d + b * c)
+    return (x, y)
+
+
+def _quaternion_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        _q5_sum(((1, a1, a2), (-1, b1, b2), (-1, c1, c2), (-1, d1, d2))),
+        _q5_sum(((1, a1, b2), (1, b1, a2), (1, c1, d2), (-1, d1, c2))),
+        _q5_sum(((1, a1, c2), (-1, b1, d2), (1, c1, a2), (1, d1, b2))),
+        _q5_sum(((1, a1, d2), (1, b1, c2), (-1, c1, b2), (1, d1, a2))),
+    )
+
+
+def binary_icosahedral_group() -> frozenset:
+    """2I as unit quaternions over Q(sqrt 5), generated by (1+i+j+k)/2 and
+    (i + phi^-1 j + phi k)/2 with phi = (1+sqrt 5)/2.
+
+    The closure stops at 120 elements: a wrong sign in the product makes
+    it infinite, so passing 120 is an AssertionError.
+    """
+    zero, half = (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0))
+    phi_half, phi_inverse_half = (Fraction(1, 4), Fraction(1, 4)), (Fraction(-1, 4), Fraction(1, 4))
+    generators = ((half, half, half, half), (zero, half, phi_inverse_half, phi_half))
+    one = ((Fraction(1), Fraction(0)), zero, zero, zero)
+    group, frontier = {one}, [one]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in generators:
+                x = _quaternion_product(g, s)
+                if x not in group:
+                    group.add(x)
+                    new.append(x)
+                    if len(group) > BINARY_ICOSAHEDRAL_ORDER:
+                        raise AssertionError("the closure of 2I passed 120 elements")
+        frontier = new
+    return frozenset(group)
+
+
+@lru_cache(maxsize=None)
+def mckay_graph() -> McKayGraph:
+    """The irreducible characters of 2I and its McKay graph.
+
+    A class of 2I is its real part r, and V takes the value 2r on it.  Each
+    character is a dict from r to its value, so chi[(1, 0)] is its
+    dimension and chi[(-1, 0)] its value on -1.  From the trivial one the
+    walk takes V (x) chi for each known chi less its known constituents,
+    kept when its norm is 1, and the Galois conjugate of each known chi,
+    until nothing new appears.  The edges are the index pairs (i, j), i < j,
+    with chi_j in V (x) chi_i.
+    """
+    sizes = {}
+    for g in binary_icosahedral_group():
+        sizes[g[0]] = sizes.get(g[0], 0) + 1
+
+    def inner(chi, psi) -> int:
+        # every character of 2I is real, so no complex conjugate enters
+        x, y = _q5_sum((sizes[r], chi[r], psi[r]) for r in sizes)
+        x /= BINARY_ICOSAHEDRAL_ORDER
+        if y or x.denominator != 1:
+            raise AssertionError("inner product %s + %s*sqrt(5) is not an integer" % (x, y))
+        return int(x)
+
+    def tensor_v(chi):
+        return {r: _q5_sum(((2, r, chi[r]),)) for r in sizes}
+
+    characters = [dict.fromkeys(sizes, (Fraction(1), Fraction(0)))]
+    grown = True
+    while grown:
+        grown = False
+        for chi in list(characters):
+            rest = tensor_v(chi)
+            for known in characters:
+                k = inner(rest, known)
+                rest = {r: (rest[r][0] - k * known[r][0], rest[r][1] - k * known[r][1]) for r in sizes}
+            for candidate in (rest, {r: q5_conjugate(v) for r, v in chi.items()}):
+                if candidate not in characters and inner(candidate, candidate) == 1 and candidate[(1, 0)][0] > 0:
+                    characters.append(candidate)
+                    grown = True
+    edges = set()
+    for i, chi in enumerate(characters):
+        for j, psi in enumerate(characters):
+            k = inner(tensor_v(chi), psi)
+            if k not in (0, 1) or (k and i == j):
+                raise AssertionError("V (x) chi_%d holds chi_%d %d times" % (i, j, k))
+            if k and i < j:
+                edges.add((i, j))
+    return McKayGraph(tuple(characters), frozenset(edges))
+
+
+def mckay_edge_displays(vertices) -> set[tuple[str, str]]:
+    """The McKay graph's edges as sorted pairs of group names.
+
+    Each irreducible is named by the one vertex whose normalized level,
+    faithfulness and valency are its dimension, chi(-1) == -dim and its
+    degree in the McKay graph; no edge of the diagram is read.
+    """
+    characters, edges = mckay_graph()
+    names = []
+    for i, chi in enumerate(characters):
+        dim, degree = chi[(1, 0)][0], sum(i in e for e in edges)
+        keys = (dim, chi[(-1, 0)][0] == -dim, degree)
+        match = [v.group.display for v in vertices if (v.normalized_level, v.faithful, v.valency) == keys]
+        if len(match) != 1:
+            raise AssertionError("irreducible %d of 2I names %d vertices" % (i, len(match)))
+        names += match
+    return {tuple(sorted((names[a], names[b]))) for a, b in edges}
+
+
 def dense_eta_series(fs: FrameShape, order: int) -> IntegerPowerSeries:
     """The eta-quotient series by the plain Euler-transform recurrence.
 
@@ -544,7 +675,7 @@ def scanned_width_at_infinity(desc: GroupDescriptor) -> tuple[int, int]:
     the group: each k = 1 ... h*n tested by membership."""
     h = desc.h
     for k in range(1, h * desc.n + 1):
-        if member(ProjectiveMatrix.from_ints(h, k, 0, h), desc):
+        if member(ProjectiveMatrix(h, k, 0, h), desc):
             g = gcd(k, h)
             return k // g, h // g
     raise AssertionError("no translation found in %s" % desc.display)

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from contextlib import redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -21,17 +22,23 @@ from plattice.diagram import (
     vertex_data,
 )
 from plattice.descriptors import GroupDescriptor, normalizer_of_gamma0
+from plattice.doubling import double_group
+from plattice.frames import frame_shape
 from plattice.groupsys import _member_cosets, member, normalizer_quotient
 from plattice.lattice import L1, act
 
+from . import helpers
 from .helpers import (
     backtracking_graph_solutions,
+    binary_icosahedral_group,
     edge_displays,
     graph_from_json,
     group_generators,
     lattice,
+    mckay_graph,
     named_core_group,
     neighbors,
+    q5_conjugate,
     searched_envelope_level,
     searched_scale_factor,
     searched_valency,
@@ -167,9 +174,11 @@ class TestVertexData:
 
     @pytest.mark.parametrize("name", ["7+", "4", "6", "4|2", "8|2+"])
     def test_refuses_a_group_off_the_nine(self, name):
+        # descriptors.node_index writes the refusal once for all three
         message = "^%s is not one of the nine vertex groups$" % re.escape(name)
-        with pytest.raises(ValueError, match=message):
-            vertex_data(GroupDescriptor.parse(name))
+        for read in (vertex_data, double_group, frame_shape):
+            with pytest.raises(ValueError, match=message):
+                read(GroupDescriptor.parse(name))
 
     def test_tables_reproduced(self):
         data = node_vertex_data()
@@ -378,3 +387,47 @@ class TestDot:
         a = emit_dot(build_graph(node_vertex_data()))
         b = emit_dot(build_graph(node_vertex_data()))
         assert a == b
+
+
+class TestMcKay:
+    # McKay's correspondence derives the diagram a second way: the McKay
+    # graph of the binary icosahedral group 2I, marked by the dimensions, is
+    # the affine E8 diagram, and the rules of graph_solutions are facts about
+    # it.  dim(V (x) rho) == 2 dim(rho) is the weight rule, and V (x) rho
+    # flips the sign of rho(-1), so a faithful vertex touches none
+    def test_the_closure_stops_at_120(self, monkeypatch):
+        assert len(binary_icosahedral_group()) == 120
+        monkeypatch.setattr(helpers, "BINARY_ICOSAHEDRAL_ORDER", 119)
+        with pytest.raises(AssertionError, match="passed 120 elements"):
+            binary_icosahedral_group()
+
+    def test_nine_irreducibles(self):
+        dims = sorted(chi[(1, 0)][0] for chi in mckay_graph().characters)
+        assert dims == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+        assert sum(d * d for d in dims) == 120
+
+    def test_one_isomorphism_onto_the_diagram(self):
+        characters, edges = mckay_graph()
+        graph = build_graph(node_vertex_data())
+        levels = [v.normalized_level for v in graph.vertices]
+        candidates = [[j for j, level in enumerate(levels) if level == chi[(1, 0)][0]] for chi in characters]
+        target = {frozenset(e) for e in graph.edges}
+        found = [
+            image
+            for image in product(*candidates)
+            if len(set(image)) == 9 and {frozenset((image[a], image[b])) for a, b in edges} == target
+        ]
+        assert len(found) == 1
+        (image,) = found
+        displays = [graph.vertices[j].group.display for j in image]
+        for i, chi in enumerate(characters):
+            v, dim = graph.vertices[image[i]], chi[(1, 0)][0]
+            assert v.valency == sum(i in e for e in edges), displays[i]
+            assert v.faithful is (chi[(-1, 0)] == (-dim, 0)), displays[i]
+            assert chi[(-1, 0)] in ((dim, 0), (-dim, 0))
+        faithful = {displays[i] for i, chi in enumerate(characters) if chi[(-1, 0)][0] < 0}
+        assert faithful == {"2+", "2", "4+", "6+"}
+        # sqrt(5) -> -sqrt(5) swaps the four irrational characters in pairs
+        conjugate = [characters.index({r: q5_conjugate(x) for r, x in chi.items()}) for chi in characters]
+        swapped = {frozenset((displays[i], displays[j])) for i, j in enumerate(conjugate) if i != j}
+        assert swapped == {frozenset(("2+", "2")), frozenset(("3+", "3|3"))}

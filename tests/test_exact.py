@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,7 +32,7 @@ def rand_pgl2q(rng, bound=9):
     while True:
         a, b, c, d = (rng.randrange(-bound, bound + 1) for _ in range(4))
         if a * d - b * c > 0:
-            return ProjectiveMatrix.from_ints(a, b, c, d)
+            return ProjectiveMatrix(a, b, c, d)
 
 
 def primitive(entries) -> tuple[int, ...]:
@@ -60,6 +62,43 @@ class TestPrimitiveRep:
             scaled = tuple(q * x for x in m)
             assert primitive(scaled) == primitive(m)
             assert primitive(primitive(scaled)) == primitive(scaled)
+
+
+class TestConstructor:
+    # ProjectiveMatrix(a, b, c, d) is the one constructor, so every matrix is
+    # its primitive, sign-fixed representative and tuple equality and
+    # hashing are projective equality
+    def test_scaled_entries_give_one_matrix(self):
+        rng = random.Random(53)
+        checked = 0
+        while checked < 400:
+            entries = [rng.randint(-40, 40) for _ in range(4)]
+            if entries[0] * entries[3] - entries[1] * entries[2] <= 0:
+                continue
+            m = ProjectiveMatrix(*entries)
+            assert gcd(*m) == 1 and next(x for x in m if x) > 0, (entries, m)
+            for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+                scaled = ProjectiveMatrix(*(k * x for x in entries))
+                assert scaled == m and hash(scaled) == hash(m), (entries, k)
+                assert tuple(scaled) == tuple(m) and scaled.pdet() == m.pdet()
+            checked += 1
+
+    def test_scalar_matrices_are_the_identity(self):
+        for k in (2, -1, -7):
+            m = ProjectiveMatrix(k, 0, 0, k)
+            assert m == IDENTITY and hash(m) == hash(IDENTITY) and m.pdet() == 1
+            assert hermite(m) == (1, 0, 1)
+
+    @pytest.mark.parametrize("entries", [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, -1), (1, 2, 2, 4)], ids=str)
+    def test_non_positive_determinant_refused(self, entries):
+        message = r"^matrix does not have positive determinant: \[\[%d,%d\],\[%d,%d\]\]$" % entries
+        with pytest.raises(ValueError, match=message):
+            ProjectiveMatrix(*entries)
+
+    def test_copies_and_pickles_are_equal(self):
+        for m in (IDENTITY, S, ProjectiveMatrix(-4, 6, -2, -8), rational_matrix(1, Fraction(1, 2), 0, 1)):
+            for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                assert type(twin) is ProjectiveMatrix and twin == m and tuple(twin) == tuple(m)
 
 
 class TestPdet:
@@ -129,7 +168,7 @@ class TestHermite:
             entries = [rng.randint(-60, 60) for _ in range(4)]
             if entries[0] * entries[3] - entries[1] * entries[2] <= 0 or gcd(*entries) != 1:
                 continue
-            g = ProjectiveMatrix.from_ints(*entries)
+            g = ProjectiveMatrix(*entries)
             a, s, d = triple = hermite(g)
             assert a > 0 and 0 <= s < d and gcd(a, s, d) == 1, (g, triple)
             ga, gb, gc, gd = g
@@ -145,7 +184,7 @@ class TestSerialization:
         assert parse_matrix(str(m)) == m
 
     def test_parse_fractions(self):
-        assert parse_matrix("[[1,1/2],[0,1]]") == ProjectiveMatrix.from_ints(2, 1, 0, 2)
+        assert parse_matrix("[[1,1/2],[0,1]]") == ProjectiveMatrix(2, 1, 0, 2)
 
     def test_parse_agrees_with_fraction_oracle(self):
         # the oracle reads each token with Fraction and scales by Fraction

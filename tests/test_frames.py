@@ -465,7 +465,7 @@ class TestNumericCheck:
     def test_fricke_of_two_scales_instead(self):
         # eta(t)^24/eta(2t)^24 is not itself invariant under the level-two
         # involution; the involution sends it to 4096 over itself
-        w2 = ProjectiveMatrix.from_ints(0, -1, 2, 0)
+        w2 = ProjectiveMatrix(0, -1, 2, 0)
         tau = 0.1 + 0.8j
         f0 = eta_quotient_value(FRAME_SHAPES[0], tau)
         f1 = eta_quotient_value(FRAME_SHAPES[0], mobius(w2, tau))
@@ -571,7 +571,7 @@ class TestExactVerdict:
     def test_cases_on_1_24(self, entries, verdict):
         # eta(t)^24 / eta(2t)^24 under T, S, the level-two involution (which
         # sends it to 4096 over itself) and a shear the multiplier cannot decide
-        assert invariant_under(FRAME_SHAPES[0], ProjectiveMatrix.from_ints(*entries)) is verdict
+        assert invariant_under(FRAME_SHAPES[0], ProjectiveMatrix(*entries)) is verdict
 
     def test_an_undecided_generator_is_not_shown_invariant(self):
         # 1^24 passes Ligozat's criterion at level 4, but the full group 2|2
@@ -579,7 +579,7 @@ class TestExactVerdict:
         # False, as floats did
         desc = GroupDescriptor(2, 2)
         assert invariant_under_gamma0(FRAME_SHAPES[0], 4)
-        assert ProjectiveMatrix.from_ints(2, 1, 0, 2) in quotient_generators(desc)
+        assert ProjectiveMatrix(2, 1, 0, 2) in quotient_generators(desc)
         assert numeric_invariance_check(FRAME_SHAPES[0], desc) is False
         assert float_invariance_check(FRAME_SHAPES[0], desc) is False
 
@@ -598,7 +598,7 @@ class TestExactVerdict:
     def test_decided_where_the_float_oracle_fails(self, text, entries, error):
         # these images of 0.1 + 0.8i lie so near the real line that eta
         # underflows and its negative powers fail in floating point
-        fs, g = FrameShape.parse(text), ProjectiveMatrix.from_ints(*entries)
+        fs, g = FrameShape.parse(text), ProjectiveMatrix(*entries)
         with pytest.raises(error):
             float_invariant_under(fs, g, 0.1 + 0.8j)
         assert invariant_under(fs, g) is False

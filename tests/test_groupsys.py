@@ -239,7 +239,7 @@ class TestMember:
             assert member(T, GroupDescriptor.gamma0(n))
 
     def test_fricke_in_plus_four(self):
-        w4 = ProjectiveMatrix.from_ints(0, -1, 4, 0)
+        w4 = ProjectiveMatrix(0, -1, 4, 0)
         assert member(w4, GroupDescriptor.gamma0_plus(4))
         assert not member(w4, GroupDescriptor.gamma0(4))
 
@@ -283,7 +283,7 @@ class TestAtkinLehner:
         assert al_coset_representative(5, 1) == IDENTITY
 
     def test_fricke(self):
-        assert al_coset_representative(6, 6) == ProjectiveMatrix.from_ints(0, -1, 6, 0)
+        assert al_coset_representative(6, 6) == ProjectiveMatrix(0, -1, 6, 0)
 
     def test_defining_equation_level_six(self):
         w = al_coset_representative(6, 2)
@@ -297,11 +297,11 @@ class TestAtkinLehner:
             al_coset_representative(4, 2)
 
     def test_conjugation_matches_the_product_form(self):
-        # the one from_ints of the conjugated representative is the product
+        # the one construction of the conjugated representative is the product
         # g_h^-1 * rep * g_h with g_h = [[h, 0], [0, 1]]
         triples = 0
         for h in divisors(24):
-            gh = ProjectiveMatrix.from_ints(h, 0, 0, 1)
+            gh = ProjectiveMatrix(h, 0, 0, 1)
             for m in range(1, 400):
                 for e in [1, *all_labels(m)]:
                     expected = gh.inv() * al_coset_representative(m, e) * gh
@@ -417,6 +417,9 @@ class TestFiniteQuotient:
         assert q.order == 24
         assert None not in quotient_actions(q, points)
         assert order_profile(q) == {1: 1, 2: 9, 3: 8, 4: 6}
+
+    def test_scaled_identity_is_the_identity_coset(self):
+        assert normalizer_quotient(4).coset_of(ProjectiveMatrix(2, 0, 0, 2)) == 0
 
     def test_group_axioms_on_table(self):
         q = normalizer_quotient(8)
@@ -664,8 +667,8 @@ class TestKernelCharacter:
         # and differ by the shear [[1, 1/2], [0, 1]], on which the character
         # is 1: the kernel depends on which matrix the label's 0 is put on
         w = conjugated_al_representative(2, 4, 4)
-        shifted = ProjectiveMatrix.from_ints(8, -1, 16, 0)
-        assert w == ProjectiveMatrix.from_ints(0, 1, -16, 0)
+        shifted = ProjectiveMatrix(8, -1, 16, 0)
+        assert w == ProjectiveMatrix(0, 1, -16, 0)
         assert shifted == translation(Fraction(1, 2)) * w
         assert member(w, GroupDescriptor(2, 8, {4})) and member(shifted, GroupDescriptor(2, 8, {4}))
         assert member(w, GroupDescriptor.kernel(2, 8, {4}))
@@ -681,9 +684,9 @@ class TestKernelCharacter:
         q = finite_quotient(GroupDescriptor(3, 6, frozenset({2})), GroupDescriptor.gamma0(18))
         assert q.order == 24
         assert quotient_generators(q.big) == [
-            ProjectiveMatrix.from_ints(3, 1, 0, 3),
-            ProjectiveMatrix.from_ints(1, 0, 6, 1),
-            ProjectiveMatrix.from_ints(0, 1, -18, 0),
+            ProjectiveMatrix(3, 1, 0, 3),
+            ProjectiveMatrix(1, 0, 6, 1),
+            ProjectiveMatrix(0, 1, -18, 0),
         ]
         # with the shear at 1, none of the nine choices on the other two
         # generators is a homomorphism onto Z/3

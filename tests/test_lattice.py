@@ -49,7 +49,7 @@ class TestReduce:
         assert reduce_matrix(S) == L1
 
     def test_fricke_level_four(self):
-        w4 = ProjectiveMatrix.from_ints(0, -1, 4, 0)
+        w4 = ProjectiveMatrix(0, -1, 4, 0)
         # row reduction by hand: [[0,-1],[4,0]] ~ [[4,0],[0,1]]
         assert reduce_matrix(w4) == lattice(4)
 

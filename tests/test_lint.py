@@ -32,7 +32,7 @@ def test_no_bare_asserts_in_package():
 # product, reduction, coset-key, cusp and name-printing paths must build no
 # rationals
 INTEGER_ONLY = {
-    "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.from_ints", "hermite"),
+    "exact.py": ("ProjectiveMatrix.__mul__", "ProjectiveMatrix.inv", "ProjectiveMatrix.__new__", "hermite"),
     "lattice.py": ("reduce_matrix", "act", "hyperdistance", "LatticeName.__str__", "name_text", "_ratio_text"),
     "arith.py": ("divisors",),
     "tree.py": ("thread", "_lattice_sum"),
@@ -48,6 +48,18 @@ INTEGER_ONLY = {
     "cusps.py": ("gamma0_cusps", "CuspReport.to_json"),
 }
 RATIONAL_NAMES = {"Fraction", "from_entries", "lattice"}
+
+
+def test_no_module_builds_a_named_tuple_past_its_constructor():
+    # _make and _replace call tuple.__new__, not the class's own __new__, so
+    # on a ProjectiveMatrix they would store an unreduced representative
+    offenders = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace")
+    ]
+    assert offenders == []
 
 
 def _is_named_tuple(node) -> bool:

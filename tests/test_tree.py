@@ -97,6 +97,17 @@ class TestHypercircle:
         assert len(hypercircle(lattice(Fraction(2, 3), Fraction(1, 7)), 999983)) == 999984
         assert len(hypercircle(L1, 6)) == 12
 
+    def test_len_reads_the_size_counted_when_made(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the size was counted again")
+
+        circles = [hypercircle(L1, 6), tree.HyperCircle(lattice(Fraction(2, 3), Fraction(1, 7)), 999983)]
+        assert all(type(c) is tree.HyperCircle for c in circles)
+        monkeypatch.setattr(arith, "factorize", refuse)
+        monkeypatch.setattr(tree, "factorize", refuse)
+        monkeypatch.setattr(tree, "hypercircle_size", refuse)
+        assert [len(c) for c in circles] == [c.size for c in circles] == [12, 999984]
+
     @pytest.mark.parametrize(
         "center",
         [L1, lattice(2), lattice(Fraction(1, 3), Fraction(2, 3)), lattice(6, Fraction(1, 2))],
@@ -214,7 +225,7 @@ def test_lattice_sum_closed_form_matches_row_reduction():
         for e in divisors(n):
             for name in names:
                 (x, y), (_, z) = row_hnf([(name.a, name.s), (0, name.d), (e, 0), (0, e)])
-                expected = reduce_matrix(ProjectiveMatrix.from_ints(x, y, 0, z))
+                expected = reduce_matrix(ProjectiveMatrix(x, y, 0, z))
                 assert tree._lattice_sum(name, e) == expected, (name, e)
 
 
@@ -387,3 +398,14 @@ class TestInputBudgets:
         monkeypatch.setattr(tree, "divisors", refuse)
         with pytest.raises(ValueError, match="budget"):
             hypercircle(L1, 2 * 10**6)
+
+    def test_a_circle_is_refused_when_made(self, monkeypatch):
+        # 2**20 has 1572864 members: the class refuses it as the function
+        # does, before any member is listed
+        def refuse(*args):
+            raise AssertionError("a member was enumerated")
+
+        monkeypatch.setattr(tree.HyperCircle, "__iter__", refuse)
+        monkeypatch.setattr(tree, "divisors", refuse)
+        with pytest.raises(ValueError, match="1572864 members"):
+            tree.HyperCircle(L1, 2**20)
